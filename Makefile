@@ -1,14 +1,14 @@
 # Developer entry points. `make check` is the full gate the CI (and
-# every PR) must pass: formatting, vet, build, and the test suite under
-# the race detector.
+# every PR) must pass: formatting, vet, build, the test suite under
+# the race detector, and the benchmark module's own vet and tests.
 
 GO ?= go
 
-.PHONY: all check fmt vet build test race identity determinism bench bench-json fabric-smoke clean
+.PHONY: all check fmt vet build test race identity determinism vsbench-smoke bench bench-json fabric-smoke clean
 
 all: check
 
-check: fmt vet build race identity determinism
+check: fmt vet build race identity determinism vsbench-smoke
 
 # fmt fails if any file is not gofmt-clean (prints the offenders).
 fmt:
@@ -46,9 +46,17 @@ identity:
 # since the executor went persistent, across session-window
 # decompositions, mid-round cancellation/resume and lease-to-lease
 # session reuse (the TestSession* equivalence suites). Run it after
-# touching internal/plan or the adaptive execution paths.
+# touching internal/plan or either round loop (campaign runRounds,
+# fabric Coordinator.drive).
 determinism:
 	$(GO) test -count=1 -run 'TestAdaptiveDeterministic|TestAdaptiveStratumStreamsIndependent|TestAdaptiveCampaignDeterministicAcrossExecution|TestAdaptiveCancellationMidRound|TestClusterAdaptive|TestCoordinatorRestartAdaptive|TestSession' ./internal/plan/ ./internal/campaign/ ./internal/fabric/ ./internal/fault/
+
+# vsbench-smoke vets and tests the benchmark module (cmd/vsbench, a Go
+# module of its own): the root `go build ./...` does not compile it, so
+# an API change in campaign or fabric would otherwise break it unseen.
+vsbench-smoke:
+	$(GO) -C cmd/vsbench vet ./...
+	$(GO) -C cmd/vsbench test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -14,6 +14,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -220,13 +221,24 @@ func TestIdentityCellFabricEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
+	// The workers must have exited before this test returns: later
+	// tests flip the package-global fastpath switches their trials read.
+	var workers sync.WaitGroup
+	defer func() {
+		cancel()
+		workers.Wait()
+	}()
 	for _, name := range []string{"live-1", "live-2"} {
 		w := &fabric.Worker{
 			ID:     name,
 			Client: &fabric.Client{Base: srv.URL},
 			Poll:   10 * time.Millisecond,
 		}
-		go w.Run(ctx)
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			w.Run(ctx)
+		}()
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {

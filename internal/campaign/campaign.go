@@ -8,20 +8,23 @@
 // harness (internal/experiments), the vsd service and cmd/afirun all
 // sit on this package instead of hand-building fault.Config literals.
 //
-// The capability the shared engine unlocks is deterministic shard
-// decomposition. Campaign plans are pre-generated from Spec.Seed, so
-// Spec.Shards(k) splits one campaign into k disjoint sub-campaigns
-// over trial-index windows, and Merge recombines their Results —
-// outcome counts, crash splits, coverage histograms and the rate
-// curve — bit-identically to the unsharded run. Shards execute across
-// local worker pools today (Runner.RunSharded) and are the seam for
-// fanning a single vsd campaign job out across machines next.
+// Every campaign runs through one round loop: a plan.Planner decides
+// which trials run, a Session executes each emitted round (optionally
+// as k concurrent sub-windows on its one worker pool) and the observed
+// outcomes flow back to the planner. A fixed-budget Spec is a one-round
+// plan.Static; Runner.RunSharded splits that round k ways and Merge
+// recombines the windows — outcome counts, crash splits, coverage
+// histograms and the rate curve — bit-identically to the unsharded run.
+// Plans are pre-generated from Spec.Seed and TrialRecord indices are
+// plan indices, which is also what lets the fabric coordinator lease
+// rounds across machines and rebuild the result from journaled records.
 package campaign
 
 import (
 	"fmt"
 
 	"vsresil/internal/fault"
+	"vsresil/internal/plan"
 )
 
 // Workload is the application a campaign injects into.
@@ -76,25 +79,7 @@ type SDCPolicy struct {
 	OnOutput func(rec fault.TrialRecord, output []byte)
 }
 
-// Shard selects the trial-index window a Spec executes: shard Index of
-// Count, covering [Index*Trials/Count, (Index+1)*Trials/Count). The
-// zero value (Count 0) runs the whole campaign.
-type Shard struct {
-	Index, Count int
-}
-
-// window returns the trial-index range the shard covers out of a
-// trials-sized campaign.
-func (s Shard) window(trials int) (lo, hi int) {
-	if s.Count <= 1 {
-		return 0, trials
-	}
-	return s.Index * trials / s.Count, (s.Index + 1) * trials / s.Count
-}
-
-// Spec declares one fault-injection campaign. Trials always counts the
-// whole campaign; Shard (when set) selects the sub-window this Spec
-// executes.
+// Spec declares one fault-injection campaign.
 type Spec struct {
 	// Workload is the application under test.
 	Workload Workload
@@ -110,8 +95,10 @@ type Spec struct {
 	// Seed makes the campaign reproducible: plans are pre-generated
 	// from it, which is what makes sharding and resume deterministic.
 	Seed uint64
-	// Workers bounds trial parallelism (0 = GOMAXPROCS). When sharded,
-	// the bound applies per shard.
+	// Workers bounds trial parallelism (0 = GOMAXPROCS). It sizes the
+	// campaign's one session pool: the concurrent sub-windows of
+	// RunSharded and RunAdaptive share it rather than getting a pool
+	// each.
 	Workers int
 	// StepFactor sizes the hang budget as a multiple of golden steps
 	// (0 = fault.DefaultStepFactor).
@@ -121,20 +108,18 @@ type Spec struct {
 	CheckpointEvery int
 	// SDC is the SDC-output retention policy.
 	SDC SDCPolicy
-	// Shard selects the trial window to execute (zero value = all).
-	Shard Shard
 	// Golden, when non-nil, supplies a precomputed golden run,
 	// bypassing both capture and the Runner's cache.
 	Golden *fault.GoldenRun
 	// OnTrial, if set, receives every completed trial's checkpoint
 	// record. Invocations are serialized, including across the
-	// concurrent shards of RunSharded. Record indices are plan
-	// indices, valid across any shard decomposition of the same Spec.
+	// concurrent sub-windows of RunSharded and RunAdaptive. Record
+	// indices are plan indices, valid across any decomposition of the
+	// same Spec.
 	OnTrial func(rec fault.TrialRecord)
 	// Resume holds checkpoint records from an interrupted run of the
-	// same Spec. Records outside this Spec's shard window are ignored,
-	// so a journal replayed from a whole campaign can be handed to
-	// every shard unchanged.
+	// same Spec, in any order and any decomposition. Records whose
+	// plan index the campaign never reaches are ignored.
 	Resume []fault.TrialRecord
 	// Adaptive, when non-nil, switches the campaign from the fixed
 	// Trials budget to confidence-driven allocation (Runner.RunAdaptive):
@@ -145,27 +130,6 @@ type Spec struct {
 	Adaptive *AdaptiveSpec
 }
 
-// Shards splits the campaign into k disjoint sub-campaigns whose
-// merged Results are bit-identical to the unsharded run. k is clamped
-// to [1, Trials]. The returned Specs share the receiver's hooks
-// (OnTrial, SDC.OnOutput); RunSharded serializes them — callers
-// driving shards themselves must make the hooks safe for concurrent
-// use or run shards sequentially.
-func (s Spec) Shards(k int) []Spec {
-	if k < 1 {
-		k = 1
-	}
-	if s.Trials > 0 && k > s.Trials {
-		k = s.Trials
-	}
-	out := make([]Spec, k)
-	for i := range out {
-		out[i] = s
-		out[i].Shard = Shard{Index: i, Count: k}
-	}
-	return out
-}
-
 // validate checks the Spec before any work is spent on it.
 func (s *Spec) validate() error {
 	if s.Workload.App == nil {
@@ -174,43 +138,42 @@ func (s *Spec) validate() error {
 	if s.Trials <= 0 {
 		return fmt.Errorf("campaign: non-positive trial count %d", s.Trials)
 	}
-	if s.Shard.Count < 0 || s.Shard.Count > s.Trials {
-		return fmt.Errorf("campaign: shard count %d outside [0,%d]", s.Shard.Count, s.Trials)
-	}
-	if s.Shard.Count > 0 && (s.Shard.Index < 0 || s.Shard.Index >= s.Shard.Count) {
-		return fmt.Errorf("campaign: shard index %d outside [0,%d)", s.Shard.Index, s.Shard.Count)
-	}
 	return nil
 }
 
-// faultConfig translates the Spec (and its shard window) into the
-// fault-layer campaign config.
-func (s *Spec) faultConfig(golden *fault.GoldenRun) fault.Config {
-	lo, hi := s.Shard.window(s.Trials)
-	cfg := fault.Config{
-		Trials:          hi - lo,
-		Class:           s.Class,
-		Region:          s.Region,
-		Window:          s.Window,
-		Seed:            s.Seed,
-		Workers:         s.Workers,
-		StepFactor:      s.StepFactor,
-		CheckpointEvery: s.CheckpointEvery,
-		KeepSDCOutputs:  s.SDC.Keep,
-		MaxSDCOutputs:   s.SDC.Max,
-		OnSDCOutput:     s.SDC.OnOutput,
-		OnTrial:         s.OnTrial,
-		Golden:          golden,
-		Staged:          s.Workload.Staged,
-	}
-	if s.Shard.Count > 1 {
-		cfg.PlanTrials = s.Trials
-		cfg.PlanOffset = lo
-	}
-	for _, rec := range s.Resume {
-		if rec.Index >= lo && rec.Index < hi {
-			cfg.Resume = append(cfg.Resume, rec)
+// NewPlanner builds the planner that allocates the Spec's trials over
+// golden's site space: plan.Adaptive when Adaptive is set, otherwise a
+// one-round plan.Static over the whole Trials budget. It is the one
+// Spec-to-planner translation — the local round loop and the fabric
+// coordinator both plan through it, which keeps their plan spaces
+// identical.
+func (s *Spec) NewPlanner(golden *fault.GoldenRun) (plan.Planner, error) {
+	if a := s.Adaptive; a != nil {
+		p, err := plan.NewAdaptive(golden, plan.AdaptiveConfig{
+			Class:         s.Class,
+			Region:        s.Region,
+			Seed:          s.Seed,
+			Window:        s.Window,
+			Precision:     a.Precision,
+			Confidence:    a.Confidence,
+			RoundSize:     a.RoundSize,
+			MinPerStratum: a.MinPerStratum,
+			MaxTrials:     a.MaxTrials,
+		})
+		if err != nil {
+			return nil, err
 		}
+		return p, nil
 	}
-	return cfg
+	p, err := plan.NewStatic(golden, plan.StaticConfig{
+		Class:  s.Class,
+		Region: s.Region,
+		Seed:   s.Seed,
+		Window: s.Window,
+		Trials: s.Trials,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }

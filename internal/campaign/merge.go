@@ -149,7 +149,6 @@ func Merge(parts ...*Result) (*Result, error) {
 	}
 
 	spec := sorted[0].Spec
-	spec.Shard = Shard{}
 	spec.Golden = nil
 	// Each shard kept its own lowest-index SDC outputs; the union
 	// contains the global lowest-index set, so trimming in plan order
@@ -231,7 +230,6 @@ func partialMerge(spec Spec, parts []*Result) *Result {
 		executed += p.Executed
 	}
 
-	spec.Shard = Shard{}
 	spec.Golden = nil
 	return &Result{Spec: spec, Fault: fres, Executed: executed}
 }

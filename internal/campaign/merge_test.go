@@ -10,15 +10,28 @@ import (
 	"vsresil/internal/fault"
 )
 
-// runShards executes each shard of toySpec()'s k-way decomposition
-// independently and returns the per-shard results in index order.
+// runShards executes each window of toySpec()'s k-way split of its
+// static round independently, the way RunSharded's sub-windows run,
+// and returns the per-window results in plan order.
 func runShards(t *testing.T, k int) []*Result {
 	t.Helper()
 	var runner Runner
-	shards := toySpec().Shards(k)
-	results := make([]*Result, len(shards))
-	for i, s := range shards {
-		r, err := runner.Run(context.Background(), s)
+	spec := toySpec()
+	sess, err := runner.OpenSession(spec)
+	if err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	defer sess.Close()
+	planner, err := spec.NewPlanner(sess.Golden())
+	if err != nil {
+		t.Fatalf("NewPlanner: %v", err)
+	}
+	round, _ := planner.Next()
+	n := len(round.Plans)
+	results := make([]*Result, k)
+	for i := range results {
+		lo, hi := i*n/k, (i+1)*n/k
+		r, err := sess.runWindow(context.Background(), spec, round.Plans[lo:hi], lo, n)
 		if err != nil {
 			t.Fatalf("shard %d/%d: %v", i, k, err)
 		}
@@ -125,9 +138,6 @@ func TestPartialMergeAggregates(t *testing.T) {
 	}
 	if len(got.Fault.Curve.Snapshots) != 0 {
 		t.Errorf("partial merge produced %d rate-curve snapshots, want none", len(got.Fault.Curve.Snapshots))
-	}
-	if got.Spec.Shard != (Shard{}) {
-		t.Errorf("merged spec still carries shard coordinates %+v", got.Spec.Shard)
 	}
 }
 

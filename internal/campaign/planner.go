@@ -11,10 +11,10 @@ import (
 )
 
 // This file is the engine side of the planner seam (internal/plan):
-// planners decide which trials run, and the Runner executes each
-// emitted round through the same trial executor — golden cache, prefix
-// skip, bucket batching and checkpoint streaming included — that
-// fixed-budget campaigns use.
+// planners decide which trials run, and runRounds — the one round loop
+// every Runner entry point drives — executes each emitted round through
+// the campaign's session: golden cache, prefix skip, bucket batching
+// and checkpoint streaming included.
 
 // AdaptiveSpec configures confidence-driven trial allocation.
 type AdaptiveSpec struct {
@@ -97,48 +97,15 @@ func (r *Runner) GoldenFor(w Workload) (*fault.GoldenRun, error) {
 	return r.golden(&spec)
 }
 
-// planConfig translates spec + an explicit plan window into the
-// fault-layer config. lo is the plan index of plans[0]; planTrials
-// must cover lo+len(plans) (it names the plan space so TrialRecord
-// indices stay unambiguous). resume holds the records falling inside
-// the window — the Session slices them from its sorted index, so the
-// round loop never rescans the full journal per window.
-func (s *Spec) planConfig(golden *fault.GoldenRun, plans []fault.Plan, lo, planTrials int, resume []fault.TrialRecord) fault.Config {
-	cfg := fault.Config{
-		Trials:          len(plans),
-		Class:           s.Class,
-		Region:          s.Region,
-		Window:          s.Window,
-		Seed:            s.Seed,
-		Workers:         s.Workers,
-		StepFactor:      s.StepFactor,
-		CheckpointEvery: s.CheckpointEvery,
-		KeepSDCOutputs:  s.SDC.Keep,
-		MaxSDCOutputs:   s.SDC.Max,
-		OnSDCOutput:     s.SDC.OnOutput,
-		OnTrial:         s.OnTrial,
-		Golden:          golden,
-		Staged:          s.Workload.Staged,
-		Plans:           plans,
-		PlanOffset:      lo,
-		PlanTrials:      planTrials,
-		Resume:          resume,
-	}
-	return cfg
-}
-
 // RunPlans executes an explicit window of planner-emitted plans
 // through the trial executor. lo is the plan index of plans[0];
 // records stream through spec.OnTrial with plan indices, and
 // spec.Resume records inside the window are honored without
-// re-execution. spec.Trials and spec.Shard are ignored.
+// re-execution. spec.Trials and spec.Adaptive are ignored.
 //
 // RunPlans is the one-shot form: it opens a Session for the single
 // window and closes it. Round loops hold a Session open instead.
 func (r *Runner) RunPlans(ctx context.Context, spec Spec, plans []fault.Plan, lo int) (*Result, error) {
-	if spec.Workload.App == nil {
-		return nil, fmt.Errorf("campaign: spec has no workload app")
-	}
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("campaign: empty plan window")
 	}
@@ -151,8 +118,8 @@ func (r *Runner) RunPlans(ctx context.Context, spec Spec, plans []fault.Plan, lo
 }
 
 // RunStratified executes the fixed Relyzer-style stratified campaign
-// through the planner seam: plan.Stratified emits the classic
-// per-stratum draw and the round runs on the ordinary trial executor.
+// through the round loop: plan.Stratified emits the classic per-stratum
+// draw as one round on the ordinary trial executor.
 func (r *Runner) RunStratified(ctx context.Context, w Workload, cfg fault.StratifiedConfig) (*fault.StratifiedResult, error) {
 	spec := Spec{
 		Workload:   w,
@@ -168,31 +135,20 @@ func (r *Runner) RunStratified(ctx context.Context, w Workload, cfg fault.Strati
 		return nil, err
 	}
 	defer sess.Close()
-	spec.Golden = sess.Golden()
-	planner, err := plan.NewStratified(spec.Golden, cfg)
+	planner, err := plan.NewStratified(sess.Golden(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	round, ok := planner.Next()
-	if !ok {
-		return nil, fmt.Errorf("campaign: stratified planner emitted no round")
-	}
-	res, err := sess.RunPlans(ctx, spec, round.Plans, round.Lo)
-	if err != nil {
+	if _, err := runRounds(ctx, sess, spec, planner, 1, nil); err != nil {
 		return nil, err
 	}
-	outcomes := make([]fault.Outcome, len(res.Fault.Trials))
-	for i := range res.Fault.Trials {
-		outcomes[i] = res.Fault.Trials[i].Outcome
-	}
-	planner.Observe(round, outcomes)
 	return planner.Result(), nil
 }
 
 // RunAdaptive executes a confidence-driven campaign: plan.Adaptive
-// allocates rounds to the widest-interval strata and the Runner
-// executes each round as k concurrent sub-shards (k <= 1 runs rounds
-// unsharded). The observed trial set is bit-identical for every k and
+// allocates rounds to the widest-interval strata and the round loop
+// executes each round as k concurrent sub-windows (k <= 1 runs rounds
+// unsplit). The observed trial set is bit-identical for every k and
 // every worker count at equal seeds, because allocation depends only
 // on outcomes and outcomes only on plans; spec.Resume records replay
 // the same way, so an interrupted adaptive campaign resumes onto the
@@ -204,168 +160,124 @@ func (r *Runner) RunAdaptive(ctx context.Context, spec Spec, k int) (*AdaptiveRe
 	if spec.Adaptive == nil {
 		return nil, fmt.Errorf("campaign: RunAdaptive needs spec.Adaptive")
 	}
-	if spec.Workload.App == nil {
-		return nil, fmt.Errorf("campaign: spec has no workload app")
-	}
-	a := *spec.Adaptive
 	start := time.Now()
-	// One executor session serves every round: worker pool, bucket
-	// preparations and the resume index outlive the round loop.
 	sess, err := r.OpenSession(spec)
 	if err != nil {
 		return nil, err
 	}
 	defer sess.Close()
-	golden := sess.Golden()
-	spec.Golden = golden
-	planner, err := plan.NewAdaptive(golden, plan.AdaptiveConfig{
-		Class:         spec.Class,
-		Region:        spec.Region,
-		Seed:          spec.Seed,
-		Window:        spec.Window,
-		Precision:     a.Precision,
-		Confidence:    a.Confidence,
-		RoundSize:     a.RoundSize,
-		MinPerStratum: a.MinPerStratum,
-		MaxTrials:     a.MaxTrials,
-	})
+	p, err := spec.NewPlanner(sess.Golden())
 	if err != nil {
 		return nil, err
 	}
-	resume := make(map[int]fault.TrialRecord, len(spec.Resume))
-	for _, rec := range spec.Resume {
-		resume[rec.Index] = rec
-	}
+	planner := p.(*plan.Adaptive)
 
 	res := &AdaptiveResult{Spec: spec}
-	finish := func(err error) (*AdaptiveResult, error) {
-		res.Strata = planner.Strata()
-		res.Stratified = planner.Result()
-		for _, st := range res.Stratified.Strata {
-			for o, c := range st.Counts {
-				res.Counts[o] += c
+	onRound := spec.Adaptive.OnRound
+	_, err = runRounds(ctx, sess, spec, planner, k, func(round plan.Round, parts []*Result) {
+		for _, part := range parts {
+			res.Executed += part.Executed
+			for i := range part.Fault.Trials {
+				res.Records = append(res.Records, part.Fault.Trials[i].Record(part.Fault.Config.PlanOffset+i))
 			}
 		}
-		res.Rounds = planner.Rounds()
-		res.Trials = planner.Total()
-		res.Converged = planner.Converged()
-		cfg := planner.Config()
-		res.FixedBudget = plan.FixedBudget(cfg.Precision, cfg.Confidence, len(res.Strata))
-		res.Session = sess.Stats()
-		res.Elapsed = time.Since(start)
-		return res, err
-	}
+		if onRound == nil {
+			return
+		}
+		st := RoundStatus{Round: round.Index, RoundTrials: len(round.Plans), Trials: planner.Total()}
+		for _, s := range planner.Strata() {
+			st.Strata++
+			if s.Done {
+				st.StrataDone++
+			}
+			st.MaxHalfWidth = max(st.MaxHalfWidth, s.HalfWidth)
+		}
+		onRound(st)
+	})
 
-	for {
-		round, ok := planner.Next()
-		if !ok {
-			return finish(nil)
-		}
-		outcomes, recs, executed, err := runRound(ctx, sess, spec, round, k, resume)
-		if err != nil {
-			return finish(err)
-		}
-		planner.Observe(round, outcomes)
-		res.Records = append(res.Records, recs...)
-		res.Executed += executed
-		if a.OnRound != nil {
-			strata := planner.Strata()
-			st := RoundStatus{
-				Round:       round.Index,
-				RoundTrials: len(round.Plans),
-				Trials:      planner.Total(),
-				Strata:      len(strata),
-			}
-			for _, s := range strata {
-				if s.Done {
-					st.StrataDone++
-				}
-				if s.HalfWidth > st.MaxHalfWidth {
-					st.MaxHalfWidth = s.HalfWidth
-				}
-			}
-			a.OnRound(st)
+	res.Strata = planner.Strata()
+	res.Stratified = planner.Result()
+	for _, st := range res.Stratified.Strata {
+		for o, c := range st.Counts {
+			res.Counts[o] += c
 		}
 	}
+	res.Rounds = planner.Rounds()
+	res.Trials = planner.Total()
+	res.Converged = planner.Converged()
+	cfg := planner.Config()
+	res.FixedBudget = plan.FixedBudget(cfg.Precision, cfg.Confidence, len(res.Strata))
+	res.Session = sess.Stats()
+	res.Elapsed = time.Since(start)
+	return res, err
 }
 
-// runRound executes one planner round as k concurrent sub-shards
-// through the campaign's session and returns the outcomes and
-// checkpoint records in plan-index order. Rounds fully covered by
-// resume records are observed without any execution (and without
-// re-firing spec hooks).
-func runRound(ctx context.Context, sess *Session, spec Spec, round plan.Round, k int, resume map[int]fault.TrialRecord) ([]fault.Outcome, []fault.TrialRecord, int, error) {
-	n := len(round.Plans)
-	covered := 0
-	for i := 0; i < n; i++ {
-		if _, ok := resume[round.Lo+i]; ok {
-			covered++
-		}
-	}
-	if covered == n {
-		outcomes := make([]fault.Outcome, n)
-		recs := make([]fault.TrialRecord, n)
-		for i := 0; i < n; i++ {
-			rec := resume[round.Lo+i]
-			outcomes[i] = rec.Outcome
-			recs[i] = rec
-		}
-		return outcomes, recs, 0, nil
-	}
-
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	// Serialize spec hooks across the round's concurrent sub-shards,
-	// mirroring RunSharded.
+// runRounds is the campaign round loop every Runner entry point drives:
+// it alternates planner p with sess until p is exhausted, executing
+// each round as up to k concurrent sub-windows of the session's one
+// worker pool and feeding the outcomes back in plan order. Spec hooks
+// are serialized across the sub-windows here. A round the session's
+// resume index covers completely runs as one window: nothing executes
+// and no hook fires, the executor only folds the journaled records.
+//
+// observe, when non-nil, receives each completed round's sub-window
+// results in plan order after the planner has folded them. runRounds
+// returns the last round's sub-window results — on error (cancellation
+// included) those of the interrupted round, which the planner has not
+// observed and whose nil entries are windows that never ran.
+func runRounds(ctx context.Context, sess *Session, spec Spec, p plan.Planner, k int, observe func(plan.Round, []*Result)) ([]*Result, error) {
 	var hookMu sync.Mutex
-	sub := spec
 	if onTrial := spec.OnTrial; onTrial != nil {
-		sub.OnTrial = func(rec fault.TrialRecord) {
+		spec.OnTrial = func(rec fault.TrialRecord) {
 			hookMu.Lock()
 			defer hookMu.Unlock()
 			onTrial(rec)
 		}
 	}
 	if onOutput := spec.SDC.OnOutput; onOutput != nil {
-		sub.SDC.OnOutput = func(rec fault.TrialRecord, output []byte) {
+		spec.SDC.OnOutput = func(rec fault.TrialRecord, output []byte) {
 			hookMu.Lock()
 			defer hookMu.Unlock()
 			onOutput(rec, output)
 		}
 	}
-
-	results := make([]*Result, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for j := 0; j < k; j++ {
-		lo, hi := j*n/k, (j+1)*n/k
-		wg.Add(1)
-		go func(j, lo, hi int) {
-			defer wg.Done()
-			results[j], errs[j] = sess.RunPlans(ctx, sub, round.Plans[lo:hi], round.Lo+lo)
-		}(j, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, 0, err
+	var parts []*Result
+	for {
+		round, ok := p.Next()
+		if !ok {
+			return parts, nil
+		}
+		n := len(round.Plans)
+		fan := min(max(k, 1), n)
+		if len(sess.resumeWindow(round.Lo, round.Lo+n)) == n {
+			fan = 1
+		}
+		parts = make([]*Result, fan)
+		errs := make([]error, fan)
+		var wg sync.WaitGroup
+		for j := range parts {
+			lo, hi := j*n/fan, (j+1)*n/fan
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				parts[j], errs[j] = sess.runWindow(ctx, spec, round.Plans[lo:hi], round.Lo+lo, round.Lo+n)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return parts, err
+			}
+		}
+		outcomes := make([]fault.Outcome, 0, n)
+		for _, part := range parts {
+			for i := range part.Fault.Trials {
+				outcomes = append(outcomes, part.Fault.Trials[i].Outcome)
+			}
+		}
+		p.Observe(round, outcomes)
+		if observe != nil {
+			observe(round, parts)
 		}
 	}
-	outcomes := make([]fault.Outcome, n)
-	recs := make([]fault.TrialRecord, n)
-	executed := 0
-	for j := 0; j < k; j++ {
-		lo := j * n / k
-		executed += results[j].Executed
-		for i := range results[j].Fault.Trials {
-			tr := &results[j].Fault.Trials[i]
-			outcomes[lo+i] = tr.Outcome
-			recs[lo+i] = tr.Record(round.Lo + lo + i)
-		}
-	}
-	return outcomes, recs, executed, nil
 }

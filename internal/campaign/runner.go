@@ -2,11 +2,9 @@ package campaign
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"vsresil/internal/fault"
-	"vsresil/internal/plan"
 )
 
 // Runner executes campaign Specs. The zero value is usable (no golden
@@ -27,7 +25,7 @@ type Runner struct {
 // Result is one campaign run's outcome: the fault-layer aggregates
 // plus engine-level accounting.
 type Result struct {
-	// Spec is the campaign as executed (including its shard window).
+	// Spec is the campaign as executed.
 	Spec Spec
 	// Fault holds the outcome counts, crash split, coverage
 	// histograms, rate curve and trials.
@@ -64,131 +62,54 @@ func (r *Runner) golden(spec *Spec) (*fault.GoldenRun, error) {
 	return capture()
 }
 
-// Run executes one campaign (or one shard of one, when spec.Shard is
-// set). If ctx is canceled mid-campaign, Run returns the partial
-// Result together with a non-nil error wrapping ctx's error, exactly
-// like fault.RunCampaign — callers wanting partial data on
-// interruption must check the Result even when err != nil.
-//
-// Run routes plan generation through the planner seam: a plan.Static
-// planner emits the spec's window, which is bit-identical to the
-// stream the executor would pre-generate itself (the identity suite
-// pins this). Spec.Adaptive is ignored here — adaptive campaigns go
-// through RunAdaptive.
+// Run executes one fixed-budget campaign: RunSharded with k = 1. If
+// ctx is canceled mid-campaign, Run returns the partial Result
+// together with a non-nil error wrapping ctx's error, exactly like
+// fault.RunCampaign — callers wanting partial data on interruption
+// must check the Result even when err != nil.
 func (r *Runner) Run(ctx context.Context, spec Spec) (*Result, error) {
+	return r.RunSharded(ctx, spec, 1)
+}
+
+// RunSharded executes a fixed-budget campaign as one plan.Static round
+// split into k concurrent sub-windows on one session pool (capped by
+// spec.Workers, shared by the sub-windows) and merges them. The merged
+// Result is bit-identical to the unsharded run for every k; k = 1
+// returns the single window as is. Spec.Adaptive is ignored — adaptive
+// campaigns go through RunAdaptive. On cancellation the error is
+// non-nil and, for k > 1, the Result is a best-effort partial
+// aggregate — sufficient for reporting, but not bit-identical to
+// anything; callers resume from the OnTrial checkpoint stream.
+func (r *Runner) RunSharded(ctx context.Context, spec Spec, k int) (*Result, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	golden, err := r.golden(&spec)
+	sess, err := r.OpenSession(spec)
 	if err != nil {
 		return nil, err
 	}
-	cfg := spec.faultConfig(golden)
-	if cfg.Trials > 0 {
-		static, serr := plan.NewStatic(golden, plan.StaticConfig{
-			Class:      spec.Class,
-			Region:     spec.Region,
-			Seed:       spec.Seed,
-			Window:     spec.Window,
-			Trials:     cfg.Trials,
-			PlanTrials: cfg.PlanTrials,
-			PlanOffset: cfg.PlanOffset,
-		})
-		if serr != nil {
-			return nil, serr
-		}
-		round, _ := static.Next()
-		cfg.Plans = round.Plans
-		if cfg.PlanTrials == 0 {
-			cfg.PlanTrials = cfg.PlanOffset + cfg.Trials
-		}
-	}
-	resumed := len(cfg.Resume)
-	fres, err := fault.RunCampaign(ctx, cfg, spec.Workload.App)
-	if fres == nil {
-		return nil, err
-	}
-	return &Result{
-		Spec:     spec,
-		Fault:    fres,
-		Executed: fres.Completed - resumed,
-		Elapsed:  time.Since(start),
-	}, err
-}
-
-// RunSharded splits the campaign into k shards, executes them
-// concurrently (each on its own trial worker pool) and merges the
-// results. The merged Result is bit-identical to Run with the same
-// unsharded Spec. Spec hooks (OnTrial, SDC.OnOutput) are serialized
-// across shards. On cancellation the error is non-nil and the Result
-// is a best-effort partial aggregate (matching Run's contract) —
-// sufficient for reporting, but not bit-identical to anything;
-// callers resume from the OnTrial checkpoint stream.
-func (r *Runner) RunSharded(ctx context.Context, spec Spec, k int) (*Result, error) {
-	shards := spec.Shards(k)
-	if len(shards) == 1 {
-		return r.Run(ctx, shards[0])
-	}
-	// Serialize the caller's hooks: each shard's fault campaign
-	// serializes its own invocations, but shards run concurrently.
-	var hookMu sync.Mutex
-	if onTrial := spec.OnTrial; onTrial != nil {
-		wrapped := func(rec fault.TrialRecord) {
-			hookMu.Lock()
-			defer hookMu.Unlock()
-			onTrial(rec)
-		}
-		for i := range shards {
-			shards[i].OnTrial = wrapped
-		}
-	}
-	if onOutput := spec.SDC.OnOutput; onOutput != nil {
-		wrapped := func(rec fault.TrialRecord, output []byte) {
-			hookMu.Lock()
-			defer hookMu.Unlock()
-			onOutput(rec, output)
-		}
-		for i := range shards {
-			shards[i].SDC.OnOutput = wrapped
-		}
-	}
-	// One golden capture up front for all shards. The cache would
-	// dedup concurrent captures anyway; this also covers uncacheable
-	// workloads.
-	start := time.Now()
-	golden, err := r.golden(&spec)
+	defer sess.Close()
+	static := spec
+	static.Adaptive = nil
+	planner, err := static.NewPlanner(sess.Golden())
 	if err != nil {
 		return nil, err
 	}
-	for i := range shards {
-		shards[i].Golden = golden
+	parts, err := runRounds(ctx, sess, spec, planner, k, nil)
+	var res *Result
+	switch {
+	case len(parts) == 1:
+		res = parts[0]
+	case err != nil:
+		res = partialMerge(spec, parts)
+	default:
+		res, err = Merge(parts...)
 	}
-
-	results := make([]*Result, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = r.Run(ctx, shards[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, serr := range errs {
-		if serr != nil {
-			partial := partialMerge(spec, results)
-			if partial != nil {
-				partial.Elapsed = time.Since(start)
-			}
-			return partial, serr
-		}
-	}
-	merged, err := Merge(results...)
-	if err != nil {
+	if res == nil {
 		return nil, err
 	}
-	merged.Elapsed = time.Since(start)
-	return merged, nil
+	res.Spec = spec
+	res.Elapsed = time.Since(start)
+	return res, err
 }

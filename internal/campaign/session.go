@@ -12,12 +12,12 @@ import (
 // Session is a campaign-lifetime executor handle: one resolved golden
 // run, one fault.Session (worker pool + checkpoint-bucket preparation
 // cache) and one resume-record index, shared by every plan window of
-// the campaign. The planner round loop (RunAdaptive, RunStratified)
-// and fabric round-shard leases run all their windows through a single
+// the campaign. The round loop behind every Runner entry point and the
+// fabric worker's leases run all their windows through a single
 // Session, so per-window cost is the trials themselves rather than
 // executor setup; Runner.RunPlans opens and closes one per call.
 //
-// RunPlans may be called concurrently (a round's sub-shards share the
+// RunPlans may be called concurrently (a round's sub-windows share the
 // session); Close must not race with RunPlans.
 type Session struct {
 	fs *fault.Session
@@ -74,16 +74,42 @@ func (s *Session) resumeWindow(lo, hi int) []fault.TrialRecord {
 
 // RunPlans executes one window of planner-emitted plans through the
 // session, bit-identical to Runner.RunPlans with the same arguments.
-// spec carries the per-window hooks (a round's sub-shards wrap them);
+// lo is the plan index of plans[0]. spec carries the per-window hooks;
 // its Resume field is ignored — resume records were indexed from the
 // spec the session was opened with.
 func (s *Session) RunPlans(ctx context.Context, spec Spec, plans []fault.Plan, lo int) (*Result, error) {
+	return s.runWindow(ctx, spec, plans, lo, lo+len(plans))
+}
+
+// runWindow is RunPlans inside a plan space of planTrials plans, which
+// must cover lo+len(plans). The round loop runs a round's sub-windows
+// in the round's plan space, so their Results carry the offsets Merge
+// tiles.
+func (s *Session) runWindow(ctx context.Context, spec Spec, plans []fault.Plan, lo, planTrials int) (*Result, error) {
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("campaign: empty plan window")
 	}
 	start := time.Now()
-	cfg := spec.planConfig(s.Golden(), plans, lo, lo+len(plans), s.resumeWindow(lo, lo+len(plans)))
-	resumed := len(cfg.Resume)
+	cfg := fault.Config{
+		Trials:          len(plans),
+		Class:           spec.Class,
+		Region:          spec.Region,
+		Window:          spec.Window,
+		Seed:            spec.Seed,
+		Workers:         spec.Workers,
+		StepFactor:      spec.StepFactor,
+		CheckpointEvery: spec.CheckpointEvery,
+		KeepSDCOutputs:  spec.SDC.Keep,
+		MaxSDCOutputs:   spec.SDC.Max,
+		OnSDCOutput:     spec.SDC.OnOutput,
+		OnTrial:         spec.OnTrial,
+		Golden:          s.Golden(),
+		Staged:          spec.Workload.Staged,
+		Plans:           plans,
+		PlanOffset:      lo,
+		PlanTrials:      planTrials,
+		Resume:          s.resumeWindow(lo, lo+len(plans)),
+	}
 	fres, err := s.fs.Run(ctx, cfg)
 	if fres == nil {
 		return nil, err
@@ -91,7 +117,7 @@ func (s *Session) RunPlans(ctx context.Context, spec Spec, plans []fault.Plan, l
 	return &Result{
 		Spec:     spec,
 		Fault:    fres,
-		Executed: fres.Completed - resumed,
+		Executed: fres.Completed - len(cfg.Resume),
 		Elapsed:  time.Since(start),
 	}, err
 }

@@ -62,33 +62,6 @@ func localAdaptive(t *testing.T, cs CampaignSpec) *campaign.AdaptiveResult {
 	return res
 }
 
-// executeAdaptiveLease runs a plan-carrying lease locally and returns
-// the ShardResult a worker would ship.
-func executeAdaptiveLease(t *testing.T, l Lease, worker string) ShardResult {
-	t.Helper()
-	if len(l.Plans) == 0 {
-		t.Fatalf("lease %s of %s carries no plans", l.ID, l.Campaign)
-	}
-	w, err := toyBuild(l.Spec)
-	if err != nil {
-		t.Fatalf("build workload: %v", err)
-	}
-	spec, err := l.Spec.campaignSpec(w, campaign.Shard{})
-	if err != nil {
-		t.Fatalf("translate spec: %v", err)
-	}
-	var runner campaign.Runner
-	res, err := runner.RunPlans(context.Background(), spec, l.Plans, l.PlanLo)
-	if err != nil {
-		t.Fatalf("run plan lease: %v", err)
-	}
-	out := ShardResult{Worker: worker, Lease: l.ID, Campaign: l.Campaign, Shard: l.ShardIndex}
-	for i := range res.Fault.Trials {
-		out.Recs = append(out.Recs, res.Fault.Trials[i].Record(l.PlanLo+i))
-	}
-	return out
-}
-
 // drainAdaptive plays a synchronous single worker against the
 // coordinator until the campaign terminates: lease, execute, complete.
 func drainAdaptive(t *testing.T, c *Coordinator, id, worker string) {
@@ -113,7 +86,7 @@ func drainAdaptive(t *testing.T, c *Coordinator, id, worker string) {
 			time.Sleep(time.Millisecond) // driver between rounds
 			continue
 		}
-		if _, err := c.Complete(executeAdaptiveLease(t, l, worker)); err != nil {
+		if _, err := c.Complete(executeLease(t, l, worker)); err != nil {
 			t.Fatalf("complete: %v", err)
 		}
 	}
@@ -242,7 +215,7 @@ func TestCoordinatorRestartAdaptive(t *testing.T) {
 			time.Sleep(time.Millisecond)
 			continue
 		}
-		if _, err := c1.Complete(executeAdaptiveLease(t, l, "a")); err != nil {
+		if _, err := c1.Complete(executeLease(t, l, "a")); err != nil {
 			t.Fatalf("complete: %v", err)
 		}
 		completed++

@@ -1,23 +1,27 @@
 // Package fabric turns N vsd processes into one campaign cluster.
 //
-// A Coordinator decomposes a campaign into plan-index ranges via
-// campaign.Spec.Shards(k) and leases them to worker vsds over HTTP.
-// Leases carry deadlines and are journaled (the same JSONL
-// fold-and-compact shape as internal/service's job journal), so a
-// dead worker's shard is reassigned after its lease expires and a
-// restarted coordinator replays its lease table instead of starting
-// over. When every shard is leased, an idle worker steals the shard
-// with the most remaining trials (a duplicate lease); the first
-// journaled completion wins and later duplicates are discarded.
+// A Coordinator runs every campaign through one round loop: it rebuilds
+// the campaign's planner from the spec (campaign.Spec.NewPlanner — a
+// one-round plan.Static for a fixed budget, plan.Adaptive for a
+// confidence-driven one), splits each round into plan-carrying
+// round-shards and leases them to worker vsds over HTTP. Leases carry
+// deadlines and are journaled (the same JSONL fold-and-compact shape
+// as internal/service's job journal), so a dead worker's shard is
+// reassigned after its lease expires and a restarted coordinator
+// replays its lease table instead of starting over. When every shard
+// is leased, an idle worker steals the shard with the most remaining
+// trials (a duplicate lease); the first journaled completion wins and
+// later duplicates are discarded.
 //
-// Distribution changes where trials run, not what they compute.
-// Campaign plans are pre-generated from the seed, so a worker's shard
-// draws exactly the plans the single-node run would; the worker ships
-// back only fault.TrialRecords plus retained SDC bytes, and the
-// coordinator rebuilds each shard's full fault.Result locally through
-// the campaign resume path (zero re-execution — plans, histograms and
-// the rate curve regenerate deterministically) before campaign.Merge
-// recombines the shards bit-identically to the unsharded Runner run.
+// Distribution changes where trials run, not what they compute. A
+// worker executes exactly the shipped plans on its cached
+// campaign.Session and sends back only fault.TrialRecords plus retained
+// SDC bytes; the planner folds the outcomes in plan order, so its next
+// round is the one a single node would draw. A finished static
+// campaign is rebuilt by one campaign.Runner.Run with every journaled
+// record as Resume — zero re-execution; plans, histograms and the rate
+// curve regenerate from the seed — bit-identically to the single-node
+// run.
 package fabric
 
 import (
@@ -68,7 +72,7 @@ type CampaignSpec struct {
 	Workers int `json:"workers,omitempty"`
 	// KeepSDC retains SDC output bytes; MaxSDC caps how many (<= 0 =
 	// unlimited). Retention is deterministic across any decomposition:
-	// the merged result keeps the MaxSDC lowest-plan-index SDCs.
+	// the rebuilt result keeps the MaxSDC lowest-plan-index SDCs.
 	KeepSDC bool `json:"keep_sdc,omitempty"`
 	MaxSDC  int  `json:"max_sdc,omitempty"`
 	// Adaptive switches the campaign from the fixed Trials budget to
@@ -119,7 +123,7 @@ func (cs *CampaignSpec) Validate() error {
 }
 
 // WorkloadBuilder maps a wire spec to the workload a campaign injects
-// into. Coordinator and workers must use the same builder: the merge's
+// into. Coordinator and workers must use the same builder: the rebuild's
 // bit-identity argument assumes every node captures the same golden
 // run, which holds because workloads are deterministic functions of
 // the spec.
@@ -142,12 +146,11 @@ func DefaultWorkload(cs CampaignSpec) (campaign.Workload, error) {
 	return cell.Workload(input, preset, cs.Seed)
 }
 
-// campaignSpec translates the wire spec (plus one shard window) into
-// the engine Spec a node runs. The same translation runs on workers
-// (to execute the shard) and on the coordinator (to rebuild shard
-// results through the resume path), which is what keeps both sides'
-// plan spaces identical.
-func (cs CampaignSpec) campaignSpec(w campaign.Workload, shard campaign.Shard) (campaign.Spec, error) {
+// campaignSpec translates the wire spec into the engine Spec. The same
+// translation runs on workers (to execute leased plans) and on the
+// coordinator (to plan rounds and rebuild results through the resume
+// path), which is what keeps both sides' plan spaces identical.
+func (cs CampaignSpec) campaignSpec(w campaign.Workload) (campaign.Spec, error) {
 	class, err := fault.ParseClass(cs.Class)
 	if err != nil {
 		return campaign.Spec{}, err
@@ -156,7 +159,7 @@ func (cs CampaignSpec) campaignSpec(w campaign.Workload, shard campaign.Shard) (
 	if err != nil {
 		return campaign.Spec{}, err
 	}
-	return campaign.Spec{
+	spec := campaign.Spec{
 		Workload: w,
 		Class:    class,
 		Region:   region,
@@ -164,17 +167,16 @@ func (cs CampaignSpec) campaignSpec(w campaign.Workload, shard campaign.Shard) (
 		Seed:     cs.Seed,
 		Workers:  cs.Workers,
 		SDC:      campaign.SDCPolicy{Keep: cs.KeepSDC, Max: cs.MaxSDC},
-		Shard:    shard,
-	}, nil
-}
-
-// planWindow is the plan-index range shard i of k covers — the same
-// split campaign.Spec.Shards produces.
-func planWindow(trials, i, k int) (lo, hi int) {
-	if k <= 1 {
-		return 0, trials
 	}
-	return i * trials / k, (i + 1) * trials / k
+	if cs.Adaptive {
+		spec.Adaptive = &campaign.AdaptiveSpec{
+			Precision:  cs.Precision,
+			Confidence: cs.Confidence,
+			RoundSize:  cs.RoundSize,
+			MaxTrials:  cs.MaxTrials,
+		}
+	}
+	return spec, nil
 }
 
 // SDCOutput carries one retained SDC trial's corrupted output bytes,
@@ -184,14 +186,15 @@ type SDCOutput struct {
 	Data  []byte `json:"d"`
 }
 
-// Lease is one granted plan-index range: the campaign context a worker
-// needs plus the deadline discipline it must keep.
+// Lease is one granted round-shard: the campaign context a worker
+// needs, the plans to execute and the deadline discipline it must keep.
 type Lease struct {
 	ID       string       `json:"id"`
 	Campaign string       `json:"campaign"`
 	Spec     CampaignSpec `json:"spec"`
-	// ShardIndex/ShardCount place the lease in the decomposition;
-	// PlanLo/PlanHi are the resulting plan-index window [lo, hi).
+	// ShardIndex names the coordinator's shard slot and ShardCount the
+	// slots allocated so far; PlanLo/PlanHi are the shard's plan-index
+	// window [lo, hi).
 	ShardIndex int `json:"shard_index"`
 	ShardCount int `json:"shard_count"`
 	PlanLo     int `json:"plan_lo"`
@@ -199,11 +202,8 @@ type Lease struct {
 	// TTL is the lease duration: a worker must heartbeat well inside
 	// it or the shard is reassigned.
 	TTL time.Duration `json:"ttl_ns"`
-	// Plans, when non-empty, makes this a round-shard lease of an
-	// adaptive campaign: the worker executes exactly these plans (plan
-	// index PlanLo+i for Plans[i]) instead of regenerating a window
-	// from the seed. ShardIndex then names the coordinator's global
-	// shard slot, not a position in a static decomposition.
+	// Plans are the planner's trials for the window: the worker
+	// executes exactly these (plan index PlanLo+i for Plans[i]).
 	Plans []fault.Plan `json:"plans,omitempty"`
 }
 
@@ -230,9 +230,9 @@ type CampaignStatus struct {
 	Error       string `json:"error,omitempty"`
 }
 
-// CampaignResult is the wire form of a finished cluster campaign —
-// the same aggregates the single-node CampaignResult reports, computed
-// from the bit-identical merged result.
+// CampaignResult is the wire form of a finished static cluster
+// campaign — the same aggregates the single-node CampaignResult
+// reports, computed from the bit-identical rebuilt result.
 type CampaignResult struct {
 	Class       string             `json:"class"`
 	Region      string             `json:"region"`
@@ -250,7 +250,7 @@ type CampaignResult struct {
 	ElapsedSec  float64            `json:"elapsed_sec"`
 }
 
-// wireResult renders the merged engine result for the API.
+// wireResult renders the rebuilt engine result for the API.
 func wireResult(cs CampaignSpec, shards int, res *campaign.Result) *CampaignResult {
 	fres := res.Fault
 	out := &CampaignResult{
@@ -311,7 +311,7 @@ type AdaptiveCampaignResult struct {
 }
 
 // adaptiveWireResult renders the planner's final state for the API.
-func adaptiveWireResult(cs CampaignSpec, planner *plan.Adaptive) *AdaptiveCampaignResult {
+func adaptiveWireResult(planner *plan.Adaptive) *AdaptiveCampaignResult {
 	cfg := planner.Config()
 	strata := planner.Strata()
 	out := &AdaptiveCampaignResult{

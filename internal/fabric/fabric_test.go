@@ -3,13 +3,17 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,7 +81,7 @@ func singleNode(t *testing.T, cs CampaignSpec) *campaign.Result {
 	if err != nil {
 		t.Fatalf("build workload: %v", err)
 	}
-	spec, err := cs.campaignSpec(w, campaign.Shard{})
+	spec, err := cs.campaignSpec(w)
 	if err != nil {
 		t.Fatalf("translate spec: %v", err)
 	}
@@ -151,24 +155,27 @@ func waitDone(t *testing.T, c *Coordinator, id string) {
 	t.Fatal("campaign did not finish in 30s")
 }
 
-// executeLease runs a lease's shard to completion locally and returns
+// executeLease runs a lease's plans to completion locally and returns
 // the ShardResult a worker would ship — the synchronous core of
 // Worker.runLease, used where tests need deterministic completion
 // order.
 func executeLease(t *testing.T, l Lease, worker string) ShardResult {
 	t.Helper()
+	if len(l.Plans) == 0 {
+		t.Fatalf("lease %s of %s carries no plans", l.ID, l.Campaign)
+	}
 	w, err := toyBuild(l.Spec)
 	if err != nil {
 		t.Fatalf("build workload: %v", err)
 	}
-	spec, err := l.Spec.campaignSpec(w, campaign.Shard{Index: l.ShardIndex, Count: l.ShardCount})
+	spec, err := l.Spec.campaignSpec(w)
 	if err != nil {
 		t.Fatalf("translate spec: %v", err)
 	}
 	var runner campaign.Runner
-	res, err := runner.Run(context.Background(), spec)
+	res, err := runner.RunPlans(context.Background(), spec, l.Plans, l.PlanLo)
 	if err != nil {
-		t.Fatalf("run shard %d: %v", l.ShardIndex, err)
+		t.Fatalf("run lease %s: %v", l.ID, err)
 	}
 	out := ShardResult{Worker: worker, Lease: l.ID, Campaign: l.Campaign, Shard: l.ShardIndex}
 	for i := range res.Fault.Trials {
@@ -179,6 +186,27 @@ func executeLease(t *testing.T, l Lease, worker string) ShardResult {
 		}
 	}
 	return out
+}
+
+// leaseWait asks for a lease until one is granted: the round driver
+// publishes a campaign's plans asynchronously, after Submit and after a
+// restart.
+func leaseWait(t *testing.T, c *Coordinator, worker string) Lease {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		l, ok, err := c.Lease(worker)
+		if err != nil {
+			t.Fatalf("lease for %s: %v", worker, err)
+		}
+		if ok {
+			return l
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no lease for %s within 10s", worker)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func metricValue(t *testing.T, c *Coordinator, name string) int {
@@ -222,12 +250,24 @@ func TestClusterEquivalence(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 
-	// The doomed worker grabs one shard and is never heard from again;
-	// its lease must expire and the shard reach a live worker. Waiting
-	// for the expiry before any live worker exists makes the kill path
-	// deterministic (otherwise a thief can duplicate the shard first).
-	if _, ok, err := client.Lease(context.Background(), "doomed"); err != nil || !ok {
-		t.Fatalf("doomed worker lease: ok=%v err=%v", ok, err)
+	// The doomed worker grabs one shard (once the round driver has
+	// published it) and is never heard from again; its lease must expire
+	// and the shard reach a live worker. Waiting for the expiry before
+	// any live worker exists makes the kill path deterministic
+	// (otherwise a thief can duplicate the shard first).
+	leaseDeadline := time.Now().Add(10 * time.Second)
+	for {
+		_, ok, err := client.Lease(context.Background(), "doomed")
+		if err != nil {
+			t.Fatalf("doomed worker lease: %v", err)
+		}
+		if ok {
+			break
+		}
+		if time.Now().After(leaseDeadline) {
+			t.Fatal("doomed worker was never granted a lease")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	expiryDeadline := time.Now().Add(5 * time.Second)
 	for metricValue(t, coord, "vsd_fabric_leases_expired_total") == 0 {
@@ -330,16 +370,24 @@ func TestClusterEquivalenceBatching(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// The workers must have exited before the deferred switch reset: a
+	// straggler (a thief still running a stolen shard) reads them.
+	var workers sync.WaitGroup
 	for _, name := range []string{"live-1", "live-2"} {
 		w := &Worker{
 			ID:     name,
 			Client: &Client{Base: srv.URL},
 			Poll:   10 * time.Millisecond,
 		}
-		go w.Run(ctx)
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			w.Run(ctx)
+		}()
 	}
 	waitDone(t, coord, id)
 	cancel()
+	workers.Wait()
 
 	merged, err := coord.Merged(id)
 	if err != nil {
@@ -370,10 +418,7 @@ func TestCoordinatorRestart(t *testing.T) {
 	// Complete two shards, then die.
 	doneShards := map[int]bool{}
 	for i := 0; i < 2; i++ {
-		l, ok, err := c1.Lease("a")
-		if err != nil || !ok {
-			t.Fatalf("lease %d: ok=%v err=%v", i, ok, err)
-		}
+		l := leaseWait(t, c1, "a")
 		doneShards[l.ShardIndex] = true
 		if accepted, err := c1.Complete(executeLease(t, l, "a")); err != nil || !accepted {
 			t.Fatalf("complete shard %d: accepted=%v err=%v", l.ShardIndex, accepted, err)
@@ -397,10 +442,7 @@ func TestCoordinatorRestart(t *testing.T) {
 	}
 	// The remaining leases must cover exactly the two unfinished shards.
 	for i := 0; i < 2; i++ {
-		l, ok, err := c2.Lease("b")
-		if err != nil || !ok {
-			t.Fatalf("post-restart lease %d: ok=%v err=%v", i, ok, err)
-		}
+		l := leaseWait(t, c2, "b")
 		if doneShards[l.ShardIndex] {
 			t.Fatalf("restarted coordinator re-leased completed shard %d", l.ShardIndex)
 		}
@@ -420,6 +462,102 @@ func TestCoordinatorRestart(t *testing.T) {
 	requireIdentical(t, "restarted", singleNode(t, cs).Fault, merged.Fault)
 }
 
+// TestCoordinatorRestartStaticJournal replays a journal written in the
+// format static campaigns have always used — a campaign record with
+// shards:4, two shard results, one live lease and no round record —
+// and requires the round driver to adopt it: two shards done, the done
+// shards never leased again, and a result bit-identical to the
+// single-node run.
+func TestCoordinatorRestartStaticJournal(t *testing.T) {
+	cs := toyWireSpec() // 60 trials: shards [0,15) [15,30) [30,45) [45,60)
+	w, err := toyBuild(cs)
+	if err != nil {
+		t.Fatalf("build workload: %v", err)
+	}
+	spec, err := cs.campaignSpec(w)
+	if err != nil {
+		t.Fatalf("translate spec: %v", err)
+	}
+	var runner campaign.Runner
+	golden, err := runner.GoldenFor(w)
+	if err != nil {
+		t.Fatalf("golden: %v", err)
+	}
+	planner, err := spec.NewPlanner(golden)
+	if err != nil {
+		t.Fatalf("planner: %v", err)
+	}
+	round, _ := planner.Next()
+	// shardLine renders shard i's completion the way a worker's result
+	// was journaled: plan-indexed records plus the retained SDC bytes.
+	shardLine := func(i int) string {
+		lo, hi := i*15, (i+1)*15
+		res := executeLease(t, Lease{ID: "x", Campaign: "c1", Spec: cs, ShardIndex: i, PlanLo: lo, PlanHi: hi, Plans: round.Plans[lo:hi]}, "a")
+		recs, _ := json.Marshal(res.Recs)
+		sdc, _ := json.Marshal(res.SDC)
+		return fmt.Sprintf(`{"op":"shard","campaign":"c1","shard":%d,"recs":%s,"sdc":%s}`, i, recs, sdc)
+	}
+	specJSON, _ := json.Marshal(cs)
+	live := time.Now().Add(time.Hour).UTC().Format(time.RFC3339Nano)
+	journal := strings.Join([]string{
+		fmt.Sprintf(`{"op":"campaign","campaign":"c1","spec":%s,"shards":4}`, specJSON),
+		fmt.Sprintf(`{"op":"lease","campaign":"c1","lease":"l1","shard":1,"worker":"a","deadline":%q}`, live),
+		shardLine(1),
+		fmt.Sprintf(`{"op":"lease","campaign":"c1","lease":"l2","shard":3,"worker":"a","deadline":%q}`, live),
+		shardLine(3),
+		fmt.Sprintf(`{"op":"lease","campaign":"c1","lease":"l3","shard":2,"worker":"b","deadline":%q}`, live),
+	}, "\n") + "\n"
+	path := filepath.Join(t.TempDir(), "fabric.journal")
+	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+		t.Fatalf("write journal: %v", err)
+	}
+
+	c, err := NewCoordinator(Config{JournalPath: path, Workload: toyBuild})
+	if err != nil {
+		t.Fatalf("coordinator on hand-written journal: %v", err)
+	}
+	defer c.Close()
+	st, err := c.Status("c1")
+	if err != nil {
+		t.Fatalf("status: %v", err)
+	}
+	if st.ShardsDone != 2 || st.ShardsTotal != 4 || st.TrialsDone != 30 {
+		t.Fatalf("replayed %d/%d shards and %d trials done, want 2/4 and 30", st.ShardsDone, st.ShardsTotal, st.TrialsDone)
+	}
+	// A new worker gets the unleased shard 0, then steals b's live shard
+	// 2; the done shards 1 and 3 never come back.
+	leases := []Lease{leaseWait(t, c, "c")}
+	for {
+		l, ok, err := c.Lease("c")
+		if err != nil {
+			t.Fatalf("lease: %v", err)
+		}
+		if !ok {
+			break
+		}
+		leases = append(leases, l)
+	}
+	got := map[int]bool{}
+	for _, l := range leases {
+		if l.ShardIndex == 1 || l.ShardIndex == 3 {
+			t.Fatalf("replayed coordinator re-leased done shard %d", l.ShardIndex)
+		}
+		got[l.ShardIndex] = true
+		if accepted, err := c.Complete(executeLease(t, l, "c")); err != nil || !accepted {
+			t.Fatalf("complete shard %d: accepted=%v err=%v", l.ShardIndex, accepted, err)
+		}
+	}
+	if !got[0] || !got[2] {
+		t.Fatalf("leased shards %v, want 0 and 2", got)
+	}
+	waitDone(t, c, "c1")
+	merged, err := c.Merged("c1")
+	if err != nil {
+		t.Fatalf("merged result: %v", err)
+	}
+	requireIdentical(t, "hand-written journal", singleNode(t, cs).Fault, merged.Fault)
+}
+
 // TestLeaseExpiry: a worker that takes a shard and goes silent loses
 // it — the next asking worker gets the same shard back.
 func TestLeaseExpiry(t *testing.T) {
@@ -432,10 +570,7 @@ func TestLeaseExpiry(t *testing.T) {
 	if _, err := c.Submit(cs, 2); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	l1, ok, err := c.Lease("silent")
-	if err != nil || !ok {
-		t.Fatalf("lease: ok=%v err=%v", ok, err)
-	}
+	l1 := leaseWait(t, c, "silent")
 	time.Sleep(120 * time.Millisecond) // two TTLs, no heartbeat
 
 	if c.Heartbeat("silent", l1.ID, 3) {
@@ -474,10 +609,7 @@ func TestWorkStealing(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 
-	la, ok, _ := c.Lease("a")
-	if !ok {
-		t.Fatal("worker a got no first lease")
-	}
+	la := leaseWait(t, c, "a")
 	lb, ok, _ := c.Lease("a")
 	if !ok {
 		t.Fatal("worker a got no second lease")
@@ -537,10 +669,7 @@ func TestShardResultValidation(t *testing.T) {
 	if _, err := c.Submit(toyWireSpec(), 2); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	l, ok, _ := c.Lease("a")
-	if !ok {
-		t.Fatal("no lease")
-	}
+	l := leaseWait(t, c, "a")
 	res := executeLease(t, l, "a")
 	res.Recs = res.Recs[:len(res.Recs)-1] // drop one trial
 	if _, err := c.Complete(res); err == nil {
@@ -550,5 +679,32 @@ func TestShardResultValidation(t *testing.T) {
 	res2.Recs[0].Index += 1 // mis-window: first index duplicated with second
 	if _, err := c.Complete(res2); err == nil {
 		t.Error("mis-indexed shard result accepted")
+	}
+}
+
+// TestCompactJournalKeepsOldOnError: a snapshot record that cannot be
+// encoded fails the compaction and leaves the live journal untouched,
+// instead of renaming a truncated snapshot over it.
+func TestCompactJournalKeepsOldOnError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fabric.journal")
+	live := []byte(`{"op":"campaign","campaign":"c1","spec":{"algorithm":"toy","class":"gpr","trials":60},"shards":2}` + "\n")
+	if err := os.WriteFile(path, live, 0o644); err != nil {
+		t.Fatalf("write journal: %v", err)
+	}
+	good := newCamp("c1", toyWireSpec(), 2)
+	bad := adaptiveWireSpec()
+	bad.Precision = math.NaN() // JSON cannot encode NaN
+	if err := compactJournal(path, []*camp{good, newCamp("c2", bad, 2)}); err == nil {
+		t.Fatal("compaction of an unencodable snapshot reported success")
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read journal: %v", err)
+	}
+	if !bytes.Equal(got, live) {
+		t.Errorf("failed compaction replaced the live journal:\n%s", got)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("failed compaction left its snapshot behind (stat err %v)", err)
 	}
 }

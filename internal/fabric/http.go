@@ -15,7 +15,7 @@ import (
 //
 //	POST /v1/fabric/campaigns           submit a CampaignSpec to the cluster
 //	GET  /v1/fabric/campaigns/{id}      cluster-wide progress
-//	GET  /v1/fabric/campaigns/{id}/result   the merged campaign result
+//	GET  /v1/fabric/campaigns/{id}/result   the finished campaign's result
 //	POST /v1/fabric/lease               worker requests a shard lease
 //	POST /v1/fabric/heartbeat           worker extends a lease, reports progress
 //	POST /v1/fabric/results             worker submits a completed shard
@@ -247,7 +247,7 @@ func (cl *Client) Status(ctx context.Context, id string) (CampaignStatus, error)
 	return st, err
 }
 
-// Result fetches a finished campaign's merged result.
+// Result fetches a finished static campaign's result.
 func (cl *Client) Result(ctx context.Context, id string) (*CampaignResult, error) {
 	var res CampaignResult
 	if err := cl.get(ctx, "/v1/fabric/campaigns/"+id+"/result", &res); err != nil {

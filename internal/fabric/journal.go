@@ -30,10 +30,11 @@ import (
 //
 // Round records exist only for adaptive campaigns: each one appends
 // the round's shard windows to the campaign's shard table, so replayed
-// shard results land on the right indices. The plans themselves are
-// not journaled — the restarted coordinator's planner regenerates them
-// (and the windows) deterministically from the spec plus the journaled
-// outcomes.
+// shard results land on the right indices. A static campaign's single
+// round needs none — its windows follow from the campaign record's
+// trials and shards. The plans themselves are never journaled — the
+// restarted coordinator's planner regenerates them (and the windows)
+// deterministically from the spec plus the journaled outcomes.
 type record struct {
 	Op       string              `json:"op"`
 	Campaign string              `json:"campaign,omitempty"`
@@ -147,12 +148,7 @@ func replayJournal(path string) (camps []*camp, maxCampSeq, maxLeaseSeq int, err
 			if cm == nil || !cm.spec.Adaptive || len(rec.Windows) == 0 {
 				continue
 			}
-			for _, w := range rec.Windows {
-				cm.shards = append(cm.shards, &shardState{
-					lo: w[0], hi: w[1], round: rec.Round,
-					leases: make(map[string]*lease),
-				})
-			}
+			cm.addRound(rec.Round, rec.Windows)
 		case "lease":
 			cm := byID[rec.Campaign]
 			if cm == nil || rec.Shard < 0 || rec.Shard >= len(cm.shards) || rec.Deadline == nil {
@@ -245,11 +241,7 @@ func sortRecords(recs []fault.TrialRecord) {
 func snapshotRecords(camps []*camp) []record {
 	var recs []record
 	for _, cm := range camps {
-		shards := len(cm.shards)
-		if cm.spec.Adaptive {
-			shards = cm.fanout
-		}
-		recs = append(recs, record{Op: "campaign", Campaign: cm.id, Spec: &cm.spec, Shards: shards})
+		recs = append(recs, record{Op: "campaign", Campaign: cm.id, Spec: &cm.spec, Shards: cm.fanout})
 		if cm.spec.Adaptive {
 			if cm.state != campRunning {
 				// Finished adaptive campaigns replay from the state
@@ -290,7 +282,9 @@ func snapshotRecords(camps []*camp) []record {
 }
 
 // compactJournal rewrites the snapshot to path atomically, dropping
-// the superseded lease/shard churn accumulated before a restart.
+// the superseded lease/shard churn accumulated before a restart. The
+// snapshot is synced before it replaces the live journal; on any write
+// error the old journal stays in place.
 func compactJournal(path string, camps []*camp) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -300,13 +294,21 @@ func compactJournal(path string, camps []*camp) error {
 	w := bufio.NewWriter(f)
 	enc := json.NewEncoder(w)
 	for _, rec := range snapshotRecords(camps) {
-		enc.Encode(rec)
+		if err = enc.Encode(rec); err != nil {
+			break
+		}
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("fabric: compact journal: %w", err)
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := f.Close(); err != nil {
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("fabric: compact journal: %w", err)
 	}
 	return os.Rename(tmp, path)

@@ -10,17 +10,17 @@ import (
 	"vsresil/internal/fault"
 )
 
-// Worker joins a coordinator and executes leased shards through the
-// campaign engine. One Worker runs one shard at a time; its trial
+// Worker joins a coordinator and executes leased round-shards through
+// the campaign engine. One Worker runs one shard at a time; its trial
 // parallelism inside the shard comes from the spec's Workers field.
 type Worker struct {
 	// ID names this worker in leases and metrics.
 	ID string
 	// Client reaches the coordinator.
 	Client *Client
-	// Runner executes shards. nil gets a private runner with a small
-	// golden cache — repeated leases of the same campaign skip the
-	// fault-free capture.
+	// Runner opens the per-campaign executor sessions. nil gets a
+	// private runner with a small golden cache, so campaigns over the
+	// same workload skip the fault-free capture.
 	Runner *campaign.Runner
 	// Workload maps wire specs to workloads (default DefaultWorkload);
 	// must match the coordinator's builder.
@@ -72,14 +72,14 @@ func (w *Worker) Run(ctx context.Context) error {
 		if w.OnLease != nil {
 			w.OnLease(l)
 		}
-		w.runLease(ctx, runner, sessions, build, l)
+		w.runLease(ctx, sessions, l)
 	}
 }
 
 // workerSessions caches one open executor session per campaign (the
-// latest): successive round-shard leases of the same adaptive campaign
-// reuse the workload, golden resolution, worker pool and bucket
-// preparations instead of paying the full cold start per lease. One
+// latest): successive round-shard leases of the same campaign — static
+// or adaptive — reuse the workload, golden resolution, worker pool and
+// bucket preparations instead of paying the full cold start per lease. One
 // worker runs one lease at a time, so a single slot is exactly the
 // working set; a lease for a different campaign closes the old session
 // and opens the session for the new one.
@@ -98,9 +98,8 @@ type leaseSession struct {
 }
 
 // acquire returns the session for l's campaign, opening one (and
-// retiring the previous campaign's) if needed. Only plan-carrying
-// leases go through here, so the spec is built with an empty static
-// shard — plan windows come per lease.
+// retiring the previous campaign's) if needed. Plan windows come per
+// lease.
 func (c *workerSessions) acquire(l Lease) (*leaseSession, error) {
 	if c.cur != nil && c.cur.campaign == l.Campaign {
 		return c.cur, nil
@@ -110,7 +109,7 @@ func (c *workerSessions) acquire(l Lease) (*leaseSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec, err := l.Spec.campaignSpec(workload, campaign.Shard{})
+	spec, err := l.Spec.campaignSpec(workload)
 	if err != nil {
 		return nil, err
 	}
@@ -130,34 +129,17 @@ func (c *workerSessions) close() {
 	}
 }
 
-// runLease executes one leased shard and submits the result. Failures
-// are not reported back — the lease simply expires and the shard is
-// reassigned, which is the same path a worker crash takes.
-func (w *Worker) runLease(ctx context.Context, runner *campaign.Runner, sessions *workerSessions, build WorkloadBuilder, l Lease) {
-	// Plan-carrying leases (adaptive round-shards) execute exactly the
-	// shipped plans; shard placement is then the coordinator's concern,
-	// not a static decomposition the worker recomputes. They run through
-	// the worker's cached campaign session, so successive round-shards of
-	// one campaign share workload, golden, pool and bucket preparations.
-	var spec campaign.Spec
-	var ls *leaseSession
-	if len(l.Plans) > 0 {
-		var err error
-		ls, err = sessions.acquire(l)
-		if err != nil {
-			return
-		}
-		spec = ls.spec
-	} else {
-		workload, err := build(l.Spec)
-		if err != nil {
-			return
-		}
-		spec, err = l.Spec.campaignSpec(workload, campaign.Shard{Index: l.ShardIndex, Count: l.ShardCount})
-		if err != nil {
-			return
-		}
+// runLease executes one leased round-shard — exactly the shipped
+// plans, on the worker's cached campaign session — and submits the
+// result. Failures are not reported back — the lease simply expires
+// and the shard is reassigned, which is the same path a worker crash
+// takes.
+func (w *Worker) runLease(ctx context.Context, sessions *workerSessions, l Lease) {
+	ls, err := sessions.acquire(l)
+	if err != nil {
+		return
 	}
+	spec := ls.spec
 	var done atomic.Int64
 	spec.OnTrial = func(fault.TrialRecord) { done.Add(1) }
 
@@ -189,13 +171,7 @@ func (w *Worker) runLease(ctx context.Context, runner *campaign.Runner, sessions
 		}
 	}()
 
-	var res *campaign.Result
-	var err error
-	if ls != nil {
-		res, err = ls.sess.RunPlans(leaseCtx, spec, l.Plans, l.PlanLo)
-	} else {
-		res, err = runner.Run(leaseCtx, spec)
-	}
+	res, err := ls.sess.RunPlans(leaseCtx, spec, l.Plans, l.PlanLo)
 	cancel()
 	<-hbDone
 	if err != nil || res == nil {

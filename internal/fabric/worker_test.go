@@ -2,26 +2,45 @@ package fabric
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"vsresil/internal/campaign"
 	"vsresil/internal/fault"
 )
 
-// TestWorkerSessionReuse pins the lease-to-lease amortization:
-// successive round-shard leases of one campaign share the cached
-// executor session, and a lease for a different campaign rolls the
-// cache over, retiring the old session.
+// TestWorkerSessionReuse pins the lease-to-lease amortization for both
+// campaign kinds: successive round-shard leases of one campaign share
+// the cached executor session — for static campaigns too, whose leases
+// used to build a fresh executor each — and a lease for a different
+// campaign rolls the cache over, retiring the old session.
 func TestWorkerSessionReuse(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec CampaignSpec
+	}{
+		{"adaptive", adaptiveWireSpec()},
+		{"static", toyWireSpec()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testCachedSessionRollover(t, tc.spec)
+			testLeasesShareSession(t, tc.spec)
+		})
+	}
+}
+
+// testCachedSessionRollover drives the session cache directly.
+func testCachedSessionRollover(t *testing.T, cs CampaignSpec) {
 	runner := &campaign.Runner{Goldens: campaign.NewGoldenCache(4)}
 	c := &workerSessions{runner: runner, build: toyBuild}
 	defer c.close()
 
-	s1, err := c.acquire(Lease{ID: "l1", Campaign: "c1", Spec: toyWireSpec()})
+	s1, err := c.acquire(Lease{ID: "l1", Campaign: "c1", Spec: cs})
 	if err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
-	s2, err := c.acquire(Lease{ID: "l2", Campaign: "c1", Spec: toyWireSpec()})
+	s2, err := c.acquire(Lease{ID: "l2", Campaign: "c1", Spec: cs})
 	if err != nil {
 		t.Fatalf("second acquire: %v", err)
 	}
@@ -29,7 +48,7 @@ func TestWorkerSessionReuse(t *testing.T) {
 		t.Error("second lease of the same campaign did not reuse the cached session")
 	}
 
-	other := toyWireSpec()
+	other := cs
 	other.Seed = 99
 	s3, err := c.acquire(Lease{ID: "l3", Campaign: "c2", Spec: other})
 	if err != nil {
@@ -44,13 +63,51 @@ func TestWorkerSessionReuse(t *testing.T) {
 		t.Error("retired session still accepts plan windows")
 	}
 	// The live session still executes.
-	plans := fault.GeneratePlans(other.Seed, fault.GPR, fault.RAny,
-		fault.WindowFor(fault.GPR, 0), 4, s3.sess.Golden().Taps(fault.GPR, fault.RAny))
+	class, _ := fault.ParseClass(other.Class)
+	plans := fault.GeneratePlans(other.Seed, class, fault.RAny,
+		fault.WindowFor(class, 0), 4, s3.sess.Golden().Taps(class, fault.RAny))
 	res, err := s3.sess.RunPlans(context.Background(), s3.spec, plans, 0)
 	if err != nil {
 		t.Fatalf("live session window: %v", err)
 	}
 	if res.Fault.Completed != len(plans) {
 		t.Errorf("live session completed %d trials, want %d", res.Fault.Completed, len(plans))
+	}
+}
+
+// testLeasesShareSession runs two real leases of one campaign through
+// one worker's runLease: both must execute on a single session.
+func testLeasesShareSession(t *testing.T, cs CampaignSpec) {
+	coord, err := NewCoordinator(Config{Workload: toyBuild})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer coord.Close()
+	mux := http.NewServeMux()
+	coord.Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	if _, err := coord.Submit(cs, 2); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+
+	w := &Worker{ID: "w", Client: &Client{Base: srv.URL}}
+	sessions := &workerSessions{runner: &campaign.Runner{}, build: toyBuild}
+	defer sessions.close()
+	var first *leaseSession
+	for i := 0; i < 2; i++ {
+		w.runLease(context.Background(), sessions, leaseWait(t, coord, w.ID))
+		if i == 0 {
+			first = sessions.cur
+		}
+	}
+	if first == nil || sessions.cur != first {
+		t.Fatal("the second lease of the campaign did not run on the first lease's session")
+	}
+	if got := first.sess.Stats().RoundsServed; got != 2 {
+		t.Errorf("cached session served %d plan windows, want both leases' 2", got)
+	}
+	if done := metricValue(t, coord, "vsd_fabric_shards_done"); done != 2 {
+		t.Errorf("coordinator accepted %d shard results, want 2", done)
 	}
 }
