@@ -36,9 +36,11 @@ race:
 # the committed golden digest across every execution strategy — prefix
 # skip, bucket batching, shard counts 1/2/5 and an in-process fabric
 # cluster — plus the byte-identity tests at the generator, adapter and
-# registry seams. Run it after touching any layer of the workload path.
+# registry seams, and the per-region sweep of batched execution (with
+# its window clip and decode-boundary resumes) against classic trials.
+# Run it after touching any layer of the workload path.
 identity:
-	$(GO) test -count=1 -run 'TestIdentityCell|TestIdentityScenarioByteIdentical|TestVSAdapterByteIdentical|TestCellIdentityMatchesVSConstructor|TestVSConstructorKeyUnchanged' . ./internal/virat/ ./internal/summarize/ ./internal/campaign/
+	$(GO) test -count=1 -run 'TestCampaignBatchingRegionSweep|TestIdentityCell|TestIdentityScenarioByteIdentical|TestVSAdapterByteIdentical|TestCellIdentityMatchesVSConstructor|TestVSConstructorKeyUnchanged' . ./internal/virat/ ./internal/summarize/ ./internal/campaign/
 
 # determinism pins the adaptive planner's reproducibility promise: the
 # confidence-driven trial set must be bit-identical across seeds,
@@ -74,10 +76,14 @@ fabric-smoke:
 # against the ledger's "before" section. The campaign-throughput and
 # adaptive-campaign benchmarks gate (>10% regression fails); the
 # micro-benchmarks stay advisory — they are too noisy to block on.
-BENCH_JSON ?= BENCH_10.json
+# -cpu 2 pins GOMAXPROCS so ledger sections (and the CI bench job,
+# which runs at the same count) compare like for like: benchdiff
+# records each benchmark's procs and fails a gated comparison across
+# different counts.
+BENCH_JSON ?= BENCH_13.json
 BENCH_GATE ?= BenchmarkCampaignThroughput|BenchmarkAdaptiveCampaign
 bench-json:
-	$(GO) test -run '^$$' -bench 'Pipeline|CampaignThroughput|AdaptiveCampaign|CompositeTiled|BucketRestore' -benchtime 3x . | tee bench.out
+	$(GO) test -run '^$$' -bench 'Pipeline|CampaignThroughput|AdaptiveCampaign|CompositeTiled|BucketRestore' -benchtime 3x -cpu 2 . | tee bench.out
 	$(GO) run ./cmd/benchdiff parse -label after -in bench.out -out $(BENCH_JSON)
 	$(GO) run ./cmd/benchdiff compare -in $(BENCH_JSON) -gate '$(BENCH_GATE)' -threshold 0.10
 	rm -f bench.out

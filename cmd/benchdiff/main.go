@@ -16,6 +16,12 @@
 // -gate with a benchmark-name regexp to fail on regressions beyond
 // -threshold in the gated set: ns/op, B/op and allocs/op may not grow,
 // and rate metrics such as trials/s may not shrink.
+//
+// parse also records each benchmark's GOMAXPROCS (the `-N` name
+// suffix, 1 when go test omits it) as the informational unit "procs".
+// compare warns when the two sections ran a benchmark at different
+// procs — single-core and multi-core numbers do not compare — and with
+// -gate such a mismatch on a gated benchmark fails the comparison.
 package main
 
 import (
@@ -45,6 +51,9 @@ var (
 	lowerBetter  = map[string]bool{"ns/op": true, "B/op": true, "allocs/op": true}
 	higherBetter = map[string]bool{"trials/s": true, "MB/s": true}
 )
+
+// procsUnit is the ledger unit holding a benchmark's GOMAXPROCS.
+const procsUnit = "procs"
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -163,7 +172,19 @@ func runCompare(args []string) error {
 	shared := 0
 	var failures []string
 	for _, name := range names {
+		isGated := gateRE != nil && gateRE.MatchString(name)
+		if b, a, ok := procsDiffer(base[name], cand[name]); ok {
+			mark := "  WARNING: not comparable"
+			if isGated {
+				mark = "  MISMATCH"
+				failures = append(failures, fmt.Sprintf("%s ran at %g vs %g procs", name, b, a))
+			}
+			fmt.Printf("%-44s %-22s %14.6g -> %-14.6g %s\n", name, procsUnit, b, a, mark)
+		}
 		for _, unit := range unionKeys(base[name], cand[name]) {
+			if unit == procsUnit {
+				continue
+			}
 			b, haveB := base[name][unit]
 			a, haveA := cand[name][unit]
 			switch {
@@ -190,14 +211,14 @@ func runCompare(args []string) error {
 			}
 			mark := ""
 			if bad {
-				if gateRE != nil && gateRE.MatchString(name) {
+				if isGated {
 					mark = "  REGRESSION"
 					failures = append(failures, fmt.Sprintf("%s %s %+.1f%%", name, unit, 100*(a-b)/b))
 				} else {
 					mark = "  regressed (advisory)"
 				}
 			}
-			if gateRE != nil && gateRE.MatchString(name) && (lowerBetter[unit] || higherBetter[unit]) {
+			if isGated && (lowerBetter[unit] || higherBetter[unit]) {
 				gated++
 			}
 			fmt.Printf("%-44s %-22s %14.6g -> %-14.6g %s%s\n", name, unit, b, a, delta, mark)
@@ -207,7 +228,7 @@ func runCompare(args []string) error {
 		return fmt.Errorf("-gate %q matched no gateable metrics", *gate)
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("%d gated regression(s) beyond %.0f%%: %s",
+		return fmt.Errorf("%d gated regression(s) beyond %.0f%% or procs mismatch(es): %s",
 			len(failures), *threshold*100, strings.Join(failures, "; "))
 	}
 	if gateRE != nil {
@@ -239,11 +260,21 @@ func unionKeys[V any](a, b map[string]V) []string {
 	return out
 }
 
+// procsDiffer reports both sections' procs for one benchmark when
+// both recorded it and they differ. Ledgers written before procs was
+// recorded carry none, and compare as before.
+func procsDiffer(before, after map[string]float64) (b, a float64, differ bool) {
+	b, haveB := before[procsUnit]
+	a, haveA := after[procsUnit]
+	return b, a, haveB && haveA && b != a
+}
+
 // benchLine matches one `go test -bench` result line:
 // BenchmarkName[-procs] <iterations> <value> <unit> [<value> <unit>]...
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\s+\d+\s+(.*)$`)
 
-// parseBench extracts benchmark -> unit -> value from go test output.
+// parseBench extracts benchmark -> unit -> value from go test output,
+// plus the procs the benchmark ran at.
 func parseBench(f *os.File) (map[string]map[string]float64, error) {
 	out := map[string]map[string]float64{}
 	sc := bufio.NewScanner(f)
@@ -258,6 +289,11 @@ func parseBench(f *os.File) (map[string]map[string]float64, error) {
 		if vals == nil {
 			vals = map[string]float64{}
 			out[name] = vals
+		}
+		// go test appends -N to the name only when GOMAXPROCS != 1.
+		vals[procsUnit] = 1
+		if p, err := strconv.Atoi(strings.TrimPrefix(m[2], "-")); err == nil {
+			vals[procsUnit] = float64(p)
 		}
 		for i := 0; i+1 < len(rest); i += 2 {
 			v, err := strconv.ParseFloat(rest[i], 64)

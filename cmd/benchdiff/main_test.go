@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,5 +94,59 @@ func TestMissingLedgerFiles(t *testing.T) {
 	err = runParse([]string{"-in", gone})
 	if err == nil || !strings.Contains(err.Error(), gone) || !strings.Contains(err.Error(), "does not exist") {
 		t.Fatalf("parse on missing input = %v, want error naming %s", err, gone)
+	}
+}
+
+// TestProcsRecordedAndCompared checks that parse keeps the GOMAXPROCS
+// suffix as the informational "procs" unit (1 when go test omits it),
+// and that compare warns on a procs mismatch but fails only under a
+// gate that covers the mismatched benchmark.
+func TestProcsRecordedAndCompared(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "bench.out")
+	ledger := filepath.Join(dir, "bench.json")
+	write := func(body string) {
+		t.Helper()
+		if err := os.WriteFile(out, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("BenchmarkCampaignThroughput-4   3   100 ns/op   90 trials/s\nBenchmarkPipelineBaseline   3   50 ns/op\n")
+	if err := runParse([]string{"-label", "before", "-in", out, "-out", ledger}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Ledger
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if p := got["before"]["BenchmarkCampaignThroughput"][procsUnit]; p != 4 {
+		t.Errorf("procs for -4 suffix = %v, want 4", p)
+	}
+	if p := got["before"]["BenchmarkPipelineBaseline"][procsUnit]; p != 1 {
+		t.Errorf("procs without suffix = %v, want 1", p)
+	}
+
+	write("BenchmarkCampaignThroughput-2   3   100 ns/op   90 trials/s\nBenchmarkPipelineBaseline-2   3   50 ns/op\n")
+	if err := runParse([]string{"-label", "after", "-in", out, "-out", ledger}); err != nil {
+		t.Fatal(err)
+	}
+	if err := runCompare([]string{"-in", ledger}); err != nil {
+		t.Fatalf("advisory compare with a procs mismatch failed: %v", err)
+	}
+	err = runCompare([]string{"-in", ledger, "-gate", "CampaignThroughput"})
+	if err == nil || !strings.Contains(err.Error(), "procs") {
+		t.Fatalf("gated compare across procs = %v, want a procs mismatch failure", err)
+	}
+
+	write("BenchmarkCampaignThroughput-4   3   100 ns/op   90 trials/s\nBenchmarkPipelineBaseline-2   3   50 ns/op\n")
+	if err := runParse([]string{"-label", "after", "-in", out, "-out", ledger}); err != nil {
+		t.Fatal(err)
+	}
+	if err := runCompare([]string{"-in", ledger, "-gate", "CampaignThroughput"}); err != nil {
+		t.Fatalf("gated compare at equal gated procs failed: %v", err)
 	}
 }

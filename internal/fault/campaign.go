@@ -595,9 +595,11 @@ type trialExec struct {
 //
 //   - Early mask: when the plan's window expires without an injection,
 //     every tap it observed was an identity pass-through, so the whole
-//     run is the golden run. The machine raises maskResolved and the
-//     trial is classified Mask with Landed=false — exactly what running
-//     to completion would record.
+//     run is the golden run. The window also closes at the golden run's
+//     last tap in the plan's class/region scope (Machine.ClipWindow):
+//     past it no site is left for the flip to land on. The machine
+//     raises maskResolved and the trial is classified Mask with
+//     Landed=false — exactly what running to completion would record.
 //   - Boundary convergence: once the plan is resolved (fired or
 //     expired), if a later stage boundary is reached with tap counters
 //     equal to the golden checkpoint's and bit-equal state, the
@@ -611,6 +613,7 @@ func (e *trialExec) run(plan Plan, cp *Checkpoint, cpIdx int, prep any) (trial T
 	m := NewWithPlan(plan, e.budget)
 	if e.earlyMask {
 		m.EnableEarlyMask()
+		m.ClipWindow(e.golden.Taps(plan.Class, plan.Region))
 	}
 	defer func() {
 		trial.Landed = m.Injected()

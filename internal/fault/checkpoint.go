@@ -12,7 +12,7 @@ import (
 // constant; the drift-guard test pins the golden counter stream per
 // schema version, so a silent change fails loudly instead of quietly
 // invalidating resumed trials.
-const CheckpointSchema = 1
+const CheckpointSchema = 2
 
 // TapCounters is a point-in-time snapshot of a Machine's dynamic tap
 // counters — the coordinates of a stage boundary in the injection-site

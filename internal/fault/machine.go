@@ -141,11 +141,13 @@ func (h hangError) Error() string {
 }
 
 // maskResolved is the sentinel panic value raised by the early-mask
-// cutoff: the plan's liveness window expired without the flip landing
-// on a live value, so every tap so far returned its input unchanged
-// and the rest of the run is provably the golden run. The trial runner
-// maps it to OutcomeMask with Landed=false — exactly what running the
-// suffix to completion would classify.
+// cutoff: the plan's liveness window — which ends at min(Site+Window,
+// the golden run's in-scope tap count) once ClipWindow has supplied
+// the latter — closed without the flip landing on a live value, so
+// every tap so far returned its input unchanged and the rest of the
+// run is provably the golden run. The trial runner maps it to
+// OutcomeMask with Landed=false — exactly what running the suffix to
+// completion would classify.
 type maskResolved struct{}
 
 // Machine carries fault-injection state and operation accounting
@@ -192,6 +194,10 @@ type Machine struct {
 	// (provably golden) suffix. Only campaign trial machines enable it;
 	// see EnableEarlyMask.
 	earlyMask bool
+
+	// scopeTaps is the golden run's tap count in the plan's class and
+	// region scope (0 = unknown); see ClipWindow.
+	scopeTaps uint64
 
 	ops [NumRegions][NumOpClasses]uint64
 
@@ -262,18 +268,43 @@ func (m *Machine) Resolved() bool {
 }
 
 // EnableEarlyMask arms the resolved-plan cutoff: if the plan's window
-// expires without the flip landing, the machine abandons the run (via
-// an internal sentinel panic the campaign runner classifies) instead
-// of executing the suffix. The cutoff is sound exactly because a
-// never-landed plan leaves every tapped value untouched: the run's
-// dataflow is the golden run's, its output would compare equal, and
-// the hang budget (a multiple of golden steps) cannot expire on the
-// golden path. Campaign trial machines enable it behind the
-// fastpath.Batching gate; machines whose ops/taps are read to
-// completion (golden captures, meters) must not.
+// closes without the flip landing — at Site+Window, or earlier at the
+// golden run's last in-scope tap when ClipWindow supplied it — the
+// machine abandons the run (via an internal sentinel panic the campaign
+// runner classifies) instead of executing the suffix. The cutoff is
+// sound exactly because a never-landed plan leaves every tapped value
+// untouched: the run's dataflow is the golden run's, its output would
+// compare equal, and the hang budget (a multiple of golden steps)
+// cannot expire on the golden path. Campaign trial machines enable it
+// behind the fastpath.Batching gate; machines whose ops/taps are read
+// to completion (golden captures, meters) must not.
 func (m *Machine) EnableEarlyMask() {
 	if m != nil {
 		m.earlyMask = true
+	}
+}
+
+// ClipWindow ends the plan's liveness window at the golden run's tap
+// count in the plan's class/region scope (GoldenRun.Taps). Until the
+// flip lands the run is the golden run, so once its last in-scope tap
+// passes without a register match no in-scope tap remains and the plan
+// can never fire: the machine disarms right there (raising the early
+// mask when enabled) instead of staying armed through a suffix it can
+// no longer affect. The window then ends at min(Site+Window,
+// scopeTaps). A zero scopeTaps leaves the window unclipped.
+func (m *Machine) ClipWindow(scopeTaps uint64) {
+	if m != nil {
+		m.scopeTaps = scopeTaps
+	}
+}
+
+// expire disarms a plan whose window closed without a live use (the
+// register was dead or rewritten first) and, under EnableEarlyMask,
+// abandons the now provably golden run.
+func (m *Machine) expire() {
+	m.armedGPR, m.armedFPR = false, false
+	if m.earlyMask {
+		panic(maskResolved{})
 	}
 }
 
@@ -300,9 +331,10 @@ func (m *Machine) CanSkipTaps(span TapCounters) bool {
 			scoped, need = m.regionGPR[p.Region], span.RegionGPR[p.Region]
 		}
 		// All in-kernel tap indices are scoped..scoped+need-1; they stay
-		// strictly below the site iff scoped+need <= Site. (An already
-		// expired window fails this too — the next in-region tap must
-		// run instrumented so it performs the disarm.)
+		// strictly below the site iff scoped+need <= Site. (An open
+		// window fails this too: every in-scope tap from the site on must
+		// run instrumented so it can fire, or disarm at the window end or
+		// at the golden run's last in-scope tap.)
 		if scoped+need > p.Site {
 			return false
 		}
@@ -485,13 +517,13 @@ func (m *Machine) tapGPR(v uint64) uint64 {
 		return v
 	}
 	if site >= p.Site+p.Window {
-		m.armedGPR = false // register rewritten or dead: fault masked
-		if m.earlyMask {
-			panic(maskResolved{})
-		}
+		m.expire() // register rewritten or dead: fault masked
 		return v
 	}
 	if int(stats.Hash64(idx)%NumRegisters) != p.Reg {
+		if site+1 == m.scopeTaps {
+			m.expire() // the golden run's last in-scope tap: no site left
+		}
 		return v
 	}
 	m.armedGPR = false
@@ -521,13 +553,13 @@ func (m *Machine) tapFPR(bits uint64) uint64 {
 		return bits
 	}
 	if site >= p.Site+p.Window {
-		m.armedFPR = false
-		if m.earlyMask {
-			panic(maskResolved{})
-		}
+		m.expire()
 		return bits
 	}
 	if int(stats.Hash64(idx^0xF0F0)%NumRegisters) != p.Reg {
+		if site+1 == m.scopeTaps {
+			m.expire()
+		}
 		return bits
 	}
 	m.armedFPR = false

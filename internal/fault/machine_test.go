@@ -311,3 +311,153 @@ func TestStringers(t *testing.T) {
 		}
 	}
 }
+
+// clipScope is the golden in-scope tap count the ClipWindow tests
+// supply; their plans' windows reach well past it, so the clip is what
+// closes them.
+const clipScope = 6
+
+// regForTap returns the register a tap of class c at whole-program
+// class index idx is attributed to.
+func regForTap(c Class, idx uint64) int {
+	if c == FPR {
+		idx ^= 0xF0F0
+	}
+	return int(stats.Hash64(idx) % NumRegisters)
+}
+
+// globalIdx returns the whole-program class index of the k-th in-scope
+// tap tapScoped executes for region r.
+func globalIdx(r Region, k uint64) uint64 {
+	if r == RAny {
+		return k
+	}
+	return 2*k + 1
+}
+
+// tapScoped executes one in-scope tap of class c — for a region-scoped
+// plan preceded by one same-class tap outside the region, so scoped and
+// whole-program indices differ — and reports whether it was corrupted.
+func tapScoped(m *Machine, c Class, r Region) bool {
+	tap := func() bool {
+		if c == GPR {
+			return m.Word(0) != 0
+		}
+		return m.F64(0) != 0
+	}
+	if r == RAny {
+		return tap()
+	}
+	tap()
+	defer m.Enter(r)()
+	return tap()
+}
+
+// clipMissPlan returns a plan of class c in region r whose window opens
+// at in-scope site 2 and whose register matches none of the in-scope
+// taps left before clipScope.
+func clipMissPlan(t *testing.T, c Class, r Region) Plan {
+	t.Helper()
+	const site = 2
+	used := map[int]bool{}
+	for k := uint64(site); k < clipScope; k++ {
+		used[regForTap(c, globalIdx(r, k))] = true
+	}
+	for reg := 0; reg < NumRegisters; reg++ {
+		if !used[reg] {
+			return Plan{Class: c, Reg: reg, Bit: 0, Site: site, Window: 96, Region: r}
+		}
+	}
+	t.Skip("every register matches an in-scope tap")
+	return Plan{}
+}
+
+// clipCases lists the class/region pairs the ClipWindow tests sweep.
+var clipCases = []struct {
+	class  Class
+	region Region
+}{{GPR, RAny}, {GPR, RMatch}, {FPR, RAny}, {FPR, RMatch}}
+
+// TestClipWindowEarlyMask checks that with the early mask on, a plan
+// whose register misses the golden run's last in-scope tap abandons the
+// run at exactly that tap, long before Site+Window.
+func TestClipWindowEarlyMask(t *testing.T) {
+	for _, c := range clipCases {
+		m := NewWithPlan(clipMissPlan(t, c.class, c.region), 0)
+		m.EnableEarlyMask()
+		m.ClipWindow(clipScope)
+		masked := -1
+		for k := 0; k < clipScope && masked < 0; k++ {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						if _, ok := r.(maskResolved); !ok {
+							t.Fatalf("%v/%v: tap %d panicked %v, want maskResolved", c.class, c.region, k, r)
+						}
+						masked = k
+					}
+				}()
+				if tapScoped(m, c.class, c.region) {
+					t.Errorf("%v/%v: missed plan corrupted tap %d", c.class, c.region, k)
+				}
+			}()
+		}
+		if masked != clipScope-1 {
+			t.Errorf("%v/%v: early mask at in-scope tap %d, want %d (the last)", c.class, c.region, masked, clipScope-1)
+		}
+		if m.Injected() || !m.Resolved() {
+			t.Errorf("%v/%v: injected=%v resolved=%v, want false/true", c.class, c.region, m.Injected(), m.Resolved())
+		}
+	}
+}
+
+// TestClipWindowDisarms checks the clip without the early mask: the
+// same miss leaves the machine resolved and not injected, and the run
+// goes on. An unclipped machine stays armed after the same taps.
+func TestClipWindowDisarms(t *testing.T) {
+	for _, c := range clipCases {
+		p := clipMissPlan(t, c.class, c.region)
+		clipped, open := NewWithPlan(p, 0), NewWithPlan(p, 0)
+		clipped.ClipWindow(clipScope)
+		for k := 0; k < clipScope; k++ {
+			tapScoped(clipped, c.class, c.region)
+			tapScoped(open, c.class, c.region)
+			if got := clipped.Resolved(); got != (k == clipScope-1) {
+				t.Errorf("%v/%v: resolved=%v after in-scope tap %d", c.class, c.region, got, k)
+			}
+		}
+		if clipped.Injected() {
+			t.Errorf("%v/%v: clipped miss injected", c.class, c.region)
+		}
+		if open.Resolved() {
+			t.Errorf("%v/%v: unclipped machine resolved before Site+Window", c.class, c.region)
+		}
+	}
+}
+
+// TestClipWindowLastTapStillInjects checks that a register match at the
+// golden run's last in-scope tap fires the flip rather than the clip,
+// early mask on or off.
+func TestClipWindowLastTapStillInjects(t *testing.T) {
+	for _, c := range clipCases {
+		for _, early := range []bool{false, true} {
+			last := uint64(clipScope - 1)
+			p := Plan{Class: c.class, Reg: regForTap(c.class, globalIdx(c.region, last)),
+				Bit: 1, Site: last, Window: 96, Region: c.region}
+			m := NewWithPlan(p, 0)
+			if early {
+				m.EnableEarlyMask()
+			}
+			m.ClipWindow(clipScope)
+			for k := uint64(0); k < clipScope; k++ {
+				if got := tapScoped(m, c.class, c.region); got != (k == last) {
+					t.Errorf("%v/%v early=%v: tap %d corrupted=%v", c.class, c.region, early, k, got)
+				}
+			}
+			if !m.Injected() || !m.Resolved() {
+				t.Errorf("%v/%v early=%v: injected=%v resolved=%v, want true/true",
+					c.class, c.region, early, m.Injected(), m.Resolved())
+			}
+		}
+	}
+}

@@ -30,25 +30,28 @@ func (a *App) Staged(frames []*imgproc.Gray) fault.StagedApp {
 }
 
 // RunFull executes every stage: decode, per-frame features, the
-// registration pass, compositing. Snapshot boundaries are placed after
-// decode ("features[0]"), between per-frame detections, before the
-// registration pass ("align"), between frame pairs ("pair[i]") and
-// before compositing ("composite") — decode and compositing stay
-// atomic because their state (raw frames, float canvases) is the
-// expensive part to retain. When snapshots are taken the decoded
-// frames are referenced by the golden run forever, so they are not
-// recycled into the frame pool.
+// registration pass, compositing. Snapshot boundaries are placed at tap
+// zero before decode ("decode"), between per-frame detections
+// ("features[k]"), before the registration pass ("align"), between
+// frame pairs ("pair[i]") and before compositing ("composite").
+// Compositing stays atomic because its float canvases are the expensive
+// part to retain. The decode boundary's state carries only the phase:
+// a trial resumed there decodes the app's own input frames again, so
+// the golden run retains no extra copy of them. When snapshots are
+// taken the decoded frames are referenced by the golden run forever,
+// so they are not recycled into the frame pool.
 func (s *stagedApp) RunFull(m *fault.Machine, snap func(name string, state any)) ([]byte, error) {
 	if s.app.nFrames >= 0 && len(s.frames) != s.app.nFrames {
 		return nil, fmt.Errorf("vs: got %d frames, configured for %d", len(s.frames), s.app.nFrames)
 	}
+	var snapState func(string, pipeState)
+	if snap != nil {
+		snap("decode", pipeState{phase: phaseDecode})
+		snapState = func(name string, st pipeState) { snap(name, st) }
+	}
 	retained, err := decode(s.app, s.frames, m)
 	if err != nil {
 		return nil, err
-	}
-	var snapState func(string, pipeState)
-	if snap != nil {
-		snapState = func(name string, st pipeState) { snap(name, st) }
 	}
 	res, err := s.app.runFrom(pipeState{frames: retained}, m, snapState, snap == nil)
 	if err != nil {
@@ -57,17 +60,38 @@ func (s *stagedApp) RunFull(m *fault.Machine, snap func(name string, state any))
 	return res.Encode(), nil
 }
 
-// Resume executes the stages from the checkpointed boundary onward on
-// a value copy of the shared golden state. The snapshot's slices are
-// capacity-capped, so the copy's appends allocate fresh storage and
-// the golden snapshot — including the decoded frames, which therefore
-// must not be recycled — is never mutated.
-func (s *stagedApp) Resume(m *fault.Machine, state any) ([]byte, error) {
+// start returns the pipeline state a run entering at state executes
+// from. For the decode boundary that is freshly decoded frames, which
+// belong to this run alone (owned), so the run may recycle them; any
+// later boundary's state is shared with the golden run and returned
+// as is.
+func (s *stagedApp) start(m *fault.Machine, state any) (st pipeState, owned bool, err error) {
 	st, ok := state.(pipeState)
 	if !ok {
-		return nil, fmt.Errorf("vs: resume state is %T, want pipeState", state)
+		return st, false, fmt.Errorf("vs: resume state is %T, want pipeState", state)
 	}
-	res, err := s.app.runFrom(st, m, nil, false)
+	if st.phase != phaseDecode {
+		return st, false, nil
+	}
+	frames, err := decode(s.app, s.frames, m)
+	if err != nil {
+		return st, false, err
+	}
+	return pipeState{frames: frames}, true, nil
+}
+
+// Resume executes the stages from the checkpointed boundary onward. A
+// later boundary's shared golden state is used through a value copy:
+// the snapshot's slices are capacity-capped, so the copy's appends
+// allocate fresh storage and the golden snapshot — including the
+// decoded frames, which therefore must not be recycled — is never
+// mutated.
+func (s *stagedApp) Resume(m *fault.Machine, state any) ([]byte, error) {
+	st, owned, err := s.start(m, state)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.app.runFrom(st, m, nil, owned)
 	if err != nil {
 		return nil, err
 	}
@@ -91,12 +115,12 @@ func (s *stagedApp) PrepareResume(state any) any {
 // plan (when the boundary is the composite) and the convergence guard,
 // consulted at every stage boundary the resumed suffix crosses.
 func (s *stagedApp) ResumeGuarded(m *fault.Machine, state, prep any, guard fault.BoundaryGuard) ([]byte, bool, error) {
-	st, ok := state.(pipeState)
-	if !ok {
-		return nil, false, fmt.Errorf("vs: resume state is %T, want pipeState", state)
+	st, owned, err := s.start(m, state)
+	if err != nil {
+		return nil, false, err
 	}
 	plan, _ := prep.(*stitch.CompositePlan)
-	res, converged, err := s.app.runFromGuarded(st, m, nil, guard, plan, false)
+	res, converged, err := s.app.runFromGuarded(st, m, nil, guard, plan, owned)
 	if converged {
 		return nil, true, nil
 	}

@@ -206,11 +206,14 @@ func (a *App) Run(frames []*imgproc.Gray, s probe.Sink) (*stitch.Result, error) 
 
 // Pipeline phases, in execution order. A pipeState snapshot taken at
 // phase p with its progress counters is exactly the state a resumed
-// run needs to execute everything from p onward.
+// run needs to execute everything from p onward. phaseDecode sits below
+// zero so that a pipeState holding freshly decoded frames needs no
+// explicit phase; only the staged app's tap-zero boundary uses it.
 const (
-	phaseFeatures  int8 = iota // per-frame FAST+ORB detection
-	phasePairs                 // pairwise registration (match + RANSAC)
-	phaseComposite             // warp + blend onto mini-panoramas
+	phaseDecode    int8 = iota - 1 // input decode (nothing produced yet)
+	phaseFeatures                  // per-frame FAST+ORB detection
+	phasePairs                     // pairwise registration (match + RANSAC)
+	phaseComposite                 // warp + blend onto mini-panoramas
 )
 
 // pipeState is the pipeline's resumable state between stages: which
@@ -242,9 +245,9 @@ func (st pipeState) snapshot() pipeState {
 // feature detection, the registration pass, then compositing. When
 // snap is non-nil it receives a labeled snapshot at every stage
 // boundary (before the boundary's first tap) — the golden checkpoint
-// capture. recycle returns decoded frames to the pool afterwards; it
-// must be false whenever snapshots (or a shared checkpoint the state
-// came from) still reference the frames.
+// capture. recycle returns decoded frames to the pool once the run
+// finishes or converges; it must be false whenever snapshots (or a
+// shared checkpoint the state came from) still reference the frames.
 func (a *App) runFrom(st pipeState, m probe.Sink, snap func(name string, st pipeState), recycle bool) (*stitch.Result, error) {
 	res, _, err := a.runFromGuarded(st, m, snap, nil, nil, recycle)
 	return res, err
@@ -262,7 +265,13 @@ func (a *App) runFromGuarded(st pipeState, m probe.Sink, snap func(name string, 
 		if snap != nil {
 			snap(name, st.snapshot())
 		}
-		return guard != nil && guard(name, st)
+		if guard == nil || !guard(name, st) {
+			return false
+		}
+		if recycle {
+			recycleFrames(st.frames)
+		}
+		return true
 	}
 	if st.phase == phaseFeatures {
 		if len(st.frames) == 0 {
@@ -302,11 +311,16 @@ func (a *App) runFromGuarded(st pipeState, m probe.Sink, snap func(name string, 
 	// trial's decode. (A crashed trial unwinds past this and simply
 	// leaves its frames to the GC.)
 	if recycle {
-		for _, f := range st.frames {
-			putFrame(f)
-		}
+		recycleFrames(st.frames)
 	}
 	return res, false, err
+}
+
+// recycleFrames returns a run's decoded frames to the frame pool.
+func recycleFrames(frames []*imgproc.Gray) {
+	for _, f := range frames {
+		putFrame(f)
+	}
 }
 
 // framePool recycles decoded frame buffers across Run calls — the

@@ -1,6 +1,7 @@
 package vs
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -377,5 +378,59 @@ func BenchmarkVSInstrumented(b *testing.B) {
 		if _, err := app.Run(frames, fault.New()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestStagedDecodeBoundary checks the tap-zero decode checkpoint: it
+// leads the golden checkpoint stream with all-zero counters and a
+// phase-only state, so CheckpointIndexFor never returns -1 for any
+// class/region plan of the vs golden, and a golden trial resumed there
+// — plain or guarded — reproduces the golden output or converges at
+// features[0].
+func TestStagedDecodeBoundary(t *testing.T) {
+	app := New(DefaultConfig(AlgVS), 8)
+	staged := app.Staged(inputFrames(t, 8)).(fault.BatchStagedApp)
+	golden, err := fault.CaptureGoldenStaged(staged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := golden.Checkpoints[0]
+	if cp.Name != "decode" || cp.Counters != (fault.TapCounters{}) {
+		t.Fatalf("first checkpoint = %q at %+v, want decode at zero counters", cp.Name, cp.Counters)
+	}
+	if st, ok := cp.State.(pipeState); !ok || st.phase != phaseDecode || st.frames != nil {
+		t.Fatalf("decode checkpoint state = %+v, want a phase-only state", cp.State)
+	}
+	for _, class := range []fault.Class{fault.GPR, fault.FPR} {
+		for r := fault.Region(0); r <= fault.NumRegions; r++ {
+			region := r
+			if r == fault.NumRegions {
+				region = fault.RAny
+			}
+			taps := golden.Taps(class, region)
+			if taps == 0 {
+				continue // no sites for this class in this region
+			}
+			for _, site := range []uint64{0, taps / 2, taps - 1} {
+				p := fault.Plan{Class: class, Region: region, Site: site}
+				if golden.CheckpointIndexFor(p) < 0 {
+					t.Errorf("CheckpointIndexFor(%v) = -1", p)
+				}
+			}
+		}
+	}
+
+	out, err := staged.Resume(fault.New(), cp.State)
+	if err != nil || !bytes.Equal(out, golden.Output) {
+		t.Fatalf("resume from decode: err=%v, output equal=%v", err, bytes.Equal(out, golden.Output))
+	}
+	m := fault.New()
+	var at string
+	_, converged, err := staged.ResumeGuarded(m, cp.State, nil, func(name string, state any) bool {
+		at = name
+		return m.Counters() == golden.Checkpoints[1].Counters && staged.StateEqual(golden.Checkpoints[1].State, state)
+	})
+	if err != nil || !converged || at != "features[0]" {
+		t.Fatalf("guarded resume from decode: converged=%v at %q err=%v, want convergence at features[0]", converged, at, err)
 	}
 }

@@ -194,6 +194,40 @@ func TestCampaignBatchingEquivalenceMatrix(t *testing.T) {
 	}
 }
 
+// TestCampaignBatchingRegionSweep extends the matrix's RAny guard to
+// every region with taps: for both classes, batching on (with its
+// suffix cutoffs) at GOMAXPROCS workers must match the classic
+// baseline (batching off, one worker), retained SDC bytes included.
+// Region-scoped plans are where the window clip fires — RApp has a
+// single tap, so its plans close at the golden run's last in-scope tap
+// — and decode-region plans are where the tap-zero decode boundary
+// turns full runs into bucketed, guarded resumes.
+func TestCampaignBatchingRegionSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign equivalence sweep is not -short")
+	}
+	defer fastpath.SetBatching(true)
+	var runner campaign.Runner
+	for _, class := range []fault.Class{fault.GPR, fault.FPR} {
+		for r := fault.Region(0); r < fault.NumRegions; r++ {
+			label := fmt.Sprintf("class=%v region=%v", class, r)
+			classic, batched := skipGuardSpec(class, r, 1), skipGuardSpec(class, r, runtime.GOMAXPROCS(0))
+			classic.Trials, batched.Trials = 100, 100
+			fastpath.SetBatching(false)
+			base, errBase := runner.Run(context.Background(), classic)
+			fastpath.SetBatching(true)
+			got, errGot := runner.Run(context.Background(), batched)
+			if errors.Is(errBase, fault.ErrNoTaps) && errors.Is(errGot, fault.ErrNoTaps) {
+				continue // this region has no sites for this class
+			}
+			if errBase != nil || errGot != nil {
+				t.Fatalf("%s: classic err=%v batched err=%v", label, errBase, errGot)
+			}
+			requireIdenticalWithOutputs(t, label, base.Fault, got.Fault)
+		}
+	}
+}
+
 // TestCampaignBatchingSchedStats sanity-checks the exported scheduler
 // statistics: a batched run of the guard workload must actually bucket
 // trials (the whole point of the scheduler) and report the restore
@@ -244,6 +278,7 @@ func TestCampaignBatchingSchedStats(t *testing.T) {
 // layout.
 var checkpointDigests = map[int]uint64{
 	1: 0x3cf855ea88b931ae,
+	2: 0xf5846b630bab54a7, // adds the tap-zero "decode" boundary
 }
 
 // TestCheckpointSchemaDrift fails when the golden stage-boundary tap
