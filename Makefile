@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt vet build test race identity determinism vsbench-smoke bench bench-json fabric-smoke clean
+.PHONY: all check fmt vet build test race identity determinism vsbench-smoke bench bench-json fabric-smoke fuzz clean
 
 all: check
 
@@ -65,10 +65,17 @@ bench:
 
 # fabric-smoke drives the in-process cluster: an HTTP coordinator, two
 # live workers, one worker killed mid-campaign (lease expiry +
-# reassignment), and a coordinator restart from its journal — all under
-# the race detector. Fast enough to run before pushing fabric changes.
+# reassignment), and a coordinator restart from its journal — plus the
+# shared journal's own tests — all under the race detector. Fast enough
+# to run before pushing fabric changes.
 fabric-smoke:
-	$(GO) test -race -count=1 -run 'TestCluster|TestCoordinatorRestart' ./internal/fabric/
+	$(GO) test -race -count=1 -run 'TestCluster|TestCoordinatorRestart|TestLog|TestReplay|TestRewrite' ./internal/fabric/ ./internal/journal/
+
+# fuzz runs journal replay on arbitrary bytes and on valid journals cut
+# at every byte: replay must never panic, and a cut journal must replay
+# to a prefix of its records.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime 20s ./internal/journal/
 
 # bench-json refreshes the "after" section of the committed benchmark
 # ledger from the root-package perf benchmarks (the figure harness

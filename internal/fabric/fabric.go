@@ -5,8 +5,8 @@
 // one-round plan.Static for a fixed budget, plan.Adaptive for a
 // confidence-driven one), splits each round into plan-carrying
 // round-shards and leases them to worker vsds over HTTP. Leases carry
-// deadlines and are journaled (the same JSONL fold-and-compact shape
-// as internal/service's job journal), so a dead worker's shard is
+// deadlines and are journaled (in the internal/journal Log that also
+// backs internal/service's job queue), so a dead worker's shard is
 // reassigned after its lease expires and a restarted coordinator
 // replays its lease table instead of starting over. When every shard
 // is leased, an idle worker steals the shard with the most remaining

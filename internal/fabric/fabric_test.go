@@ -20,6 +20,7 @@ import (
 	"vsresil/internal/campaign"
 	"vsresil/internal/fastpath"
 	"vsresil/internal/fault"
+	"vsresil/internal/journal"
 )
 
 // toyApp mirrors the campaign package's miniature workload: a
@@ -682,9 +683,11 @@ func TestShardResultValidation(t *testing.T) {
 	}
 }
 
-// TestCompactJournalKeepsOldOnError: a snapshot record that cannot be
-// encoded fails the compaction and leaves the live journal untouched,
-// instead of renaming a truncated snapshot over it.
+// TestCompactJournalKeepsOldOnError: a coordinator snapshot record
+// that cannot be encoded fails the startup compaction and leaves the
+// live journal untouched, instead of renaming a truncated snapshot over
+// it. internal/journal's TestRewriteKeepsOldOnError covers the shared
+// rewrite for both daemons.
 func TestCompactJournalKeepsOldOnError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fabric.journal")
 	live := []byte(`{"op":"campaign","campaign":"c1","spec":{"algorithm":"toy","class":"gpr","trials":60},"shards":2}` + "\n")
@@ -694,7 +697,7 @@ func TestCompactJournalKeepsOldOnError(t *testing.T) {
 	good := newCamp("c1", toyWireSpec(), 2)
 	bad := adaptiveWireSpec()
 	bad.Precision = math.NaN() // JSON cannot encode NaN
-	if err := compactJournal(path, []*camp{good, newCamp("c2", bad, 2)}); err == nil {
+	if _, err := journal.Open(path, snapshotRecords([]*camp{good, newCamp("c2", bad, 2)})); err == nil {
 		t.Fatal("compaction of an unencodable snapshot reported success")
 	}
 	got, err := os.ReadFile(path)

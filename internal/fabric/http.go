@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"vsresil/internal/journal"
 )
 
 // Mount attaches the coordinator API to a mux (the vsd service mounts
@@ -146,6 +148,8 @@ func writeFabricError(w http.ResponseWriter, err error) {
 		code = http.StatusConflict
 	case errors.Is(err, ErrClosed):
 		code = http.StatusServiceUnavailable
+	case errors.Is(err, journal.ErrWrite):
+		code = http.StatusInternalServerError
 	}
 	writeFabricJSON(w, code, map[string]string{"error": err.Error()})
 }

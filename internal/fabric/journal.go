@@ -1,21 +1,18 @@
 package fabric
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
-	"os"
 	"strconv"
-	"sync"
 	"time"
 
 	"vsresil/internal/fault"
+	"vsresil/internal/journal"
 )
 
-// The coordinator journal follows internal/service's JSONL shape: one
-// op-tagged record per line, folded on replay, compacted to a snapshot
-// after every successful replay so restarts never re-read unbounded
-// lease churn. The ops:
+// The coordinator journal is an internal/journal Log, like the
+// service's: one op-tagged record per line, folded on replay, compacted
+// to a snapshot after every successful replay so restarts never re-read
+// unbounded lease churn. The ops:
 //
 //	{"op":"campaign","campaign":"c1","spec":{...},"shards":4}
 //	{"op":"round","campaign":"c1","round":1,"windows":[[24,36],[36,48]]}
@@ -24,9 +21,11 @@ import (
 //	{"op":"state","campaign":"c1","state":"done","result":{...}}
 //
 // A shard record is the commit point of "first journaled result wins":
-// the coordinator writes it under its mutex before acknowledging a
-// completion, so replay (which keeps the first shard record per index
-// and drops the rest) agrees with the live tie-break.
+// the coordinator commits (fsyncs) it under its mutex before it marks
+// the shard done or acknowledges the completion, so replay (which
+// keeps the first shard record per index and drops the rest) agrees
+// with the live tie-break. Terminal state records are committed too;
+// campaign, round and lease records are flushed only.
 //
 // Round records exist only for adaptive campaigns: each one appends
 // the round's shard windows to the campaign's shard table, so replayed
@@ -53,110 +52,39 @@ type record struct {
 	Windows  [][2]int            `json:"windows,omitempty"`
 }
 
-// journal serializes appends; a nil *journal (no path configured) is a
-// valid no-op sink, so in-memory coordinators skip every durability
-// branch.
-type journal struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
-}
-
-func openJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: open journal: %w", err)
-	}
-	return &journal{f: f, w: bufio.NewWriter(f)}, nil
-}
-
-func (jl *journal) append(rec record) {
-	if jl == nil {
-		return
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if jl.f == nil {
-		return
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return // unserializable record: skip rather than wedge the cluster
-	}
-	jl.w.Write(data)
-	jl.w.WriteByte('\n')
-	jl.w.Flush()
-}
-
-func (jl *journal) close() error {
-	if jl == nil {
-		return nil
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if jl.f == nil {
-		return nil
-	}
-	jl.w.Flush()
-	err := jl.f.Close()
-	jl.f = nil
-	return err
-}
-
 // replayJournal folds the journal into the coordinator's campaign
-// table. Missing file means a fresh start; malformed lines (a torn
-// final write) are skipped, not fatal. Live leases are restored with
-// their journaled deadlines — expired ones are swept by the normal
-// reassignment path once the coordinator runs.
+// table. Live leases are restored with their journaled deadlines —
+// expired ones are swept by the normal reassignment path once the
+// coordinator runs.
 func replayJournal(path string) (camps []*camp, maxCampSeq, maxLeaseSeq int, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, 0, 0, nil
-	}
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("fabric: open journal for replay: %w", err)
-	}
-	defer f.Close()
-
 	byID := make(map[string]*camp)
-	var order []*camp
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // shard records carry SDC bytes
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec record
-		if json.Unmarshal(line, &rec) != nil {
-			continue
-		}
+	err = journal.Replay(path, func(rec record) {
 		switch rec.Op {
 		case "campaign":
 			if rec.Spec == nil || rec.Campaign == "" || rec.Spec.Validate() != nil || rec.Shards < 1 {
-				continue
+				return
 			}
 			if byID[rec.Campaign] != nil {
-				continue
+				return
 			}
 			cm := newCamp(rec.Campaign, *rec.Spec, rec.Shards)
 			byID[rec.Campaign] = cm
-			order = append(order, cm)
+			camps = append(camps, cm)
 			maxCampSeq = maxSeq(maxCampSeq, rec.Campaign, "c")
 		case "round":
 			cm := byID[rec.Campaign]
 			if cm == nil || !cm.spec.Adaptive || len(rec.Windows) == 0 {
-				continue
+				return
 			}
 			cm.addRound(rec.Round, rec.Windows)
 		case "lease":
 			cm := byID[rec.Campaign]
 			if cm == nil || rec.Shard < 0 || rec.Shard >= len(cm.shards) || rec.Deadline == nil {
-				continue
+				return
 			}
 			sh := cm.shards[rec.Shard]
 			if sh.done {
-				continue
+				return
 			}
 			sh.leases[rec.Lease] = &lease{
 				id: rec.Lease, campaign: cm.id, shard: rec.Shard,
@@ -166,14 +94,14 @@ func replayJournal(path string) (camps []*camp, maxCampSeq, maxLeaseSeq int, err
 		case "shard":
 			cm := byID[rec.Campaign]
 			if cm == nil || rec.Shard < 0 || rec.Shard >= len(cm.shards) {
-				continue
+				return
 			}
 			sh := cm.shards[rec.Shard]
 			if sh.done {
-				continue // first journaled result wins
+				return // first journaled result wins
 			}
 			sh.done = true
-			sh.recs = dedupRecords(rec.Recs)
+			sh.recs = fault.DedupRecords(rec.Recs)
 			sh.sdc = rec.SDC
 			sh.leases = make(map[string]*lease)
 			cm.doneShards++
@@ -184,11 +112,11 @@ func replayJournal(path string) (camps []*camp, maxCampSeq, maxLeaseSeq int, err
 				cm.resultJSON = rec.Result
 			}
 		}
+	})
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, 0, fmt.Errorf("fabric: replay journal: %w", err)
-	}
-	return order, maxCampSeq, maxLeaseSeq, nil
+	return camps, maxCampSeq, maxLeaseSeq, nil
 }
 
 // maxSeq folds an id of the form "<prefix><n>" into a running max.
@@ -200,37 +128,6 @@ func maxSeq(cur int, id, prefix string) int {
 		return n
 	}
 	return cur
-}
-
-// dedupRecords sorts records by plan index and keeps the first of any
-// duplicates — the resume path rejects duplicate indices outright, so
-// a journal that double-recorded a trial (e.g. a compaction racing an
-// append) must fold cleanly here.
-func dedupRecords(recs []fault.TrialRecord) []fault.TrialRecord {
-	if len(recs) == 0 {
-		return nil
-	}
-	out := append([]fault.TrialRecord(nil), recs...)
-	sortRecords(out)
-	n := 1
-	for i := 1; i < len(out); i++ {
-		if out[i].Index != out[n-1].Index {
-			out[n] = out[i]
-			n++
-		}
-	}
-	return out[:n]
-}
-
-// sortRecords orders trial records by plan index (insertion over the
-// small per-shard slices the fabric moves; workers already send them
-// ordered, so this is usually a no-op verification pass).
-func sortRecords(recs []fault.TrialRecord) {
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j].Index < recs[j-1].Index; j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
 }
 
 // snapshotRecords renders the folded campaign table back to journal
@@ -279,37 +176,4 @@ func snapshotRecords(camps []*camp) []record {
 		}
 	}
 	return recs
-}
-
-// compactJournal rewrites the snapshot to path atomically, dropping
-// the superseded lease/shard churn accumulated before a restart. The
-// snapshot is synced before it replaces the live journal; on any write
-// error the old journal stays in place.
-func compactJournal(path string, camps []*camp) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("fabric: compact journal: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for _, rec := range snapshotRecords(camps) {
-		if err = enc.Encode(rec); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fabric: compact journal: %w", err)
-	}
-	return os.Rename(tmp, path)
 }

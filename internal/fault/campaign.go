@@ -2,10 +2,12 @@ package fault
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -261,6 +263,19 @@ type TrialRecord struct {
 	Outcome Outcome   `json:"o"`
 	Crash   CrashKind `json:"c,omitempty"`
 	Landed  bool      `json:"l,omitempty"`
+}
+
+// DedupRecords returns a copy of recs ordered by plan index, keeping
+// the first record of any index that occurs more than once. Journal
+// replay folds checkpoints through it: a compaction racing an append
+// can record a trial twice, and resume rejects duplicate indices.
+func DedupRecords(recs []TrialRecord) []TrialRecord {
+	if len(recs) == 0 {
+		return nil
+	}
+	out := slices.Clone(recs)
+	slices.SortStableFunc(out, func(a, b TrialRecord) int { return cmp.Compare(a.Index, b.Index) })
+	return slices.CompactFunc(out, func(a, b TrialRecord) bool { return a.Index == b.Index })
 }
 
 // Trial records one injection experiment.

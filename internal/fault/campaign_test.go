@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -420,5 +421,32 @@ func BenchmarkCampaignToyApp(b *testing.B) {
 		}, toyApp); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDedupRecords: records come back in plan-index order with the
+// first record of a repeated index kept, and the input is untouched.
+func TestDedupRecords(t *testing.T) {
+	in := []TrialRecord{
+		{Index: 3, Outcome: OutcomeSDC},
+		{Index: 1, Outcome: OutcomeCrash, Crash: CrashSegv},
+		{Index: 3, Outcome: OutcomeMask},
+		{Index: 0, Outcome: OutcomeHang},
+		{Index: 1, Outcome: OutcomeMask},
+	}
+	orig := append([]TrialRecord(nil), in...)
+	want := []TrialRecord{
+		{Index: 0, Outcome: OutcomeHang},
+		{Index: 1, Outcome: OutcomeCrash, Crash: CrashSegv},
+		{Index: 3, Outcome: OutcomeSDC},
+	}
+	if got := DedupRecords(in); !reflect.DeepEqual(got, want) {
+		t.Errorf("DedupRecords = %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(in, orig) {
+		t.Errorf("DedupRecords modified its input: %v", in)
+	}
+	if got := DedupRecords(nil); got != nil {
+		t.Errorf("DedupRecords(nil) = %v, want nil", got)
 	}
 }

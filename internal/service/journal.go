@@ -1,18 +1,15 @@
 package service
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
-	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"vsresil/internal/fault"
+	"vsresil/internal/journal"
 )
 
-// The journal is an append-only JSONL file that makes the job queue
+// The service journal (an internal/journal Log) makes the job queue
 // durable. Every record is one line:
 //
 //	{"op":"job","job":{"id":"j1","seq":1,"spec":{...},"enqueued_at":...}}
@@ -25,7 +22,8 @@ import (
 // carrying its accumulated trial records so fault.RunCampaign resumes
 // instead of rerunning completed trials. On startup the journal is
 // compacted: the folded state is rewritten to a fresh file, dropping
-// superseded records.
+// superseded records. Terminal state records are the commit points and
+// are fsynced; the rest are flushed only.
 type journalRecord struct {
 	Op     string              `json:"op"`
 	ID     string              `json:"id,omitempty"`
@@ -43,165 +41,30 @@ type journalJob struct {
 	EnqueuedAt time.Time `json:"enqueued_at"`
 }
 
-// journal serializes appends; a nil *journal (no JournalPath) is a
-// valid no-op sink so in-memory services skip every durability branch.
-type journal struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	w    *bufio.Writer
-	// appended counts records written since the last compaction; the
-	// service rewrites the journal from live state once it crosses
-	// Config.CompactEvery, bounding replay work however long the
-	// daemon lives.
-	appended int
-}
-
-func openJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("service: open journal: %w", err)
-	}
-	return &journal{path: path, f: f, w: bufio.NewWriter(f)}, nil
-}
-
-func (jl *journal) append(rec journalRecord) {
-	if jl == nil {
-		return
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if jl.f == nil {
-		return
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return // unserializable record: skip rather than wedge the queue
-	}
-	jl.w.Write(data)
-	jl.w.WriteByte('\n')
-	jl.w.Flush()
-	jl.appended++
-}
-
-// appendedSinceCompact reports how many records landed since the last
-// rewrite.
-func (jl *journal) appendedSinceCompact() int {
-	if jl == nil {
-		return 0
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	return jl.appended
-}
-
-// rewrite atomically replaces the journal with the folded live state
-// and reopens it for appending. An append racing the snapshot may
-// re-land its record after the rewrite; replay dedups trial records by
-// index, so the worst case is a few redundant lines, never lost or
-// double-applied state.
-func (jl *journal) rewrite(recs []journalRecord) error {
-	if jl == nil {
-		return nil
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if jl.f == nil {
-		return nil
-	}
-	jl.w.Flush()
-	if err := writeJournalFile(jl.path, recs); err != nil {
-		return err
-	}
-	jl.f.Close()
-	f, err := os.OpenFile(jl.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		jl.f = nil
-		return fmt.Errorf("service: reopen compacted journal: %w", err)
-	}
-	jl.f = f
-	jl.w = bufio.NewWriter(f)
-	jl.appended = 0
-	return nil
-}
-
-func (jl *journal) job(j *Job) {
-	jl.append(journalRecord{Op: "job", Job: &journalJob{
+func jobRecord(j *Job) journalRecord {
+	return journalRecord{Op: "job", Job: &journalJob{
 		ID: j.ID, Seq: j.seq, Spec: j.Spec, EnqueuedAt: j.EnqueuedAt,
-	}})
-}
-
-func (jl *journal) state(id string, s JobState, errMsg string) {
-	jl.append(journalRecord{Op: "state", ID: id, State: s, Err: errMsg})
-}
-
-func (jl *journal) trials(id string, recs []fault.TrialRecord) {
-	if len(recs) == 0 {
-		return
-	}
-	jl.append(journalRecord{Op: "trials", ID: id, Recs: recs})
-}
-
-func (jl *journal) result(id string, result json.RawMessage) {
-	jl.append(journalRecord{Op: "result", ID: id, Result: result})
-}
-
-func (jl *journal) close() error {
-	if jl == nil {
-		return nil
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if jl.f == nil {
-		return nil
-	}
-	jl.w.Flush()
-	err := jl.f.Close()
-	jl.f = nil
-	return err
+	}}
 }
 
 // replayJournal reads a journal and folds it into jobs, ordered by
-// enqueue sequence. Missing file means a fresh start. Malformed lines
-// (e.g. a torn final write from a crash) are skipped, not fatal.
+// enqueue sequence. Records the fold cannot place (an unknown job, an
+// invalid spec) are ignored.
 func replayJournal(path string) (jobs []*Job, maxSeq int, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("service: open journal for replay: %w", err)
-	}
-	defer f.Close()
-
 	byID := make(map[string]*Job)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // results can be large lines
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec journalRecord
-		if json.Unmarshal(line, &rec) != nil {
-			continue
-		}
+	err = journal.Replay(path, func(rec journalRecord) {
 		switch rec.Op {
 		case "job":
-			if rec.Job == nil || rec.Job.ID == "" {
-				continue
+			if rec.Job == nil || rec.Job.ID == "" || rec.Job.Spec.Validate() != nil {
+				return
 			}
-			if rec.Job.Spec.Validate() != nil {
-				continue
-			}
-			j := &Job{
+			byID[rec.Job.ID] = &Job{
 				ID:         rec.Job.ID,
 				seq:        rec.Job.Seq,
 				Spec:       rec.Job.Spec,
 				State:      StateQueued,
 				EnqueuedAt: rec.Job.EnqueuedAt,
 			}
-			byID[j.ID] = j
 		case "state":
 			if j := byID[rec.ID]; j != nil {
 				j.State = rec.State
@@ -216,9 +79,9 @@ func replayJournal(path string) (jobs []*Job, maxSeq int, err error) {
 				j.Result = rec.Result
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("service: replay journal: %w", err)
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 
 	for _, j := range byID {
@@ -233,7 +96,7 @@ func replayJournal(path string) (jobs []*Job, maxSeq int, err error) {
 		// Runtime compaction can race a checkpoint append and leave a
 		// trial recorded both in the snapshot and after it; the resume
 		// path rejects duplicate indices, so fold them here.
-		j.resume = dedupTrialRecords(j.resume)
+		j.resume = fault.DedupRecords(j.resume)
 		if j.Spec.Type == JobCampaign && j.Spec.Campaign != nil {
 			j.Progress = Progress{Done: len(j.resume), Total: j.Spec.Campaign.Trials}
 		} else {
@@ -248,23 +111,6 @@ func replayJournal(path string) (jobs []*Job, maxSeq int, err error) {
 	return jobs, maxSeq, nil
 }
 
-// dedupTrialRecords sorts checkpoint records by plan index and keeps
-// the first occurrence of each.
-func dedupTrialRecords(recs []fault.TrialRecord) []fault.TrialRecord {
-	if len(recs) == 0 {
-		return nil
-	}
-	sort.SliceStable(recs, func(a, b int) bool { return recs[a].Index < recs[b].Index })
-	n := 1
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Index != recs[n-1].Index {
-			recs[n] = recs[i]
-			n++
-		}
-	}
-	return recs[:n]
-}
-
 // snapshotRecords renders jobs back to the minimal journal record set
 // that replays to the same state: one job record each, the latest
 // checkpoints, the state if it moved past queued, and the result.
@@ -273,9 +119,7 @@ func dedupTrialRecords(recs []fault.TrialRecord) []fault.TrialRecord {
 func snapshotRecords(jobs []*Job) []journalRecord {
 	var recs []journalRecord
 	for _, j := range jobs {
-		recs = append(recs, journalRecord{Op: "job", Job: &journalJob{
-			ID: j.ID, Seq: j.seq, Spec: j.Spec, EnqueuedAt: j.EnqueuedAt,
-		}})
+		recs = append(recs, jobRecord(j))
 		if len(j.resume) > 0 {
 			recs = append(recs, journalRecord{Op: "trials", ID: j.ID, Recs: j.resume})
 		}
@@ -287,32 +131,4 @@ func snapshotRecords(jobs []*Job) []journalRecord {
 		}
 	}
 	return recs
-}
-
-// writeJournalFile writes records to path atomically via a temp file.
-func writeJournalFile(path string, recs []journalRecord) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("service: compact journal: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for i := range recs {
-		enc.Encode(recs[i])
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("service: compact journal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("service: compact journal: %w", err)
-	}
-	return os.Rename(tmp, path)
-}
-
-// compactJournal rewrites the folded job state to path atomically,
-// dropping superseded records accumulated before the restart.
-func compactJournal(path string, jobs []*Job) error {
-	return writeJournalFile(path, snapshotRecords(jobs))
 }

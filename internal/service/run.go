@@ -159,11 +159,13 @@ func (s *Service) execute(ctx context.Context, j *Job) {
 	errMsg := j.Err
 	s.mu.Unlock()
 
+	// A failed journal write latches in the Log and is returned by
+	// Shutdown; the job itself already finished.
 	if state.terminal() {
 		if raw != nil && state == StateDone {
-			s.journal.result(j.ID, raw)
+			_ = s.journal.Append(journalRecord{Op: "result", ID: j.ID, Result: raw})
 		}
-		s.journal.state(j.ID, state, errMsg)
+		_ = s.journal.Commit(journalRecord{Op: "state", ID: j.ID, State: state, Err: errMsg})
 		s.maybeCompact()
 	}
 	s.metrics.jobFinished(j.Spec.Type, state, elapsed)
@@ -319,7 +321,9 @@ func (s *Service) runCampaign(ctx context.Context, j *Job) (any, error) {
 	// guarded by s.mu alongside the job's progress.
 	var pendingRecs []fault.TrialRecord
 	flush := func(recs []fault.TrialRecord) {
-		s.journal.trials(j.ID, recs)
+		if len(recs) > 0 {
+			_ = s.journal.Append(journalRecord{Op: "trials", ID: j.ID, Recs: recs}) // a failure latches; Shutdown returns it
+		}
 		s.maybeCompact()
 	}
 	onTrial := func(rec fault.TrialRecord) {

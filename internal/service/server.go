@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+
+	"vsresil/internal/journal"
 )
 
 // Handler returns the service's HTTP API:
@@ -110,6 +112,8 @@ func statusFor(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, ErrShuttingDown):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, journal.ErrWrite):
+		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
 	}

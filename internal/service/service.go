@@ -12,6 +12,7 @@ import (
 
 	"vsresil/internal/campaign"
 	"vsresil/internal/fabric"
+	"vsresil/internal/journal"
 )
 
 // Config parameterizes a Service.
@@ -44,7 +45,7 @@ type Config struct {
 // journals everything needed to survive a restart.
 type Service struct {
 	cfg     Config
-	journal *journal
+	journal *journal.Log[journalRecord]
 	metrics *metrics
 
 	baseCtx    context.Context
@@ -110,10 +111,7 @@ func New(cfg Config) (*Service, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := compactJournal(cfg.JournalPath, replayed); err != nil {
-			return nil, err
-		}
-		jl, err := openJournal(cfg.JournalPath)
+		jl, err := journal.Open(cfg.JournalPath, snapshotRecords(replayed))
 		if err != nil {
 			return nil, err
 		}
@@ -157,13 +155,19 @@ func (s *Service) Enqueue(spec JobSpec) (JobStatus, error) {
 	} else {
 		j.Progress = Progress{Total: 1}
 	}
+	// Journaled under s.mu before the job is visible: no worker can
+	// journal a state or result for it ahead of its job record, which
+	// replay would drop.
+	if err := s.journal.Append(jobRecord(j)); err != nil {
+		s.mu.Unlock()
+		return JobStatus{}, err
+	}
 	s.jobs[j.ID] = j
 	heap.Push(&s.pending, j)
 	st := j.status()
 	s.cond.Signal()
 	s.mu.Unlock()
 
-	s.journal.job(j)
 	s.metrics.jobAccepted()
 	return st, nil
 }
@@ -247,7 +251,7 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 	st := j.status()
 	s.mu.Unlock()
 	if finished {
-		s.journal.state(j.ID, StateCanceled, "")
+		_ = s.journal.Commit(journalRecord{Op: "state", ID: j.ID, State: StateCanceled}) // a failure latches; Shutdown returns it
 		s.metrics.jobFinished(j.Spec.Type, StateCanceled, 0)
 	}
 	return st, nil
@@ -272,7 +276,8 @@ func (s *Service) gauges() gauges {
 // Shutdown drains the service: no new jobs are accepted, running job
 // contexts are canceled (campaigns checkpoint their completed trials
 // to the journal), and workers are awaited until ctx expires. The
-// journal is closed last, after every in-flight checkpoint write.
+// journal is closed last, after every in-flight checkpoint write; a
+// journal write that failed while the service ran is returned here.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -291,7 +296,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 	}
-	if cerr := s.journal.close(); err == nil {
+	if cerr := s.journal.Close(); err == nil {
 		err = cerr
 	}
 	return err
@@ -300,20 +305,25 @@ func (s *Service) Shutdown(ctx context.Context) error {
 // maybeCompact rewrites the journal from live job state once enough
 // records accumulated since the last compaction. Called from the
 // append-heavy paths; the check is one mutex and an int compare, the
-// rewrite itself is rare.
+// rewrite itself is rare. It holds s.mu from snapshot to rename, and
+// every other append either runs under s.mu (the job record) or
+// follows the state change it records, so no record can land in the
+// old file after the snapshot was taken: at worst it re-lands after
+// the rewrite, and replay folds the repeat.
 func (s *Service) maybeCompact() {
-	if s.journal == nil || s.journal.appendedSinceCompact() < s.cfg.CompactEvery {
+	if s.journal.Appended() < s.cfg.CompactEvery {
 		return
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	jobs := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		jobs = append(jobs, j)
 	}
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
-	recs := snapshotRecords(jobs)
-	s.mu.Unlock()
-	s.journal.rewrite(recs)
+	// A failed rewrite leaves the old journal in place and is retried
+	// on the next append.
+	_ = s.journal.Rewrite(snapshotRecords(jobs))
 }
 
 // worker pulls the highest-priority pending job and runs it.
@@ -336,7 +346,7 @@ func (s *Service) worker() {
 		s.busy++
 		s.mu.Unlock()
 
-		s.journal.state(j.ID, StateRunning, "")
+		_ = s.journal.Append(journalRecord{Op: "state", ID: j.ID, State: StateRunning}) // a failure latches; Shutdown returns it
 		s.execute(jctx, j)
 		cancel()
 
