@@ -33,14 +33,15 @@ race:
 	$(GO) test -race -timeout 45m ./...
 
 # identity pins the (identity scenario, vs summarizer) workload cell to
-# the committed golden digest across every execution strategy — prefix
-# skip, bucket batching, shard counts 1/2/5 and an in-process fabric
-# cluster — plus the byte-identity tests at the generator, adapter and
-# registry seams, and the per-region sweep of batched execution (with
-# its window clip and decode-boundary resumes) against classic trials.
-# Run it after touching any layer of the workload path.
+# the committed golden digest across every execution strategy — full
+# execution, unbucketed resumes, bucket batching, shard counts 1/2/5
+# and an in-process fabric cluster — plus the byte-identity tests at
+# the generator, adapter and registry seams, and the per-region sweep
+# (internal/fault) of batched execution, with its window clip and
+# decode-boundary resumes, against cutoff-free re-execution of every
+# plan. Run it after touching any layer of the workload path.
 identity:
-	$(GO) test -count=1 -run 'TestCampaignBatchingRegionSweep|TestIdentityCell|TestIdentityScenarioByteIdentical|TestVSAdapterByteIdentical|TestCellIdentityMatchesVSConstructor|TestVSConstructorKeyUnchanged' . ./internal/virat/ ./internal/summarize/ ./internal/campaign/
+	$(GO) test -count=1 -run 'TestCampaignBatchingRegionSweep|TestIdentityCell|TestIdentityScenarioByteIdentical|TestVSAdapterByteIdentical|TestCellIdentityMatchesVSConstructor|TestVSConstructorKeyUnchanged' . ./internal/virat/ ./internal/summarize/ ./internal/campaign/ ./internal/fault/
 
 # determinism pins the adaptive planner's reproducibility promise: the
 # confidence-driven trial set must be bit-identical across seeds,
@@ -90,7 +91,7 @@ fuzz:
 BENCH_JSON ?= BENCH_13.json
 BENCH_GATE ?= BenchmarkCampaignThroughput|BenchmarkAdaptiveCampaign
 bench-json:
-	$(GO) test -run '^$$' -bench 'Pipeline|CampaignThroughput|AdaptiveCampaign|CompositeTiled|BucketRestore' -benchtime 3x -cpu 2 . | tee bench.out
+	$(GO) test -run '^$$' -bench 'Pipeline|CampaignThroughput|AdaptiveCampaign|Composite|BucketRestore' -benchtime 3x -cpu 2 . | tee bench.out
 	$(GO) run ./cmd/benchdiff parse -label after -in bench.out -out $(BENCH_JSON)
 	$(GO) run ./cmd/benchdiff compare -in $(BENCH_JSON) -gate '$(BENCH_GATE)' -threshold 0.10
 	rm -f bench.out

@@ -11,7 +11,6 @@ import (
 	"vsresil/internal/campaign"
 	"vsresil/internal/energy"
 	"vsresil/internal/experiments"
-	"vsresil/internal/fastpath"
 	"vsresil/internal/fault"
 	"vsresil/internal/probe"
 	"vsresil/internal/stitch"
@@ -255,13 +254,12 @@ func BenchmarkAdaptiveCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkCompositeTiled measures the compositing stage alone — the
-// pipeline's hottest kernel — with the banded tile kernels on and off,
-// on the fault-free Nop path where tiling applies. The align state is
-// built once outside the timer; each iteration renders the panoramas
-// from scratch. Advisory only (see Makefile): single-core runners
-// collapse both variants to one band.
-func BenchmarkCompositeTiled(b *testing.B) {
+// BenchmarkComposite measures the compositing stage alone — the
+// pipeline's hottest kernel — on the fault-free Nop path, whose warp,
+// blend and resolve kernels run in GOMAXPROCS-bounded row bands. The
+// align state is built once outside the timer; each iteration renders
+// the panoramas from scratch. Advisory only (see Makefile).
+func BenchmarkComposite(b *testing.B) {
 	p := virat.BenchScale()
 	p.Frames = 12
 	frames := virat.Input2(p).Frames()
@@ -274,30 +272,21 @@ func BenchmarkCompositeTiled(b *testing.B) {
 	for a.Next < len(frames) {
 		st.AlignStep(feats, &a, probe.Nop{})
 	}
-	for _, tiled := range []bool{true, false} {
-		name := "tiled"
-		if !tiled {
-			name = "rowwise"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.Composite(frames, &a, probe.Nop{}); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			defer fastpath.SetTiling(true)
-			fastpath.SetTiling(tiled)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.Composite(frames, &a, probe.Nop{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
 // BenchmarkBucketRestore measures what checkpoint-bucket batching buys
 // on the campaign engine itself: the same 20-trial campaign executed
-// with the bucket scheduler (one checkpoint restore per bucket, plus
-// the suffix cutoffs it enables) versus classic per-trial restores.
-// Advisory only — the headline gate stays BenchmarkCampaignThroughput.
+// against the checkpointed golden (one checkpoint restore per bucket,
+// plus the convergence cutoff it enables) versus a golden with no
+// checkpoints, which runs every trial in full. Advisory only — the
+// headline gate stays BenchmarkCampaignThroughput.
 func BenchmarkBucketRestore(b *testing.B) {
 	p := virat.TestScale()
 	p.Frames = 8
@@ -305,26 +294,27 @@ func BenchmarkBucketRestore(b *testing.B) {
 	app := vs.New(vs.DefaultConfig(vs.AlgVS), len(frames))
 	workload := campaign.NewStagedWorkload("bench", "", app.RunEncoded(frames), app.Staged(frames))
 	const trialsPerCampaign = 20
-	golden, err := fault.CaptureGoldenStaged(workload.Staged)
+	staged, err := fault.CaptureGoldenStaged(workload.Staged)
+	if err != nil {
+		b.Fatal(err)
+	}
+	full, err := fault.CaptureGolden(workload.App)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var runner campaign.Runner
-	for _, batched := range []bool{true, false} {
-		name := "batched"
-		if !batched {
-			name = "classic"
-		}
-		b.Run(name, func(b *testing.B) {
-			defer fastpath.SetBatching(true)
-			fastpath.SetBatching(batched)
+	for _, arm := range []struct {
+		name   string
+		golden *fault.GoldenRun
+	}{{"batched", staged}, {"full", full}} {
+		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := runner.RunSharded(context.Background(), campaign.Spec{
 					Workload: workload, Class: fault.GPR, Region: fault.RAny,
 					Trials: trialsPerCampaign, Seed: uint64(i),
-					Golden: golden,
+					Golden: arm.golden,
 				}, 1)
 				if err != nil {
 					b.Fatal(err)

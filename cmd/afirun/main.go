@@ -189,7 +189,7 @@ func run() error {
 	fmt.Printf("rate-curve knee: ~%d injections\n", res.Curve.Knee(0.02))
 	if s := res.Sched; s.Batched > 0 {
 		fmt.Printf("bucket scheduler: %d trials in %d checkpoint buckets (%d restores saved, %d early-masked, %d converged)\n",
-			s.Batched, s.Buckets, s.RestoresSaved, s.EarlyMasks, s.Converged)
+			s.Batched, s.Buckets, s.Batched-s.Buckets, s.EarlyMasks, s.Converged)
 	}
 	fmt.Printf("campaign wall time: %s (%.1f trials/s)\n",
 		crun.Elapsed.Round(time.Millisecond), float64(crun.Executed)/crun.Elapsed.Seconds())

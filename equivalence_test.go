@@ -1,9 +1,11 @@
-// Campaign-level bit-exactness guards for the per-trial fast path and
-// the probe.Sink instrumentation seam: the scanline warp kernel, the
-// pooled trial arenas, the golden-run cache and the choice of sink
-// (fault machine, Nop, Meter) must not change a single campaign
-// observable — outcome counts, crash kinds, coverage histograms,
-// golden bytes or any per-trial verdict — for a fixed seed.
+// Campaign-level bit-exactness guards for the per-trial fast paths and
+// the probe.Sink instrumentation seam: the inert tiled kernels a fault
+// machine takes, the pooled trial arenas, the golden-run cache and the
+// choice of sink (fault machine, Nop, Meter) must not change a single
+// campaign observable — outcome counts, crash kinds, coverage
+// histograms, golden bytes or any per-trial verdict — for a fixed
+// seed. Each reference path is picked by the input: a sink that is not
+// a *fault.Machine runs every kernel's generic instrumented loop.
 package vsresil_test
 
 import (
@@ -13,7 +15,6 @@ import (
 	"runtime"
 	"testing"
 
-	"vsresil/internal/fastpath"
 	"vsresil/internal/fault"
 	"vsresil/internal/imgproc"
 	"vsresil/internal/probe"
@@ -21,17 +22,34 @@ import (
 	"vsresil/internal/vs"
 )
 
-// runGuardCampaign executes a fixed-seed campaign with the fast path
-// toggled as requested.
-func runGuardCampaign(t *testing.T, class fault.Class, fast bool, workers int, golden *fault.GoldenRun) *fault.Result {
-	t.Helper()
-	defer fastpath.SetEnabled(true)
-	fastpath.SetEnabled(fast)
+// genericSink hides a trial machine's concrete type behind
+// probe.Sink, so every kernel runs its generic instrumented loop — the
+// path a Meter takes — instead of the *fault.Machine fast paths, while
+// the taps still land on the machine.
+type genericSink struct{ probe.Sink }
 
-	p := virat.TestScale()
-	p.Frames = 8
-	frames := virat.Input2(p).Frames()
-	app := vs.New(vs.DefaultConfig(vs.AlgVS), len(frames))
+// genericApp is app.RunEncoded(frames) with every kernel on its
+// generic instrumented path.
+func genericApp(app *vs.App, frames []*imgproc.Gray) fault.App {
+	return func(m *fault.Machine) ([]byte, error) {
+		res, err := app.Run(frames, genericSink{m})
+		if err != nil {
+			return nil, err
+		}
+		return res.Encode(), nil
+	}
+}
+
+// runGuardCampaign executes a fixed-seed full-execution campaign over
+// the guard workload, with the kernels on their generic instrumented
+// loops when generic is set.
+func runGuardCampaign(t *testing.T, class fault.Class, generic bool, workers int, golden *fault.GoldenRun) *fault.Result {
+	t.Helper()
+	vsApp, frames := guardApp()
+	app := vsApp.RunEncoded(frames)
+	if generic {
+		app = genericApp(vsApp, frames)
+	}
 	res, err := fault.RunCampaign(context.Background(), fault.Config{
 		Trials:  40,
 		Class:   class,
@@ -39,9 +57,9 @@ func runGuardCampaign(t *testing.T, class fault.Class, fast bool, workers int, g
 		Seed:    0x5EED5,
 		Workers: workers,
 		Golden:  golden,
-	}, app.RunEncoded(frames))
+	}, app)
 	if err != nil {
-		t.Fatalf("campaign (class=%v fast=%v workers=%d): %v", class, fast, workers, err)
+		t.Fatalf("campaign (class=%v generic=%v workers=%d): %v", class, generic, workers, err)
 	}
 	return res
 }
@@ -82,17 +100,20 @@ func requireIdentical(t *testing.T, label string, a, b *fault.Result) {
 	}
 }
 
-// TestCampaignFastpathEquivalence pins the whole per-trial fast path
-// (scanline warp, pooled arenas, precomputed tables) to the reference
-// semantics at campaign granularity, for both register classes.
+// TestCampaignFastpathEquivalence pins the trial machine's fast path
+// (inert tiled warp/blend/resolve kernels, pooled arenas) to the
+// generic instrumented loops at campaign granularity, for both register
+// classes: the same app run through genericSink must reach the same
+// golden and the same verdict on every trial.
 func TestCampaignFastpathEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign equivalence sweep is not -short")
 	}
+	t.Parallel()
 	for _, class := range []fault.Class{fault.GPR, fault.FPR} {
-		fast := runGuardCampaign(t, class, true, 1, nil)
-		ref := runGuardCampaign(t, class, false, 1, nil)
-		requireIdentical(t, "fastpath on vs off, class "+class.String(), fast, ref)
+		fast := runGuardCampaign(t, class, false, 1, nil)
+		ref := runGuardCampaign(t, class, true, 1, nil)
+		requireIdentical(t, "machine vs generic sink, class "+class.String(), fast, ref)
 	}
 }
 
@@ -103,8 +124,9 @@ func TestCampaignWorkerEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign equivalence sweep is not -short")
 	}
-	serial := runGuardCampaign(t, fault.GPR, true, 1, nil)
-	parallel := runGuardCampaign(t, fault.GPR, true, runtime.GOMAXPROCS(0), nil)
+	t.Parallel()
+	serial := runGuardCampaign(t, fault.GPR, false, 1, nil)
+	parallel := runGuardCampaign(t, fault.GPR, false, runtime.GOMAXPROCS(0), nil)
 	requireIdentical(t, "workers=1 vs GOMAXPROCS", serial, parallel)
 }
 
@@ -134,6 +156,7 @@ func encodedRun(t *testing.T, s probe.Sink) []byte {
 // comparison in particular covers the hand-inlined clean warp kernels
 // against the instrumented reference loops.
 func TestSinkOutputEquivalence(t *testing.T) {
+	t.Parallel()
 	machine := encodedRun(t, fault.New())
 	nop := encodedRun(t, probe.Nop{})
 	meter := encodedRun(t, probe.NewMeter())
@@ -149,19 +172,6 @@ func TestSinkOutputEquivalence(t *testing.T) {
 	}
 }
 
-// TestSinkOutputEquivalenceNoFastpath repeats the sink comparison with
-// the scanline fast path disabled, so the clean and instrumented
-// variants of the reference warp kernels are pinned too.
-func TestSinkOutputEquivalenceNoFastpath(t *testing.T) {
-	defer fastpath.SetEnabled(true)
-	fastpath.SetEnabled(false)
-	machine := encodedRun(t, fault.New())
-	nop := encodedRun(t, probe.Nop{})
-	if !bytes.Equal(machine, nop) {
-		t.Errorf("plan-free machine vs Nop outputs differ with fastpath off (%d vs %d bytes)", len(machine), len(nop))
-	}
-}
-
 // TestCampaignOutcomeStreamEquivalence pins the injection half of the
 // seam: two identically-seeded campaigns must deliver the identical
 // ordered Mask/Crash/SDC/Hang outcome stream through OnTrial, and that
@@ -172,6 +182,7 @@ func TestCampaignOutcomeStreamEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign equivalence sweep is not -short")
 	}
+	t.Parallel()
 	stream := func() ([]fault.TrialRecord, *fault.Result) {
 		app, frames := guardApp()
 		var recs []fault.TrialRecord
@@ -216,15 +227,13 @@ func TestCampaignGoldenCacheEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign equivalence sweep is not -short")
 	}
-	p := virat.TestScale()
-	p.Frames = 8
-	frames := virat.Input2(p).Frames()
-	app := vs.New(vs.DefaultConfig(vs.AlgVS), len(frames))
+	t.Parallel()
+	app, frames := guardApp()
 	golden, err := fault.CaptureGolden(app.RunEncoded(frames))
 	if err != nil {
 		t.Fatalf("CaptureGolden: %v", err)
 	}
-	cached := runGuardCampaign(t, fault.GPR, true, 1, golden)
-	fresh := runGuardCampaign(t, fault.GPR, true, 1, nil)
+	cached := runGuardCampaign(t, fault.GPR, false, 1, golden)
+	fresh := runGuardCampaign(t, fault.GPR, false, 1, nil)
 	requireIdentical(t, "precomputed vs self-captured golden", cached, fresh)
 }

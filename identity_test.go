@@ -1,12 +1,13 @@
 // Identity-workload equivalence suite: the (identity scenario, vs
 // summarizer, VS) registry cell must produce byte-for-byte the golden
 // output the repo has always produced, and fault campaigns over it
-// must stay bit-identical across every execution strategy — the
-// golden-prefix skip, the bucket scheduler, shard decompositions and a
-// live fabric cluster. A pinned FNV-64a digest anchors the whole chain
-// to one constant: any drift in the generator, the summarizer seam,
-// the registry or an executor shows up as a digest mismatch here
-// before it can silently re-baseline the paper's numbers.
+// must stay bit-identical across every execution strategy — full
+// execution, per-trial checkpoint resumes, the bucket scheduler, shard
+// decompositions and a live fabric cluster. A pinned FNV-64a digest
+// anchors the whole chain to one constant: any drift in the generator,
+// the summarizer seam, the registry or an executor shows up as a
+// digest mismatch here before it can silently re-baseline the paper's
+// numbers.
 package vsresil_test
 
 import (
@@ -20,7 +21,6 @@ import (
 
 	"vsresil/internal/campaign"
 	"vsresil/internal/fabric"
-	"vsresil/internal/fastpath"
 	"vsresil/internal/fault"
 	"vsresil/internal/plan"
 	"vsresil/internal/virat"
@@ -64,6 +64,7 @@ func digestOf(b []byte) uint64 {
 // golden output matches the pinned digest and the historical VS
 // constructor byte-for-byte.
 func TestIdentityCellPinnedDigest(t *testing.T) {
+	t.Parallel()
 	w := identityWorkload(t)
 	golden, err := fault.CaptureGolden(w.App)
 	if err != nil {
@@ -89,53 +90,60 @@ func TestIdentityCellPinnedDigest(t *testing.T) {
 	}
 }
 
-// runIdentityCampaign executes the fixed identity campaign with the
-// requested shard count under the current fastpath switches.
-func runIdentityCampaign(t *testing.T, shards int) *campaign.Result {
+// identityCampaignSpec is the fixed identity campaign.
+func identityCampaignSpec(t *testing.T) campaign.Spec {
 	t.Helper()
-	var runner campaign.Runner
-	res, err := runner.RunSharded(context.Background(), campaign.Spec{
+	return campaign.Spec{
 		Workload: identityWorkload(t),
 		Class:    fault.GPR,
 		Region:   fault.RAny,
 		Trials:   identityTrials,
 		Seed:     identityAppSeed,
 		Workers:  2,
-	}, shards)
+	}
+}
+
+// runIdentitySpec executes spec with the requested shard count.
+func runIdentitySpec(t *testing.T, spec campaign.Spec, shards int) *campaign.Result {
+	t.Helper()
+	var runner campaign.Runner
+	res, err := runner.RunSharded(context.Background(), spec, shards)
 	if err != nil {
 		t.Fatalf("identity campaign (shards=%d): %v", shards, err)
 	}
 	return res
 }
 
+// runIdentityCampaign executes the fixed identity campaign with the
+// requested shard count.
+func runIdentityCampaign(t *testing.T, shards int) *campaign.Result {
+	t.Helper()
+	return runIdentitySpec(t, identityCampaignSpec(t), shards)
+}
+
 // TestIdentityCellExecutionModeEquivalence sweeps the execution
-// strategies — prefix-skip off, bucket batching off, shard counts 1, 2
-// and 5 — and demands every one reproduce the baseline run bit for
+// strategies the input selects — full execution (a checkpoint-free
+// golden), per-trial resumes without buckets (resumeOnly), shard counts
+// 1, 2 and 5 — and demands every one reproduce the baseline run bit for
 // bit, golden bytes still matching the pinned digest.
 func TestIdentityCellExecutionModeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("identity equivalence sweep is not -short")
 	}
-	defer func() {
-		fastpath.SetPrefixSkip(true)
-		fastpath.SetBatching(true)
-	}()
+	t.Parallel()
 
 	base := runIdentityCampaign(t, 1)
 	if d := digestOf(base.Fault.GoldenOutput); d != identityGoldenDigest {
 		t.Errorf("baseline campaign golden digest = %#016x, want %#016x", d, uint64(identityGoldenDigest))
 	}
 
-	fastpath.SetPrefixSkip(false)
-	noSkip := runIdentityCampaign(t, 1)
-	fastpath.SetPrefixSkip(true)
+	full := runIdentitySpec(t, fullExecution(t, identityCampaignSpec(t)), 1)
+	resumed := identityCampaignSpec(t)
+	resumed.Workload.Staged = resumeOnly{resumed.Workload.Staged}
+	noBatch := runIdentitySpec(t, resumed, 1)
 
-	fastpath.SetBatching(false)
-	noBatch := runIdentityCampaign(t, 1)
-	fastpath.SetBatching(true)
-
-	requireIdentical(t, "prefix-skip off vs baseline", noSkip.Fault, base.Fault)
-	requireIdentical(t, "batching off vs baseline", noBatch.Fault, base.Fault)
+	requireIdentical(t, "full execution vs baseline", full.Fault, base.Fault)
+	requireIdentical(t, "unbucketed resumes vs baseline", noBatch.Fault, base.Fault)
 	for _, k := range []int{2, 5} {
 		sharded := runIdentityCampaign(t, k)
 		requireIdentical(t, "shards=1 vs sharded", base.Fault, sharded.Fault)
@@ -148,6 +156,7 @@ func TestIdentityCellExecutionModeEquivalence(t *testing.T) {
 // routes through the same seam internally), golden bytes still on the
 // pinned digest.
 func TestIdentityCellStaticPlannerEquivalence(t *testing.T) {
+	t.Parallel()
 	base := runIdentityCampaign(t, 1)
 
 	w := identityWorkload(t)
@@ -193,6 +202,7 @@ func TestIdentityCellFabricEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fabric identity equivalence is not -short")
 	}
+	t.Parallel()
 	cs := fabric.CampaignSpec{
 		Class:   "gpr",
 		Input:   identityInputNum,
@@ -221,8 +231,7 @@ func TestIdentityCellFabricEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	// The workers must have exited before this test returns: later
-	// tests flip the package-global fastpath switches their trials read.
+	// The workers must have exited before this test returns.
 	var workers sync.WaitGroup
 	defer func() {
 		cancel()

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"vsresil/internal/fastpath"
 	"vsresil/internal/fault"
 )
 
@@ -73,29 +72,39 @@ func stagedToySpec(st stagedToy) Spec {
 	return s
 }
 
+// fullExecution returns s with a golden captured from its app alone:
+// no checkpoints, so the campaign runs every trial in full.
+func fullExecution(t *testing.T, s Spec) Spec {
+	t.Helper()
+	golden, err := fault.CaptureGolden(s.Workload.App)
+	if err != nil {
+		t.Fatalf("CaptureGolden: %v", err)
+	}
+	s.Golden = golden
+	return s
+}
+
 // TestPrefixSkipEquivalence is the engine-level half of the prefix-skip
 // guard: with skipping on, every campaign observable — outcome counts,
 // crash split, histograms, rate curve, retained SDC outputs — must be
 // bit-identical to full execution, for both register classes, and the
 // skip path must demonstrably engage.
 func TestPrefixSkipEquivalence(t *testing.T) {
-	defer fastpath.SetPrefixSkip(true)
+	t.Parallel()
 	var runner Runner
 	for _, class := range []fault.Class{fault.GPR, fault.FPR} {
 		st := newStagedToy()
 		spec := stagedToySpec(st)
 		spec.Class = class
 
-		fastpath.SetPrefixSkip(false)
-		full, err := runner.Run(context.Background(), spec)
+		full, err := runner.Run(context.Background(), fullExecution(t, spec))
 		if err != nil {
 			t.Fatalf("%v full run: %v", class, err)
 		}
 		if st.resumes.Load() != 0 {
-			t.Fatalf("%v: kill switch off still resumed %d trials", class, st.resumes.Load())
+			t.Fatalf("%v: checkpoint-free golden still resumed %d trials", class, st.resumes.Load())
 		}
 
-		fastpath.SetPrefixSkip(true)
 		skipped, err := runner.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%v skipping run: %v", class, err)
@@ -112,18 +121,16 @@ func TestPrefixSkipEquivalence(t *testing.T) {
 // golden, and the merged result must still match the full-execution
 // unsharded run bit for bit.
 func TestPrefixSkipShardMergeEquivalence(t *testing.T) {
-	defer fastpath.SetPrefixSkip(true)
+	t.Parallel()
 	var runner Runner
 	st := newStagedToy()
 	spec := stagedToySpec(st)
 
-	fastpath.SetPrefixSkip(false)
-	base, err := runner.Run(context.Background(), spec)
+	base, err := runner.Run(context.Background(), fullExecution(t, spec))
 	if err != nil {
 		t.Fatalf("unsharded full run: %v", err)
 	}
 
-	fastpath.SetPrefixSkip(true)
 	for _, k := range []int{1, 2, 5} {
 		before := st.resumes.Load()
 		merged, err := runner.RunSharded(context.Background(), spec, k)
@@ -142,7 +149,7 @@ func TestPrefixSkipShardMergeEquivalence(t *testing.T) {
 // resumed shard must bucket and skip its remaining plans identically,
 // landing on the same bit-identical result as full execution.
 func TestPrefixSkipShardedResume(t *testing.T) {
-	defer fastpath.SetPrefixSkip(true)
+	t.Parallel()
 	var runner Runner
 	st := newStagedToy()
 	noRetention := func() Spec {
@@ -151,13 +158,11 @@ func TestPrefixSkipShardedResume(t *testing.T) {
 		return s
 	}
 
-	fastpath.SetPrefixSkip(false)
-	base, err := runner.Run(context.Background(), noRetention())
+	base, err := runner.Run(context.Background(), fullExecution(t, noRetention()))
 	if err != nil {
 		t.Fatalf("unsharded full run: %v", err)
 	}
 
-	fastpath.SetPrefixSkip(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var mu sync.Mutex

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"vsresil/internal/campaign"
-	"vsresil/internal/fastpath"
 	"vsresil/internal/fault"
 	"vsresil/internal/journal"
 )
@@ -322,20 +321,14 @@ func TestClusterEquivalence(t *testing.T) {
 
 // TestClusterEquivalenceBatching runs the real staged VS workload —
 // the one whose golden checkpoints feed the bucket scheduler — through
-// a live cluster with batching and tiling enabled, and demands the
-// merge stay bit-identical to a single-node run executed the classic
-// way (batching and tiling off). The toy workload above is unstaged
-// and never enters the batched path; this is the variant that proves
-// checkpoint-bucket execution survives shard decomposition over the
-// wire.
+// a live cluster and demands the merge stay bit-identical to a default
+// single-node run. The toy workload above is unstaged and never enters
+// the batched path; this is the variant that proves checkpoint-bucket
+// execution survives shard decomposition over the wire.
 func TestClusterEquivalenceBatching(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster batching equivalence is not -short")
 	}
-	defer func() {
-		fastpath.SetBatching(true)
-		fastpath.SetTiling(true)
-	}()
 	cs := CampaignSpec{
 		Algorithm: "VS",
 		Class:     "gpr",
@@ -348,12 +341,8 @@ func TestClusterEquivalenceBatching(t *testing.T) {
 		MaxSDC:    3,
 	}
 
-	fastpath.SetBatching(false)
-	fastpath.SetTiling(false)
 	base := singleNode(t, cs)
 
-	fastpath.SetBatching(true)
-	fastpath.SetTiling(true)
 	coord, err := NewCoordinator(Config{Workload: DefaultWorkload})
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
@@ -371,8 +360,8 @@ func TestClusterEquivalenceBatching(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// The workers must have exited before the deferred switch reset: a
-	// straggler (a thief still running a stolen shard) reads them.
+	// The workers must have exited before the test returns: a straggler
+	// (a thief still running a stolen shard) may still be executing.
 	var workers sync.WaitGroup
 	for _, name := range []string{"live-1", "live-2"} {
 		w := &Worker{
@@ -398,7 +387,7 @@ func TestClusterEquivalenceBatching(t *testing.T) {
 	// (shards ship trial records, and the coordinator rebuilds results
 	// through the resume path), so only the campaign observables are
 	// compared here; TestCampaignBatchingSchedStats covers the stats.
-	requireIdentical(t, "batched cluster vs classic single-node", base.Fault, merged.Fault)
+	requireIdentical(t, "cluster vs single-node", base.Fault, merged.Fault)
 }
 
 // TestCoordinatorRestart closes a coordinator mid-campaign and reopens

@@ -108,10 +108,9 @@ type Config struct {
 	// records — so a mostly-resumed campaign never spawns idle
 	// goroutines. Workers set inter-trial parallelism only; it
 	// composes with bucket batching (trials resuming from the same
-	// golden checkpoint are fed to workers as bucket chunks, see
-	// fastpath.Batching) and with intra-trial kernel tiling
-	// (fastpath.Tiling), and results are bit-identical for every
-	// worker count either way.
+	// golden checkpoint are fed to workers as bucket chunks) and with
+	// intra-trial kernel tiling, and results are bit-identical for
+	// every worker count.
 	Workers int
 	// StepFactor sizes the hang budget as a multiple of golden steps
 	// (0 = DefaultStepFactor).
@@ -181,8 +180,8 @@ type Config struct {
 	// golden checkpoint instead of re-executing the fault-free prefix.
 	// Requires a golden run carrying checkpoints of the current schema
 	// (CaptureGoldenStaged); campaigns fall back to full execution
-	// otherwise, and the fastpath.PrefixSkip kill switch forces full
-	// execution for equivalence testing.
+	// otherwise, so a golden from CaptureGolden runs every trial in
+	// full.
 	Staged StagedApp
 }
 
@@ -307,14 +306,11 @@ func (t *Trial) Record(index int) TrialRecord {
 type SchedStats struct {
 	// Buckets is the number of distinct checkpoint buckets scheduled;
 	// Batched is the number of trials they covered. Trials whose site
-	// precedes the first boundary (or campaigns without batching) run
-	// unbatched and appear in neither.
+	// precedes the first boundary (or campaigns whose golden has no
+	// checkpoints) run in full and appear in neither. Batched-Buckets
+	// is the checkpoint restores the buckets amortized away.
 	Buckets int
 	Batched int
-	// RestoresSaved is the checkpoint restores amortized away by
-	// batching: Batched trials shared Buckets restored views instead
-	// of restoring one each.
-	RestoresSaved int
 	// BucketSizes is the trials-per-bucket histogram, in checkpoint
 	// (execution) order.
 	BucketSizes []int
@@ -331,7 +327,6 @@ type SchedStats struct {
 func (s *SchedStats) merge(o SchedStats) {
 	s.Buckets += o.Buckets
 	s.Batched += o.Batched
-	s.RestoresSaved += o.RestoresSaved
 	s.BucketSizes = append(s.BucketSizes, o.BucketSizes...)
 	s.EarlyMasks += o.EarlyMasks
 	s.Converged += o.Converged
@@ -568,8 +563,9 @@ type schedBucket struct {
 }
 
 // trialBatch is one unit of worker work: a chunk of plan indices
-// sharing a resume checkpoint (bucket == nil for unbatched trials,
-// which resolve their checkpoint individually).
+// sharing a resume checkpoint (bucket == nil for trials that run in
+// full: the golden has no usable checkpoints, or none precedes their
+// site).
 type trialBatch struct {
 	bucket *schedBucket
 	idxs   []int
@@ -584,8 +580,11 @@ type trialExec struct {
 	keepSDC   bool
 	app       App
 	staged    StagedApp
-	bapp      BatchStagedApp // non-nil only when bucket batching is live
+	bapp      BatchStagedApp // staged's batch view; nil when it has none
 	golden    *GoldenRun
+	// earlyMask arms the early-mask cutoff and the window clip on every
+	// trial machine. Campaigns always set it; only the cutoff-free
+	// reference executor of the package tests leaves it off.
 	earlyMask bool
 
 	earlyMasks atomic.Int64
@@ -605,8 +604,9 @@ type trialExec struct {
 // crash there — its effects are exactly the golden snapshot the trial
 // restores, and the classification below is unchanged.
 //
-// Two suffix cutoffs ride on the batching gate, both classifying
-// without finishing the run:
+// Two suffix cutoffs classify without finishing the run (the first
+// under earlyMask, the second whenever the trial resumes through a
+// BatchStagedApp):
 //
 //   - Early mask: when the plan's window expires without an injection,
 //     every tap it observed was an identity pass-through, so the whole

@@ -275,9 +275,9 @@ func (m *Machine) Resolved() bool {
 // sound exactly because a never-landed plan leaves every tapped value
 // untouched: the run's dataflow is the golden run's, its output would
 // compare equal, and the hang budget (a multiple of golden steps)
-// cannot expire on the golden path. Campaign trial machines enable it
-// behind the fastpath.Batching gate; machines whose ops/taps are read
-// to completion (golden captures, meters) must not.
+// cannot expire on the golden path. Every campaign trial machine
+// enables it; machines whose ops/taps are read to completion (golden
+// captures, meters) must not.
 func (m *Machine) EnableEarlyMask() {
 	if m != nil {
 		m.earlyMask = true

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-
-	"vsresil/internal/fastpath"
 )
 
 // SessionConfig parameterizes a persistent executor session.
@@ -155,8 +153,6 @@ type sessionJob struct {
 type windowRun struct {
 	cfg    *Config
 	plans  []Plan
-	golden *GoldenRun
-	skip   bool
 	exec   *trialExec
 	trials []Trial
 	done   []bool
@@ -257,10 +253,10 @@ func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
 	goldenOut := golden.Output
 	// Prefix skipping needs both sides of the seam: a staged app to
 	// resume into and a golden run that recorded boundaries under the
-	// current schema. Anything else (plain goldens, schema drift, the
-	// kill switch) degrades to full execution.
+	// current schema. Anything else (plain goldens, schema drift)
+	// degrades to full execution.
 	skip := s.staged != nil && len(golden.Checkpoints) > 0 &&
-		golden.Schema == CheckpointSchema && fastpath.PrefixSkip()
+		golden.Schema == CheckpointSchema
 
 	totalTaps := golden.Taps(cfg.Class, cfg.Region)
 	if totalTaps == 0 {
@@ -333,15 +329,13 @@ func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Bucket batching groups the pending plans by the checkpoint they
 	// resume from, so each bucket restores/prepares the shared boundary
-	// view once per campaign; the suffix cutoffs ride on the same gate.
-	// Scheduling stays an implementation detail: trials write their own
-	// result slots and the final accumulation below runs in plan-index
-	// order, so shard/merge/journal-resume observables are bit-identical
-	// with batching on or off.
-	batch := skip && fastpath.Batching()
+	// view once per campaign. Scheduling stays an implementation detail:
+	// trials write their own result slots and the final accumulation
+	// below runs in plan-index order, so shard/merge/journal-resume
+	// observables do not depend on the bucket decomposition.
 	var sched SchedStats
 	var jobs []trialBatch
-	if batch {
+	if skip {
 		byCp := make(map[int][]int)
 		for _, i := range pending {
 			ci := golden.CheckpointIndexFor(plans[i])
@@ -383,7 +377,6 @@ func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
 				jobs = append(jobs, trialBatch{bucket: b, idxs: idxs[lo:hi]})
 			}
 		}
-		sched.RestoresSaved = sched.Batched - sched.Buckets
 	} else {
 		for lo := 0; lo < len(pending); lo++ {
 			jobs = append(jobs, trialBatch{idxs: pending[lo : lo+1]})
@@ -396,25 +389,17 @@ func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
 		// keepSDC makes the trial hold on to SDC output bytes; the
 		// post-trial hook decides whether they are streamed, retained
 		// or dropped once the cap is reached.
-		keepSDC: cfg.KeepSDCOutputs || cfg.OnSDCOutput != nil,
-		app:     s.app,
-		staged:  s.staged,
-		golden:  golden,
-		// The suffix cutoffs share the batching gate: both are executor
-		// optimizations whose soundness argument (resolved plan ⇒ golden
-		// suffix) is documented with the bucket scheduler, and turning
-		// the gate off restores classic trial-at-a-time execution.
-		earlyMask: fastpath.Batching(),
-	}
-	if batch {
-		exec.bapp = s.bapp
+		keepSDC:   cfg.KeepSDCOutputs || cfg.OnSDCOutput != nil,
+		app:       s.app,
+		staged:    s.staged,
+		bapp:      s.bapp,
+		golden:    golden,
+		earlyMask: true,
 	}
 
 	win := &windowRun{
 		cfg:    &cfg,
 		plans:  plans,
-		golden: golden,
-		skip:   skip,
 		exec:   exec,
 		trials: trials,
 		done:   done,
@@ -474,11 +459,7 @@ func (w *windowRun) runBatch(job trialBatch) {
 		}
 	}
 	for _, i := range job.idxs {
-		tcp := cp
-		if job.bucket == nil && w.skip {
-			tcp = w.golden.CheckpointFor(w.plans[i])
-		}
-		t := exec.run(w.plans[i], tcp, cpIdx, prep)
+		t := exec.run(w.plans[i], cp, cpIdx, prep)
 		w.hookMu.Lock()
 		if t.Output != nil {
 			switch {

@@ -13,7 +13,6 @@ package features
 import (
 	"sort"
 
-	"vsresil/internal/fastpath"
 	"vsresil/internal/fault"
 	"vsresil/internal/imgproc"
 	"vsresil/internal/probe"
@@ -118,7 +117,7 @@ func detectFAST[S probe.Sink](g *imgproc.Gray, cfg FASTConfig, m S) []KeyPoint {
 	// per pixel below). Any corrupted value falls back to the
 	// reference path, whose At() calls reproduce the original
 	// bounds-check / crash behavior exactly.
-	fast := fastpath.Enabled() && w == g.W && h == g.H
+	fast := w == g.W && h == g.H
 	var circleDeltas [16]int
 	if fast {
 		for i, off := range circleOffsets16 {

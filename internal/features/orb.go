@@ -3,7 +3,6 @@ package features
 import (
 	"math"
 
-	"vsresil/internal/fastpath"
 	"vsresil/internal/fault"
 	"vsresil/internal/imgproc"
 	"vsresil/internal/probe"
@@ -111,7 +110,9 @@ func DefaultORBConfig() ORBConfig {
 // Extractor computes oriented BRIEF descriptors with a shared pattern.
 // All fields — including the precomputed fast-path tables below — are
 // immutable after NewExtractor, so one Extractor is safe to share
-// across concurrent campaign workers.
+// across concurrent campaign workers. Without the tables an Extractor
+// runs the reference loops (masked AtClamped orientation, live pattern
+// rotation), which is what the package tests compare the tables with.
 type Extractor struct {
 	cfg     ORBConfig
 	pattern *Pattern
@@ -209,7 +210,7 @@ func (e *Extractor) Orientation(g *imgproc.Gray, x, y int, s probe.Sink) float64
 func orientation[S probe.Sink](e *Extractor, g *imgproc.Gray, x, y int, m S) float64 {
 	r := e.cfg.PatchRadius
 	var m01, m10 float64
-	if fastpath.Enabled() && e.dxLim != nil && x >= r && y >= r && x < g.W-r && y < g.H-r {
+	if e.dxLim != nil && x >= r && y >= r && x < g.W-r && y < g.H-r {
 		// Patch fully inside the image: AtClamped never clamps, so raw
 		// row indexing reads the same bytes, and the precomputed circle
 		// half-widths visit exactly the dx the masked loop accepts, in
@@ -296,12 +297,10 @@ func describe[S probe.Sink](e *Extractor, g *imgproc.Gray, kps []KeyPoint, m S) 
 		// live, exactly as the reference path always does.
 		var rot *[DescriptorBits][4]int16
 		margin := 0
-		if fastpath.Enabled() {
-			if bi := int(bin) - e.binLo; bi >= 0 && bi < len(e.rot) &&
-				sin == e.rotSin[bi] && cos == e.rotCos[bi] {
-				rot = &e.rot[bi]
-				margin = e.rotMax[bi]
-			}
+		if bi := int(bin) - e.binLo; bi >= 0 && bi < len(e.rot) &&
+			sin == e.rotSin[bi] && cos == e.rotCos[bi] {
+			rot = &e.rot[bi]
+			margin = e.rotMax[bi]
 		}
 
 		var d Descriptor

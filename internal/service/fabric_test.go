@@ -129,6 +129,14 @@ func TestJournalRuntimeCompaction(t *testing.T) {
 		}
 		return got.State.terminal()
 	})
+	// The worker journals the terminal state (and may compact) after
+	// the job turns terminal; stop it before reading the file or opening
+	// a second service on it, as a restart would.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
 
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -42,13 +42,12 @@ type metrics struct {
 	// bucket scheduler accumulators fed by fault.SchedStats after each
 	// campaign run; bucketMax is the largest single bucket seen, the
 	// histogram's interesting tail for a text exposition.
-	bucketCampaigns     uint64
-	bucketsTotal        uint64
-	bucketTrialsTotal   uint64
-	bucketRestoresSaved uint64
-	bucketMax           int
-	bucketEarlyMasks    uint64
-	bucketConverged     uint64
+	bucketCampaigns   uint64
+	bucketsTotal      uint64
+	bucketTrialsTotal uint64
+	bucketMax         int
+	bucketEarlyMasks  uint64
+	bucketConverged   uint64
 
 	// adaptive round accumulators fed per completed planner round and
 	// per finished adaptive campaign; strataHW holds each stratum's
@@ -243,7 +242,6 @@ func (m *metrics) bucketsDone(s fault.SchedStats) {
 	m.bucketCampaigns++
 	m.bucketsTotal += uint64(s.Buckets)
 	m.bucketTrialsTotal += uint64(s.Batched)
-	m.bucketRestoresSaved += uint64(s.RestoresSaved)
 	m.bucketEarlyMasks += uint64(s.EarlyMasks)
 	m.bucketConverged += uint64(s.Converged)
 	for _, n := range s.BucketSizes {
@@ -344,12 +342,7 @@ func (m *metrics) write(w io.Writer, g gauges) {
 		fmt.Fprintf(w, "vsd_campaign_bucket_campaigns_total %d\n", m.bucketCampaigns)
 		fmt.Fprintf(w, "vsd_campaign_bucket_count_total %d\n", m.bucketsTotal)
 		fmt.Fprintf(w, "vsd_campaign_bucket_trials_total %d\n", m.bucketTrialsTotal)
-		fmt.Fprintf(w, "vsd_campaign_bucket_restores_saved_total %d\n", m.bucketRestoresSaved)
 		fmt.Fprintf(w, "vsd_campaign_bucket_max_trials %d\n", m.bucketMax)
-		if m.bucketsTotal > 0 {
-			fmt.Fprintf(w, "vsd_campaign_bucket_mean_trials %.2f\n",
-				float64(m.bucketTrialsTotal)/float64(m.bucketsTotal))
-		}
 		fmt.Fprintf(w, "vsd_campaign_bucket_early_masks_total %d\n", m.bucketEarlyMasks)
 		fmt.Fprintf(w, "vsd_campaign_bucket_converged_total %d\n", m.bucketConverged)
 	}

@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"testing"
 
-	"vsresil/internal/fastpath"
 	"vsresil/internal/fault"
 	"vsresil/internal/geom"
 	"vsresil/internal/imgproc"
+	"vsresil/internal/probe"
 	"vsresil/internal/stats"
 	"vsresil/internal/warp"
 )
 
 // machineCounters snapshots every observable counter of a fault
 // machine: total steps, tap-space sizes per class, and the full
-// per-region per-class op-count matrix. The scanline fast path must
-// leave all of them bit-identical to the per-pixel reference.
+// per-region per-class op-count matrix. The inert tiled kernels must
+// leave all of them bit-identical to the instrumented loops.
 type machineCounters struct {
 	steps, gpr, fpr uint64
 	regionGPR       [fault.NumRegions]uint64
@@ -54,75 +54,23 @@ func randomGray(rng *stats.RNG, w, h int) *imgproc.Gray {
 	return g
 }
 
-// TestScanlineWarpEquivalence is the tentpole's bit-exactness guard:
-// over random homographies, the scanline kernel must produce
-// pixel-identical warps AND an identical tap/op stream to the
-// per-pixel inv.Apply reference it replaced.
-func TestScanlineWarpEquivalence(t *testing.T) {
-	defer fastpath.SetEnabled(true)
-	rng := stats.NewRNG(0xE0_1D)
+// genericSink hides a machine's concrete type behind probe.Sink, so
+// every kernel takes its generic instrumented loop — the path a Meter
+// takes — instead of the *fault.Machine inert fast path. The taps still
+// land on the wrapped machine.
+type genericSink struct{ probe.Sink }
 
-	for trial := 0; trial < 30; trial++ {
-		src := randomGray(rng, 24+rng.Intn(40), 24+rng.Intn(40))
-		h := randomHomography(rng)
-		if _, err := h.Inverse(); err != nil {
-			continue
-		}
-		mode := warp.BlendOverwrite
-		if trial%2 == 1 {
-			mode = warp.BlendFeather
-		}
-
-		type out struct {
-			canvasPix []uint8
-			warpPix   []uint8
-			counters  machineCounters
-		}
-		run := func(enabled bool) out {
-			fastpath.SetEnabled(enabled)
-			m := fault.New()
-			bounds := warp.ProjectBounds(h, src.W, src.H)
-			c := warp.NewCanvasMode(bounds, mode)
-			if _, err := warp.WarpOntoCanvas(src, h, c, m); err != nil {
-				t.Fatalf("trial %d: WarpOntoCanvas: %v", trial, err)
-			}
-			img := c.Resolve(m)
-			wp, err := warp.WarpPerspective(src, h, src.W+8, src.H+8, m)
-			if err != nil {
-				t.Fatalf("trial %d: WarpPerspective: %v", trial, err)
-			}
-			return out{
-				canvasPix: append([]uint8(nil), img.Pix...),
-				warpPix:   append([]uint8(nil), wp.Pix...),
-				counters:  snapshot(m),
-			}
-		}
-
-		fast := run(true)
-		ref := run(false)
-		if !bytes.Equal(fast.canvasPix, ref.canvasPix) {
-			t.Errorf("trial %d (h=%v): canvas pixels differ between scanline and reference", trial, h)
-		}
-		if !bytes.Equal(fast.warpPix, ref.warpPix) {
-			t.Errorf("trial %d (h=%v): WarpPerspective pixels differ between scanline and reference", trial, h)
-		}
-		if fast.counters != ref.counters {
-			t.Errorf("trial %d (h=%v): tap/op counters differ:\n fast %+v\n  ref %+v", trial, h, fast.counters, ref.counters)
-		}
-	}
-}
-
-// TestInertTiledWarpEquivalence guards the tiled inert kernels: with
-// tiling on, a machine that cannot be hit inside the warp (here: a
-// golden machine) runs the tap-free banded kernels and accounts its
-// taps and op counts post hoc from the closed-form spans. That
-// accounting must be exact — same pixels, same step count, same
-// per-region tap spaces, same op matrix — as the instrumented loop it
-// replaces, for every blend mode and for the resolve pass, otherwise a
-// later trial resumed from such a golden capture would bucket against
-// drifted checkpoint counters.
+// TestInertTiledWarpEquivalence guards the tiled inert kernels: a
+// machine that cannot be hit inside the warp (here: a plan-free
+// machine) runs the tap-free banded kernels and accounts its taps and
+// op counts post hoc from the closed-form spans. That accounting must
+// be exact — same pixels, same step count, same per-region tap spaces,
+// same op matrix — as the instrumented loop it replaces (the same
+// machine behind genericSink), for every blend mode and for the
+// resolve pass, otherwise a later trial resumed from such a golden
+// capture would bucket against drifted checkpoint counters.
 func TestInertTiledWarpEquivalence(t *testing.T) {
-	defer fastpath.SetTiling(true)
+	t.Parallel()
 	rng := stats.NewRNG(0x71_1ED)
 
 	for trial := 0; trial < 30; trial++ {
@@ -136,15 +84,18 @@ func TestInertTiledWarpEquivalence(t *testing.T) {
 			mode = warp.BlendFeather
 		}
 
-		run := func(tiled bool) ([]uint8, machineCounters) {
-			fastpath.SetTiling(tiled)
+		run := func(inert bool) ([]uint8, machineCounters) {
 			m := fault.New()
+			var s probe.Sink = genericSink{m}
+			if inert {
+				s = m
+			}
 			bounds := warp.ProjectBounds(h, src.W, src.H)
 			c := warp.NewCanvasMode(bounds, mode)
-			if _, err := warp.WarpOntoCanvas(src, h, c, m); err != nil {
+			if _, err := warp.WarpOntoCanvas(src, h, c, s); err != nil {
 				t.Fatalf("trial %d: WarpOntoCanvas: %v", trial, err)
 			}
-			img := c.Resolve(m)
+			img := c.Resolve(s)
 			return append([]uint8(nil), img.Pix...), snapshot(m)
 		}
 

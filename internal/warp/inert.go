@@ -6,7 +6,8 @@
 // bulk-advance the tap counters and op accounts by the instrumented
 // loop's exact footprint. Later taps then index the injection-site
 // space exactly as if the instrumented loop had run, which is what
-// keeps campaign results bit-identical with the gate on or off.
+// keeps campaign results bit-identical to running the instrumented
+// loops, the path every sink other than a *fault.Machine takes.
 //
 // The footprint formulas below are derived from (and must stay in
 // lockstep with) the instrumented loops in warp.go; the counter-
@@ -15,7 +16,6 @@
 package warp
 
 import (
-	"vsresil/internal/fastpath"
 	"vsresil/internal/fault"
 	"vsresil/internal/geom"
 	"vsresil/internal/imgproc"
@@ -71,9 +71,6 @@ func resolveSpan(rows uint64) fault.TapCounters {
 // otherwise (per stage — an armed plan targeting the blend region
 // still gets a clean stage 1).
 func warpOntoCanvasMachine(src *imgproc.Gray, h geom.Homography, c *Canvas, m *fault.Machine) (int, error) {
-	if !fastpath.Tiling() || !fastpath.Enabled() {
-		return warpOntoCanvas(src, h, c, m)
-	}
 	inv, err := h.Inverse()
 	if err != nil {
 		// Match the instrumented path's accounting: it enters and
@@ -128,9 +125,8 @@ func warpOntoCanvasMachine(src *imgproc.Gray, h geom.Homography, c *Canvas, m *f
 // with the same inert-or-instrumented split as the warp stages.
 func resolveCanvasMachine(c *Canvas, m *fault.Machine) *imgproc.Gray {
 	h := c.B.H()
-	if fastpath.Tiling() && fastpath.Enabled() && m.CanSkipTaps(resolveSpan(uint64(h))) {
-		out := imgproc.NewGray(c.B.W(), h)
-		forEachBand(h, func(_, lo, hi int) { resolveBand(c, out, lo, hi) })
+	if m.CanSkipTaps(resolveSpan(uint64(h))) {
+		out := resolveClean(c)
 		m.AdvanceTaps(resolveSpan(uint64(h)))
 		wh := uint64(c.B.W()) * uint64(h)
 		m.OpsIn(probe.RBlend, probe.OpInt, 2+uint64(h))

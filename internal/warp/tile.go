@@ -9,8 +9,6 @@ package warp
 import (
 	"runtime"
 	"sync"
-
-	"vsresil/internal/fastpath"
 )
 
 // minBandRows is the smallest band worth a goroutine; below roughly
@@ -18,12 +16,9 @@ import (
 const minBandRows = 32
 
 // bandCount returns how many row bands [0, rows) is split into:
-// GOMAXPROCS-bounded when the tiling gate is on and the kernel is tall
-// enough to amortize goroutines, else 1 (purely sequential).
+// GOMAXPROCS-bounded when the kernel is tall enough to amortize
+// goroutines, else 1 (purely sequential).
 func bandCount(rows int) int {
-	if !fastpath.Tiling() {
-		return 1
-	}
 	n := runtime.GOMAXPROCS(0)
 	if n > rows/minBandRows {
 		n = rows / minBandRows

@@ -14,7 +14,6 @@ package warp
 import (
 	"math"
 
-	"vsresil/internal/fastpath"
 	"vsresil/internal/fault"
 	"vsresil/internal/geom"
 	"vsresil/internal/imgproc"
@@ -240,12 +239,7 @@ func (c *Canvas) writeIdx(i int, v, w float64) {
 // pass probe.Nop{} for an uninstrumented render (nil is normalized).
 func (c *Canvas) Resolve(s probe.Sink) *imgproc.Gray {
 	if s = probe.OrNop(s); probe.IsNop(s) {
-		if fastpath.Enabled() {
-			out := imgproc.NewGray(c.B.W(), c.B.H())
-			forEachBand(c.B.H(), func(_, lo, hi int) { resolveBand(c, out, lo, hi) })
-			return out
-		}
-		return resolveCanvas(c, probe.Nop{})
+		return resolveClean(c)
 	}
 	if m, ok := s.(*fault.Machine); ok {
 		return resolveCanvasMachine(c, m)
@@ -271,6 +265,13 @@ func resolveCanvas[S probe.Sink](c *Canvas, m S) *imgproc.Gray {
 			out.Pix[i] = imgproc.SaturateUint8(v)
 		}
 	}
+	return out
+}
+
+// resolveClean is the tap-free canvas render, row-tiled.
+func resolveClean(c *Canvas) *imgproc.Gray {
+	out := imgproc.NewGray(c.B.W(), c.B.H())
+	forEachBand(c.B.H(), func(_, lo, hi int) { resolveBand(c, out, lo, hi) })
 	return out
 }
 
@@ -360,17 +361,14 @@ func warpOntoCanvas[S probe.Sink](src *imgproc.Gray, h geom.Homography, c *Canva
 	// never sends tx outside the cached column products, and the
 	// projected values are a pure function of (tx, fy) identical to
 	// inv.Apply's.
-	fast := fastpath.Enabled()
+	cols := getFloats(3*tw, false)
+	defer putFloats(cols)
 	var proj scanProjector
-	if fast {
-		cols := getFloats(3*tw, false)
-		defer putFloats(cols)
-		proj.init(inv, region.MinX, tw, cols)
-	}
+	proj.init(inv, region.MinX, tw, cols)
 	written := 0
 	halfW := float64(src.W) / 2
 	halfH := float64(src.H) / 2
-	if _, clean := any(m).(probe.Nop); clean && fast {
+	if _, clean := any(m).(probe.Nop); clean {
 		// Devirtualized clean path: identical arithmetic with the taps
 		// compiled out and the bilinear sample inlined into the row
 		// loop. Bit-exactness vs the instrumented loop under a plan-free
@@ -390,21 +388,12 @@ func warpOntoCanvas[S probe.Sink](src *imgproc.Gray, h geom.Homography, c *Canva
 			// in the compiled invoker. Corruption displaces or faults the
 			// row's stores.
 			rowIdx := m.Idx(ty * tw)
-			fy := float64(region.MinY + ty)
-			if fast {
-				proj.setRow(fy)
-			}
+			proj.setRow(float64(region.MinY + ty))
 			for tx := 0; tx < tw; tx++ {
 				// Inverse map the destination pixel to source coordinates.
 				// These coordinate temporaries are the workload's dominant
 				// floating-point state.
-				var spX, spY float64
-				if fast {
-					spX, spY = proj.at(tx)
-				} else {
-					sp := inv.Apply(geom.Pt{X: float64(region.MinX + tx), Y: fy})
-					spX, spY = sp.X, sp.Y
-				}
+				spX, spY := proj.at(tx)
 				sx := m.F64(spX)
 				sy := m.F64(spY)
 				v, ok := remapBilinear(src, sx, sy, m)
@@ -435,7 +424,7 @@ func warpOntoCanvas[S probe.Sink](src *imgproc.Gray, h geom.Homography, c *Canva
 	// Stage 2: composite the warped frame onto the panorama canvas —
 	// the stitching copy of the original pipeline (blend region,
 	// bounds-checked like the library's ROI copy).
-	if _, clean := any(m).(probe.Nop); clean && fast && !c.GainCompensation {
+	if _, clean := any(m).(probe.Nop); clean && !c.GainCompensation {
 		forEachBand(th, func(_, lo, hi int) {
 			warpStage2Band(c, region, vals, wts, 1.0, lo, hi)
 		})
@@ -495,8 +484,8 @@ func warpStage2Band(c *Canvas, region Bounds, vals, wts []float64, gain float64,
 // expression mirrors the instrumented loop exactly — same projection,
 // same NaN/bounds rejects, same interpolation association order — so a
 // clean run is byte-identical to a plan-free instrumented one. Rows
-// are tiled across goroutines when the tiling gate and GOMAXPROCS
-// allow; each band writes a disjoint row range of vals/wts and per-
+// are tiled across goroutines when GOMAXPROCS and the row count allow;
+// each band writes a disjoint row range of vals/wts and per-
 // band written counts are summed in band order, so the result is the
 // same for any band count.
 func warpStage1Clean(src *imgproc.Gray, proj *scanProjector, region Bounds, vals, wts []float64, mode BlendMode, halfW, halfH float64) int {
@@ -683,7 +672,7 @@ func warpPerspective[S probe.Sink](src *imgproc.Gray, h geom.Homography, dstW, d
 	// may hang or fault exactly as the reference loop does), so the
 	// scanline kernel only engages when the tapped bound matches the
 	// real width its column cache was sized for.
-	fast := fastpath.Enabled() && ww == dstW
+	fast := ww == dstW
 	var proj scanProjector
 	if fast {
 		cols := getFloats(3*dstW, false)

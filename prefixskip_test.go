@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"vsresil/internal/campaign"
-	"vsresil/internal/fastpath"
 	"vsresil/internal/fault"
 	"vsresil/internal/virat"
 	"vsresil/internal/vs"
@@ -55,6 +54,25 @@ func requireIdenticalWithOutputs(t *testing.T, label string, a, b *fault.Result)
 	}
 }
 
+// fullExecution returns spec with a golden captured from its app
+// alone: the golden carries no checkpoints, so the campaign runs every
+// trial from tap zero — the path any checkpoint-free golden takes.
+func fullExecution(t *testing.T, spec campaign.Spec) campaign.Spec {
+	t.Helper()
+	golden, err := fault.CaptureGolden(spec.Workload.App)
+	if err != nil {
+		t.Fatalf("CaptureGolden: %v", err)
+	}
+	spec.Golden = golden
+	return spec
+}
+
+// resumeOnly hides a staged app's fault.BatchStagedApp view: trials
+// still resume from their latest golden checkpoint, but each through
+// plain Resume, with no shared bucket preparation and no convergence
+// guard.
+type resumeOnly struct{ fault.StagedApp }
+
 // TestCampaignPrefixSkipEquivalence sweeps every fault class and
 // region (whole-program plus each function scope that exposes taps)
 // and checks that prefix skipping is bit-identical to full execution.
@@ -62,7 +80,7 @@ func TestCampaignPrefixSkipEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign equivalence sweep is not -short")
 	}
-	defer fastpath.SetPrefixSkip(true)
+	t.Parallel()
 	var runner campaign.Runner
 	regions := []fault.Region{fault.RAny}
 	for r := fault.Region(0); r < fault.NumRegions; r++ {
@@ -73,9 +91,7 @@ func TestCampaignPrefixSkipEquivalence(t *testing.T) {
 			spec := skipGuardSpec(class, region, runtime.GOMAXPROCS(0))
 			label := fmt.Sprintf("class=%v region=%v", class, region)
 
-			fastpath.SetPrefixSkip(false)
-			full, errFull := runner.Run(context.Background(), spec)
-			fastpath.SetPrefixSkip(true)
+			full, errFull := runner.Run(context.Background(), fullExecution(t, spec))
 			skipped, errSkip := runner.Run(context.Background(), spec)
 
 			if errors.Is(errFull, fault.ErrNoTaps) && errors.Is(errSkip, fault.ErrNoTaps) {
@@ -96,10 +112,9 @@ func TestCampaignPrefixSkipWorkerEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign equivalence sweep is not -short")
 	}
-	defer fastpath.SetPrefixSkip(true)
+	t.Parallel()
 	var runner campaign.Runner
 
-	fastpath.SetPrefixSkip(true)
 	serial, err := runner.Run(context.Background(), skipGuardSpec(fault.GPR, fault.RAny, 1))
 	if err != nil {
 		t.Fatalf("workers=1: %v", err)
@@ -110,8 +125,7 @@ func TestCampaignPrefixSkipWorkerEquivalence(t *testing.T) {
 	}
 	requireIdenticalWithOutputs(t, "skipping workers=1 vs GOMAXPROCS", serial.Fault, parallel.Fault)
 
-	fastpath.SetPrefixSkip(false)
-	full, err := runner.Run(context.Background(), skipGuardSpec(fault.GPR, fault.RAny, 1))
+	full, err := runner.Run(context.Background(), fullExecution(t, skipGuardSpec(fault.GPR, fault.RAny, 1)))
 	if err != nil {
 		t.Fatalf("full workers=1: %v", err)
 	}
@@ -125,15 +139,14 @@ func TestCampaignPrefixSkipShardEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign equivalence sweep is not -short")
 	}
-	defer fastpath.SetPrefixSkip(true)
+	t.Parallel()
 	var runner campaign.Runner
 
-	fastpath.SetPrefixSkip(false)
-	base, err := runner.Run(context.Background(), skipGuardSpec(fault.GPR, fault.RAny, runtime.GOMAXPROCS(0)))
+	base, err := runner.Run(context.Background(),
+		fullExecution(t, skipGuardSpec(fault.GPR, fault.RAny, runtime.GOMAXPROCS(0))))
 	if err != nil {
 		t.Fatalf("unsharded full run: %v", err)
 	}
-	fastpath.SetPrefixSkip(true)
 	for _, k := range []int{1, 2, 5} {
 		merged, err := runner.RunSharded(context.Background(),
 			skipGuardSpec(fault.GPR, fault.RAny, runtime.GOMAXPROCS(0)), k)
@@ -145,98 +158,72 @@ func TestCampaignPrefixSkipShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestCampaignBatchingEquivalenceMatrix is the bucket-scheduler bit-
-// identity guard: for both fault classes it compares every combination
-// of batching on/off × tiling on/off × workers {1,4} × shards {1,5}
-// against the classic one-trial-at-a-time execution (batching and
-// tiling both off, one worker, unsharded). Identical here means every
-// campaign observable requireIdenticalWithOutputs checks, including
-// the retained SDC output bytes — neither the checkpoint buckets, nor
-// the early-mask/convergence cutoffs, nor the tiled inert kernels may
-// shift a single trial's verdict.
+// TestCampaignBatchingEquivalenceMatrix is the executor bit-identity
+// guard: for both fault classes it runs every input-selected execution
+// path — full execution on the generic instrumented kernels, full
+// execution on the machine's inert tiled kernels, per-trial checkpoint
+// resumes (resumeOnly) and checkpoint buckets with convergence guards —
+// at workers {1,4} × shards {1,5}, against the generic full execution
+// at one worker, unsharded. Identical here means every campaign
+// observable requireIdenticalWithOutputs checks, including the
+// retained SDC output bytes — neither the checkpoint buckets, nor the
+// suffix cutoffs, nor the tiled inert kernels may shift a single
+// trial's verdict.
 func TestCampaignBatchingEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign equivalence matrix is not -short")
 	}
-	defer func() {
-		fastpath.SetBatching(true)
-		fastpath.SetTiling(true)
-	}()
+	t.Parallel()
+	modes := []struct {
+		name  string
+		input func(campaign.Spec) campaign.Spec
+	}{
+		{"full-generic", func(s campaign.Spec) campaign.Spec {
+			vsApp, frames := guardApp()
+			s.Workload.App = genericApp(vsApp, frames)
+			return fullExecution(t, s)
+		}},
+		{"full", func(s campaign.Spec) campaign.Spec { return fullExecution(t, s) }},
+		{"resumed", func(s campaign.Spec) campaign.Spec {
+			s.Workload.Staged = resumeOnly{s.Workload.Staged}
+			return s
+		}},
+		{"bucketed", func(s campaign.Spec) campaign.Spec { return s }},
+	}
 	var runner campaign.Runner
 	for _, class := range []fault.Class{fault.GPR, fault.FPR} {
-		fastpath.SetBatching(false)
-		fastpath.SetTiling(false)
-		base, err := runner.Run(context.Background(), skipGuardSpec(class, fault.RAny, 1))
+		base, err := runner.Run(context.Background(), modes[0].input(skipGuardSpec(class, fault.RAny, 1)))
 		if err != nil {
 			t.Fatalf("class=%v baseline: %v", class, err)
 		}
-		for _, batching := range []bool{false, true} {
-			for _, tiling := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					for _, shards := range []int{1, 5} {
-						if !batching && !tiling && workers == 1 && shards == 1 {
-							continue // that is the baseline itself
-						}
-						fastpath.SetBatching(batching)
-						fastpath.SetTiling(tiling)
-						label := fmt.Sprintf("class=%v batching=%v tiling=%v workers=%d shards=%d",
-							class, batching, tiling, workers, shards)
-						got, err := runner.RunSharded(context.Background(),
-							skipGuardSpec(class, fault.RAny, workers), shards)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						requireIdenticalWithOutputs(t, label, base.Fault, got.Fault)
+		for _, mode := range modes {
+			for _, workers := range []int{1, 4} {
+				for _, shards := range []int{1, 5} {
+					if mode.name == modes[0].name && workers == 1 && shards == 1 {
+						continue // that is the baseline itself
 					}
+					label := fmt.Sprintf("class=%v mode=%s workers=%d shards=%d", class, mode.name, workers, shards)
+					got, err := runner.RunSharded(context.Background(),
+						mode.input(skipGuardSpec(class, fault.RAny, workers)), shards)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					requireIdenticalWithOutputs(t, label, base.Fault, got.Fault)
 				}
 			}
 		}
 	}
 }
 
-// TestCampaignBatchingRegionSweep extends the matrix's RAny guard to
-// every region with taps: for both classes, batching on (with its
-// suffix cutoffs) at GOMAXPROCS workers must match the classic
-// baseline (batching off, one worker), retained SDC bytes included.
-// Region-scoped plans are where the window clip fires — RApp has a
-// single tap, so its plans close at the golden run's last in-scope tap
-// — and decode-region plans are where the tap-zero decode boundary
-// turns full runs into bucketed, guarded resumes.
-func TestCampaignBatchingRegionSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign equivalence sweep is not -short")
-	}
-	defer fastpath.SetBatching(true)
-	var runner campaign.Runner
-	for _, class := range []fault.Class{fault.GPR, fault.FPR} {
-		for r := fault.Region(0); r < fault.NumRegions; r++ {
-			label := fmt.Sprintf("class=%v region=%v", class, r)
-			classic, batched := skipGuardSpec(class, r, 1), skipGuardSpec(class, r, runtime.GOMAXPROCS(0))
-			classic.Trials, batched.Trials = 100, 100
-			fastpath.SetBatching(false)
-			base, errBase := runner.Run(context.Background(), classic)
-			fastpath.SetBatching(true)
-			got, errGot := runner.Run(context.Background(), batched)
-			if errors.Is(errBase, fault.ErrNoTaps) && errors.Is(errGot, fault.ErrNoTaps) {
-				continue // this region has no sites for this class
-			}
-			if errBase != nil || errGot != nil {
-				t.Fatalf("%s: classic err=%v batched err=%v", label, errBase, errGot)
-			}
-			requireIdenticalWithOutputs(t, label, base.Fault, got.Fault)
-		}
-	}
-}
-
 // TestCampaignBatchingSchedStats sanity-checks the exported scheduler
-// statistics: a batched run of the guard workload must actually bucket
-// trials (the whole point of the scheduler) and report the restore
-// arithmetic consistently, while a batching-off run must report none.
+// statistics: a run of the guard workload on its checkpointed golden
+// must actually bucket trials (the whole point of the scheduler) and
+// report the bucket histogram consistently, while a full-execution run
+// (checkpoint-free golden) must report no buckets and no convergences.
 func TestCampaignBatchingSchedStats(t *testing.T) {
-	defer fastpath.SetBatching(true)
+	t.Parallel()
 	var runner campaign.Runner
 
-	fastpath.SetBatching(true)
 	batched, err := runner.Run(context.Background(), skipGuardSpec(fault.GPR, fault.RAny, 2))
 	if err != nil {
 		t.Fatalf("batched: %v", err)
@@ -244,9 +231,6 @@ func TestCampaignBatchingSchedStats(t *testing.T) {
 	s := batched.Fault.Sched
 	if s.Buckets == 0 || s.Batched == 0 {
 		t.Fatalf("batched run reported no buckets: %+v", s)
-	}
-	if s.RestoresSaved != s.Batched-s.Buckets {
-		t.Errorf("RestoresSaved = %d, want Batched-Buckets = %d", s.RestoresSaved, s.Batched-s.Buckets)
 	}
 	if len(s.BucketSizes) != s.Buckets {
 		t.Errorf("len(BucketSizes) = %d, want %d", len(s.BucketSizes), s.Buckets)
@@ -259,13 +243,12 @@ func TestCampaignBatchingSchedStats(t *testing.T) {
 		t.Errorf("sum(BucketSizes) = %d, want Batched = %d", total, s.Batched)
 	}
 
-	fastpath.SetBatching(false)
-	classic, err := runner.Run(context.Background(), skipGuardSpec(fault.GPR, fault.RAny, 2))
+	full, err := runner.Run(context.Background(), fullExecution(t, skipGuardSpec(fault.GPR, fault.RAny, 2)))
 	if err != nil {
-		t.Fatalf("classic: %v", err)
+		t.Fatalf("full: %v", err)
 	}
-	if s := classic.Fault.Sched; s.Buckets != 0 || s.Batched != 0 || s.EarlyMasks != 0 || s.Converged != 0 {
-		t.Errorf("batching-off run reported scheduler activity: %+v", s)
+	if s := full.Fault.Sched; s.Buckets != 0 || s.Batched != 0 || len(s.BucketSizes) != 0 || s.Converged != 0 {
+		t.Errorf("full-execution run reported bucket activity: %+v", s)
 	}
 }
 
@@ -284,6 +267,7 @@ var checkpointDigests = map[int]uint64{
 // TestCheckpointSchemaDrift fails when the golden stage-boundary tap
 // counts change without a CheckpointSchema bump.
 func TestCheckpointSchemaDrift(t *testing.T) {
+	t.Parallel()
 	spec := skipGuardSpec(fault.GPR, fault.RAny, 1)
 	golden, err := fault.CaptureGoldenStaged(spec.Workload.Staged)
 	if err != nil {
