@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt vet build test race identity determinism vsbench-smoke bench bench-json fabric-smoke fuzz clean
+.PHONY: all check fmt vet build test race identity determinism vsbench-smoke bench bench-json fabric-smoke fuzz loc clean
 
 all: check
 
@@ -34,12 +34,13 @@ race:
 
 # identity pins the (identity scenario, vs summarizer) workload cell to
 # the committed golden digest across every execution strategy — full
-# execution, unbucketed resumes, bucket batching, shard counts 1/2/5
-# and an in-process fabric cluster — plus the byte-identity tests at
-# the generator, adapter and registry seams, and the per-region sweep
-# (internal/fault) of batched execution, with its window clip and
-# decode-boundary resumes, against cutoff-free re-execution of every
-# plan. Run it after touching any layer of the workload path.
+# execution, unbucketed resumes, bucket batching, an explicit static
+# planner round and an in-process fabric cluster — plus the
+# byte-identity tests at the generator, adapter and registry seams, and
+# the per-region sweep (internal/fault) of batched execution, with its
+# window clip and decode-boundary resumes, against cutoff-free
+# re-execution of every plan. Run it after touching any layer of the
+# workload path.
 identity:
 	$(GO) test -count=1 -run 'TestCampaignBatchingRegionSweep|TestIdentityCell|TestIdentityScenarioByteIdentical|TestVSAdapterByteIdentical|TestCellIdentityMatchesVSConstructor|TestVSConstructorKeyUnchanged' . ./internal/virat/ ./internal/summarize/ ./internal/campaign/ ./internal/fault/
 
@@ -95,6 +96,13 @@ bench-json:
 	$(GO) run ./cmd/benchdiff parse -label after -in bench.out -out $(BENCH_JSON)
 	$(GO) run ./cmd/benchdiff compare -in $(BENCH_JSON) -gate '$(BENCH_GATE)' -threshold 0.10
 	rm -f bench.out
+
+# loc prints the Go line counts of the tracked files: non-test code,
+# non-test code outside the benchmark module (cmd/vsbench), and tests.
+loc:
+	@echo "non-test:                $$(git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@echo "non-test w/o cmd/vsbench: $$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^cmd/vsbench/' | xargs cat | wc -l)"
+	@echo "test:                    $$(git ls-files '*.go' | grep '_test\.go$$' | xargs cat | wc -l)"
 
 clean:
 	$(GO) clean ./...

@@ -180,9 +180,8 @@ func BenchmarkPipelineInstrumented(b *testing.B) {
 // BenchmarkCampaignThroughput measures fault-injection trials per
 // second on the smallest meaningful workload — the capacity-planning
 // number for sizing vsd campaign jobs (also exported live at
-// /metrics as vsd_trials_per_sec). It runs through the campaign
-// engine's single-shard path, the exact code every production call
-// site takes.
+// /metrics as vsd_trials_per_sec). It runs through Runner.Run, the
+// exact code every production fixed-budget campaign takes.
 func BenchmarkCampaignThroughput(b *testing.B) {
 	p := virat.TestScale()
 	p.Frames = 8
@@ -201,11 +200,11 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := runner.RunSharded(context.Background(), campaign.Spec{
+		res, err := runner.Run(context.Background(), campaign.Spec{
 			Workload: workload, Class: fault.GPR, Region: fault.RAny,
 			Trials: trialsPerCampaign, Seed: uint64(i),
 			Golden: golden,
-		}, 1)
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -311,11 +310,11 @@ func BenchmarkBucketRestore(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := runner.RunSharded(context.Background(), campaign.Spec{
+				res, err := runner.Run(context.Background(), campaign.Spec{
 					Workload: workload, Class: fault.GPR, Region: fault.RAny,
 					Trials: trialsPerCampaign, Seed: uint64(i),
 					Golden: arm.golden,
-				}, 1)
+				})
 				if err != nil {
 					b.Fatal(err)
 				}

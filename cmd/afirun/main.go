@@ -12,7 +12,8 @@
 // process: the spec is submitted to a coordinator (vsd -coordinator),
 // split into -shards leased ranges executed by joined workers, and the
 // merged result — bit-identical to a local run — is printed the same
-// way:
+// way. -shards applies only to -fabric campaigns; an in-process
+// campaign runs each planner round as one window:
 //
 //	afirun -fabric http://host:8080 -trials 1000 -shards 8
 package main
@@ -55,23 +56,19 @@ func run() error {
 		frames     = flag.Int("frames", 24, "override the preset's frame count (0 = preset default)")
 		trials     = flag.Int("trials", 1000, "number of error injections")
 		seed       = flag.Uint64("seed", 1, "campaign seed")
-		workers    = flag.Int("workers", 0, "parallel trial workers per shard (0 = GOMAXPROCS)")
-		shards     = flag.Int("shards", 1, "split the campaign into this many concurrently executed shards (results merge bit-identically)")
+		workers    = flag.Int("workers", 0, "parallel trial workers (with -fabric: per cluster worker; 0 = GOMAXPROCS)")
+		shards     = flag.Int("shards", 1, "with -fabric: split each campaign round into this many leased cluster shards")
 		sdcEDs     = flag.Bool("sdc-quality", false, "classify every SDC's Egregiousness Degree")
 		regionStr  = flag.String("region", "", "restrict injections to one function (e.g. remapBilinear)")
 		stratified = flag.Bool("stratified", false, "use the Relyzer-style equivalence-class campaign (per-stratum sampling, population-weighted estimate)")
 		adaptive   = flag.Bool("adaptive", false, "use the confidence-driven planner: allocate rounds to the widest-interval strata and stop at the precision target (replaces -trials)")
 		precision  = flag.Float64("precision", 0, "adaptive target half-width for every per-stratum outcome rate (0 = 0.05)")
 		confidence = flag.Float64("confidence", 0, "adaptive confidence level for the intervals (0 = 0.95)")
-		fabricAddr = flag.String("fabric", "", "run on a vsd cluster: coordinator base URL, e.g. http://host:8080 (-shards becomes the cluster shard count)")
+		fabricAddr = flag.String("fabric", "", "run on a vsd cluster: coordinator base URL, e.g. http://host:8080")
 	)
 	flag.Parse()
-	trialsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "trials" {
-			trialsSet = true
-		}
-	})
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	mode := campaignMode{
 		Stratified: *stratified,
@@ -80,7 +77,8 @@ func run() error {
 		Summarizer: *sumName,
 		Precision:  *precision,
 		Confidence: *confidence,
-		TrialsSet:  trialsSet,
+		TrialsSet:  set["trials"],
+		ShardsSet:  set["shards"],
 	}
 	if err := mode.validate(); err != nil {
 		return err
@@ -150,13 +148,13 @@ func run() error {
 	}
 	if *adaptive {
 		return runAdaptive(ctx, campaign.Summarize(sum, seq), class, region,
-			*seed, *workers, *shards, *precision, *confidence, alg, seq)
+			*seed, *workers, *precision, *confidence, alg, seq)
 	}
 
-	fmt.Printf("campaign: %s [%s] on %s, %v faults, %d trials, region=%s, shards=%d\n",
-		sum.Name(), alg, seq.Name, class, *trials, region, *shards)
+	fmt.Printf("campaign: %s [%s] on %s, %v faults, %d trials, region=%s\n",
+		sum.Name(), alg, seq.Name, class, *trials, region)
 	var runner campaign.Runner
-	crun, err := runner.RunSharded(ctx, campaign.Spec{
+	crun, err := runner.Run(ctx, campaign.Spec{
 		Workload: campaign.Summarize(sum, seq),
 		Class:    class,
 		Region:   region,
@@ -164,7 +162,7 @@ func run() error {
 		Seed:     *seed,
 		Workers:  *workers,
 		SDC:      campaign.SDCPolicy{Keep: *sdcEDs},
-	}, *shards)
+	})
 	interrupted := err != nil && errors.Is(err, context.Canceled) && crun != nil
 	if err != nil && !interrupted {
 		return err
@@ -218,9 +216,9 @@ func run() error {
 }
 
 // runFabric submits the campaign to a cluster coordinator, polls its
-// progress, and prints the merged result. The cluster merge is proven
-// bit-identical to a local -shards run, so the numbers printed here
-// are the numbers an in-process campaign with the same spec produces.
+// progress, and prints the merged result. The cluster result is proven
+// bit-identical to a local run, so the numbers printed here are the
+// numbers an in-process campaign with the same spec produces.
 func runFabric(ctx context.Context, base string, spec fabric.CampaignSpec, shards int) error {
 	cl := &fabric.Client{Base: base}
 	id, err := cl.Submit(ctx, spec, shards)
@@ -336,7 +334,7 @@ func runStratified(ctx context.Context, wl campaign.Workload,
 // fixed-budget design are reported alongside the weighted estimate.
 func runAdaptive(ctx context.Context, w campaign.Workload,
 	class fault.Class, region fault.Region, seed uint64,
-	workers, shards int, precision, confidence float64,
+	workers int, precision, confidence float64,
 	alg vs.Algorithm, seq *virat.Sequence) error {
 	spec := campaign.Spec{
 		Workload: w,
@@ -349,7 +347,7 @@ func runAdaptive(ctx context.Context, w campaign.Workload,
 	fmt.Printf("adaptive campaign: %s on %s, %v faults, region=%s\n",
 		alg, seq.Name, class, region)
 	var runner campaign.Runner
-	res, err := runner.RunAdaptive(ctx, spec, shards)
+	res, err := runner.RunAdaptive(ctx, spec, 1)
 	if err != nil {
 		return err
 	}

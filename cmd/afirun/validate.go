@@ -21,10 +21,14 @@ type campaignMode struct {
 	Precision  float64 // -precision target half-width
 	Confidence float64 // -confidence interval level
 	TrialsSet  bool    // -trials was given explicitly on the command line
+	ShardsSet  bool    // -shards was given explicitly on the command line
 }
 
 // validate enforces the planner/placement rules before any work runs.
 func (m campaignMode) validate() error {
+	if m.ShardsSet && m.Fabric == "" {
+		return errors.New("-shards splits cluster rounds across workers; add -fabric or drop -shards")
+	}
 	if m.Stratified && m.Adaptive {
 		return errors.New("-stratified and -adaptive select different planners; pick one")
 	}

@@ -19,6 +19,9 @@ func TestCampaignModeValidate(t *testing.T) {
 		{"adaptive in process", campaignMode{Adaptive: true, Summarizer: "vs", Precision: 0.05, Confidence: 0.95}, ""},
 		{"adaptive defaults", campaignMode{Adaptive: true, Summarizer: "vs"}, ""},
 		{"adaptive on fabric", campaignMode{Adaptive: true, Summarizer: "vs", Fabric: "http://coord", Precision: 0.02}, ""},
+		{"shards on fabric", campaignMode{Summarizer: "vs", Fabric: "http://coord", ShardsSet: true}, ""},
+		{"shards in process", campaignMode{Summarizer: "vs", ShardsSet: true}, "add -fabric"},
+		{"adaptive shards in process", campaignMode{Adaptive: true, Summarizer: "vs", ShardsSet: true}, "add -fabric"},
 		{"adaptive non-vs summarizer", campaignMode{Adaptive: true, Summarizer: "storyboard"}, ""},
 		{"explicit trials without adaptive", campaignMode{Summarizer: "vs", TrialsSet: true}, ""},
 		{"explicit trials with adaptive", campaignMode{Adaptive: true, Summarizer: "vs", TrialsSet: true}, "drop -trials"},

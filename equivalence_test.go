@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"testing"
 
+	"vsresil/internal/campaign"
 	"vsresil/internal/fault"
 	"vsresil/internal/imgproc"
 	"vsresil/internal/probe"
@@ -50,18 +51,20 @@ func runGuardCampaign(t *testing.T, class fault.Class, generic bool, workers int
 	if generic {
 		app = genericApp(vsApp, frames)
 	}
-	res, err := fault.RunCampaign(context.Background(), fault.Config{
-		Trials:  40,
-		Class:   class,
-		Region:  fault.RAny,
-		Seed:    0x5EED5,
-		Workers: workers,
-		Golden:  golden,
-	}, app)
+	var runner campaign.Runner
+	res, err := runner.Run(context.Background(), campaign.Spec{
+		Workload: campaign.NewWorkload("guard", "", app),
+		Class:    class,
+		Region:   fault.RAny,
+		Trials:   40,
+		Seed:     0x5EED5,
+		Workers:  workers,
+		Golden:   golden,
+	})
 	if err != nil {
 		t.Fatalf("campaign (class=%v generic=%v workers=%d): %v", class, generic, workers, err)
 	}
-	return res
+	return res.Fault
 }
 
 // requireIdentical compares every campaign observable of two results.
@@ -186,18 +189,20 @@ func TestCampaignOutcomeStreamEquivalence(t *testing.T) {
 	stream := func() ([]fault.TrialRecord, *fault.Result) {
 		app, frames := guardApp()
 		var recs []fault.TrialRecord
-		res, err := fault.RunCampaign(context.Background(), fault.Config{
-			Trials:  40,
-			Class:   fault.GPR,
-			Region:  fault.RAny,
-			Seed:    0x5EED5,
-			Workers: 1,
-			OnTrial: func(rec fault.TrialRecord) { recs = append(recs, rec) },
-		}, app.RunEncoded(frames))
+		var runner campaign.Runner
+		res, err := runner.Run(context.Background(), campaign.Spec{
+			Workload: campaign.NewWorkload("guard", "", app.RunEncoded(frames)),
+			Class:    fault.GPR,
+			Region:   fault.RAny,
+			Trials:   40,
+			Seed:     0x5EED5,
+			Workers:  1,
+			OnTrial:  func(rec fault.TrialRecord) { recs = append(recs, rec) },
+		})
 		if err != nil {
 			t.Fatalf("campaign: %v", err)
 		}
-		return recs, res
+		return recs, res.Fault
 	}
 	recsA, resA := stream()
 	recsB, resB := stream()

@@ -103,51 +103,46 @@ func identityCampaignSpec(t *testing.T) campaign.Spec {
 	}
 }
 
-// runIdentitySpec executes spec with the requested shard count.
-func runIdentitySpec(t *testing.T, spec campaign.Spec, shards int) *campaign.Result {
+// runIdentitySpec executes spec.
+func runIdentitySpec(t *testing.T, spec campaign.Spec) *campaign.Result {
 	t.Helper()
 	var runner campaign.Runner
-	res, err := runner.RunSharded(context.Background(), spec, shards)
+	res, err := runner.Run(context.Background(), spec)
 	if err != nil {
-		t.Fatalf("identity campaign (shards=%d): %v", shards, err)
+		t.Fatalf("identity campaign: %v", err)
 	}
 	return res
 }
 
-// runIdentityCampaign executes the fixed identity campaign with the
-// requested shard count.
-func runIdentityCampaign(t *testing.T, shards int) *campaign.Result {
+// runIdentityCampaign executes the fixed identity campaign.
+func runIdentityCampaign(t *testing.T) *campaign.Result {
 	t.Helper()
-	return runIdentitySpec(t, identityCampaignSpec(t), shards)
+	return runIdentitySpec(t, identityCampaignSpec(t))
 }
 
 // TestIdentityCellExecutionModeEquivalence sweeps the execution
 // strategies the input selects — full execution (a checkpoint-free
-// golden), per-trial resumes without buckets (resumeOnly), shard counts
-// 1, 2 and 5 — and demands every one reproduce the baseline run bit for
-// bit, golden bytes still matching the pinned digest.
+// golden) and per-trial resumes without buckets (resumeOnly) — and
+// demands each reproduce the baseline run bit for bit, golden bytes
+// still matching the pinned digest.
 func TestIdentityCellExecutionModeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("identity equivalence sweep is not -short")
 	}
 	t.Parallel()
 
-	base := runIdentityCampaign(t, 1)
+	base := runIdentityCampaign(t)
 	if d := digestOf(base.Fault.GoldenOutput); d != identityGoldenDigest {
 		t.Errorf("baseline campaign golden digest = %#016x, want %#016x", d, uint64(identityGoldenDigest))
 	}
 
-	full := runIdentitySpec(t, fullExecution(t, identityCampaignSpec(t)), 1)
+	full := runIdentitySpec(t, fullExecution(t, identityCampaignSpec(t)))
 	resumed := identityCampaignSpec(t)
 	resumed.Workload.Staged = resumeOnly{resumed.Workload.Staged}
-	noBatch := runIdentitySpec(t, resumed, 1)
+	noBatch := runIdentitySpec(t, resumed)
 
 	requireIdentical(t, "full execution vs baseline", full.Fault, base.Fault)
 	requireIdentical(t, "unbucketed resumes vs baseline", noBatch.Fault, base.Fault)
-	for _, k := range []int{2, 5} {
-		sharded := runIdentityCampaign(t, k)
-		requireIdentical(t, "shards=1 vs sharded", base.Fault, sharded.Fault)
-	}
 }
 
 // TestIdentityCellStaticPlannerEquivalence pins the planner seam: an
@@ -157,7 +152,7 @@ func TestIdentityCellExecutionModeEquivalence(t *testing.T) {
 // pinned digest.
 func TestIdentityCellStaticPlannerEquivalence(t *testing.T) {
 	t.Parallel()
-	base := runIdentityCampaign(t, 1)
+	base := runIdentityCampaign(t)
 
 	w := identityWorkload(t)
 	var runner campaign.Runner
@@ -212,7 +207,7 @@ func TestIdentityCellFabricEquivalence(t *testing.T) {
 		Seed:    identityAppSeed,
 		Workers: 2,
 	}
-	base := runIdentityCampaign(t, 1)
+	base := runIdentityCampaign(t)
 
 	coord, err := fabric.NewCoordinator(fabric.Config{Workload: fabric.DefaultWorkload})
 	if err != nil {

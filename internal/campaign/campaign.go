@@ -9,15 +9,14 @@
 // sit on this package instead of hand-building fault.Config literals.
 //
 // Every campaign runs through one round loop: a plan.Planner decides
-// which trials run, a Session executes each emitted round (optionally
-// as k concurrent sub-windows on its one worker pool) and the observed
-// outcomes flow back to the planner. A fixed-budget Spec is a one-round
-// plan.Static; Runner.RunSharded splits that round k ways and Merge
-// recombines the windows — outcome counts, crash splits, coverage
-// histograms and the rate curve — bit-identically to the unsharded run.
-// Plans are pre-generated from Spec.Seed and TrialRecord indices are
-// plan indices, which is also what lets the fabric coordinator lease
-// rounds across machines and rebuild the result from journaled records.
+// which trials run, a Session executes each emitted round as one
+// window on its worker pool and the observed outcomes flow back to the
+// planner. A fixed-budget Spec is a one-round plan.Static, so
+// Runner.Run executes exactly one window. Plans are drawn from
+// Spec.Seed and TrialRecord indices are plan indices, which is what
+// lets an interrupted campaign resume from journaled records and the
+// fabric coordinator lease rounds across machines and rebuild the
+// result from them.
 package campaign
 
 import (
@@ -71,7 +70,7 @@ type SDCPolicy struct {
 	Keep bool
 	// Max caps how many outputs Keep retains (<= 0 = unlimited). The
 	// Max lowest-index SDC trials keep their bytes, deterministically
-	// regardless of worker count or shard decomposition.
+	// regardless of worker count or completion order.
 	Max int
 	// OnOutput, if set, streams each SDC output to the callback
 	// instead of retaining it, bounding memory regardless of SDC
@@ -92,13 +91,12 @@ type Spec struct {
 	// Window overrides the register-liveness window (0 = class
 	// default).
 	Window uint64
-	// Seed makes the campaign reproducible: plans are pre-generated
-	// from it, which is what makes sharding and resume deterministic.
+	// Seed makes the campaign reproducible: the planner draws every
+	// plan from it, which is what makes resume deterministic.
 	Seed uint64
 	// Workers bounds trial parallelism (0 = GOMAXPROCS). It sizes the
-	// campaign's one session pool: the concurrent sub-windows of
-	// RunSharded and RunAdaptive share it rather than getting a pool
-	// each.
+	// campaign's one session pool: the concurrent round sub-windows of
+	// RunAdaptive share it rather than getting a pool each.
 	Workers int
 	// StepFactor sizes the hang budget as a multiple of golden steps
 	// (0 = fault.DefaultStepFactor).
@@ -113,9 +111,8 @@ type Spec struct {
 	Golden *fault.GoldenRun
 	// OnTrial, if set, receives every completed trial's checkpoint
 	// record. Invocations are serialized, including across the
-	// concurrent sub-windows of RunSharded and RunAdaptive. Record
-	// indices are plan indices, valid across any decomposition of the
-	// same Spec.
+	// concurrent round sub-windows of RunAdaptive. Record indices are
+	// plan indices, valid across any decomposition of the same Spec.
 	OnTrial func(rec fault.TrialRecord)
 	// Resume holds checkpoint records from an interrupted run of the
 	// same Spec, in any order and any decomposition. Records whose
@@ -126,7 +123,7 @@ type Spec struct {
 	// rounds of trials flow to the strata with the widest outcome-rate
 	// intervals until every rate is within Adaptive.Precision at
 	// Adaptive.Confidence. Trials is ignored; the planner's budget cap
-	// is Adaptive.MaxTrials. Run/RunSharded ignore this field.
+	// is Adaptive.MaxTrials. Run ignores this field.
 	Adaptive *AdaptiveSpec
 }
 

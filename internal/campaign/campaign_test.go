@@ -40,7 +40,8 @@ func toyApp(m *fault.Machine) ([]byte, error) {
 	return out, nil
 }
 
-// toySpec is the campaign the decomposition tests shard and merge.
+// toySpec is the small campaign the engine tests run, interrupt and
+// resume.
 func toySpec() Spec {
 	return Spec{
 		Workload: NewWorkload("toy", "", toyApp),
@@ -95,37 +96,15 @@ func requireIdentical(t *testing.T, label string, a, b *fault.Result) {
 	}
 }
 
-// TestShardMergeEquivalence is the headline property: for any shard
-// count, RunSharded merges bit-identically to the unsharded run —
-// outcome counts, crash split, coverage histograms, rate curve and the
-// deterministic SDC-output retention.
-func TestShardMergeEquivalence(t *testing.T) {
-	var runner Runner
-	base, err := runner.Run(context.Background(), toySpec())
-	if err != nil {
-		t.Fatalf("unsharded run: %v", err)
-	}
-	for _, k := range []int{1, 2, 5} {
-		merged, err := runner.RunSharded(context.Background(), toySpec(), k)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		requireIdentical(t, "k="+string(rune('0'+k)), base.Fault, merged.Fault)
-		if merged.Executed != base.Executed {
-			t.Errorf("k=%d: executed %d, want %d", k, merged.Executed, base.Executed)
-		}
-	}
-}
-
-// TestShardedResume interrupts a sharded run mid-campaign, then
-// replays its checkpoint stream into a fresh sharded run: the resumed
-// merge must still be bit-identical to the unsharded campaign. Record
-// indices are plan indices, so the journal needs no per-shard
-// bookkeeping. The specs here carry no SDC retention policy: a
-// checkpoint record has no output bytes, so in-memory retention
-// cannot survive a resume — callers wanting outputs across restarts
-// stream them at first execution via SDC.OnOutput, as vsd does.
-func TestShardedResume(t *testing.T) {
+// TestInterruptedRunResumes interrupts a run mid-campaign, then
+// replays its checkpoint stream into a fresh run: the interrupted run
+// must report a consistent partial result, and the resumed run must be
+// bit-identical to the uninterrupted campaign. The specs here carry no
+// SDC retention policy: a checkpoint record has no output bytes, so
+// in-memory retention cannot survive a resume — callers wanting
+// outputs across restarts stream them at first execution via
+// SDC.OnOutput, as vsd does.
+func TestInterruptedRunResumes(t *testing.T) {
 	noRetention := func() Spec {
 		s := toySpec()
 		s.SDC = SDCPolicy{}
@@ -134,7 +113,7 @@ func TestShardedResume(t *testing.T) {
 	var runner Runner
 	base, err := runner.Run(context.Background(), noRetention())
 	if err != nil {
-		t.Fatalf("unsharded run: %v", err)
+		t.Fatalf("uninterrupted run: %v", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -151,16 +130,16 @@ func TestShardedResume(t *testing.T) {
 			cancel()
 		}
 	}
-	partial, err := runner.RunSharded(ctx, spec, 3)
+	partial, err := runner.Run(ctx, spec)
 	if err == nil {
-		t.Fatal("interrupted sharded run returned no error")
+		t.Fatal("interrupted run returned no error")
 	}
 	mu.Lock()
 	checkpoint := append([]fault.TrialRecord(nil), recs...)
 	mu.Unlock()
-	// Interruption still yields a best-effort aggregate for reporting.
+	// Interruption still yields the partial aggregate for reporting.
 	if partial == nil || partial.Fault == nil {
-		t.Fatal("interrupted sharded run returned no partial result")
+		t.Fatal("interrupted run returned no partial result")
 	}
 	if got := partial.Fault.Completed; got == 0 || got >= toySpec().Trials {
 		t.Fatalf("partial result completed %d trials, want partial coverage", got)
@@ -178,20 +157,20 @@ func TestShardedResume(t *testing.T) {
 
 	resumed := noRetention()
 	resumed.Resume = checkpoint
-	merged, err := runner.RunSharded(context.Background(), resumed, 3)
+	got, err := runner.Run(context.Background(), resumed)
 	if err != nil {
-		t.Fatalf("resumed sharded run: %v", err)
+		t.Fatalf("resumed run: %v", err)
 	}
-	requireIdentical(t, "resumed shards", base.Fault, merged.Fault)
-	if want := base.Fault.Completed - len(checkpoint); merged.Executed != want {
-		t.Errorf("resumed run executed %d trials, want %d", merged.Executed, want)
+	requireIdentical(t, "resumed run", base.Fault, got.Fault)
+	if want := base.Fault.Completed - len(checkpoint); got.Executed != want {
+		t.Errorf("resumed run executed %d trials, want %d", got.Executed, want)
 	}
 }
 
-// TestResumeWorkerCountSkew resumes one interrupted k=5 campaign
-// journal under several different worker counts: the cluster promises
-// that parallelism never shows in the results, so every resumed merge
-// must be bit-identical to the unsharded base run, and the SDC outputs
+// TestResumeWorkerCountSkew resumes one interrupted campaign journal
+// under several different worker counts: the engine promises that
+// parallelism never shows in the results, so every resumed run must be
+// bit-identical to the uninterrupted base run, and the SDC outputs
 // streamed across interrupt + resume must be byte-identical to the
 // base run's. (Resumed trials never re-execute, so the two runs'
 // streams partition the SDC set exactly.)
@@ -209,7 +188,7 @@ func TestResumeWorkerCountSkew(t *testing.T) {
 	baseSDC := map[int][]byte{}
 	base, err := runner.Run(context.Background(), collect(toySpec(), baseSDC))
 	if err != nil {
-		t.Fatalf("unsharded run: %v", err)
+		t.Fatalf("uninterrupted run: %v", err)
 	}
 	if len(baseSDC) == 0 {
 		t.Fatal("base campaign produced no SDC outputs; the skew test needs some")
@@ -230,7 +209,7 @@ func TestResumeWorkerCountSkew(t *testing.T) {
 				cancel()
 			}
 		}
-		if _, err := runner.RunSharded(ctx, spec, 5); err == nil {
+		if _, err := runner.Run(ctx, spec); err == nil {
 			t.Fatalf("workers=%d: interrupted run returned no error", w)
 		}
 		cancel()
@@ -241,33 +220,15 @@ func TestResumeWorkerCountSkew(t *testing.T) {
 		resumed := collect(toySpec(), sdc)
 		resumed.Workers = w
 		resumed.Resume = checkpoint
-		merged, err := runner.RunSharded(context.Background(), resumed, 5)
+		got, err := runner.Run(context.Background(), resumed)
 		if err != nil {
 			t.Fatalf("workers=%d: resumed run: %v", w, err)
 		}
-		requireIdentical(t, "workers="+string(rune('0'+w)), base.Fault, merged.Fault)
+		requireIdentical(t, "workers="+string(rune('0'+w)), base.Fault, got.Fault)
 		if !reflect.DeepEqual(sdc, baseSDC) {
 			t.Errorf("workers=%d: streamed SDC outputs differ from base run (%d vs %d indices)",
 				w, len(sdc), len(baseSDC))
 		}
-	}
-}
-
-// TestMergeValidation rejects decompositions that do not reassemble
-// the original campaign.
-func TestMergeValidation(t *testing.T) {
-	results := runShards(t, 3)
-	if _, err := Merge(results...); err != nil {
-		t.Fatalf("full merge: %v", err)
-	}
-	if _, err := Merge(results[0], results[2]); err == nil {
-		t.Error("merge with a missing shard succeeded")
-	}
-	if _, err := Merge(results[1], results[1], results[2]); err == nil {
-		t.Error("merge with a duplicated shard succeeded")
-	}
-	if _, err := Merge(); err == nil {
-		t.Error("empty merge succeeded")
 	}
 }
 

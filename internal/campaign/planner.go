@@ -77,8 +77,12 @@ type AdaptiveResult struct {
 	// FixedBudget is the fixed-budget equivalent trial count for the
 	// same precision/confidence/strata — the savings baseline.
 	FixedBudget int
+	// Planner is the planner's configuration after defaulting: the
+	// precision, confidence, round size and trial cap the allocation
+	// actually used.
+	Planner plan.AdaptiveConfig
 	// Records are the checkpoint records of every observed trial, in
-	// plan-index order. Identical across worker counts, shard counts
+	// plan-index order. Identical across worker counts, round splits
 	// and resume for equal seeds.
 	Records []fault.TrialRecord
 	// Session reports what the campaign's executor session amortized
@@ -205,8 +209,8 @@ func (r *Runner) RunAdaptive(ctx context.Context, spec Spec, k int) (*AdaptiveRe
 	res.Rounds = planner.Rounds()
 	res.Trials = planner.Total()
 	res.Converged = planner.Converged()
-	cfg := planner.Config()
-	res.FixedBudget = plan.FixedBudget(cfg.Precision, cfg.Confidence, len(res.Strata))
+	res.Planner = planner.Config()
+	res.FixedBudget = plan.FixedBudget(res.Planner.Precision, res.Planner.Confidence, len(res.Strata))
 	res.Session = sess.Stats()
 	res.Elapsed = time.Since(start)
 	return res, err
@@ -260,7 +264,7 @@ func runRounds(ctx context.Context, sess *Session, spec Spec, p plan.Planner, k 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				parts[j], errs[j] = sess.runWindow(ctx, spec, round.Plans[lo:hi], round.Lo+lo, round.Lo+n)
+				parts[j], errs[j] = sess.RunPlans(ctx, spec, round.Plans[lo:hi], round.Lo+lo)
 			}()
 		}
 		wg.Wait()

@@ -59,20 +59,21 @@ func TestStratifiedCampaignStructure(t *testing.T) {
 func TestStratifiedMatchesUniformEstimate(t *testing.T) {
 	// The Relyzer-style weighted estimate should agree with a plain
 	// uniform campaign on the same app within statistical noise.
-	uniform, err := fault.RunCampaign(context.Background(), fault.Config{
-		Trials: 600, Class: fault.GPR, Region: fault.RAny, Seed: 5, Workers: 2,
-	}, toyApp)
+	var runner Runner
+	uniform, err := runner.Run(context.Background(), Spec{
+		Workload: NewWorkload("toy", "", toyApp),
+		Class:    fault.GPR, Region: fault.RAny, Trials: 600, Seed: 5, Workers: 2,
+	})
 	if err != nil {
 		t.Fatalf("uniform campaign: %v", err)
 	}
-	var runner Runner
 	strat, err := runner.RunStratified(context.Background(), NewWorkload("toy", "", toyApp), fault.StratifiedConfig{
 		TrialsPerStratum: 60, Class: fault.GPR, Seed: 5, Workers: 2,
 	})
 	if err != nil {
 		t.Fatalf("stratified campaign: %v", err)
 	}
-	u := uniform.Rates()
+	u := uniform.Fault.Rates()
 	s := strat.WeightedRates()
 	for o := fault.Outcome(0); o < fault.NumOutcomes; o++ {
 		if d := math.Abs(u[o] - s[o]); d > 0.12 {

@@ -116,39 +116,11 @@ func TestPrefixSkipEquivalence(t *testing.T) {
 	}
 }
 
-// TestPrefixSkipShardMergeEquivalence layers sharding on top: each
-// shard buckets its own plan window against the shared checkpointed
-// golden, and the merged result must still match the full-execution
-// unsharded run bit for bit.
-func TestPrefixSkipShardMergeEquivalence(t *testing.T) {
-	t.Parallel()
-	var runner Runner
-	st := newStagedToy()
-	spec := stagedToySpec(st)
-
-	base, err := runner.Run(context.Background(), fullExecution(t, spec))
-	if err != nil {
-		t.Fatalf("unsharded full run: %v", err)
-	}
-
-	for _, k := range []int{1, 2, 5} {
-		before := st.resumes.Load()
-		merged, err := runner.RunSharded(context.Background(), spec, k)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if st.resumes.Load() == before {
-			t.Errorf("k=%d: no trial resumed from the checkpoint", k)
-		}
-		requireIdentical(t, "skipping shards k="+string(rune('0'+k)), base.Fault, merged.Fault)
-	}
-}
-
-// TestPrefixSkipShardedResume interrupts a sharded skipping run, then
-// replays its checkpoint journal into a fresh sharded skipping run: a
-// resumed shard must bucket and skip its remaining plans identically,
-// landing on the same bit-identical result as full execution.
-func TestPrefixSkipShardedResume(t *testing.T) {
+// TestPrefixSkipResume interrupts a skipping run, then replays its
+// checkpoint journal into a fresh skipping run: the resumed run must
+// bucket and skip its remaining plans identically, landing on the same
+// bit-identical result as full execution.
+func TestPrefixSkipResume(t *testing.T) {
 	t.Parallel()
 	var runner Runner
 	st := newStagedToy()
@@ -160,7 +132,7 @@ func TestPrefixSkipShardedResume(t *testing.T) {
 
 	base, err := runner.Run(context.Background(), fullExecution(t, noRetention()))
 	if err != nil {
-		t.Fatalf("unsharded full run: %v", err)
+		t.Fatalf("full run: %v", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -177,8 +149,8 @@ func TestPrefixSkipShardedResume(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := runner.RunSharded(ctx, spec, 3); err == nil {
-		t.Fatal("interrupted sharded run returned no error")
+	if _, err := runner.Run(ctx, spec); err == nil {
+		t.Fatal("interrupted run returned no error")
 	}
 	mu.Lock()
 	journal := append([]fault.TrialRecord(nil), recs...)
@@ -189,12 +161,16 @@ func TestPrefixSkipShardedResume(t *testing.T) {
 
 	resumed := noRetention()
 	resumed.Resume = journal
-	merged, err := runner.RunSharded(context.Background(), resumed, 3)
+	before := st.resumes.Load()
+	got, err := runner.Run(context.Background(), resumed)
 	if err != nil {
-		t.Fatalf("resumed sharded run: %v", err)
+		t.Fatalf("resumed run: %v", err)
 	}
-	requireIdentical(t, "resumed skipping shards", base.Fault, merged.Fault)
-	if want := base.Fault.Completed - len(journal); merged.Executed != want {
-		t.Errorf("resumed run executed %d trials, want %d", merged.Executed, want)
+	if st.resumes.Load() == before {
+		t.Error("resumed run never resumed a trial from a checkpoint")
+	}
+	requireIdentical(t, "resumed skipping run", base.Fault, got.Fault)
+	if want := base.Fault.Completed - len(journal); got.Executed != want {
+		t.Errorf("resumed run executed %d trials, want %d", got.Executed, want)
 	}
 }

@@ -101,8 +101,8 @@ type MatrixSpec struct {
 }
 
 // Expand resolves every cell into a runnable Spec. The returned Specs
-// feed Runner.Run, Runner.RunSharded, Spec.Shards and the fabric
-// exactly like hand-built ones — the matrix adds no execution path.
+// feed Runner.Run, Runner.RunAdaptive and the fabric exactly like
+// hand-built ones — the matrix adds no execution path.
 func (ms MatrixSpec) Expand() ([]Spec, error) {
 	if len(ms.Cells) == 0 {
 		return nil, fmt.Errorf("campaign: matrix has no cells")
@@ -127,18 +127,17 @@ type CellResult struct {
 }
 
 // RunMatrix executes every cell of the matrix sequentially (each
-// campaign parallelizes internally across shards × workers) and
-// returns the per-cell results in cell order. shards < 2 runs each
-// cell unsharded. On error the completed prefix of cells is returned
-// alongside it.
-func (r *Runner) RunMatrix(ctx context.Context, ms MatrixSpec, shards int) ([]CellResult, error) {
+// campaign parallelizes internally across its workers) and returns the
+// per-cell results in cell order. On error the completed prefix of
+// cells is returned alongside it.
+func (r *Runner) RunMatrix(ctx context.Context, ms MatrixSpec) ([]CellResult, error) {
 	specs, err := ms.Expand()
 	if err != nil {
 		return nil, err
 	}
 	out := make([]CellResult, 0, len(specs))
 	for i, spec := range specs {
-		res, err := r.RunSharded(ctx, spec, shards)
+		res, err := r.Run(ctx, spec)
 		if err != nil {
 			return out, fmt.Errorf("campaign: cell %s: %w", ms.Cells[i], err)
 		}

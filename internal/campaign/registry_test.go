@@ -134,7 +134,7 @@ func TestMatrixRun(t *testing.T) {
 	}
 	var runner Runner
 	runner.Goldens = NewGoldenCache(8)
-	results, err := runner.RunMatrix(context.Background(), ms, 2)
+	results, err := runner.RunMatrix(context.Background(), ms)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,25 +62,14 @@ func (r *Runner) golden(spec *Spec) (*fault.GoldenRun, error) {
 	return capture()
 }
 
-// Run executes one fixed-budget campaign: RunSharded with k = 1. If
-// ctx is canceled mid-campaign, Run returns the partial Result
-// together with a non-nil error wrapping ctx's error, exactly like
-// fault.RunCampaign — callers wanting partial data on interruption
-// must check the Result even when err != nil.
+// Run executes one fixed-budget campaign: plan.Static's single round of
+// spec.Trials seeded plans, run as one window on the campaign's
+// session. Spec.Adaptive is ignored — adaptive campaigns go through
+// RunAdaptive. If ctx is canceled mid-campaign, Run returns the partial
+// Result together with a non-nil error wrapping ctx's error — callers
+// wanting partial data on interruption must check the Result even when
+// err != nil, and resume from the OnTrial checkpoint stream.
 func (r *Runner) Run(ctx context.Context, spec Spec) (*Result, error) {
-	return r.RunSharded(ctx, spec, 1)
-}
-
-// RunSharded executes a fixed-budget campaign as one plan.Static round
-// split into k concurrent sub-windows on one session pool (capped by
-// spec.Workers, shared by the sub-windows) and merges them. The merged
-// Result is bit-identical to the unsharded run for every k; k = 1
-// returns the single window as is. Spec.Adaptive is ignored — adaptive
-// campaigns go through RunAdaptive. On cancellation the error is
-// non-nil and, for k > 1, the Result is a best-effort partial
-// aggregate — sufficient for reporting, but not bit-identical to
-// anything; callers resume from the OnTrial checkpoint stream.
-func (r *Runner) RunSharded(ctx context.Context, spec Spec, k int) (*Result, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -96,19 +85,11 @@ func (r *Runner) RunSharded(ctx context.Context, spec Spec, k int) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	parts, err := runRounds(ctx, sess, spec, planner, k, nil)
-	var res *Result
-	switch {
-	case len(parts) == 1:
-		res = parts[0]
-	case err != nil:
-		res = partialMerge(spec, parts)
-	default:
-		res, err = Merge(parts...)
-	}
-	if res == nil {
+	parts, err := runRounds(ctx, sess, spec, planner, 1, nil)
+	if len(parts) == 0 || parts[0] == nil {
 		return nil, err
 	}
+	res := parts[0]
 	res.Spec = spec
 	res.Elapsed = time.Since(start)
 	return res, err

@@ -78,14 +78,6 @@ func (s *Session) resumeWindow(lo, hi int) []fault.TrialRecord {
 // its Resume field is ignored — resume records were indexed from the
 // spec the session was opened with.
 func (s *Session) RunPlans(ctx context.Context, spec Spec, plans []fault.Plan, lo int) (*Result, error) {
-	return s.runWindow(ctx, spec, plans, lo, lo+len(plans))
-}
-
-// runWindow is RunPlans inside a plan space of planTrials plans, which
-// must cover lo+len(plans). The round loop runs a round's sub-windows
-// in the round's plan space, so their Results carry the offsets Merge
-// tiles.
-func (s *Session) runWindow(ctx context.Context, spec Spec, plans []fault.Plan, lo, planTrials int) (*Result, error) {
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("campaign: empty plan window")
 	}
@@ -94,8 +86,6 @@ func (s *Session) runWindow(ctx context.Context, spec Spec, plans []fault.Plan, 
 		Trials:          len(plans),
 		Class:           spec.Class,
 		Region:          spec.Region,
-		Window:          spec.Window,
-		Seed:            spec.Seed,
 		Workers:         spec.Workers,
 		StepFactor:      spec.StepFactor,
 		CheckpointEvery: spec.CheckpointEvery,
@@ -103,11 +93,8 @@ func (s *Session) runWindow(ctx context.Context, spec Spec, plans []fault.Plan, 
 		MaxSDCOutputs:   spec.SDC.Max,
 		OnSDCOutput:     spec.SDC.OnOutput,
 		OnTrial:         spec.OnTrial,
-		Golden:          s.Golden(),
-		Staged:          spec.Workload.Staged,
 		Plans:           plans,
 		PlanOffset:      lo,
-		PlanTrials:      planTrials,
 		Resume:          s.resumeWindow(lo, lo+len(plans)),
 	}
 	fres, err := s.fs.Run(ctx, cfg)

@@ -67,7 +67,7 @@ func MatrixOn(ctx context.Context, o Options, cells []campaign.Cell) (*MatrixRes
 			Workers: o.Workers,
 		},
 	}
-	results, err := runner.RunMatrix(ctx, ms, 1)
+	results, err := runner.RunMatrix(ctx, ms)
 	if err != nil {
 		return nil, err
 	}

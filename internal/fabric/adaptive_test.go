@@ -249,9 +249,40 @@ func TestCoordinatorRestartAdaptive(t *testing.T) {
 	}
 }
 
+// TestForgedOutcomeRejected: a shard result carrying an outcome outside
+// the four classes is refused before it is journaled, the coordinator
+// keeps running (the adaptive planner indexes its counts by outcome),
+// and the campaign still finishes on the single-node trial set.
+func TestForgedOutcomeRejected(t *testing.T) {
+	cs := adaptiveWireSpec()
+	base := localAdaptive(t, cs)
+	c, err := NewCoordinator(Config{JournalPath: filepath.Join(t.TempDir(), "fabric.journal"), Workload: toyBuild})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer c.Close()
+	id, err := c.Submit(cs, 1)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	res := executeLease(t, leaseWait(t, c, "a"), "a")
+	res.Recs[0].Outcome = 200
+	if _, err := c.Complete(res); err == nil || !strings.Contains(err.Error(), "invalid outcome") {
+		t.Fatalf("forged outcome: got %v, want invalid-outcome error", err)
+	}
+	drainAdaptive(t, c, id, "b")
+	recs, err := c.AdaptiveRecords(id)
+	if err != nil {
+		t.Fatalf("adaptive records: %v", err)
+	}
+	if !reflect.DeepEqual(recs, base.Records) {
+		t.Error("trial records diverge from baseline after a rejected forgery")
+	}
+}
+
 // TestAdaptiveSpecValidation: the wire-level precision/confidence
 // checks reject malformed adaptive specs, and non-adaptive specs still
-// require a trial budget.
+// require a trial budget and carry no adaptive knobs.
 func TestAdaptiveSpecValidation(t *testing.T) {
 	c, err := NewCoordinator(Config{Workload: toyBuild})
 	if err != nil {
@@ -272,6 +303,33 @@ func TestAdaptiveSpecValidation(t *testing.T) {
 	nonAdaptive.Adaptive = false
 	if _, err := c.Submit(nonAdaptive, 1); err == nil {
 		t.Error("non-adaptive spec without trials accepted")
+	}
+	for name, knob := range map[string]func(*CampaignSpec){
+		"precision":  func(cs *CampaignSpec) { cs.Precision = 0.1 },
+		"confidence": func(cs *CampaignSpec) { cs.Confidence = 0.9 },
+		"round_size": func(cs *CampaignSpec) { cs.RoundSize = 16 },
+		"max_trials": func(cs *CampaignSpec) { cs.MaxTrials = 100 },
+	} {
+		fixed := toyWireSpec()
+		knob(&fixed)
+		if err := fixed.Validate(); err == nil || !strings.Contains(err.Error(), "adaptive knobs") {
+			t.Errorf("fixed-budget spec with %s: got %v, want adaptive-knob error", name, err)
+		}
+	}
+	for name, tc := range map[string]struct {
+		knob func(*CampaignSpec)
+		want string
+	}{
+		"negative precision":  {func(cs *CampaignSpec) { cs.Precision = -0.1 }, "outside [0, 0.5)"},
+		"precision at half":   {func(cs *CampaignSpec) { cs.Precision = 0.5 }, "outside [0, 0.5)"},
+		"confidence at one":   {func(cs *CampaignSpec) { cs.Confidence = 1 }, "outside [0, 1)"},
+		"negative confidence": {func(cs *CampaignSpec) { cs.Confidence = -0.5 }, "outside [0, 1)"},
+	} {
+		spec := adaptiveWireSpec()
+		tc.knob(&spec)
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want error containing %q", name, err, tc.want)
+		}
 	}
 	// A zero-knob adaptive spec is valid: the planner defaults apply.
 	ok := CampaignSpec{Algorithm: "toy", Class: "fpr", Seed: 1, Adaptive: true}

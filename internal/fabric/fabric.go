@@ -92,6 +92,16 @@ type CampaignSpec struct {
 	MaxTrials int `json:"max_trials,omitempty"`
 }
 
+// dropLegacyKnobs clears the adaptive-only fields of a fixed-budget
+// spec. Validate rejects them, but journals written before it did may
+// carry them; they never had an effect, so replay drops the fields
+// rather than the campaign.
+func (cs *CampaignSpec) dropLegacyKnobs() {
+	if !cs.Adaptive {
+		cs.Precision, cs.Confidence, cs.RoundSize, cs.MaxTrials = 0, 0, 0, 0
+	}
+}
+
 // Validate checks the declarative fields without building a workload.
 func (cs *CampaignSpec) Validate() error {
 	if cs.Adaptive {
@@ -104,8 +114,13 @@ func (cs *CampaignSpec) Validate() error {
 		if cs.RoundSize < 0 || cs.MaxTrials < 0 {
 			return fmt.Errorf("fabric: negative adaptive round size or trial cap")
 		}
-	} else if cs.Trials <= 0 {
-		return fmt.Errorf("fabric: campaign needs trials > 0, got %d", cs.Trials)
+	} else {
+		if cs.Trials <= 0 {
+			return fmt.Errorf("fabric: campaign needs trials > 0, got %d", cs.Trials)
+		}
+		if cs.Precision != 0 || cs.Confidence != 0 || cs.RoundSize != 0 || cs.MaxTrials != 0 {
+			return fmt.Errorf("fabric: precision/confidence/round_size/max_trials are adaptive knobs; set \"adaptive\": true")
+		}
 	}
 	if _, err := fault.ParseClass(cs.Class); err != nil {
 		return err

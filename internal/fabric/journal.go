@@ -24,8 +24,10 @@ import (
 // the coordinator commits (fsyncs) it under its mutex before it marks
 // the shard done or acknowledges the completion, so replay (which
 // keeps the first shard record per index and drops the rest) agrees
-// with the live tie-break. Terminal state records are committed too;
-// campaign, round and lease records are flushed only.
+// with the live tie-break. Replay also drops a shard record carrying an
+// outcome outside the four classes, so a corrupt completion is leased
+// again instead of reaching the planner. Terminal state records are
+// committed too; campaign, round and lease records are flushed only.
 //
 // Round records exist only for adaptive campaigns: each one appends
 // the round's shard windows to the campaign's shard table, so replayed
@@ -61,7 +63,11 @@ func replayJournal(path string) (camps []*camp, maxCampSeq, maxLeaseSeq int, err
 	err = journal.Replay(path, func(rec record) {
 		switch rec.Op {
 		case "campaign":
-			if rec.Spec == nil || rec.Campaign == "" || rec.Spec.Validate() != nil || rec.Shards < 1 {
+			if rec.Spec == nil || rec.Campaign == "" || rec.Shards < 1 {
+				return
+			}
+			rec.Spec.dropLegacyKnobs()
+			if rec.Spec.Validate() != nil {
 				return
 			}
 			if byID[rec.Campaign] != nil {
@@ -93,7 +99,7 @@ func replayJournal(path string) (camps []*camp, maxCampSeq, maxLeaseSeq int, err
 			maxLeaseSeq = maxSeq(maxLeaseSeq, rec.Lease, "l")
 		case "shard":
 			cm := byID[rec.Campaign]
-			if cm == nil || rec.Shard < 0 || rec.Shard >= len(cm.shards) {
+			if cm == nil || rec.Shard < 0 || rec.Shard >= len(cm.shards) || checkOutcomes(rec.Recs) != nil {
 				return
 			}
 			sh := cm.shards[rec.Shard]

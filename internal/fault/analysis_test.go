@@ -54,9 +54,9 @@ func TestGroupRatesEmpty(t *testing.T) {
 }
 
 func TestAnalyzeOnRealCampaign(t *testing.T) {
-	res, err := RunCampaign(context.Background(), Config{
-		Trials: 400, Class: GPR, Region: RAny, Seed: 7, Workers: 2,
-	}, toyApp)
+	res, err := runCampaign(context.Background(), Config{
+		Trials: 400, Class: GPR, Region: RAny, Workers: 2,
+	}, 7, toyApp)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}

@@ -3,7 +3,6 @@ package fault
 import (
 	"bytes"
 	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -89,23 +88,22 @@ const (
 // run's step count.
 const DefaultStepFactor = 4
 
-// Config parameterizes a fault-injection campaign.
+// Config parameterizes one plan window of a fault-injection campaign:
+// the plans a planner (internal/plan) drew, where they sit in the
+// campaign's plan space and how the executor runs them.
 type Config struct {
-	// Trials is the number of error injections (the paper uses 1000
-	// per register class, 5000 for the SDC-quality study).
+	// Trials is the number of error injections in this window; it must
+	// equal len(Plans).
 	Trials int
 	// Class selects GPR or FPR injections.
 	Class Class
 	// Region restricts injections to one function (RAny = whole app).
+	// It sizes Result.TotalTaps; the plans carry their own region.
 	Region Region
-	// Window overrides the liveness window (0 = class default).
-	Window uint64
-	// Seed makes the campaign reproducible.
-	Seed uint64
 	// Workers bounds the number of concurrent trial workers
 	// (0 = GOMAXPROCS). The effective count is clamped to the number
 	// of pending trials — plans not already satisfied by Resume
-	// records — so a mostly-resumed campaign never spawns idle
+	// records — so a mostly-resumed window never spawns idle
 	// goroutines. Workers set inter-trial parallelism only; it
 	// composes with bucket batching (trials resuming from the same
 	// golden checkpoint are fed to workers as bucket chunks) and with
@@ -131,58 +129,27 @@ type Config struct {
 	// OnSDCOutput, if set, streams each SDC trial's corrupted output to
 	// the callback instead of retaining it in Result.Trials, bounding
 	// campaign memory regardless of SDC count. Invocations are
-	// serialized by the campaign. KeepSDCOutputs and MaxSDCOutputs are
+	// serialized by the window. KeepSDCOutputs and MaxSDCOutputs are
 	// ignored when OnSDCOutput is set.
 	OnSDCOutput func(rec TrialRecord, output []byte)
 	// OnTrial, if set, is called once per completed injection with the
 	// trial's checkpoint record, in completion order (not index order).
-	// Invocations are serialized by the campaign. A service journals
+	// Invocations are serialized by the window. A service journals
 	// these records so an interrupted campaign can be resumed.
 	OnTrial func(rec TrialRecord)
-	// Resume holds checkpoint records of trials already completed by a
-	// previous, interrupted run of the same Config (same Trials, Class,
-	// Region, Window and Seed). Those trials are merged into the Result
-	// without re-executing; because plans are pre-generated from Seed
-	// and each trial is deterministic in its plan, a resumed campaign
-	// reaches the same outcome counts as an uninterrupted one.
+	// Resume holds checkpoint records of this window's trials that a
+	// previous, interrupted run already completed. They are folded into
+	// the Result without re-executing; because the planner draws the
+	// same plans from the same seed and each trial is deterministic in
+	// its plan, a resumed campaign reaches the same outcome counts as
+	// an uninterrupted one.
 	Resume []TrialRecord
-	// PlanTrials is the plan-space size when this run is one shard of a
-	// larger campaign: plans for trials [0, PlanTrials) are
-	// pre-generated from Seed exactly as the unsharded campaign would
-	// generate them, and this run executes only the window
-	// [PlanOffset, PlanOffset+Trials). 0 means Trials (the whole
-	// campaign is one shard). TrialRecord indices are plan indices, so
-	// checkpoints from a shard replay into the same shard — or into the
-	// unsharded campaign — unambiguously.
-	PlanTrials int
-	// PlanOffset is the first plan index this run executes (sharding).
+	// PlanOffset is the plan index of Plans[0]. TrialRecord indices are
+	// plan indices, so journaling and resume do not depend on how a
+	// campaign's plan space is cut into windows.
 	PlanOffset int
-	// Plans, when non-nil, supplies the exact plans this run executes
-	// instead of drawing them from Seed — the planner seam
-	// (internal/plan) computes rounds of plans and hands each round to
-	// the executor through this field. len(Plans) must equal Trials.
-	// PlanOffset still names the plan index of Plans[0] (TrialRecord
-	// indices stay plan indices, so journaling and resume work
-	// unchanged), and PlanTrials must cover PlanOffset+Trials. Seed is
-	// ignored for plan generation when Plans is set.
+	// Plans are the exact plans this window executes.
 	Plans []Plan
-	// Golden, when non-nil, is a precomputed golden run of the same
-	// app, and RunCampaign skips its own fault-free execution. Because
-	// the application is deterministic under a nil plan, a captured
-	// golden run is valid for every campaign over the same app and
-	// input, whatever the class, region or seed — the Fig 9/10/11
-	// harnesses share one per app, and the vsd service caches them per
-	// job spec.
-	Golden *GoldenRun
-	// Staged, when non-nil, is the stage-resumable view of the same
-	// app, enabling golden-prefix skipping: trials whose injection site
-	// falls past a recorded stage boundary resume from that boundary's
-	// golden checkpoint instead of re-executing the fault-free prefix.
-	// Requires a golden run carrying checkpoints of the current schema
-	// (CaptureGoldenStaged); campaigns fall back to full execution
-	// otherwise, so a golden from CaptureGolden runs every trial in
-	// full.
-	Staged StagedApp
 }
 
 // GoldenRun is the reusable result of one fault-free execution: the
@@ -323,19 +290,6 @@ type SchedStats struct {
 	Converged  int
 }
 
-// merge folds another run's scheduler stats into s (shard merges).
-func (s *SchedStats) merge(o SchedStats) {
-	s.Buckets += o.Buckets
-	s.Batched += o.Batched
-	s.BucketSizes = append(s.BucketSizes, o.BucketSizes...)
-	s.EarlyMasks += o.EarlyMasks
-	s.Converged += o.Converged
-}
-
-// MergeSched accumulates another result's scheduler statistics; the
-// campaign engine's shard merge calls this alongside Accumulate.
-func (r *Result) MergeSched(o *Result) { r.Sched.merge(o.Sched) }
-
 // Result aggregates a campaign.
 type Result struct {
 	Config Config
@@ -355,9 +309,8 @@ type Result struct {
 	BitHist *stats.Histogram
 	// Curve tracks outcome rates vs injection count (Fig 9a).
 	Curve *stats.RateCurve
-	// Trials holds every trial of this run's plan window in plan order
-	// (the whole campaign unless Config selects a shard window, in
-	// which case entry i is plan PlanOffset+i). When the campaign was
+	// Trials holds every trial of this run's plan window in plan order:
+	// entry i is plan Config.PlanOffset+i. When the window was
 	// interrupted, entries for never-executed plans are zero-valued;
 	// Completed says how many entries are real.
 	Trials []Trial
@@ -413,13 +366,10 @@ func (r *Result) SDCOutputs() [][]byte {
 // for the requested class/region.
 var ErrNoTaps = errors.New("fault: golden run executed no taps for the requested class/region")
 
-// NewResult returns an empty Result for cfg with the aggregate
-// structures sized and the golden reference recorded; callers fold
-// completed trials in with Accumulate, in plan-index order.
-// RunCampaign builds its Result through this path, and the campaign
-// engine's shard merge uses the same path — which is what makes a
-// merged shard set bit-identical to the unsharded run.
-func NewResult(cfg Config, goldenOut []byte, goldenSteps, totalTaps uint64) *Result {
+// newResult returns an empty Result for cfg with the aggregate
+// structures sized and the golden reference recorded; Session.Run folds
+// completed trials in with accumulate, in plan-index order.
+func newResult(cfg Config, goldenOut []byte, goldenSteps, totalTaps uint64) *Result {
 	every := cfg.CheckpointEvery
 	if every <= 0 {
 		every = cfg.Trials / 20
@@ -439,12 +389,12 @@ func NewResult(cfg Config, goldenOut []byte, goldenSteps, totalTaps uint64) *Res
 	}
 }
 
-// Accumulate folds one completed trial into the outcome counts, crash
+// accumulate folds one completed trial into the outcome counts, crash
 // split, coverage histograms and rate curve. Trials must be
 // accumulated in plan-index order for the curve checkpoints to be
-// deterministic. Accumulate does not append to r.Trials — the caller
+// deterministic. accumulate does not append to r.Trials — the caller
 // owns that slice.
-func (r *Result) Accumulate(t *Trial) {
+func (r *Result) accumulate(t *Trial) {
 	r.Completed++
 	r.Counts[t.Outcome]++
 	if t.Outcome == OutcomeCrash {
@@ -470,10 +420,9 @@ func WindowFor(class Class, window uint64) uint64 {
 // GeneratePlans draws the first n plans of the campaign plan space for
 // (seed, class, region) over a site space of totalTaps, with every
 // plan carrying the given (already resolved, see WindowFor) liveness
-// window. This is THE plan stream: RunCampaign, the shard
-// decomposition and the static planner all draw from it, which is what
-// keeps a shard's plans identical to the unsharded campaign's and the
-// planner seam bit-identical to the pre-seam executor.
+// window. This is the uniform plan stream of the paper's campaigns:
+// the static planner (plan.Static) emits it, so a fixed-budget
+// campaign's trials depend only on its seed.
 func GeneratePlans(seed uint64, class Class, region Region, window uint64, n int, totalTaps uint64) []Plan {
 	rng := stats.NewRNG(seed)
 	plans := make([]Plan, n)
@@ -488,63 +437,6 @@ func GeneratePlans(seed uint64, class Class, region Region, window uint64, n int
 		}
 	}
 	return plans
-}
-
-// RunCampaign executes a statistical fault-injection campaign against
-// app: one golden run to size the site space and capture the reference
-// output (skipped when cfg.Golden supplies a precomputed one), then
-// cfg.Trials injected runs on a bounded worker pool. Trials are
-// deterministic in cfg.Seed regardless of worker count. A trial no
-// longer necessarily executes the application end to end: with a
-// staged app and a checkpointed golden run, each trial restores the
-// latest golden stage boundary before its injection site and executes
-// only the remaining stages — bit-identical to a full run, because the
-// skipped prefix is provably fault-free for that trial's plan.
-//
-// RunCampaign is the one-shot wrapper around a Session: it opens a
-// persistent executor session, runs the single plan window through it
-// and closes it. Callers executing many windows of one campaign (the
-// planner round loop, fabric round-shard leases) hold a Session open
-// instead and pay the pool/preparation setup once.
-//
-// If ctx is canceled mid-campaign, RunCampaign stops feeding new
-// trials, waits for in-flight ones, and returns the partial Result
-// (Completed < Config.Trials) together with a non-nil error wrapping
-// ctx's error — callers that want partial data on interruption must
-// check the Result even when err != nil.
-func RunCampaign(ctx context.Context, cfg Config, app App) (*Result, error) {
-	if cfg.Trials <= 0 {
-		return nil, fmt.Errorf("fault: non-positive trial count %d", cfg.Trials)
-	}
-	planTrials := cfg.PlanTrials
-	if planTrials == 0 {
-		planTrials = cfg.Trials
-	}
-	if cfg.PlanOffset < 0 || cfg.PlanOffset+cfg.Trials > planTrials {
-		return nil, fmt.Errorf("fault: plan window [%d,%d) outside plan space [0,%d)",
-			cfg.PlanOffset, cfg.PlanOffset+cfg.Trials, planTrials)
-	}
-	golden := cfg.Golden
-	if golden == nil {
-		var err error
-		if cfg.Staged != nil {
-			golden, err = CaptureGoldenStaged(cfg.Staged)
-		} else {
-			golden, err = CaptureGolden(app)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	s, err := NewSession(SessionConfig{App: app, Staged: cfg.Staged, Golden: golden, Workers: cfg.Workers})
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	// The session validates cfg.Golden against its own golden; a nil
-	// cfg.Golden (we captured above) is accepted and the captured run is
-	// used, so Result.Config stays exactly the caller's cfg.
-	return s.Run(ctx, cfg)
 }
 
 // maxBucketChunk caps how many trials one channel send hands a worker,

@@ -41,16 +41,34 @@ func toyApp(m *Machine) ([]byte, error) {
 	return out, nil
 }
 
+// runCampaign is the one-shot seed-driven campaign the package tests
+// drive the executor with, shaped like campaign.Runner.Run: capture the
+// golden run, draw cfg.Trials plans from seed with GeneratePlans (the
+// stream plan.Static emits) and execute them as one Session window.
+func runCampaign(ctx context.Context, cfg Config, seed uint64, app App) (*Result, error) {
+	golden, err := CaptureGolden(app)
+	if err != nil {
+		return nil, err
+	}
+	taps := golden.Taps(cfg.Class, cfg.Region)
+	if taps == 0 {
+		return nil, ErrNoTaps
+	}
+	cfg.Plans = GeneratePlans(seed, cfg.Class, cfg.Region, WindowFor(cfg.Class, 0), cfg.Trials, taps)
+	s, err := NewSession(SessionConfig{App: app, Golden: golden, Workers: cfg.Workers})
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	return s.Run(ctx, cfg)
+}
+
 func TestCampaignGoldenIsMaskFree(t *testing.T) {
-	// Window 0 means every plan misses: all outcomes must be Mask.
-	res, err := RunCampaign(context.Background(), Config{
-		Trials: 50, Class: GPR, Region: RAny, Seed: 1, Workers: 2,
-		Window: 1, // still random hits possible; use explicit miss below
-	}, func(m *Machine) ([]byte, error) {
-		// An app with no taps after the plan site never gets corrupted
-		// values, but taps are still counted; use a plan window of 1 on
-		// a single-register app to get a mix. Here instead verify that
-		// uncorrupted trials mask.
+	// A four-tap app: every trial must still be classified exactly
+	// once.
+	res, err := runCampaign(context.Background(), Config{
+		Trials: 50, Class: GPR, Region: RAny, Workers: 2,
+	}, 1, func(m *Machine) ([]byte, error) {
 		out := make([]byte, 4)
 		for i := 0; i < 4; i++ {
 			out[i] = byte(m.Idx(i))
@@ -58,7 +76,7 @@ func TestCampaignGoldenIsMaskFree(t *testing.T) {
 		return out, nil
 	})
 	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+		t.Fatalf("campaign: %v", err)
 	}
 	total := 0
 	for _, c := range res.Counts {
@@ -80,13 +98,13 @@ func TestCampaignGoldenIsMaskFree(t *testing.T) {
 }
 
 func TestCampaignDeterminism(t *testing.T) {
-	cfg := Config{Trials: 200, Class: GPR, Region: RAny, Seed: 42, Workers: 4}
-	a, err := RunCampaign(context.Background(), cfg, toyApp)
+	cfg := Config{Trials: 200, Class: GPR, Region: RAny, Workers: 4}
+	a, err := runCampaign(context.Background(), cfg, 42, toyApp)
 	if err != nil {
 		t.Fatalf("campaign A: %v", err)
 	}
 	cfg.Workers = 1
-	b, err := RunCampaign(context.Background(), cfg, toyApp)
+	b, err := runCampaign(context.Background(), cfg, 42, toyApp)
 	if err != nil {
 		t.Fatalf("campaign B: %v", err)
 	}
@@ -101,11 +119,11 @@ func TestCampaignDeterminism(t *testing.T) {
 }
 
 func TestCampaignProducesAllOutcomeMachinery(t *testing.T) {
-	res, err := RunCampaign(context.Background(), Config{
-		Trials: 400, Class: GPR, Region: RAny, Seed: 7, Workers: 4,
-	}, toyApp)
+	res, err := runCampaign(context.Background(), Config{
+		Trials: 400, Class: GPR, Region: RAny, Workers: 4,
+	}, 7, toyApp)
 	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+		t.Fatalf("campaign: %v", err)
 	}
 	if res.TotalTaps == 0 || res.GoldenSteps == 0 {
 		t.Error("golden run did not count taps")
@@ -128,11 +146,11 @@ func TestCampaignProducesAllOutcomeMachinery(t *testing.T) {
 }
 
 func TestCampaignFPRMostlyMasked(t *testing.T) {
-	res, err := RunCampaign(context.Background(), Config{
-		Trials: 300, Class: FPR, Region: RAny, Seed: 9, Workers: 4,
-	}, toyApp)
+	res, err := runCampaign(context.Background(), Config{
+		Trials: 300, Class: FPR, Region: RAny, Workers: 4,
+	}, 9, toyApp)
 	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+		t.Fatalf("campaign: %v", err)
 	}
 	if rate := res.Rate(OutcomeMask); rate < 0.90 {
 		t.Errorf("FPR mask rate = %v, want >= 0.90 (small liveness window)", rate)
@@ -140,12 +158,12 @@ func TestCampaignFPRMostlyMasked(t *testing.T) {
 }
 
 func TestCampaignKeepsSDCOutputs(t *testing.T) {
-	res, err := RunCampaign(context.Background(), Config{
-		Trials: 500, Class: GPR, Region: RAny, Seed: 3, Workers: 4,
+	res, err := runCampaign(context.Background(), Config{
+		Trials: 500, Class: GPR, Region: RAny, Workers: 4,
 		KeepSDCOutputs: true,
-	}, toyApp)
+	}, 3, toyApp)
 	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+		t.Fatalf("campaign: %v", err)
 	}
 	outs := res.SDCOutputs()
 	if len(outs) != res.Counts[OutcomeSDC] {
@@ -170,12 +188,12 @@ func TestCampaignHangDetection(t *testing.T) {
 		}
 		return []byte{byte(sum)}, nil
 	}
-	res, err := RunCampaign(context.Background(), Config{
-		Trials: 300, Class: GPR, Region: RAny, Seed: 11, Workers: 4,
+	res, err := runCampaign(context.Background(), Config{
+		Trials: 300, Class: GPR, Region: RAny, Workers: 4,
 		StepFactor: 2,
-	}, app)
+	}, 11, app)
 	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+		t.Fatalf("campaign: %v", err)
 	}
 	if res.Counts[OutcomeHang] == 0 {
 		t.Error("expected hang outcomes from corrupted loop bounds")
@@ -194,11 +212,11 @@ func TestCampaignCrashAbort(t *testing.T) {
 		}
 		return []byte{1}, nil
 	}
-	res, err := RunCampaign(context.Background(), Config{
-		Trials: 200, Class: GPR, Region: RAny, Seed: 13, Workers: 2,
-	}, app)
+	res, err := runCampaign(context.Background(), Config{
+		Trials: 200, Class: GPR, Region: RAny, Workers: 2,
+	}, 13, app)
 	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+		t.Fatalf("campaign: %v", err)
 	}
 	if res.CrashCounts[CrashAbort] == 0 {
 		t.Error("expected abort-class crashes")
@@ -221,11 +239,11 @@ func TestCampaignRegionScoped(t *testing.T) {
 		restore()
 		return out, nil
 	}
-	res, err := RunCampaign(context.Background(), Config{
-		Trials: 100, Class: GPR, Region: RRemapBilinear, Seed: 5, Workers: 2,
-	}, app)
+	res, err := runCampaign(context.Background(), Config{
+		Trials: 100, Class: GPR, Region: RRemapBilinear, Workers: 2,
+	}, 5, app)
 	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+		t.Fatalf("campaign: %v", err)
 	}
 	if res.TotalTaps != 20 {
 		t.Errorf("region tap space = %d, want 20", res.TotalTaps)
@@ -240,17 +258,17 @@ func TestCampaignRegionScoped(t *testing.T) {
 func TestCampaignErrors(t *testing.T) {
 	okApp := func(m *Machine) ([]byte, error) { m.Idx(1); return []byte{0}, nil }
 
-	if _, err := RunCampaign(context.Background(), Config{Trials: 0, Class: GPR, Region: RAny}, okApp); err == nil {
+	if _, err := runCampaign(context.Background(), Config{Trials: 0, Class: GPR, Region: RAny}, 0, okApp); err == nil {
 		t.Error("expected error for zero trials")
 	}
 
 	failing := func(m *Machine) ([]byte, error) { return nil, errors.New("boom") }
-	if _, err := RunCampaign(context.Background(), Config{Trials: 1, Class: GPR, Region: RAny}, failing); err == nil {
+	if _, err := runCampaign(context.Background(), Config{Trials: 1, Class: GPR, Region: RAny}, 0, failing); err == nil {
 		t.Error("expected error for failing golden run")
 	}
 
 	noFPR := func(m *Machine) ([]byte, error) { m.Idx(1); return []byte{0}, nil }
-	if _, err := RunCampaign(context.Background(), Config{Trials: 1, Class: FPR, Region: RAny}, noFPR); !errors.Is(err, ErrNoTaps) {
+	if _, err := runCampaign(context.Background(), Config{Trials: 1, Class: FPR, Region: RAny}, 0, noFPR); !errors.Is(err, ErrNoTaps) {
 		t.Errorf("expected ErrNoTaps, got %v", err)
 	}
 }
@@ -258,15 +276,15 @@ func TestCampaignErrors(t *testing.T) {
 func TestCampaignContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunCampaign(ctx, Config{Trials: 10000, Class: GPR, Region: RAny, Seed: 1}, toyApp)
+	_, err := runCampaign(ctx, Config{Trials: 10000, Class: GPR, Region: RAny}, 1, toyApp)
 	if err == nil {
 		t.Error("expected cancellation error")
 	}
 }
 
 func TestCampaignResumeMatchesColdRun(t *testing.T) {
-	cfg := Config{Trials: 300, Class: GPR, Region: RAny, Seed: 21, Workers: 4}
-	cold, err := RunCampaign(context.Background(), cfg, toyApp)
+	cfg := Config{Trials: 300, Class: GPR, Region: RAny, Workers: 4}
+	cold, err := runCampaign(context.Background(), cfg, 21, toyApp)
 	if err != nil {
 		t.Fatalf("cold campaign: %v", err)
 	}
@@ -280,7 +298,7 @@ func TestCampaignResumeMatchesColdRun(t *testing.T) {
 	rcfg.Resume = recs
 	executed := 0
 	rcfg.OnTrial = func(rec TrialRecord) { executed++ }
-	warm, err := RunCampaign(context.Background(), rcfg, toyApp)
+	warm, err := runCampaign(context.Background(), rcfg, 21, toyApp)
 	if err != nil {
 		t.Fatalf("resumed campaign: %v", err)
 	}
@@ -299,7 +317,7 @@ func TestCampaignResumeMatchesColdRun(t *testing.T) {
 }
 
 func TestCampaignResumeRejectsBadRecords(t *testing.T) {
-	base := Config{Trials: 10, Class: GPR, Region: RAny, Seed: 1}
+	base := Config{Trials: 10, Class: GPR, Region: RAny}
 	for name, recs := range map[string][]TrialRecord{
 		"out-of-range": {{Index: 10}},
 		"negative":     {{Index: -1}},
@@ -308,7 +326,7 @@ func TestCampaignResumeRejectsBadRecords(t *testing.T) {
 	} {
 		cfg := base
 		cfg.Resume = recs
-		if _, err := RunCampaign(context.Background(), cfg, toyApp); err == nil {
+		if _, err := runCampaign(context.Background(), cfg, 1, toyApp); err == nil {
 			t.Errorf("%s: expected resume validation error", name)
 		}
 	}
@@ -320,7 +338,7 @@ func TestCampaignPartialResultOnCancel(t *testing.T) {
 	const stopAfter = 40
 	seen := 0
 	cfg := Config{
-		Trials: 5000, Class: GPR, Region: RAny, Seed: 17, Workers: 2,
+		Trials: 5000, Class: GPR, Region: RAny, Workers: 2,
 		OnTrial: func(TrialRecord) {
 			seen++
 			if seen == stopAfter {
@@ -328,7 +346,7 @@ func TestCampaignPartialResultOnCancel(t *testing.T) {
 			}
 		},
 	}
-	res, err := RunCampaign(ctx, cfg, toyApp)
+	res, err := runCampaign(ctx, cfg, 17, toyApp)
 	if err == nil {
 		t.Fatal("expected interruption error")
 	}
@@ -351,12 +369,12 @@ func TestCampaignPartialResultOnCancel(t *testing.T) {
 }
 
 func TestCampaignSDCOutputCap(t *testing.T) {
-	res, err := RunCampaign(context.Background(), Config{
-		Trials: 500, Class: GPR, Region: RAny, Seed: 3, Workers: 4,
+	res, err := runCampaign(context.Background(), Config{
+		Trials: 500, Class: GPR, Region: RAny, Workers: 4,
 		KeepSDCOutputs: true, MaxSDCOutputs: 2,
-	}, toyApp)
+	}, 3, toyApp)
 	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+		t.Fatalf("campaign: %v", err)
 	}
 	if res.Counts[OutcomeSDC] <= 2 {
 		t.Skipf("only %d SDCs; cap not exercised", res.Counts[OutcomeSDC])
@@ -368,8 +386,8 @@ func TestCampaignSDCOutputCap(t *testing.T) {
 
 func TestCampaignStreamsSDCOutputs(t *testing.T) {
 	streamed := 0
-	res, err := RunCampaign(context.Background(), Config{
-		Trials: 500, Class: GPR, Region: RAny, Seed: 3, Workers: 4,
+	res, err := runCampaign(context.Background(), Config{
+		Trials: 500, Class: GPR, Region: RAny, Workers: 4,
 		OnSDCOutput: func(rec TrialRecord, out []byte) {
 			streamed++
 			if rec.Outcome != OutcomeSDC {
@@ -379,9 +397,9 @@ func TestCampaignStreamsSDCOutputs(t *testing.T) {
 				t.Error("streamed empty SDC output")
 			}
 		},
-	}, toyApp)
+	}, 3, toyApp)
 	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+		t.Fatalf("campaign: %v", err)
 	}
 	if streamed != res.Counts[OutcomeSDC] {
 		t.Errorf("streamed %d outputs, want %d", streamed, res.Counts[OutcomeSDC])
@@ -416,9 +434,9 @@ func BenchmarkTapIdxWithPlan(b *testing.B) {
 func BenchmarkCampaignToyApp(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunCampaign(context.Background(), Config{
-			Trials: 100, Class: GPR, Region: RAny, Seed: uint64(i),
-		}, toyApp); err != nil {
+		if _, err := runCampaign(context.Background(), Config{
+			Trials: 100, Class: GPR, Region: RAny,
+		}, uint64(i), toyApp); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -151,7 +151,7 @@ type BatchStagedApp interface {
 // CaptureGoldenStaged executes one fault-free run of the staged app,
 // recording a checkpoint at every stage boundary. The returned golden
 // run carries everything CaptureGolden records plus the checkpoint
-// stream that lets RunCampaign skip fault-free trial prefixes.
+// stream that lets a Session skip fault-free trial prefixes.
 func CaptureGoldenStaged(sa StagedApp) (*GoldenRun, error) {
 	m := New()
 	var cps []Checkpoint

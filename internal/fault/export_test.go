@@ -5,7 +5,7 @@ package fault
 // no early mask, no window clip and no boundary convergence. Its
 // verdict is what running the injected application to completion
 // records, which makes it the reference the bucketed, clipped trials
-// of RunCampaign are checked against.
+// of a Session window are checked against.
 func RunTrialFull(app App, golden *GoldenRun, plan Plan) Trial {
 	e := &trialExec{
 		budget:    uint64(float64(golden.Steps) * DefaultStepFactor),

@@ -23,10 +23,10 @@ func retainedSDCIndices(res *Result) []int {
 // worker count and completion order.
 func TestSDCRetentionDeterministic(t *testing.T) {
 	run := func(workers int) *Result {
-		res, err := RunCampaign(context.Background(), Config{
-			Trials: 300, Class: GPR, Region: RAny, Seed: 11,
+		res, err := runCampaign(context.Background(), Config{
+			Trials: 300, Class: GPR, Region: RAny,
 			Workers: workers, KeepSDCOutputs: true, MaxSDCOutputs: 2,
-		}, toyApp)
+		}, 11, toyApp)
 		if err != nil {
 			t.Fatalf("campaign (workers=%d): %v", workers, err)
 		}

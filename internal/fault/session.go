@@ -14,7 +14,12 @@ type SessionConfig struct {
 	// checkpoint, and the golden fallback).
 	App App
 	// Staged, when non-nil, is the stage-resumable view of the same
-	// app (see Config.Staged).
+	// app, enabling golden-prefix skipping: trials whose injection site
+	// falls past a recorded stage boundary resume from that boundary's
+	// golden checkpoint instead of re-executing the fault-free prefix.
+	// It takes effect only with a Golden carrying checkpoints of the
+	// current schema (CaptureGoldenStaged); a golden from CaptureGolden
+	// runs every trial in full.
 	Staged StagedApp
 	// Golden is the precomputed golden run every window of this session
 	// executes against. Required: a session exists to amortize work
@@ -58,22 +63,21 @@ func (s *SessionStats) Add(o SessionStats) {
 	s.WorkersReused += o.WorkersReused
 }
 
-// Session is a persistent campaign executor: it owns the worker pool,
-// the checkpoint-bucket preparation cache and the golden reference for
-// the lifetime of one campaign, and executes successive plan windows
-// (Run) without tearing anything down between them. RunCampaign is the
-// one-shot wrapper: open, run one window, close.
+// Session is the campaign executor: it owns the worker pool, the
+// checkpoint-bucket preparation cache and the golden reference for the
+// lifetime of one campaign, and executes successive planner-supplied
+// plan windows (Run) without tearing anything down between them.
 //
 // Reuse cannot shift results. The cached per-bucket preparation is a
 // pure function of the immutable golden checkpoint state (see
 // BatchStagedApp.PrepareResume), worker-pool lifetime is invisible to
 // trials (each trial owns its machine and writes only its own result
-// slot), and every window accumulates its Result in plan-index order
-// exactly as the one-shot executor does — so a session-run window is
-// bit-identical to a RunCampaign call with the same Config.
+// slot), and every window accumulates its Result in plan-index order —
+// so a window's Result depends only on its Config, never on which
+// session ran it or what ran before.
 //
-// Run may be called from multiple goroutines concurrently (adaptive
-// round sub-shards share one session); Close must not race with Run.
+// Run may be called from multiple goroutines concurrently (a round's
+// sub-windows share one session); Close must not race with Run.
 type Session struct {
 	app    App
 	staged StagedApp
@@ -216,30 +220,19 @@ func (s *Session) buckets(cpIdxs []int) map[int]*schedBucket {
 	return out
 }
 
-// Run executes one plan window through the session. It is
-// bit-identical to RunCampaign(ctx, cfg, app) for the same Config —
-// the session only changes where the worker pool and bucket
-// preparations live — and shares its partial-result contract: on
-// context cancellation the partial Result comes back with a non-nil
-// error.
-//
-// cfg.Golden, when set, must be the session's golden run; cfg.Staged
-// and the app are fixed at session construction and cfg's copies are
-// ignored.
+// Run executes one window of planner-supplied plans through the
+// session: cfg.Plans[i] is plan index cfg.PlanOffset+i. On context
+// cancellation it stops feeding new trials, waits for in-flight ones
+// and returns the partial Result (Completed < cfg.Trials) together
+// with a non-nil error wrapping ctx's error — callers that want
+// partial data on interruption must check the Result even when err
+// != nil.
 func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("fault: non-positive trial count %d", cfg.Trials)
 	}
-	planTrials := cfg.PlanTrials
-	if planTrials == 0 {
-		planTrials = cfg.Trials
-	}
-	if cfg.PlanOffset < 0 || cfg.PlanOffset+cfg.Trials > planTrials {
-		return nil, fmt.Errorf("fault: plan window [%d,%d) outside plan space [0,%d)",
-			cfg.PlanOffset, cfg.PlanOffset+cfg.Trials, planTrials)
-	}
-	if cfg.Golden != nil && cfg.Golden != s.golden {
-		return nil, fmt.Errorf("fault: config golden differs from session golden")
+	if len(cfg.Plans) != cfg.Trials {
+		return nil, fmt.Errorf("fault: %d plans for %d trials", len(cfg.Plans), cfg.Trials)
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -263,29 +256,13 @@ func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, ErrNoTaps
 	}
 
-	window := WindowFor(cfg.Class, cfg.Window)
 	stepFactor := cfg.StepFactor
 	if stepFactor <= 0 {
 		stepFactor = DefaultStepFactor
 	}
 	budget := uint64(float64(golden.Steps) * stepFactor)
 
-	var plans []Plan
-	if cfg.Plans != nil {
-		// A planner supplied the exact plans for this window.
-		if len(cfg.Plans) != cfg.Trials {
-			return nil, fmt.Errorf("fault: %d explicit plans for %d trials", len(cfg.Plans), cfg.Trials)
-		}
-		plans = cfg.Plans
-	} else {
-		// Pre-generate the full plan space from the seed so results
-		// depend on neither worker scheduling nor shard decomposition:
-		// a shard draws the same plans the unsharded campaign would
-		// and executes only its window.
-		plans = GeneratePlans(cfg.Seed, cfg.Class, cfg.Region, window, planTrials, totalTaps)
-		plans = plans[cfg.PlanOffset : cfg.PlanOffset+cfg.Trials]
-	}
-
+	plans := cfg.Plans
 	trials := make([]Trial, cfg.Trials)
 	done := make([]bool, cfg.Trials)
 	for _, rec := range cfg.Resume {
@@ -331,7 +308,7 @@ func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
 	// resume from, so each bucket restores/prepares the shared boundary
 	// view once per campaign. Scheduling stays an implementation detail:
 	// trials write their own result slots and the final accumulation
-	// below runs in plan-index order, so shard/merge/journal-resume
+	// below runs in plan-index order, so window and journal-resume
 	// observables do not depend on the bucket decomposition.
 	var sched SchedStats
 	var jobs []trialBatch
@@ -426,12 +403,12 @@ feed:
 	sched.EarlyMasks = int(exec.earlyMasks.Load())
 	sched.Converged = int(exec.converged.Load())
 
-	res := NewResult(cfg, goldenOut, golden.Steps, totalTaps)
+	res := newResult(cfg, goldenOut, golden.Steps, totalTaps)
 	res.Trials = trials
 	res.Sched = sched
 	for i := range trials {
 		if done[i] {
-			res.Accumulate(&trials[i])
+			res.accumulate(&trials[i])
 		}
 	}
 	if ctxErr != nil {

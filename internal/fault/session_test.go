@@ -102,12 +102,12 @@ func requireSameTrials(t *testing.T, label string, a, b []Trial) {
 
 // TestSessionWindowsMatchRunCampaign is the tentpole equivalence at the
 // fault layer: successive windows through one persistent session must
-// reproduce the one-shot campaign bit for bit, and the session must
-// visibly amortize its pool across windows.
+// reproduce the one-shot campaign (runCampaign) bit for bit, and the
+// session must visibly amortize its pool across windows.
 func TestSessionWindowsMatchRunCampaign(t *testing.T) {
 	const total = 60
-	base := Config{Trials: total, Class: GPR, Region: RAny, Seed: 11, Workers: 2}
-	baseline, err := RunCampaign(context.Background(), base, toyApp)
+	base := Config{Trials: total, Class: GPR, Region: RAny, Workers: 2}
+	baseline, err := runCampaign(context.Background(), base, 11, toyApp)
 	if err != nil {
 		t.Fatalf("one-shot campaign: %v", err)
 	}
@@ -125,11 +125,7 @@ func TestSessionWindowsMatchRunCampaign(t *testing.T) {
 	var wins []*Result
 	offsets := []int{0, 20, 40}
 	for _, lo := range offsets {
-		cfg := base
-		cfg.Trials = 20
-		cfg.PlanOffset = lo
-		cfg.PlanTrials = total
-		res, err := s.Run(context.Background(), cfg)
+		res, err := s.Run(context.Background(), window(base, baseline.Config.Plans, lo, 20))
 		if err != nil {
 			t.Fatalf("session window [%d,%d): %v", lo, lo+20, err)
 		}
@@ -150,6 +146,15 @@ func TestSessionWindowsMatchRunCampaign(t *testing.T) {
 	}
 }
 
+// window returns base narrowed to the n plans of the plan space that
+// start at plan index lo.
+func window(base Config, plans []Plan, lo, n int) Config {
+	base.Trials = n
+	base.PlanOffset = lo
+	base.Plans = plans[lo : lo+n]
+	return base
+}
+
 // TestSessionBucketPrepCache checks the staged path: checkpoint-bucket
 // preparations are cached for the session's lifetime, so windows after
 // the first see cache hits — and the cached preparation changes no
@@ -157,16 +162,22 @@ func TestSessionWindowsMatchRunCampaign(t *testing.T) {
 func TestSessionBucketPrepCache(t *testing.T) {
 	const total = 60
 	st := newSessionStagedToy()
-	base := Config{Trials: total, Class: GPR, Region: RAny, Seed: 3, Workers: 2, Staged: st}
-	baseline, err := RunCampaign(context.Background(), base, nil)
-	if err != nil {
-		t.Fatalf("one-shot staged campaign: %v", err)
-	}
-
 	golden, err := CaptureGoldenStaged(st)
 	if err != nil {
 		t.Fatalf("CaptureGoldenStaged: %v", err)
 	}
+	plans := GeneratePlans(3, GPR, RAny, WindowFor(GPR, 0), total, golden.Taps(GPR, RAny))
+	base := Config{Trials: total, Class: GPR, Region: RAny, Workers: 2, Plans: plans}
+	oneShot, err := NewSession(SessionConfig{Staged: st, Golden: golden, Workers: 2})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	baseline, err := oneShot.Run(context.Background(), base)
+	oneShot.Close()
+	if err != nil {
+		t.Fatalf("one-shot staged campaign: %v", err)
+	}
+
 	s, err := NewSession(SessionConfig{Staged: st, Golden: golden, Workers: 2})
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
@@ -176,11 +187,7 @@ func TestSessionBucketPrepCache(t *testing.T) {
 	var wins []*Result
 	offsets := []int{0, 30}
 	for _, lo := range offsets {
-		cfg := base
-		cfg.Trials = 30
-		cfg.PlanOffset = lo
-		cfg.PlanTrials = total
-		res, err := s.Run(context.Background(), cfg)
+		res, err := s.Run(context.Background(), window(base, plans, lo, 30))
 		if err != nil {
 			t.Fatalf("session window [%d,%d): %v", lo, lo+30, err)
 		}
@@ -203,12 +210,12 @@ func TestSessionBucketPrepCache(t *testing.T) {
 
 // TestSessionConcurrentWindows runs disjoint windows of one campaign
 // through the same session from concurrent goroutines (the adaptive
-// round sub-shard pattern) and checks the stitched result against the
+// round sub-window pattern) and checks the stitched result against the
 // one-shot campaign.
 func TestSessionConcurrentWindows(t *testing.T) {
 	const total = 60
-	base := Config{Trials: total, Class: FPR, Region: RAny, Seed: 29, Workers: 2}
-	baseline, err := RunCampaign(context.Background(), base, toyApp)
+	base := Config{Trials: total, Class: FPR, Region: RAny, Workers: 2}
+	baseline, err := runCampaign(context.Background(), base, 29, toyApp)
 	if err != nil {
 		t.Fatalf("one-shot campaign: %v", err)
 	}
@@ -231,11 +238,7 @@ func TestSessionConcurrentWindows(t *testing.T) {
 		wg.Add(1)
 		go func(w, lo int) {
 			defer wg.Done()
-			cfg := base
-			cfg.Trials = 15
-			cfg.PlanOffset = lo
-			cfg.PlanTrials = total
-			wins[w], errs[w] = s.Run(context.Background(), cfg)
+			wins[w], errs[w] = s.Run(context.Background(), window(base, baseline.Config.Plans, lo, 15))
 		}(w, lo)
 	}
 	wg.Wait()
@@ -249,8 +252,8 @@ func TestSessionConcurrentWindows(t *testing.T) {
 }
 
 // TestSessionValidation covers the session-specific error surface:
-// construction without an app or golden, a config golden that is not
-// the session's, and Run after Close.
+// construction without an app or golden, a window whose plans do not
+// match its trial count, and Run after Close.
 func TestSessionValidation(t *testing.T) {
 	golden, err := CaptureGolden(toyApp)
 	if err != nil {
@@ -268,18 +271,18 @@ func TestSessionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	other, err := CaptureGolden(toyApp)
-	if err != nil {
-		t.Fatalf("CaptureGolden: %v", err)
+	cfg := Config{Trials: 5, Class: GPR, Region: RAny}
+	if _, err := s.Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "plans") {
+		t.Errorf("window without plans: got %v, want plan-count error", err)
 	}
-	cfg := Config{Trials: 5, Class: GPR, Region: RAny, Seed: 1, Golden: other}
-	if _, err := s.Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "session golden") {
-		t.Errorf("foreign golden: got %v, want session-golden mismatch error", err)
+	cfg.Plans = GeneratePlans(1, GPR, RAny, WindowFor(GPR, 0), 4, golden.Taps(GPR, RAny))
+	if _, err := s.Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "plans") {
+		t.Errorf("4 plans for 5 trials: got %v, want plan-count error", err)
 	}
 
 	s.Close()
 	s.Close() // idempotent
-	cfg.Golden = golden
+	cfg.Trials = len(cfg.Plans)
 	if _, err := s.Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Errorf("Run on closed session: got %v, want closed error", err)
 	}

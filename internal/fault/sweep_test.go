@@ -3,7 +3,6 @@ package fault_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -38,30 +37,35 @@ func TestCampaignBatchingRegionSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CaptureGoldenStaged: %v", err)
 	}
+	sess, err := fault.NewSession(fault.SessionConfig{
+		App: app, Staged: staged, Golden: golden, Workers: runtime.GOMAXPROCS(0),
+	})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	defer sess.Close()
 	const trials, seed = 100, 0x5EED5
 	for _, class := range []fault.Class{fault.GPR, fault.FPR} {
 		for r := fault.Region(0); r < fault.NumRegions; r++ {
 			label := fmt.Sprintf("class=%v region=%v", class, r)
-			res, err := fault.RunCampaign(context.Background(), fault.Config{
+			taps := golden.Taps(class, r)
+			if taps == 0 {
+				continue // this region has no sites for this class
+			}
+			plans := fault.GeneratePlans(seed, class, r, fault.WindowFor(class, 0), trials, taps)
+			res, err := sess.Run(context.Background(), fault.Config{
 				Trials:         trials,
 				Class:          class,
 				Region:         r,
-				Seed:           seed,
-				Workers:        runtime.GOMAXPROCS(0),
 				KeepSDCOutputs: true,
-				Golden:         golden,
-				Staged:         staged,
-			}, app)
-			if errors.Is(err, fault.ErrNoTaps) {
-				continue // this region has no sites for this class
-			}
+				Plans:          plans,
+			})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			if res.Sched.Buckets == 0 {
 				t.Errorf("%s: no trial ran from a checkpoint bucket", label)
 			}
-			plans := fault.GeneratePlans(seed, class, r, fault.WindowFor(class, 0), trials, golden.Taps(class, r))
 			want := make([]fault.Trial, trials)
 			var wg sync.WaitGroup
 			sem := make(chan struct{}, runtime.GOMAXPROCS(0))

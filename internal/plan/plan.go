@@ -5,10 +5,9 @@
 // execute each round through the ordinary trial executor and feed the
 // observed outcomes back. Three planners cover the repo's designs:
 //
-//   - Static reproduces the classic fixed-budget plan window
-//     (fault.Config.PlanTrials/PlanOffset) byte-for-byte — same seed,
-//     same plans, same order — so routing a campaign through the seam
-//     changes nothing about its results.
+//   - Static emits the classic fixed-budget campaign as one round:
+//     the seeded uniform stream of fault.GeneratePlans — same seed,
+//     same plans, same order.
 //   - Stratified reproduces the fixed per-stratum Relyzer-style draw
 //     that used to live in fault.RunStratifiedCampaign's private loop.
 //   - Adaptive reallocates every round to the strata whose outcome-
@@ -19,7 +18,7 @@
 // Planners are deterministic functions of (golden geometry, seed,
 // config, observed outcomes). Outcomes themselves are deterministic in
 // the plan, so the full trial set is reproducible across worker
-// counts, shard decompositions and journal resume — allocation
+// counts, round decompositions and journal resume — allocation
 // decisions made from merged counts on a cluster coordinator are the
 // same decisions a single-node run would make.
 package plan

@@ -46,36 +46,30 @@ func toyGolden(t *testing.T) *fault.GoldenRun {
 	return g
 }
 
-// The static planner must emit exactly the window RunCampaign would
-// pre-generate: same seed, same stream, same slice.
+// The static planner must emit exactly the seeded plan stream as one
+// round at plan index 0.
 func TestStaticMatchesGeneratePlans(t *testing.T) {
 	g := toyGolden(t)
 	taps := g.Taps(fault.GPR, fault.RAny)
 	window := fault.WindowFor(fault.GPR, 0)
 	full := fault.GeneratePlans(7, fault.GPR, fault.RAny, window, 50, taps)
 
-	for _, tc := range []struct{ trials, planTrials, offset int }{
-		{50, 0, 0},
-		{20, 50, 0},
-		{20, 50, 15},
-		{10, 50, 40},
-	} {
+	for _, trials := range []int{50, 20, 1} {
 		p, err := NewStatic(g, StaticConfig{
-			Class: fault.GPR, Region: fault.RAny, Seed: 7,
-			Trials: tc.trials, PlanTrials: tc.planTrials, PlanOffset: tc.offset,
+			Class: fault.GPR, Region: fault.RAny, Seed: 7, Trials: trials,
 		})
 		if err != nil {
-			t.Fatalf("NewStatic(%+v): %v", tc, err)
+			t.Fatalf("NewStatic(trials=%d): %v", trials, err)
 		}
 		r, ok := p.Next()
 		if !ok {
-			t.Fatalf("NewStatic(%+v): no round", tc)
+			t.Fatalf("NewStatic(trials=%d): no round", trials)
 		}
-		if r.Lo != tc.offset {
-			t.Errorf("round Lo = %d, want %d", r.Lo, tc.offset)
+		if r.Lo != 0 {
+			t.Errorf("round Lo = %d, want 0", r.Lo)
 		}
-		if !reflect.DeepEqual(r.Plans, full[tc.offset:tc.offset+tc.trials]) {
-			t.Errorf("static window (%+v) diverges from the RunCampaign plan stream", tc)
+		if !reflect.DeepEqual(r.Plans, full[:trials]) {
+			t.Errorf("static round (trials=%d) diverges from the GeneratePlans stream", trials)
 		}
 		if _, ok := p.Next(); ok {
 			t.Error("static planner emitted a second round")
@@ -87,9 +81,6 @@ func TestStaticValidation(t *testing.T) {
 	g := toyGolden(t)
 	if _, err := NewStatic(g, StaticConfig{Class: fault.GPR, Trials: 0}); err == nil {
 		t.Error("expected error for zero trials")
-	}
-	if _, err := NewStatic(g, StaticConfig{Class: fault.GPR, Trials: 10, PlanTrials: 5}); err == nil {
-		t.Error("expected error for window outside plan space")
 	}
 	empty := &fault.GoldenRun{}
 	if _, err := NewStatic(empty, StaticConfig{Class: fault.GPR, Trials: 5}); !errors.Is(err, fault.ErrNoTaps) {

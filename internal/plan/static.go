@@ -6,27 +6,21 @@ import (
 	"vsresil/internal/fault"
 )
 
-// StaticConfig parameterizes the classic fixed-budget window.
+// StaticConfig parameterizes the classic fixed-budget campaign.
 type StaticConfig struct {
-	// Class, Region, Seed, Window as in fault.Config (Window 0 means
-	// the class default).
+	// Class, Region and Seed select the plan stream; Window overrides
+	// the liveness window (0 means the class default).
 	Class  fault.Class
 	Region fault.Region
 	Seed   uint64
 	Window uint64
-	// Trials is the window length, PlanTrials the plan-space size
-	// (0 = Trials) and PlanOffset the window start — identical
-	// semantics to the same-named fault.Config fields.
-	Trials     int
-	PlanTrials int
-	PlanOffset int
+	// Trials is the campaign's trial budget.
+	Trials int
 }
 
-// Static emits the classic plan window as a single round: the plans
-// are drawn from fault.GeneratePlans — the same stream RunCampaign
-// pre-generates — and sliced to [PlanOffset, PlanOffset+Trials), so a
-// campaign routed through Static is bit-identical to one that never
-// saw the planner seam.
+// Static emits the classic campaign as a single round: the first
+// Trials plans of fault.GeneratePlans' seeded uniform stream, at plan
+// indices [0, Trials).
 type Static struct {
 	cfg       StaticConfig
 	totalTaps uint64
@@ -38,13 +32,6 @@ func NewStatic(golden *fault.GoldenRun, cfg StaticConfig) (*Static, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("plan: non-positive trial count %d", cfg.Trials)
 	}
-	if cfg.PlanTrials == 0 {
-		cfg.PlanTrials = cfg.Trials
-	}
-	if cfg.PlanOffset < 0 || cfg.PlanOffset+cfg.Trials > cfg.PlanTrials {
-		return nil, fmt.Errorf("plan: window [%d,%d) outside plan space [0,%d)",
-			cfg.PlanOffset, cfg.PlanOffset+cfg.Trials, cfg.PlanTrials)
-	}
 	taps := golden.Taps(cfg.Class, cfg.Region)
 	if taps == 0 {
 		return nil, fault.ErrNoTaps
@@ -52,18 +39,16 @@ func NewStatic(golden *fault.GoldenRun, cfg StaticConfig) (*Static, error) {
 	return &Static{cfg: cfg, totalTaps: taps}, nil
 }
 
-// Next emits the whole window once.
+// Next emits the whole campaign once.
 func (s *Static) Next() (Round, bool) {
 	if s.emitted {
 		return Round{}, false
 	}
 	s.emitted = true
 	window := fault.WindowFor(s.cfg.Class, s.cfg.Window)
-	plans := fault.GeneratePlans(s.cfg.Seed, s.cfg.Class, s.cfg.Region, window, s.cfg.PlanTrials, s.totalTaps)
 	return Round{
 		Index: 0,
-		Lo:    s.cfg.PlanOffset,
-		Plans: plans[s.cfg.PlanOffset : s.cfg.PlanOffset+s.cfg.Trials],
+		Plans: fault.GeneratePlans(s.cfg.Seed, s.cfg.Class, s.cfg.Region, window, s.cfg.Trials, s.totalTaps),
 	}, true
 }
 

@@ -1,12 +1,15 @@
 package service
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"vsresil/internal/plan"
 )
 
 // adaptiveJobSpec is a small confidence-driven campaign: loose targets
@@ -96,22 +99,84 @@ func TestAdaptiveCampaignJob(t *testing.T) {
 	}
 }
 
+// TestAdaptiveDefaultsReported: an adaptive job that leaves precision
+// and confidence to the planner reports the targets the planner
+// actually used, consistent with the fixed-budget baseline it
+// computed from them.
+func TestAdaptiveDefaultsReported(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 1})
+	spec := adaptiveJobSpec()
+	spec.Campaign.Precision = 0
+	spec.Campaign.Confidence = 0
+	spec.Campaign.MaxTrials = 60
+	st, err := svc.Enqueue(spec)
+	if err != nil {
+		t.Fatalf("enqueue: %v", err)
+	}
+	waitFor(t, 120*time.Second, "defaulted adaptive job done", func() bool {
+		s, _ := svc.Get(st.ID)
+		if s.State == StateFailed {
+			t.Fatalf("adaptive job failed: %s", s.Error)
+		}
+		return s.State == StateDone
+	})
+	raw, err := svc.Result(st.ID)
+	if err != nil {
+		t.Fatalf("result: %v", err)
+	}
+	var cr CampaignResult
+	if err := json.Unmarshal(raw, &cr); err != nil {
+		t.Fatal(err)
+	}
+	if cr.Precision != 0.05 || cr.Confidence != 0.95 {
+		t.Errorf("result targets = %v/%v, want the planner defaults 0.05/0.95", cr.Precision, cr.Confidence)
+	}
+	if want := plan.FixedBudget(cr.Precision, cr.Confidence, len(cr.Strata)); cr.FixedBudget != want {
+		t.Errorf("fixed budget %d, want %d for the reported targets", cr.FixedBudget, want)
+	}
+}
+
 func TestAdaptiveSpecValidationService(t *testing.T) {
-	for name, mutate := range map[string]func(*CampaignSpec){
-		"precision too wide":  func(c *CampaignSpec) { c.Precision = 0.5 },
-		"negative precision":  func(c *CampaignSpec) { c.Precision = -0.1 },
-		"confidence at one":   func(c *CampaignSpec) { c.Confidence = 1 },
-		"negative round size": func(c *CampaignSpec) { c.RoundSize = -1 },
-		"precision without adaptive": func(c *CampaignSpec) {
-			c.Adaptive = false
-			c.Trials = 10
-		},
+	fixed := func(c *CampaignSpec) {
+		c.Adaptive = false
+		c.Trials = 10
+		c.Precision, c.Confidence, c.MaxTrials = 0, 0, 0
+	}
+	for name, tc := range map[string]struct {
+		mutate func(*CampaignSpec)
+		want   string
+	}{
+		"precision too wide":  {func(c *CampaignSpec) { c.Precision = 0.5 }, "outside [0, 0.5)"},
+		"negative precision":  {func(c *CampaignSpec) { c.Precision = -0.1 }, "outside [0, 0.5)"},
+		"confidence at one":   {func(c *CampaignSpec) { c.Confidence = 1 }, "outside [0, 1)"},
+		"negative round size": {func(c *CampaignSpec) { c.RoundSize = -1 }, "round_size"},
+		"precision without adaptive": {func(c *CampaignSpec) {
+			fixed(c)
+			c.Precision = 0.1
+		}, "adaptive knobs"},
+		"confidence without adaptive": {func(c *CampaignSpec) {
+			fixed(c)
+			c.Confidence = 0.9
+		}, "adaptive knobs"},
+		"round size without adaptive": {func(c *CampaignSpec) {
+			fixed(c)
+			c.RoundSize = 16
+		}, "adaptive knobs"},
+		"max trials without adaptive": {func(c *CampaignSpec) {
+			fixed(c)
+			c.MaxTrials = 100
+		}, "adaptive knobs"},
 	} {
 		spec := adaptiveJobSpec()
-		mutate(spec.Campaign)
-		if err := spec.Validate(); err == nil {
-			t.Errorf("%s: Validate() accepted the spec", name)
+		tc.mutate(spec.Campaign)
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want error containing %q", name, err, tc.want)
 		}
+	}
+	plain := adaptiveJobSpec()
+	fixed(plain.Campaign)
+	if err := plain.Validate(); err != nil {
+		t.Errorf("fixed-budget spec rejected: %v", err)
 	}
 	ok := adaptiveJobSpec()
 	ok.Campaign.Precision = 0

@@ -134,10 +134,6 @@ type CampaignSpec struct {
 	// (0 = GOMAXPROCS). The service worker running the job is a
 	// separate, coarser bound.
 	Workers int `json:"workers,omitempty"`
-	// Shards splits the campaign into that many disjoint sub-campaigns
-	// executed concurrently and merged bit-identically to the unsharded
-	// run (0 or 1 = unsharded). Workers applies per shard.
-	Shards int `json:"shards,omitempty"`
 }
 
 // ExperimentSpec parameterizes a paper-figure experiment job.
@@ -171,6 +167,16 @@ type JobSpec struct {
 	Experiment *ExperimentSpec `json:"experiment,omitempty"`
 }
 
+// dropLegacyKnobs clears the adaptive-only fields of a fixed-budget
+// campaign. Validate rejects them, but journals written before it did
+// may carry them; they never had an effect, so replay drops the fields
+// rather than the job.
+func (s *JobSpec) dropLegacyKnobs() {
+	if c := s.Campaign; c != nil && !c.Adaptive {
+		c.Precision, c.Confidence, c.RoundSize, c.MaxTrials = 0, 0, 0, 0
+	}
+}
+
 // Validate checks the spec without running anything.
 func (s *JobSpec) Validate() error {
 	switch s.Type {
@@ -192,10 +198,10 @@ func (s *JobSpec) Validate() error {
 		}
 		if c.Adaptive {
 			if c.Precision < 0 || c.Precision >= 0.5 {
-				return fmt.Errorf("service: adaptive precision %v outside (0, 0.5)", c.Precision)
+				return fmt.Errorf("service: adaptive precision %v outside [0, 0.5)", c.Precision)
 			}
 			if c.Confidence < 0 || c.Confidence >= 1 {
-				return fmt.Errorf("service: adaptive confidence %v outside (0, 1)", c.Confidence)
+				return fmt.Errorf("service: adaptive confidence %v outside [0, 1)", c.Confidence)
 			}
 			if c.RoundSize < 0 || c.MaxTrials < 0 {
 				return fmt.Errorf("service: adaptive round_size/max_trials must be >= 0")
@@ -204,12 +210,9 @@ func (s *JobSpec) Validate() error {
 			if c.Trials <= 0 {
 				return fmt.Errorf("service: campaign needs trials > 0, got %d", c.Trials)
 			}
-			if c.Precision != 0 || c.Confidence != 0 {
-				return fmt.Errorf("service: precision/confidence are adaptive knobs; set \"adaptive\": true")
+			if c.Precision != 0 || c.Confidence != 0 || c.RoundSize != 0 || c.MaxTrials != 0 {
+				return fmt.Errorf("service: precision/confidence/round_size/max_trials are adaptive knobs; set \"adaptive\": true")
 			}
-		}
-		if c.Shards < 0 {
-			return fmt.Errorf("service: campaign shards must be >= 0, got %d", c.Shards)
 		}
 		if _, err := vs.ParseAlgorithm(c.Algorithm); err != nil {
 			return err

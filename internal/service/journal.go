@@ -19,7 +19,7 @@ import (
 //
 // Replay folds the records per job: terminal jobs keep their state and
 // result; queued and running jobs are re-enqueued, a running campaign
-// carrying its accumulated trial records so fault.RunCampaign resumes
+// carrying its accumulated trial records so its campaign resumes
 // instead of rerunning completed trials. On startup the journal is
 // compacted: the folded state is rewritten to a fresh file, dropping
 // superseded records. Terminal state records are the commit points and
@@ -55,7 +55,11 @@ func replayJournal(path string) (jobs []*Job, maxSeq int, err error) {
 	err = journal.Replay(path, func(rec journalRecord) {
 		switch rec.Op {
 		case "job":
-			if rec.Job == nil || rec.Job.ID == "" || rec.Job.Spec.Validate() != nil {
+			if rec.Job == nil || rec.Job.ID == "" {
+				return
+			}
+			rec.Job.Spec.dropLegacyKnobs()
+			if rec.Job.Spec.Validate() != nil {
 				return
 			}
 			byID[rec.Job.ID] = &Job{

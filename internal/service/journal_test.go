@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -21,10 +22,35 @@ import (
 // has always written — job, state, trials (one trial index recorded
 // twice), result — and requires the same jobs, states, checkpoints and
 // progress; the startup snapshot of it must replay to the same again.
+// Jobs j4 and j5 are campaigns journaled before vsd dropped its
+// "shards" field and rejected adaptive-only fields on fixed-budget
+// jobs. j4 was interrupted after a partial checkpoint batch: it must
+// still replay, resume and finish with the counts of a cold run. j5 is
+// done and must keep its result.
 func TestJournalFormatPin(t *testing.T) {
 	camp, _ := json.Marshal(testCampaignSpec(60))
 	sum, _ := json.Marshal(JobSpec{Type: JobSummarize, Summarize: &SummarizeSpec{InputSpec: InputSpec{Scale: "test", Frames: 4}}})
+	legacySpec := testCampaignSpec(40)
+	legacy, _ := json.Marshal(legacySpec)
+	// Earlier daemons accepted "shards" and, on a fixed-budget job, the
+	// adaptive-only "round_size" and "max_trials"; such a job still
+	// replays and finishes.
+	legacy = bytes.Replace(legacy, []byte(`"trials":40`), []byte(`"trials":40,"shards":3,"round_size":8,"max_trials":500`), 1)
+	cold := coldCampaign(t, legacySpec.Campaign)
+	var partial []fault.TrialRecord
+	for i := 0; i < 10; i++ {
+		partial = append(partial, cold.Trials[i].Record(i))
+	}
+	partialJSON, _ := json.Marshal(partial)
 	at := "2026-01-02T03:04:05Z"
+	legacyLines := []string{
+		fmt.Sprintf(`{"op":"job","job":{"id":"j4","seq":4,"spec":%s,"enqueued_at":%q}}`, legacy, at),
+		`{"op":"state","id":"j4","state":"running"}`,
+		fmt.Sprintf(`{"op":"trials","id":"j4","recs":%s}`, partialJSON),
+		fmt.Sprintf(`{"op":"job","job":{"id":"j5","seq":5,"spec":%s,"enqueued_at":%q}}`, legacy, at),
+		`{"op":"result","id":"j5","result":{"completed":40}}`,
+		`{"op":"state","id":"j5","state":"done"}`,
+	}
 	lines := []string{
 		fmt.Sprintf(`{"op":"job","job":{"id":"j1","seq":1,"spec":%s,"enqueued_at":%q}}`, camp, at),
 		fmt.Sprintf(`{"op":"job","job":{"id":"j2","seq":2,"spec":%s,"enqueued_at":%q}}`, sum, at),
@@ -37,6 +63,7 @@ func TestJournalFormatPin(t *testing.T) {
 		fmt.Sprintf(`{"op":"job","job":{"id":"j3","seq":3,"spec":%s,"enqueued_at":%q}}`, sum, at),
 		`{"op":"state","id":"j3","state":"canceled"}`,
 	}
+	lines = append(lines, legacyLines...)
 	path := filepath.Join(t.TempDir(), "vsd.journal")
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -58,6 +85,8 @@ func TestJournalFormatPin(t *testing.T) {
 		}},
 		{ID: "j2", State: StateDone, Progress: Progress{Done: 1, Total: 1}, Result: `{"fig":"x"}`},
 		{ID: "j3", State: StateCanceled, Progress: Progress{Total: 1}},
+		{ID: "j4", State: StateQueued, Progress: Progress{Done: 10, Total: 40}, Resume: partial},
+		{ID: "j5", State: StateDone, Progress: Progress{Total: 40}, Result: `{"completed":40}`},
 	}
 	check := func(stage string) {
 		t.Helper()
@@ -65,8 +94,8 @@ func TestJournalFormatPin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: replay: %v", stage, err)
 		}
-		if maxSeq != 3 {
-			t.Errorf("%s: max seq %d, want 3", stage, maxSeq)
+		if maxSeq != 5 {
+			t.Errorf("%s: max seq %d, want 5", stage, maxSeq)
 		}
 		var got []view
 		for _, j := range jobs {
@@ -90,6 +119,41 @@ func TestJournalFormatPin(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	check("compacted")
+
+	legacyPath := filepath.Join(t.TempDir(), "legacy.journal")
+	if err := os.WriteFile(legacyPath, []byte(strings.Join(legacyLines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc := newTestService(t, Config{Workers: 1, JournalPath: legacyPath})
+	waitFor(t, 120*time.Second, "legacy campaign done", func() bool {
+		s, err := svc.Get("j4")
+		if err != nil {
+			t.Fatalf("legacy job lost on replay: %v", err)
+		}
+		if s.State == StateFailed {
+			t.Fatalf("legacy job failed: %s", s.Error)
+		}
+		return s.State == StateDone
+	})
+	if raw, err := svc.Result("j5"); err != nil || string(raw) != `{"completed":40}` {
+		t.Errorf("legacy done job result %s, %v", raw, err)
+	}
+	raw, err := svc.Result("j4")
+	if err != nil {
+		t.Fatalf("legacy result: %v", err)
+	}
+	var cr CampaignResult
+	if err := json.Unmarshal(raw, &cr); err != nil {
+		t.Fatal(err)
+	}
+	if cr.Resumed != len(partial) || cr.Completed != 40 {
+		t.Errorf("legacy job resumed %d and completed %d, want %d and 40", cr.Resumed, cr.Completed, len(partial))
+	}
+	for o := fault.Outcome(0); o < fault.NumOutcomes; o++ {
+		if cr.Counts[o.String()] != cold.Counts[o] {
+			t.Errorf("outcome %s: resumed legacy job %d, cold run %d", o, cr.Counts[o.String()], cold.Counts[o])
+		}
+	}
 }
 
 // TestJournalCorruptMidFile: a damaged line with records after it is

@@ -69,7 +69,6 @@ type CampaignResult struct {
 	Class       string             `json:"class"`
 	Region      string             `json:"region"`
 	Trials      int                `json:"trials"`
-	Shards      int                `json:"shards,omitempty"`
 	Completed   int                `json:"completed"`
 	Resumed     int                `json:"resumed"`
 	TotalTaps   uint64             `json:"total_taps"`
@@ -274,10 +273,9 @@ func (s *Service) runSummarize(ctx context.Context, j *Job) (any, error) {
 // runCampaign executes a fault-injection campaign through the campaign
 // engine, with per-trial checkpointing: every completed trial updates
 // the job's progress and is journaled in batches of CheckpointEvery, so
-// an interrupted campaign resumes instead of restarting. Specs with
-// shards > 1 fan out across concurrent shard runs and merge; trial
-// record indices are plan indices, so the journal replays into any
-// shard decomposition.
+// an interrupted campaign resumes instead of restarting. Trial record
+// indices are plan indices, so the journal replays into the same plan
+// windows whichever run wrote it.
 func (s *Service) runCampaign(ctx context.Context, j *Job) (any, error) {
 	spec := j.Spec.Campaign
 	started := time.Now()
@@ -377,13 +375,9 @@ func (s *Service) runCampaign(ctx context.Context, j *Job) (any, error) {
 				s.metrics.roundDone(st)
 			},
 		}
-		k := spec.Shards
-		if k < 1 {
-			k = 1
-		}
-		ares, err = s.runner.RunAdaptive(ctx, cspec, k)
+		ares, err = s.runner.RunAdaptive(ctx, cspec, 1)
 	} else {
-		res, err = s.runner.RunSharded(ctx, cspec, spec.Shards)
+		res, err = s.runner.Run(ctx, cspec)
 	}
 
 	// Flush the tail of the checkpoint batch whether the campaign
@@ -407,7 +401,6 @@ func (s *Service) runCampaign(ctx context.Context, j *Job) (any, error) {
 		Class:      class.String(),
 		Region:     region.String(),
 		Trials:     spec.Trials,
-		Shards:     spec.Shards,
 		Resumed:    len(resume),
 		Counts:     make(map[string]int),
 		Rates:      make(map[string]float64),
@@ -417,13 +410,7 @@ func (s *Service) runCampaign(ctx context.Context, j *Job) (any, error) {
 	if spec.Adaptive {
 		// The effective targets after planner defaulting.
 		cr.Adaptive = true
-		cr.Precision, cr.Confidence = spec.Precision, spec.Confidence
-		if cr.Precision <= 0 {
-			cr.Precision = 0.05
-		}
-		if cr.Confidence <= 0 || cr.Confidence >= 1 {
-			cr.Confidence = 0.95
-		}
+		cr.Precision, cr.Confidence = ares.Planner.Precision, ares.Planner.Confidence
 		cr.Trials = ares.Trials
 		cr.Completed = ares.Trials
 		cr.Rounds = ares.Rounds

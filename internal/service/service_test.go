@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"vsresil/internal/campaign"
 	"vsresil/internal/fault"
 	"vsresil/internal/imgproc"
 	"vsresil/internal/virat"
@@ -299,23 +300,37 @@ func TestJournalReplayResumesCampaign(t *testing.T) {
 
 	// Seeded determinism across the interruption: the resumed result
 	// must match a cold, uninterrupted run of the identical campaign.
-	p := virat.TestScale()
-	p.Frames = 6
-	frames := virat.Input2(p).Frames()
-	vcfg := vs.DefaultConfig(vs.AlgVS)
-	vcfg.Seed = spec.Campaign.Seed
-	app := vs.New(vcfg, len(frames))
-	cold, err := fault.RunCampaign(context.Background(), fault.Config{
-		Trials: trials, Class: fault.GPR, Region: fault.RAny, Seed: spec.Campaign.Seed,
-	}, app.RunEncoded(frames))
-	if err != nil {
-		t.Fatalf("cold campaign: %v", err)
-	}
+	cold := coldCampaign(t, spec.Campaign)
 	for o := fault.Outcome(0); o < fault.NumOutcomes; o++ {
 		if cr.Counts[o.String()] != cold.Counts[o] {
 			t.Errorf("outcome %s: resumed %d, cold %d", o, cr.Counts[o.String()], cold.Counts[o])
 		}
 	}
+}
+
+// coldCampaign runs testCampaignSpec's fixed-budget campaign
+// uninterrupted and in full execution, outside the service: the
+// reference a resumed job's counts must match.
+func coldCampaign(t *testing.T, spec *CampaignSpec) *fault.Result {
+	t.Helper()
+	p := virat.TestScale()
+	p.Frames = 6
+	frames := virat.Input2(p).Frames()
+	vcfg := vs.DefaultConfig(vs.AlgVS)
+	vcfg.Seed = spec.Seed
+	app := vs.New(vcfg, len(frames))
+	var runner campaign.Runner
+	cold, err := runner.Run(context.Background(), campaign.Spec{
+		Workload: campaign.NewWorkload("cold", "", app.RunEncoded(frames)),
+		Class:    fault.GPR,
+		Region:   fault.RAny,
+		Trials:   spec.Trials,
+		Seed:     spec.Seed,
+	})
+	if err != nil {
+		t.Fatalf("cold campaign: %v", err)
+	}
+	return cold.Fault
 }
 
 func TestPriorityOrdering(t *testing.T) {
@@ -364,6 +379,8 @@ func TestSubmitValidation(t *testing.T) {
 		"bad-type":       `{"type":"transcode"}`,
 		"missing-spec":   `{"type":"campaign"}`,
 		"zero-trials":    `{"type":"campaign","campaign":{"trials":0}}`,
+		"legacy-shards":  `{"type":"campaign","campaign":{"trials":10,"shards":3}}`,
+		"fixed-max":      `{"type":"campaign","campaign":{"trials":10,"max_trials":50}}`,
 		"bad-algorithm":  `{"type":"summarize","summarize":{"algorithm":"VS_XX"}}`,
 		"bad-class":      `{"type":"campaign","campaign":{"trials":10,"class":"vpr"}}`,
 		"bad-fig":        `{"type":"experiment","experiment":{"fig":""}}`,

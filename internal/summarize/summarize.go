@@ -10,7 +10,7 @@
 // approximation variants) and a storyboard keyframe summarizer in
 // VideoSum's segment-scoring shape. Both expose the full campaign
 // contract — a fault.App for one-shot runs and a fault.StagedApp so
-// golden-prefix checkpointing, bucket batching, sharding and the
+// golden-prefix checkpointing, bucket batching, resume and the
 // fabric carry over unchanged.
 package summarize
 

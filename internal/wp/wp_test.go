@@ -1,7 +1,6 @@
 package wp
 
 import (
-	"context"
 	"testing"
 
 	"vsresil/internal/fault"
@@ -52,29 +51,5 @@ func TestWPTapsConcentrateInWarpRegions(t *testing.T) {
 	}
 	if frac := float64(warpTaps) / float64(m.GPRTaps()); frac < 0.95 {
 		t.Errorf("warp tap fraction %v; WP should be almost entirely warp", frac)
-	}
-}
-
-func TestWPCampaignClassifies(t *testing.T) {
-	b := Default(virat.TestScale())
-	res, err := fault.RunCampaign(context.Background(), fault.Config{
-		Trials: 150, Class: fault.GPR, Region: fault.RAny, Seed: 3, Workers: 4,
-	}, b.App())
-	if err != nil {
-		t.Fatalf("campaign: %v", err)
-	}
-	total := 0
-	for _, c := range res.Counts {
-		total += c
-	}
-	if total != 150 {
-		t.Errorf("classified %d trials", total)
-	}
-	// WP has no downstream computation: its landed faults should
-	// produce visible SDC or crash more often than full VS would in
-	// the same code (tested end-to-end in the experiments package);
-	// here just require that some non-masked outcomes exist.
-	if res.Counts[fault.OutcomeMask] == total {
-		t.Error("every WP fault masked — implausible for a kernel-only app")
 	}
 }

@@ -3,7 +3,7 @@
 // injection site must not change a single campaign observable —
 // outcome counts, crash split, coverage histograms, rate curve,
 // retained SDC output bytes or any per-trial verdict — across fault
-// classes, regions, worker counts and shard decompositions. The drift
+// classes, regions and worker counts. The drift
 // guard at the bottom pins the golden checkpoint geometry itself to
 // the checkpoint schema version.
 package vsresil_test
@@ -132,39 +132,13 @@ func TestCampaignPrefixSkipWorkerEquivalence(t *testing.T) {
 	requireIdenticalWithOutputs(t, "skipping vs full execution", serial.Fault, full.Fault)
 }
 
-// TestCampaignPrefixSkipShardEquivalence checks that every shard
-// buckets its plan window against the shared checkpointed golden
-// exactly as the unsharded full-execution campaign would.
-func TestCampaignPrefixSkipShardEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign equivalence sweep is not -short")
-	}
-	t.Parallel()
-	var runner campaign.Runner
-
-	base, err := runner.Run(context.Background(),
-		fullExecution(t, skipGuardSpec(fault.GPR, fault.RAny, runtime.GOMAXPROCS(0))))
-	if err != nil {
-		t.Fatalf("unsharded full run: %v", err)
-	}
-	for _, k := range []int{1, 2, 5} {
-		merged, err := runner.RunSharded(context.Background(),
-			skipGuardSpec(fault.GPR, fault.RAny, runtime.GOMAXPROCS(0)), k)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		requireIdenticalWithOutputs(t, fmt.Sprintf("skipping shards k=%d vs full unsharded", k),
-			base.Fault, merged.Fault)
-	}
-}
-
 // TestCampaignBatchingEquivalenceMatrix is the executor bit-identity
 // guard: for both fault classes it runs every input-selected execution
 // path — full execution on the generic instrumented kernels, full
 // execution on the machine's inert tiled kernels, per-trial checkpoint
 // resumes (resumeOnly) and checkpoint buckets with convergence guards —
-// at workers {1,4} × shards {1,5}, against the generic full execution
-// at one worker, unsharded. Identical here means every campaign
+// at workers {1,4}, against the generic full execution at one worker.
+// Identical here means every campaign
 // observable requireIdenticalWithOutputs checks, including the
 // retained SDC output bytes — neither the checkpoint buckets, nor the
 // suffix cutoffs, nor the tiled inert kernels may shift a single
@@ -198,18 +172,15 @@ func TestCampaignBatchingEquivalenceMatrix(t *testing.T) {
 		}
 		for _, mode := range modes {
 			for _, workers := range []int{1, 4} {
-				for _, shards := range []int{1, 5} {
-					if mode.name == modes[0].name && workers == 1 && shards == 1 {
-						continue // that is the baseline itself
-					}
-					label := fmt.Sprintf("class=%v mode=%s workers=%d shards=%d", class, mode.name, workers, shards)
-					got, err := runner.RunSharded(context.Background(),
-						mode.input(skipGuardSpec(class, fault.RAny, workers)), shards)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					requireIdenticalWithOutputs(t, label, base.Fault, got.Fault)
+				if mode.name == modes[0].name && workers == 1 {
+					continue // that is the baseline itself
 				}
+				label := fmt.Sprintf("class=%v mode=%s workers=%d", class, mode.name, workers)
+				got, err := runner.Run(context.Background(), mode.input(skipGuardSpec(class, fault.RAny, workers)))
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				requireIdenticalWithOutputs(t, label, base.Fault, got.Fault)
 			}
 		}
 	}
