@@ -179,8 +179,8 @@ func BenchmarkPipelineInstrumented(b *testing.B) {
 
 // BenchmarkCampaignThroughput measures fault-injection trials per
 // second on the smallest meaningful workload — the capacity-planning
-// number for sizing vsd campaign jobs (also exported live at
-// /metrics as vsd_trials_per_sec). It runs through Runner.Run, the
+// number for sizing vsd campaign jobs (live, it is the rate of
+// vsd_trials_total on /metrics). It runs through Runner.Run, the
 // exact code every production fixed-budget campaign takes.
 func BenchmarkCampaignThroughput(b *testing.B) {
 	p := virat.TestScale()

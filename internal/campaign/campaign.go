@@ -6,17 +6,17 @@
 // caching, the trial worker pool, checkpoint/resume streaming and
 // context cancellation. The study API (internal/core), every figure
 // harness (internal/experiments), the vsd service and cmd/afirun all
-// sit on this package instead of hand-building fault.Config literals.
+// sit on this package instead of opening executor sessions by hand.
 //
 // Every campaign runs through one round loop: a plan.Planner decides
-// which trials run, a Session executes each emitted round as one
-// window on its worker pool and the observed outcomes flow back to the
-// planner. A fixed-budget Spec is a one-round plan.Static, so
-// Runner.Run executes exactly one window. Plans are drawn from
-// Spec.Seed and TrialRecord indices are plan indices, which is what
-// lets an interrupted campaign resume from journaled records and the
-// fabric coordinator lease rounds across machines and rebuild the
-// result from them.
+// which trials run, the campaign's one fault.Session executes each
+// emitted round as a window of plans at an offset on its worker pool,
+// and the observed outcomes flow back to the planner. A fixed-budget
+// Spec is a one-round plan.Static, so Runner.Run executes exactly one
+// window. Plans are drawn from Spec.Seed and TrialRecord indices are
+// plan indices, which is what lets an interrupted campaign resume from
+// journaled records and the fabric coordinator lease rounds across
+// machines and rebuild the result from them.
 package campaign
 
 import (
@@ -68,14 +68,10 @@ type SDCPolicy struct {
 	// Keep retains SDC outputs in the result for quality analysis
 	// (Fig 12, the ED study).
 	Keep bool
-	// Max caps how many outputs Keep retains (<= 0 = unlimited). The
-	// Max lowest-index SDC trials keep their bytes, deterministically
-	// regardless of worker count or completion order.
+	// Max caps how many outputs Keep retains per window (<= 0 =
+	// unlimited). The Max lowest-index SDC trials keep their bytes,
+	// deterministically regardless of worker count or completion order.
 	Max int
-	// OnOutput, if set, streams each SDC output to the callback
-	// instead of retaining it, bounding memory regardless of SDC
-	// count. Keep and Max are ignored when OnOutput is set.
-	OnOutput func(rec fault.TrialRecord, output []byte)
 }
 
 // Spec declares one fault-injection campaign.
@@ -98,12 +94,6 @@ type Spec struct {
 	// campaign's one session pool: the concurrent round sub-windows of
 	// RunAdaptive share it rather than getting a pool each.
 	Workers int
-	// StepFactor sizes the hang budget as a multiple of golden steps
-	// (0 = fault.DefaultStepFactor).
-	StepFactor float64
-	// CheckpointEvery controls the rate-curve snapshot interval
-	// (0 = Trials/20).
-	CheckpointEvery int
 	// SDC is the SDC-output retention policy.
 	SDC SDCPolicy
 	// Golden, when non-nil, supplies a precomputed golden run,
@@ -147,15 +137,14 @@ func (s *Spec) validate() error {
 func (s *Spec) NewPlanner(golden *fault.GoldenRun) (plan.Planner, error) {
 	if a := s.Adaptive; a != nil {
 		p, err := plan.NewAdaptive(golden, plan.AdaptiveConfig{
-			Class:         s.Class,
-			Region:        s.Region,
-			Seed:          s.Seed,
-			Window:        s.Window,
-			Precision:     a.Precision,
-			Confidence:    a.Confidence,
-			RoundSize:     a.RoundSize,
-			MinPerStratum: a.MinPerStratum,
-			MaxTrials:     a.MaxTrials,
+			Class:      s.Class,
+			Region:     s.Region,
+			Seed:       s.Seed,
+			Window:     s.Window,
+			Precision:  a.Precision,
+			Confidence: a.Confidence,
+			RoundSize:  a.RoundSize,
+			MaxTrials:  a.MaxTrials,
 		})
 		if err != nil {
 			return nil, err

@@ -101,9 +101,9 @@ func requireIdentical(t *testing.T, label string, a, b *fault.Result) {
 // must report a consistent partial result, and the resumed run must be
 // bit-identical to the uninterrupted campaign. The specs here carry no
 // SDC retention policy: a checkpoint record has no output bytes, so
-// in-memory retention cannot survive a resume — callers wanting
-// outputs across restarts stream them at first execution via
-// SDC.OnOutput, as vsd does.
+// a resumed trial comes back without its output — callers wanting
+// outputs across restarts keep them from the run that first executed
+// the trial (TestResumeWorkerCountSkew).
 func TestInterruptedRunResumes(t *testing.T) {
 	noRetention := func() Spec {
 		s := toySpec()
@@ -171,25 +171,36 @@ func TestInterruptedRunResumes(t *testing.T) {
 // under several different worker counts: the engine promises that
 // parallelism never shows in the results, so every resumed run must be
 // bit-identical to the uninterrupted base run, and the SDC outputs
-// streamed across interrupt + resume must be byte-identical to the
+// retained across interrupt + resume must be byte-identical to the
 // base run's. (Resumed trials never re-execute, so the two runs'
-// streams partition the SDC set exactly.)
+// retained outputs partition the SDC set exactly.)
 func TestResumeWorkerCountSkew(t *testing.T) {
-	collect := func(spec Spec, sink map[int][]byte) Spec {
-		spec.SDC = SDCPolicy{OnOutput: func(rec fault.TrialRecord, out []byte) {
-			if _, dup := sink[rec.Index]; dup {
-				t.Errorf("SDC output for trial %d streamed twice", rec.Index)
-			}
-			sink[rec.Index] = append([]byte(nil), out...)
-		}}
+	keepAll := func() Spec {
+		spec := toySpec()
+		spec.SDC = SDCPolicy{Keep: true}
 		return spec
+	}
+	// collect moves res's retained SDC outputs into sink by plan index,
+	// so the remaining observables compare with requireIdentical.
+	collect := func(res *fault.Result, sink map[int][]byte) {
+		for i := range res.Trials {
+			if out := res.Trials[i].Output; out != nil {
+				idx := res.Config.PlanOffset + i
+				if _, dup := sink[idx]; dup {
+					t.Errorf("SDC output for trial %d retained twice", idx)
+				}
+				sink[idx] = out
+				res.Trials[i].Output = nil
+			}
+		}
 	}
 	var runner Runner
 	baseSDC := map[int][]byte{}
-	base, err := runner.Run(context.Background(), collect(toySpec(), baseSDC))
+	base, err := runner.Run(context.Background(), keepAll())
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
+	collect(base.Fault, baseSDC)
 	if len(baseSDC) == 0 {
 		t.Fatal("base campaign produced no SDC outputs; the skew test needs some")
 	}
@@ -199,7 +210,7 @@ func TestResumeWorkerCountSkew(t *testing.T) {
 		var mu sync.Mutex
 		var recs []fault.TrialRecord
 		sdc := map[int][]byte{}
-		spec := collect(toySpec(), sdc)
+		spec := keepAll()
 		spec.OnTrial = func(rec fault.TrialRecord) {
 			mu.Lock()
 			recs = append(recs, rec)
@@ -209,24 +220,27 @@ func TestResumeWorkerCountSkew(t *testing.T) {
 				cancel()
 			}
 		}
-		if _, err := runner.Run(ctx, spec); err == nil {
+		partial, err := runner.Run(ctx, spec)
+		if err == nil {
 			t.Fatalf("workers=%d: interrupted run returned no error", w)
 		}
 		cancel()
+		collect(partial.Fault, sdc)
 		mu.Lock()
 		checkpoint := append([]fault.TrialRecord(nil), recs...)
 		mu.Unlock()
 
-		resumed := collect(toySpec(), sdc)
+		resumed := keepAll()
 		resumed.Workers = w
 		resumed.Resume = checkpoint
 		got, err := runner.Run(context.Background(), resumed)
 		if err != nil {
 			t.Fatalf("workers=%d: resumed run: %v", w, err)
 		}
+		collect(got.Fault, sdc)
 		requireIdentical(t, "workers="+string(rune('0'+w)), base.Fault, got.Fault)
 		if !reflect.DeepEqual(sdc, baseSDC) {
-			t.Errorf("workers=%d: streamed SDC outputs differ from base run (%d vs %d indices)",
+			t.Errorf("workers=%d: SDC outputs retained across interrupt + resume differ from base run (%d vs %d indices)",
 				w, len(sdc), len(baseSDC))
 		}
 	}

@@ -12,8 +12,8 @@ import (
 
 // This file is the engine side of the planner seam (internal/plan):
 // planners decide which trials run, and runRounds — the one round loop
-// every Runner entry point drives — executes each emitted round through
-// the campaign's session: golden cache, prefix skip, bucket batching
+// every Runner entry point drives — executes each emitted round on the
+// campaign's fault.Session: golden cache, prefix skip, bucket batching
 // and checkpoint streaming included.
 
 // AdaptiveSpec configures confidence-driven trial allocation.
@@ -26,8 +26,6 @@ type AdaptiveSpec struct {
 	// RoundSize is the trial budget per post-bootstrap round
 	// (0 = 8 per stratum).
 	RoundSize int
-	// MinPerStratum is the bootstrap allocation per stratum (0 = 8).
-	MinPerStratum int
 	// MaxTrials caps the total allocation (0 = the fixed-budget
 	// equivalent — the adaptive campaign never spends more than the
 	// non-adaptive design would).
@@ -107,18 +105,15 @@ func (r *Runner) GoldenFor(w Workload) (*fault.GoldenRun, error) {
 // spec.Resume records inside the window are honored without
 // re-execution. spec.Trials and spec.Adaptive are ignored.
 //
-// RunPlans is the one-shot form: it opens a Session for the single
-// window and closes it. Round loops hold a Session open instead.
+// RunPlans is the one-shot form: it opens a session for the single
+// window and closes it. Round loops hold a session open instead.
 func (r *Runner) RunPlans(ctx context.Context, spec Spec, plans []fault.Plan, lo int) (*Result, error) {
-	if len(plans) == 0 {
-		return nil, fmt.Errorf("campaign: empty plan window")
-	}
 	sess, err := r.OpenSession(spec)
 	if err != nil {
 		return nil, err
 	}
 	defer sess.Close()
-	return sess.RunPlans(ctx, spec, plans, lo)
+	return runWindow(ctx, sess, spec, plans, lo)
 }
 
 // RunStratified executes the fixed Relyzer-style stratified campaign
@@ -126,13 +121,12 @@ func (r *Runner) RunPlans(ctx context.Context, spec Spec, plans []fault.Plan, lo
 // draw as one round on the ordinary trial executor.
 func (r *Runner) RunStratified(ctx context.Context, w Workload, cfg fault.StratifiedConfig) (*fault.StratifiedResult, error) {
 	spec := Spec{
-		Workload:   w,
-		Class:      cfg.Class,
-		Region:     fault.RAny,
-		Window:     cfg.Window,
-		Seed:       cfg.Seed,
-		Workers:    cfg.Workers,
-		StepFactor: cfg.StepFactor,
+		Workload: w,
+		Class:    cfg.Class,
+		Region:   fault.RAny,
+		Window:   cfg.Window,
+		Seed:     cfg.Seed,
+		Workers:  cfg.Workers,
 	}
 	sess, err := r.OpenSession(spec)
 	if err != nil {
@@ -219,32 +213,16 @@ func (r *Runner) RunAdaptive(ctx context.Context, spec Spec, k int) (*AdaptiveRe
 // runRounds is the campaign round loop every Runner entry point drives:
 // it alternates planner p with sess until p is exhausted, executing
 // each round as up to k concurrent sub-windows of the session's one
-// worker pool and feeding the outcomes back in plan order. Spec hooks
-// are serialized across the sub-windows here. A round the session's
-// resume index covers completely runs as one window: nothing executes
-// and no hook fires, the executor only folds the journaled records.
+// worker pool and feeding the outcomes back in plan order. The session
+// serializes spec.OnTrial across the sub-windows and folds its resume
+// records into whichever windows they fall in.
 //
 // observe, when non-nil, receives each completed round's sub-window
 // results in plan order after the planner has folded them. runRounds
 // returns the last round's sub-window results — on error (cancellation
 // included) those of the interrupted round, which the planner has not
 // observed and whose nil entries are windows that never ran.
-func runRounds(ctx context.Context, sess *Session, spec Spec, p plan.Planner, k int, observe func(plan.Round, []*Result)) ([]*Result, error) {
-	var hookMu sync.Mutex
-	if onTrial := spec.OnTrial; onTrial != nil {
-		spec.OnTrial = func(rec fault.TrialRecord) {
-			hookMu.Lock()
-			defer hookMu.Unlock()
-			onTrial(rec)
-		}
-	}
-	if onOutput := spec.SDC.OnOutput; onOutput != nil {
-		spec.SDC.OnOutput = func(rec fault.TrialRecord, output []byte) {
-			hookMu.Lock()
-			defer hookMu.Unlock()
-			onOutput(rec, output)
-		}
-	}
+func runRounds(ctx context.Context, sess *fault.Session, spec Spec, p plan.Planner, k int, observe func(plan.Round, []*Result)) ([]*Result, error) {
 	var parts []*Result
 	for {
 		round, ok := p.Next()
@@ -253,9 +231,6 @@ func runRounds(ctx context.Context, sess *Session, spec Spec, p plan.Planner, k 
 		}
 		n := len(round.Plans)
 		fan := min(max(k, 1), n)
-		if len(sess.resumeWindow(round.Lo, round.Lo+n)) == n {
-			fan = 1
-		}
 		parts = make([]*Result, fan)
 		errs := make([]error, fan)
 		var wg sync.WaitGroup
@@ -264,7 +239,7 @@ func runRounds(ctx context.Context, sess *Session, spec Spec, p plan.Planner, k 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				parts[j], errs[j] = sess.RunPlans(ctx, spec, round.Plans[lo:hi], round.Lo+lo)
+				parts[j], errs[j] = runWindow(ctx, sess, spec, round.Plans[lo:hi], round.Lo+lo)
 			}()
 		}
 		wg.Wait()

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"vsresil/internal/fault"
@@ -60,6 +61,50 @@ func (r *Runner) golden(spec *Spec) (*fault.GoldenRun, error) {
 		return g, err
 	}
 	return capture()
+}
+
+// OpenSession resolves spec's workload golden (through the runner's
+// cache, like any campaign) and opens the campaign's executor session:
+// one worker pool, bucket-preparation cache and resume index, with
+// spec's class, region, SDC policy, OnTrial hook and Resume records
+// fixed for every window. The caller must Close it when the campaign
+// is over.
+func (r *Runner) OpenSession(spec Spec) (*fault.Session, error) {
+	if spec.Workload.App == nil {
+		return nil, fmt.Errorf("campaign: spec has no workload app")
+	}
+	golden, err := r.golden(&spec)
+	if err != nil {
+		return nil, err
+	}
+	return fault.NewSession(fault.SessionConfig{
+		App:            spec.Workload.App,
+		Staged:         spec.Workload.Staged,
+		Golden:         golden,
+		Workers:        spec.Workers,
+		Class:          spec.Class,
+		Region:         spec.Region,
+		KeepSDCOutputs: spec.SDC.Keep,
+		MaxSDCOutputs:  spec.SDC.Max,
+		OnTrial:        spec.OnTrial,
+		Resume:         spec.Resume,
+	})
+}
+
+// runWindow executes plans at plan index lo on sess and wraps the
+// window's fault result with the engine's accounting.
+func runWindow(ctx context.Context, sess *fault.Session, spec Spec, plans []fault.Plan, lo int) (*Result, error) {
+	start := time.Now()
+	fres, err := sess.Run(ctx, fault.Config{Plans: plans, PlanOffset: lo})
+	if fres == nil {
+		return nil, err
+	}
+	return &Result{
+		Spec:     spec,
+		Fault:    fres,
+		Executed: fres.Completed - fres.Resumed,
+		Elapsed:  time.Since(start),
+	}, err
 }
 
 // Run executes one fixed-budget campaign: plan.Static's single round of

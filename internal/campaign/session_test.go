@@ -72,7 +72,7 @@ func TestSessionPathEquivalence(t *testing.T) {
 			var offsets []int
 			for j := 0; j < nwin; j++ {
 				lo, hi := j*len(plans)/nwin, (j+1)*len(plans)/nwin
-				res, err := sess.RunPlans(context.Background(), s, plans[lo:hi], lo)
+				res, err := runWindow(context.Background(), sess, s, plans[lo:hi], lo)
 				if err != nil {
 					sess.Close()
 					t.Fatalf("workers=%d windows=%d: window [%d,%d): %v", workers, nwin, lo, hi, err)
@@ -100,7 +100,6 @@ func TestSessionResumeIndexManyRounds(t *testing.T) {
 	small := func() Spec {
 		s := adaptiveSpec()
 		s.Adaptive.RoundSize = 4
-		s.Adaptive.MinPerStratum = 4
 		return s
 	}
 

@@ -15,7 +15,7 @@
 //
 // Distribution changes where trials run, not what they compute. A
 // worker executes exactly the shipped plans on its cached
-// campaign.Session and sends back only fault.TrialRecords plus retained
+// fault.Session and sends back only fault.TrialRecords plus retained
 // SDC bytes; the planner folds the outcomes in plan order, so its next
 // round is the one a single node would draw. A finished static
 // campaign is rebuilt by one campaign.Runner.Run with every journaled
@@ -269,8 +269,8 @@ type CampaignResult struct {
 func wireResult(cs CampaignSpec, shards int, res *campaign.Result) *CampaignResult {
 	fres := res.Fault
 	out := &CampaignResult{
-		Class:       fres.Config.Class.String(),
-		Region:      fres.Config.Region.String(),
+		Class:       res.Spec.Class.String(),
+		Region:      res.Spec.Region.String(),
 		Trials:      cs.Trials,
 		Shards:      shards,
 		Completed:   fres.Completed,

@@ -672,6 +672,42 @@ func TestShardResultValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnknownSpecFields: a misspelt knob on the campaign
+// submit endpoint is a 400, not a campaign silently run at the
+// knob's default. The worker protocol endpoints stay lenient.
+func TestSubmitRejectsUnknownSpecFields(t *testing.T) {
+	c, err := NewCoordinator(Config{Workload: toyBuild})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer c.Close()
+	mux := http.NewServeMux()
+	c.Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post("/v1/fabric/campaigns", `{"spec":{"adaptive":true,"precison":0.01}}`); code != http.StatusBadRequest {
+		t.Errorf("misspelt spec field: status %d, want 400", code)
+	}
+	if code := post("/v1/fabric/campaigns", `{"spec":{"trials":8},"shards":1,"priority":3}`); code != http.StatusBadRequest {
+		t.Errorf("unknown request field: status %d, want 400", code)
+	}
+	if code := post("/v1/fabric/campaigns", `{"spec":{"trials":8},"shards":1}`); code != http.StatusAccepted {
+		t.Errorf("valid submission: status %d, want 202", code)
+	}
+	if code := post("/v1/fabric/lease", `{"worker":"w","capabilities":["gpr"]}`); code == http.StatusBadRequest {
+		t.Error("lease request with an unknown field was rejected")
+	}
+}
+
 // TestCompactJournalKeepsOldOnError: a coordinator snapshot record
 // that cannot be encoded fails the startup compaction and leaves the
 // live journal untouched, instead of renaming a truncated snapshot over

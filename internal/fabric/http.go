@@ -55,7 +55,7 @@ type okResponse struct {
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, true) {
 		return
 	}
 	id, err := c.Submit(req.Spec, req.Shards)
@@ -88,7 +88,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	l, ok, err := c.Lease(req.Worker)
@@ -105,7 +105,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	writeFabricJSON(w, http.StatusOK, okResponse{OK: c.Heartbeat(req.Worker, req.Lease, req.Done)})
@@ -113,7 +113,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var res ShardResult
-	if !decodeBody(w, r, &res) {
+	if !decodeBody(w, r, &res, false) {
 		return
 	}
 	accepted, err := c.Complete(res)
@@ -124,8 +124,15 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	writeFabricJSON(w, http.StatusOK, okResponse{OK: accepted})
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// decodeBody decodes a request body into v, answering 400 on failure.
+// strict rejects unknown fields: the campaign submit endpoint is, so a
+// misspelt spec knob fails instead of silently taking its default; the
+// worker protocol stays lenient so mixed-version clusters interoperate.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, strict bool) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
 	if err := dec.Decode(v); err != nil {
 		writeFabricJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return false

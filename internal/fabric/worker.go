@@ -89,12 +89,13 @@ type workerSessions struct {
 	cur    *leaseSession
 }
 
-// leaseSession is the cached campaign execution state: the built spec
-// (workload included) and the open session.
+// leaseSession is the cached campaign execution state: the open
+// session and its trial counter, which the session's OnTrial advances
+// for every executed trial of every lease.
 type leaseSession struct {
 	campaign string
-	spec     campaign.Spec
-	sess     *campaign.Session
+	sess     *fault.Session
+	done     atomic.Int64
 }
 
 // acquire returns the session for l's campaign, opening one (and
@@ -113,12 +114,13 @@ func (c *workerSessions) acquire(l Lease) (*leaseSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess, err := c.runner.OpenSession(spec)
-	if err != nil {
+	ls := &leaseSession{campaign: l.Campaign}
+	spec.OnTrial = func(fault.TrialRecord) { ls.done.Add(1) }
+	if ls.sess, err = c.runner.OpenSession(spec); err != nil {
 		return nil, err
 	}
-	c.cur = &leaseSession{campaign: l.Campaign, spec: spec, sess: sess}
-	return c.cur, nil
+	c.cur = ls
+	return ls, nil
 }
 
 // close retires the cached session, if any.
@@ -139,9 +141,9 @@ func (w *Worker) runLease(ctx context.Context, sessions *workerSessions, l Lease
 	if err != nil {
 		return
 	}
-	spec := ls.spec
-	var done atomic.Int64
-	spec.OnTrial = func(fault.TrialRecord) { done.Add(1) }
+	// The session's counter spans every lease it served; this lease's
+	// progress is what it added since the lease started.
+	start := ls.done.Load()
 
 	// Heartbeat at TTL/3 so two beats can be lost before the lease
 	// expires. A "lost" answer means the shard completed elsewhere or
@@ -162,7 +164,7 @@ func (w *Worker) runLease(ctx context.Context, sessions *workerSessions, l Lease
 			case <-leaseCtx.Done():
 				return
 			case <-t.C:
-				ok, err := w.Client.Heartbeat(leaseCtx, w.ID, l.ID, int(done.Load()))
+				ok, err := w.Client.Heartbeat(leaseCtx, w.ID, l.ID, int(ls.done.Load()-start))
 				if err == nil && !ok {
 					cancel()
 					return
@@ -171,10 +173,10 @@ func (w *Worker) runLease(ctx context.Context, sessions *workerSessions, l Lease
 		}
 	}()
 
-	res, err := ls.sess.RunPlans(leaseCtx, spec, l.Plans, l.PlanLo)
+	res, err := ls.sess.Run(leaseCtx, fault.Config{Plans: l.Plans, PlanOffset: l.PlanLo})
 	cancel()
 	<-hbDone
-	if err != nil || res == nil {
+	if err != nil {
 		return
 	}
 
@@ -187,10 +189,10 @@ func (w *Worker) runLease(ctx context.Context, sessions *workerSessions, l Lease
 		Lease:    l.ID,
 		Campaign: l.Campaign,
 		Shard:    l.ShardIndex,
-		Recs:     make([]fault.TrialRecord, 0, len(res.Fault.Trials)),
+		Recs:     make([]fault.TrialRecord, 0, len(res.Trials)),
 	}
-	for i := range res.Fault.Trials {
-		t := &res.Fault.Trials[i]
+	for i := range res.Trials {
+		t := &res.Trials[i]
 		out.Recs = append(out.Recs, t.Record(l.PlanLo+i))
 		if t.Output != nil {
 			out.SDC = append(out.SDC, SDCOutput{Index: l.PlanLo + i, Data: t.Output})

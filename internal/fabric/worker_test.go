@@ -59,19 +59,22 @@ func testCachedSessionRollover(t *testing.T, cs CampaignSpec) {
 	}
 	// The rollover must have closed the retired session: a window run
 	// on it is refused before any trial executes.
-	if _, err := s1.sess.RunPlans(context.Background(), s1.spec, []fault.Plan{{}}, 0); err == nil {
+	if _, err := s1.sess.Run(context.Background(), fault.Config{Plans: []fault.Plan{{}}}); err == nil {
 		t.Error("retired session still accepts plan windows")
 	}
 	// The live session still executes.
 	class, _ := fault.ParseClass(other.Class)
 	plans := fault.GeneratePlans(other.Seed, class, fault.RAny,
 		fault.WindowFor(class, 0), 4, s3.sess.Golden().Taps(class, fault.RAny))
-	res, err := s3.sess.RunPlans(context.Background(), s3.spec, plans, 0)
+	res, err := s3.sess.Run(context.Background(), fault.Config{Plans: plans})
 	if err != nil {
 		t.Fatalf("live session window: %v", err)
 	}
-	if res.Fault.Completed != len(plans) {
-		t.Errorf("live session completed %d trials, want %d", res.Fault.Completed, len(plans))
+	if res.Completed != len(plans) {
+		t.Errorf("live session completed %d trials, want %d", res.Completed, len(plans))
+	}
+	if got := s3.done.Load(); got != int64(len(plans)) {
+		t.Errorf("session trial counter = %d, want %d", got, len(plans))
 	}
 }
 
@@ -95,8 +98,11 @@ func testLeasesShareSession(t *testing.T, cs CampaignSpec) {
 	sessions := &workerSessions{runner: &campaign.Runner{}, build: toyBuild}
 	defer sessions.close()
 	var first *leaseSession
+	planned := 0
 	for i := 0; i < 2; i++ {
-		w.runLease(context.Background(), sessions, leaseWait(t, coord, w.ID))
+		l := leaseWait(t, coord, w.ID)
+		planned += len(l.Plans)
+		w.runLease(context.Background(), sessions, l)
 		if i == 0 {
 			first = sessions.cur
 		}
@@ -106,6 +112,9 @@ func testLeasesShareSession(t *testing.T, cs CampaignSpec) {
 	}
 	if got := first.sess.Stats().RoundsServed; got != 2 {
 		t.Errorf("cached session served %d plan windows, want both leases' 2", got)
+	}
+	if got := first.done.Load(); got != int64(planned) {
+		t.Errorf("session trial counter = %d, want both leases' %d trials", got, planned)
 	}
 	if done := metricValue(t, coord, "vsd_fabric_shards_done"); done != 2 {
 		t.Errorf("coordinator accepted %d shard results, want 2", done)

@@ -54,9 +54,9 @@ func TestGroupRatesEmpty(t *testing.T) {
 }
 
 func TestAnalyzeOnRealCampaign(t *testing.T) {
-	res, err := runCampaign(context.Background(), Config{
-		Trials: 400, Class: GPR, Region: RAny, Workers: 2,
-	}, 7, toyApp)
+	res, err := runCampaign(context.Background(), SessionConfig{
+		App: toyApp, Class: GPR, Region: RAny, Workers: 2,
+	}, 400, 7)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}

@@ -88,67 +88,17 @@ const (
 // run's step count.
 const DefaultStepFactor = 4
 
-// Config parameterizes one plan window of a fault-injection campaign:
-// the plans a planner (internal/plan) drew, where they sit in the
-// campaign's plan space and how the executor runs them.
+// Config is one plan window of a fault-injection campaign: the plans a
+// planner (internal/plan) drew and where they sit in the campaign's
+// plan space. Everything else about how they run is fixed for the
+// campaign by the Session's SessionConfig.
 type Config struct {
-	// Trials is the number of error injections in this window; it must
-	// equal len(Plans).
-	Trials int
-	// Class selects GPR or FPR injections.
-	Class Class
-	// Region restricts injections to one function (RAny = whole app).
-	// It sizes Result.TotalTaps; the plans carry their own region.
-	Region Region
-	// Workers bounds the number of concurrent trial workers
-	// (0 = GOMAXPROCS). The effective count is clamped to the number
-	// of pending trials — plans not already satisfied by Resume
-	// records — so a mostly-resumed window never spawns idle
-	// goroutines. Workers set inter-trial parallelism only; it
-	// composes with bucket batching (trials resuming from the same
-	// golden checkpoint are fed to workers as bucket chunks) and with
-	// intra-trial kernel tiling, and results are bit-identical for
-	// every worker count.
-	Workers int
-	// StepFactor sizes the hang budget as a multiple of golden steps
-	// (0 = DefaultStepFactor).
-	StepFactor float64
-	// KeepSDCOutputs retains the corrupted output bytes of every SDC
-	// trial for quality analysis (Fig 12).
-	KeepSDCOutputs bool
-	// CheckpointEvery controls the rate-curve snapshot interval
-	// (0 = Trials/20, for Fig 9a).
-	CheckpointEvery int
-	// MaxSDCOutputs caps how many SDC outputs KeepSDCOutputs retains
-	// (<= 0 = unlimited). Long campaigns otherwise hold every corrupted
-	// panorama in memory at once. Once the cap is hit, SDC trials are
-	// still counted but only the MaxSDCOutputs lowest-index SDC trials
-	// keep their output bytes — the retained subset is deterministic
-	// regardless of worker count and completion order.
-	MaxSDCOutputs int
-	// OnSDCOutput, if set, streams each SDC trial's corrupted output to
-	// the callback instead of retaining it in Result.Trials, bounding
-	// campaign memory regardless of SDC count. Invocations are
-	// serialized by the window. KeepSDCOutputs and MaxSDCOutputs are
-	// ignored when OnSDCOutput is set.
-	OnSDCOutput func(rec TrialRecord, output []byte)
-	// OnTrial, if set, is called once per completed injection with the
-	// trial's checkpoint record, in completion order (not index order).
-	// Invocations are serialized by the window. A service journals
-	// these records so an interrupted campaign can be resumed.
-	OnTrial func(rec TrialRecord)
-	// Resume holds checkpoint records of this window's trials that a
-	// previous, interrupted run already completed. They are folded into
-	// the Result without re-executing; because the planner draws the
-	// same plans from the same seed and each trial is deterministic in
-	// its plan, a resumed campaign reaches the same outcome counts as
-	// an uninterrupted one.
-	Resume []TrialRecord
 	// PlanOffset is the plan index of Plans[0]. TrialRecord indices are
 	// plan indices, so journaling and resume do not depend on how a
 	// campaign's plan space is cut into windows.
 	PlanOffset int
-	// Plans are the exact plans this window executes.
+	// Plans are the exact plans this window executes; the window runs
+	// len(Plans) trials.
 	Plans []Plan
 }
 
@@ -253,7 +203,7 @@ type Trial struct {
 	// the fault was masked by register deadness/rewrite).
 	Landed bool
 	// Output holds the corrupted output for SDC trials when
-	// Config.KeepSDCOutputs is set.
+	// SessionConfig.KeepSDCOutputs is set.
 	Output []byte
 	// Err records the crash error for CrashAbort/CrashSegv trials.
 	Err error
@@ -266,7 +216,7 @@ func (t *Trial) Record(index int) TrialRecord {
 
 // SchedStats reports how the campaign executor organized its trials.
 // The numbers are purely observational — scheduling never changes a
-// campaign observable — and deterministic in the Config (never in
+// campaign observable — and deterministic in the window (never in
 // worker timing): the bucket decomposition depends only on the plan
 // space and the golden checkpoint stream, and the cutoff counts only
 // on the per-plan execution.
@@ -315,9 +265,12 @@ type Result struct {
 	// Completed says how many entries are real.
 	Trials []Trial
 	// Completed is the number of trials actually executed or resumed
-	// from a checkpoint; it equals Config.Trials unless the campaign
+	// from a checkpoint; it equals len(Config.Plans) unless the campaign
 	// was interrupted.
 	Completed int
+	// Resumed is how many of the Completed trials were folded from
+	// SessionConfig.Resume records without re-execution.
+	Resumed int
 	// Sched reports how the executor scheduled this run's trials
 	// (bucket decomposition, restores amortized, suffix cutoffs).
 	Sched SchedStats
@@ -368,15 +321,10 @@ var ErrNoTaps = errors.New("fault: golden run executed no taps for the requested
 
 // newResult returns an empty Result for cfg with the aggregate
 // structures sized and the golden reference recorded; Session.Run folds
-// completed trials in with accumulate, in plan-index order.
+// completed trials in with accumulate, in plan-index order. The rate
+// curve snapshots every window/20 trials (Fig 9a).
 func newResult(cfg Config, goldenOut []byte, goldenSteps, totalTaps uint64) *Result {
-	every := cfg.CheckpointEvery
-	if every <= 0 {
-		every = cfg.Trials / 20
-		if every == 0 {
-			every = 1
-		}
-	}
+	every := max(len(cfg.Plans)/20, 1)
 	return &Result{
 		Config:       cfg,
 		GoldenOutput: goldenOut,

@@ -43,38 +43,37 @@ func toyApp(m *Machine) ([]byte, error) {
 
 // runCampaign is the one-shot seed-driven campaign the package tests
 // drive the executor with, shaped like campaign.Runner.Run: capture the
-// golden run, draw cfg.Trials plans from seed with GeneratePlans (the
-// stream plan.Static emits) and execute them as one Session window.
-func runCampaign(ctx context.Context, cfg Config, seed uint64, app App) (*Result, error) {
-	golden, err := CaptureGolden(app)
+// golden run of sc.App, open a session with sc, draw n plans from seed
+// with GeneratePlans (the stream plan.Static emits) and execute them as
+// one window.
+func runCampaign(ctx context.Context, sc SessionConfig, n int, seed uint64) (*Result, error) {
+	golden, err := CaptureGolden(sc.App)
 	if err != nil {
 		return nil, err
 	}
-	taps := golden.Taps(cfg.Class, cfg.Region)
-	if taps == 0 {
-		return nil, ErrNoTaps
-	}
-	cfg.Plans = GeneratePlans(seed, cfg.Class, cfg.Region, WindowFor(cfg.Class, 0), cfg.Trials, taps)
-	s, err := NewSession(SessionConfig{App: app, Golden: golden, Workers: cfg.Workers})
+	sc.Golden = golden
+	s, err := NewSession(sc)
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
-	return s.Run(ctx, cfg)
+	plans := GeneratePlans(seed, sc.Class, sc.Region, WindowFor(sc.Class, 0), n, golden.Taps(sc.Class, sc.Region))
+	return s.Run(ctx, Config{Plans: plans})
 }
 
 func TestCampaignGoldenIsMaskFree(t *testing.T) {
 	// A four-tap app: every trial must still be classified exactly
 	// once.
-	res, err := runCampaign(context.Background(), Config{
-		Trials: 50, Class: GPR, Region: RAny, Workers: 2,
-	}, 1, func(m *Machine) ([]byte, error) {
+	app := func(m *Machine) ([]byte, error) {
 		out := make([]byte, 4)
 		for i := 0; i < 4; i++ {
 			out[i] = byte(m.Idx(i))
 		}
 		return out, nil
-	})
+	}
+	res, err := runCampaign(context.Background(), SessionConfig{
+		App: app, Class: GPR, Region: RAny, Workers: 2,
+	}, 50, 1)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
@@ -98,13 +97,13 @@ func TestCampaignGoldenIsMaskFree(t *testing.T) {
 }
 
 func TestCampaignDeterminism(t *testing.T) {
-	cfg := Config{Trials: 200, Class: GPR, Region: RAny, Workers: 4}
-	a, err := runCampaign(context.Background(), cfg, 42, toyApp)
+	cfg := SessionConfig{App: toyApp, Class: GPR, Region: RAny, Workers: 4}
+	a, err := runCampaign(context.Background(), cfg, 200, 42)
 	if err != nil {
 		t.Fatalf("campaign A: %v", err)
 	}
 	cfg.Workers = 1
-	b, err := runCampaign(context.Background(), cfg, 42, toyApp)
+	b, err := runCampaign(context.Background(), cfg, 200, 42)
 	if err != nil {
 		t.Fatalf("campaign B: %v", err)
 	}
@@ -119,9 +118,9 @@ func TestCampaignDeterminism(t *testing.T) {
 }
 
 func TestCampaignProducesAllOutcomeMachinery(t *testing.T) {
-	res, err := runCampaign(context.Background(), Config{
-		Trials: 400, Class: GPR, Region: RAny, Workers: 4,
-	}, 7, toyApp)
+	res, err := runCampaign(context.Background(), SessionConfig{
+		App: toyApp, Class: GPR, Region: RAny, Workers: 4,
+	}, 400, 7)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
@@ -146,9 +145,9 @@ func TestCampaignProducesAllOutcomeMachinery(t *testing.T) {
 }
 
 func TestCampaignFPRMostlyMasked(t *testing.T) {
-	res, err := runCampaign(context.Background(), Config{
-		Trials: 300, Class: FPR, Region: RAny, Workers: 4,
-	}, 9, toyApp)
+	res, err := runCampaign(context.Background(), SessionConfig{
+		App: toyApp, Class: FPR, Region: RAny, Workers: 4,
+	}, 300, 9)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
@@ -158,10 +157,10 @@ func TestCampaignFPRMostlyMasked(t *testing.T) {
 }
 
 func TestCampaignKeepsSDCOutputs(t *testing.T) {
-	res, err := runCampaign(context.Background(), Config{
-		Trials: 500, Class: GPR, Region: RAny, Workers: 4,
+	res, err := runCampaign(context.Background(), SessionConfig{
+		App: toyApp, Class: GPR, Region: RAny, Workers: 4,
 		KeepSDCOutputs: true,
-	}, 3, toyApp)
+	}, 500, 3)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
@@ -178,7 +177,8 @@ func TestCampaignKeepsSDCOutputs(t *testing.T) {
 
 func TestCampaignHangDetection(t *testing.T) {
 	// An app whose loop bound is tapped every iteration: a high-bit
-	// corruption inflates the bound and the step budget trips.
+	// corruption inflates the bound and the step budget
+	// (DefaultStepFactor golden runs) trips.
 	app := func(m *Machine) ([]byte, error) {
 		sum := 0
 		n := 1000
@@ -188,10 +188,9 @@ func TestCampaignHangDetection(t *testing.T) {
 		}
 		return []byte{byte(sum)}, nil
 	}
-	res, err := runCampaign(context.Background(), Config{
-		Trials: 300, Class: GPR, Region: RAny, Workers: 4,
-		StepFactor: 2,
-	}, 11, app)
+	res, err := runCampaign(context.Background(), SessionConfig{
+		App: app, Class: GPR, Region: RAny, Workers: 4,
+	}, 300, 11)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
@@ -212,9 +211,9 @@ func TestCampaignCrashAbort(t *testing.T) {
 		}
 		return []byte{1}, nil
 	}
-	res, err := runCampaign(context.Background(), Config{
-		Trials: 200, Class: GPR, Region: RAny, Workers: 2,
-	}, 13, app)
+	res, err := runCampaign(context.Background(), SessionConfig{
+		App: app, Class: GPR, Region: RAny, Workers: 2,
+	}, 200, 13)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
@@ -239,9 +238,9 @@ func TestCampaignRegionScoped(t *testing.T) {
 		restore()
 		return out, nil
 	}
-	res, err := runCampaign(context.Background(), Config{
-		Trials: 100, Class: GPR, Region: RRemapBilinear, Workers: 2,
-	}, 5, app)
+	res, err := runCampaign(context.Background(), SessionConfig{
+		App: app, Class: GPR, Region: RRemapBilinear, Workers: 2,
+	}, 100, 5)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
@@ -258,17 +257,17 @@ func TestCampaignRegionScoped(t *testing.T) {
 func TestCampaignErrors(t *testing.T) {
 	okApp := func(m *Machine) ([]byte, error) { m.Idx(1); return []byte{0}, nil }
 
-	if _, err := runCampaign(context.Background(), Config{Trials: 0, Class: GPR, Region: RAny}, 0, okApp); err == nil {
+	if _, err := runCampaign(context.Background(), SessionConfig{App: okApp, Class: GPR, Region: RAny}, 0, 0); err == nil {
 		t.Error("expected error for zero trials")
 	}
 
 	failing := func(m *Machine) ([]byte, error) { return nil, errors.New("boom") }
-	if _, err := runCampaign(context.Background(), Config{Trials: 1, Class: GPR, Region: RAny}, 0, failing); err == nil {
+	if _, err := runCampaign(context.Background(), SessionConfig{App: failing, Class: GPR, Region: RAny}, 1, 0); err == nil {
 		t.Error("expected error for failing golden run")
 	}
 
 	noFPR := func(m *Machine) ([]byte, error) { m.Idx(1); return []byte{0}, nil }
-	if _, err := runCampaign(context.Background(), Config{Trials: 1, Class: FPR, Region: RAny}, 0, noFPR); !errors.Is(err, ErrNoTaps) {
+	if _, err := runCampaign(context.Background(), SessionConfig{App: noFPR, Class: FPR, Region: RAny}, 1, 0); !errors.Is(err, ErrNoTaps) {
 		t.Errorf("expected ErrNoTaps, got %v", err)
 	}
 }
@@ -276,37 +275,41 @@ func TestCampaignErrors(t *testing.T) {
 func TestCampaignContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := runCampaign(ctx, Config{Trials: 10000, Class: GPR, Region: RAny}, 1, toyApp)
+	_, err := runCampaign(ctx, SessionConfig{App: toyApp, Class: GPR, Region: RAny}, 10000, 1)
 	if err == nil {
 		t.Error("expected cancellation error")
 	}
 }
 
 func TestCampaignResumeMatchesColdRun(t *testing.T) {
-	cfg := Config{Trials: 300, Class: GPR, Region: RAny, Workers: 4}
-	cold, err := runCampaign(context.Background(), cfg, 21, toyApp)
+	const trials = 300
+	cfg := SessionConfig{App: toyApp, Class: GPR, Region: RAny, Workers: 4}
+	cold, err := runCampaign(context.Background(), cfg, trials, 21)
 	if err != nil {
 		t.Fatalf("cold campaign: %v", err)
 	}
 	// Pretend the first half completed before an interruption and
 	// resume from its checkpoint records.
 	var recs []TrialRecord
-	for i := 0; i < cfg.Trials/2; i++ {
+	for i := 0; i < trials/2; i++ {
 		recs = append(recs, cold.Trials[i].Record(i))
 	}
 	rcfg := cfg
 	rcfg.Resume = recs
 	executed := 0
 	rcfg.OnTrial = func(rec TrialRecord) { executed++ }
-	warm, err := runCampaign(context.Background(), rcfg, 21, toyApp)
+	warm, err := runCampaign(context.Background(), rcfg, trials, 21)
 	if err != nil {
 		t.Fatalf("resumed campaign: %v", err)
 	}
-	if warm.Completed != cfg.Trials {
-		t.Errorf("resumed Completed = %d, want %d", warm.Completed, cfg.Trials)
+	if warm.Completed != trials {
+		t.Errorf("resumed Completed = %d, want %d", warm.Completed, trials)
 	}
-	if executed != cfg.Trials-len(recs) {
-		t.Errorf("resumed run executed %d trials, want %d", executed, cfg.Trials-len(recs))
+	if warm.Resumed != len(recs) {
+		t.Errorf("resumed Resumed = %d, want %d", warm.Resumed, len(recs))
+	}
+	if executed != trials-len(recs) {
+		t.Errorf("resumed run executed %d trials, want %d", executed, trials-len(recs))
 	}
 	if warm.Counts != cold.Counts {
 		t.Errorf("resumed counts %v differ from cold %v", warm.Counts, cold.Counts)
@@ -316,29 +319,42 @@ func TestCampaignResumeMatchesColdRun(t *testing.T) {
 	}
 }
 
+// TestCampaignResumeRejectsBadRecords: NewSession validates the resume
+// journal once, so a bad record fails the campaign before any trial
+// runs. A record past the campaign's plan space is not an error: no
+// window reaches it, so it is ignored.
 func TestCampaignResumeRejectsBadRecords(t *testing.T) {
-	base := Config{Trials: 10, Class: GPR, Region: RAny}
+	base := SessionConfig{App: toyApp, Class: GPR, Region: RAny}
 	for name, recs := range map[string][]TrialRecord{
-		"out-of-range": {{Index: 10}},
-		"negative":     {{Index: -1}},
-		"bad-outcome":  {{Index: 0, Outcome: NumOutcomes}},
-		"duplicate":    {{Index: 3}, {Index: 3}},
+		"negative":    {{Index: -1}},
+		"bad-outcome": {{Index: 0, Outcome: NumOutcomes}},
+		"duplicate":   {{Index: 3}, {Index: 3}},
 	} {
 		cfg := base
 		cfg.Resume = recs
-		if _, err := runCampaign(context.Background(), cfg, 1, toyApp); err == nil {
+		if _, err := runCampaign(context.Background(), cfg, 10, 1); err == nil {
 			t.Errorf("%s: expected resume validation error", name)
 		}
+	}
+	cfg := base
+	cfg.Resume = []TrialRecord{{Index: 10, Outcome: OutcomeHang}}
+	res, err := runCampaign(context.Background(), cfg, 10, 1)
+	if err != nil {
+		t.Fatalf("record past the plan space: %v", err)
+	}
+	if res.Resumed != 0 || res.Completed != 10 || res.Counts[OutcomeHang] != 0 {
+		t.Errorf("record past the plan space was folded: Resumed=%d Completed=%d counts=%v",
+			res.Resumed, res.Completed, res.Counts)
 	}
 }
 
 func TestCampaignPartialResultOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	const stopAfter = 40
+	const stopAfter, trials = 40, 5000
 	seen := 0
-	cfg := Config{
-		Trials: 5000, Class: GPR, Region: RAny, Workers: 2,
+	cfg := SessionConfig{
+		App: toyApp, Class: GPR, Region: RAny, Workers: 2,
 		OnTrial: func(TrialRecord) {
 			seen++
 			if seen == stopAfter {
@@ -346,7 +362,7 @@ func TestCampaignPartialResultOnCancel(t *testing.T) {
 			}
 		},
 	}
-	res, err := runCampaign(ctx, cfg, 17, toyApp)
+	res, err := runCampaign(ctx, cfg, trials, 17)
 	if err == nil {
 		t.Fatal("expected interruption error")
 	}
@@ -356,8 +372,8 @@ func TestCampaignPartialResultOnCancel(t *testing.T) {
 	if res == nil {
 		t.Fatal("expected partial result on cancellation")
 	}
-	if res.Completed < stopAfter || res.Completed >= cfg.Trials {
-		t.Errorf("partial Completed = %d, want in [%d,%d)", res.Completed, stopAfter, cfg.Trials)
+	if res.Completed < stopAfter || res.Completed >= trials {
+		t.Errorf("partial Completed = %d, want in [%d,%d)", res.Completed, stopAfter, trials)
 	}
 	total := 0
 	for _, c := range res.Counts {
@@ -369,10 +385,10 @@ func TestCampaignPartialResultOnCancel(t *testing.T) {
 }
 
 func TestCampaignSDCOutputCap(t *testing.T) {
-	res, err := runCampaign(context.Background(), Config{
-		Trials: 500, Class: GPR, Region: RAny, Workers: 4,
+	res, err := runCampaign(context.Background(), SessionConfig{
+		App: toyApp, Class: GPR, Region: RAny, Workers: 4,
 		KeepSDCOutputs: true, MaxSDCOutputs: 2,
-	}, 3, toyApp)
+	}, 500, 3)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
@@ -381,31 +397,6 @@ func TestCampaignSDCOutputCap(t *testing.T) {
 	}
 	if got := len(res.SDCOutputs()); got != 2 {
 		t.Errorf("retained %d SDC outputs, want cap of 2", got)
-	}
-}
-
-func TestCampaignStreamsSDCOutputs(t *testing.T) {
-	streamed := 0
-	res, err := runCampaign(context.Background(), Config{
-		Trials: 500, Class: GPR, Region: RAny, Workers: 4,
-		OnSDCOutput: func(rec TrialRecord, out []byte) {
-			streamed++
-			if rec.Outcome != OutcomeSDC {
-				t.Errorf("streamed record outcome = %v, want SDC", rec.Outcome)
-			}
-			if len(out) == 0 {
-				t.Error("streamed empty SDC output")
-			}
-		},
-	}, 3, toyApp)
-	if err != nil {
-		t.Fatalf("campaign: %v", err)
-	}
-	if streamed != res.Counts[OutcomeSDC] {
-		t.Errorf("streamed %d outputs, want %d", streamed, res.Counts[OutcomeSDC])
-	}
-	if kept := len(res.SDCOutputs()); kept != 0 {
-		t.Errorf("retained %d outputs despite streaming callback", kept)
 	}
 }
 
@@ -434,9 +425,9 @@ func BenchmarkTapIdxWithPlan(b *testing.B) {
 func BenchmarkCampaignToyApp(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := runCampaign(context.Background(), Config{
-			Trials: 100, Class: GPR, Region: RAny,
-		}, uint64(i), toyApp); err != nil {
+		if _, err := runCampaign(context.Background(), SessionConfig{
+			App: toyApp, Class: GPR, Region: RAny,
+		}, 100, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

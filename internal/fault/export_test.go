@@ -8,7 +8,7 @@ package fault
 // of a Session window are checked against.
 func RunTrialFull(app App, golden *GoldenRun, plan Plan) Trial {
 	e := &trialExec{
-		budget:    uint64(float64(golden.Steps) * DefaultStepFactor),
+		budget:    golden.Steps * DefaultStepFactor,
 		goldenOut: golden.Output,
 		keepSDC:   true,
 		app:       app,

@@ -23,10 +23,10 @@ func retainedSDCIndices(res *Result) []int {
 // worker count and completion order.
 func TestSDCRetentionDeterministic(t *testing.T) {
 	run := func(workers int) *Result {
-		res, err := runCampaign(context.Background(), Config{
-			Trials: 300, Class: GPR, Region: RAny,
+		res, err := runCampaign(context.Background(), SessionConfig{
+			App: toyApp, Class: GPR, Region: RAny,
 			Workers: workers, KeepSDCOutputs: true, MaxSDCOutputs: 2,
-		}, 11, toyApp)
+		}, 300, 11)
 		if err != nil {
 			t.Fatalf("campaign (workers=%d): %v", workers, err)
 		}

@@ -1,14 +1,19 @@
 package fault
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
 
-// SessionConfig parameterizes a persistent executor session.
+// SessionConfig parameterizes a persistent executor session: the
+// golden reference, the worker pool and every setting that stays the
+// same across the plan windows of one campaign. A window itself
+// (Config) is only its plans and where they sit in the plan space.
 type SessionConfig struct {
 	// App runs the application end to end (trials with no usable
 	// checkpoint, and the golden fallback).
@@ -28,8 +33,38 @@ type SessionConfig struct {
 	Golden *GoldenRun
 	// Workers caps the session's worker pool (0 = GOMAXPROCS). Workers
 	// are spawned lazily up to min(Workers, pending trials of the
-	// current window) and then kept for the session's lifetime.
+	// current window) and then kept for the session's lifetime. Workers
+	// set inter-trial parallelism only; results are bit-identical for
+	// every worker count.
 	Workers int
+	// Class selects GPR or FPR injections and Region restricts them to
+	// one function (RAny = whole app). Together they size
+	// Result.TotalTaps; the plans carry their own class and region.
+	Class  Class
+	Region Region
+	// KeepSDCOutputs retains the corrupted output bytes of SDC trials
+	// for quality analysis (Fig 12). MaxSDCOutputs caps how many each
+	// window retains (<= 0 = unlimited): only the MaxSDCOutputs
+	// lowest-index SDC trials of a window keep their bytes, whatever
+	// the worker count and completion order.
+	KeepSDCOutputs bool
+	MaxSDCOutputs  int
+	// OnTrial, if set, is called once per executed trial with its
+	// checkpoint record, in completion order (not index order). The
+	// session serializes invocations across all its windows, concurrent
+	// ones included. A service journals these records so an interrupted
+	// campaign can be resumed.
+	OnTrial func(rec TrialRecord)
+	// Resume holds checkpoint records that a previous, interrupted run
+	// of the same campaign already completed, in any order. Each window
+	// folds the records of its plan indices into its Result without
+	// re-executing them; records no window reaches are ignored. Because
+	// the planner draws the same plans from the same seed and each trial
+	// is deterministic in its plan, a resumed campaign reaches the same
+	// outcome counts as an uninterrupted one. NewSession rejects a
+	// record with a negative index, an invalid outcome or a duplicate
+	// index.
+	Resume []TrialRecord
 }
 
 // SessionStats counts what a session amortized across its windows. All
@@ -53,39 +88,33 @@ type SessionStats struct {
 	WorkersReused  uint64
 }
 
-// Add folds another session's counters into s (fabric workers
-// aggregate one entry per campaign).
-func (s *SessionStats) Add(o SessionStats) {
-	s.BucketPrepHits += o.BucketPrepHits
-	s.BucketPrepMisses += o.BucketPrepMisses
-	s.RoundsServed += o.RoundsServed
-	s.WorkersSpawned += o.WorkersSpawned
-	s.WorkersReused += o.WorkersReused
-}
-
 // Session is the campaign executor: it owns the worker pool, the
-// checkpoint-bucket preparation cache and the golden reference for the
-// lifetime of one campaign, and executes successive planner-supplied
-// plan windows (Run) without tearing anything down between them.
+// checkpoint-bucket preparation cache, the golden reference and the
+// resume index for the lifetime of one campaign, and executes
+// successive planner-supplied plan windows (Run) without tearing
+// anything down between them.
 //
 // Reuse cannot shift results. The cached per-bucket preparation is a
 // pure function of the immutable golden checkpoint state (see
 // BatchStagedApp.PrepareResume), worker-pool lifetime is invisible to
 // trials (each trial owns its machine and writes only its own result
 // slot), and every window accumulates its Result in plan-index order —
-// so a window's Result depends only on its Config, never on which
-// session ran it or what ran before.
+// so a window's Result depends only on its plans and offset, never on
+// which session ran it or what ran before.
 //
 // Run may be called from multiple goroutines concurrently (a round's
 // sub-windows share one session); Close must not race with Run.
 type Session struct {
-	app    App
-	staged StagedApp
-	bapp   BatchStagedApp // staged's batch view, type-asserted once
-	golden *GoldenRun
-	cap    int
+	cfg       SessionConfig  // Resume sorted by plan index
+	bapp      BatchStagedApp // Staged's batch view, type-asserted once
+	cap       int
+	totalTaps uint64
+	budget    uint64 // hang budget: DefaultStepFactor golden runs
 
 	jobCh chan sessionJob
+	// hookMu serializes OnTrial and the per-window SDC cap accounting
+	// across every window of the session.
+	hookMu sync.Mutex
 
 	mu      sync.Mutex
 	spawned int
@@ -103,26 +132,40 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.Golden == nil {
 		return nil, fmt.Errorf("fault: session requires a golden run")
 	}
+	totalTaps := cfg.Golden.Taps(cfg.Class, cfg.Region)
+	if totalTaps == 0 {
+		return nil, ErrNoTaps
+	}
+	cfg.Resume = slices.Clone(cfg.Resume)
+	slices.SortStableFunc(cfg.Resume, func(a, b TrialRecord) int { return cmp.Compare(a.Index, b.Index) })
+	for i, rec := range cfg.Resume {
+		switch {
+		case rec.Index < 0:
+			return nil, fmt.Errorf("fault: resume record has negative index %d", rec.Index)
+		case rec.Outcome >= NumOutcomes:
+			return nil, fmt.Errorf("fault: resume record %d has invalid outcome %d", rec.Index, rec.Outcome)
+		case i > 0 && cfg.Resume[i-1].Index == rec.Index:
+			return nil, fmt.Errorf("fault: duplicate resume record for trial %d", rec.Index)
+		}
+	}
 	capWorkers := cfg.Workers
 	if capWorkers <= 0 {
 		capWorkers = runtime.GOMAXPROCS(0)
 	}
 	s := &Session{
-		app:    cfg.App,
-		staged: cfg.Staged,
-		golden: cfg.Golden,
-		cap:    capWorkers,
-		jobCh:  make(chan sessionJob),
-		preps:  make(map[int]*schedBucket),
+		cfg:       cfg,
+		cap:       capWorkers,
+		totalTaps: totalTaps,
+		budget:    cfg.Golden.Steps * DefaultStepFactor,
+		jobCh:     make(chan sessionJob),
+		preps:     make(map[int]*schedBucket),
 	}
-	if cfg.Staged != nil {
-		s.bapp, _ = cfg.Staged.(BatchStagedApp)
-	}
+	s.bapp, _ = cfg.Staged.(BatchStagedApp)
 	return s, nil
 }
 
 // Golden returns the session's golden run.
-func (s *Session) Golden() *GoldenRun { return s.golden }
+func (s *Session) Golden() *GoldenRun { return s.cfg.Golden }
 
 // Stats returns a snapshot of the session's reuse counters.
 func (s *Session) Stats() SessionStats {
@@ -152,24 +195,22 @@ type sessionJob struct {
 }
 
 // windowRun is the per-Run state a pool worker needs to execute a
-// batch of one window: the trial table, the execution invariants and
-// the serialized post-trial hooks.
+// batch of one window: the trial table and the execution invariants.
 type windowRun struct {
-	cfg    *Config
+	offset int
 	plans  []Plan
 	exec   *trialExec
 	trials []Trial
 	done   []bool
 
-	hookMu  sync.Mutex // serializes OnTrial/OnSDCOutput and cap accounting
-	keptSDC []int
+	keptSDC []int // guarded by the session's hookMu
 	wg      sync.WaitGroup
 }
 
 // runWorker is the pool goroutine body: drain jobs until Close.
 func (s *Session) runWorker() {
 	for job := range s.jobCh {
-		job.win.runBatch(job.batch)
+		s.runBatch(job.win, job.batch)
 		job.win.wg.Done()
 	}
 }
@@ -180,14 +221,8 @@ func (s *Session) runWorker() {
 func (s *Session) ensureWorkers(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n > s.cap {
-		n = s.cap
-	}
-	reused := s.spawned
-	if reused > n {
-		reused = n
-	}
-	s.stats.WorkersReused += uint64(reused)
+	n = min(n, s.cap)
+	s.stats.WorkersReused += uint64(min(s.spawned, n))
 	for s.spawned < n {
 		go s.runWorker()
 		s.spawned++
@@ -209,7 +244,7 @@ func (s *Session) buckets(cpIdxs []int) map[int]*schedBucket {
 		}
 		b := s.preps[ci]
 		if b == nil {
-			b = &schedBucket{cp: &s.golden.Checkpoints[ci], cpIdx: ci}
+			b = &schedBucket{cp: &s.cfg.Golden.Checkpoints[ci], cpIdx: ci}
 			s.preps[ci] = b
 			s.stats.BucketPrepMisses++
 		} else {
@@ -220,19 +255,27 @@ func (s *Session) buckets(cpIdxs []int) map[int]*schedBucket {
 	return out
 }
 
+// resumeWindow slices the sorted resume index to records with plan
+// indices in [lo, hi).
+func (s *Session) resumeWindow(lo, hi int) []TrialRecord {
+	rs := s.cfg.Resume
+	a := sort.Search(len(rs), func(i int) bool { return rs[i].Index >= lo })
+	b := sort.Search(len(rs), func(i int) bool { return rs[i].Index >= hi })
+	return rs[a:b]
+}
+
 // Run executes one window of planner-supplied plans through the
-// session: cfg.Plans[i] is plan index cfg.PlanOffset+i. On context
-// cancellation it stops feeding new trials, waits for in-flight ones
-// and returns the partial Result (Completed < cfg.Trials) together
-// with a non-nil error wrapping ctx's error — callers that want
-// partial data on interruption must check the Result even when err
-// != nil.
+// session: cfg.Plans[i] is plan index cfg.PlanOffset+i. Resume records
+// with plan indices inside the window are folded without re-execution.
+// On context cancellation it stops feeding new trials, waits for
+// in-flight ones and returns the partial Result (Completed <
+// len(cfg.Plans)) together with a non-nil error wrapping ctx's error —
+// callers that want partial data on interruption must check the Result
+// even when err != nil.
 func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Trials <= 0 {
-		return nil, fmt.Errorf("fault: non-positive trial count %d", cfg.Trials)
-	}
-	if len(cfg.Plans) != cfg.Trials {
-		return nil, fmt.Errorf("fault: %d plans for %d trials", len(cfg.Plans), cfg.Trials)
+	n := len(cfg.Plans)
+	if n == 0 {
+		return nil, fmt.Errorf("fault: empty plan window")
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -242,43 +285,20 @@ func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
 	s.stats.RoundsServed++
 	s.mu.Unlock()
 
-	golden := s.golden
-	goldenOut := golden.Output
+	golden := s.cfg.Golden
 	// Prefix skipping needs both sides of the seam: a staged app to
 	// resume into and a golden run that recorded boundaries under the
 	// current schema. Anything else (plain goldens, schema drift)
 	// degrades to full execution.
-	skip := s.staged != nil && len(golden.Checkpoints) > 0 &&
+	skip := s.cfg.Staged != nil && len(golden.Checkpoints) > 0 &&
 		golden.Schema == CheckpointSchema
 
-	totalTaps := golden.Taps(cfg.Class, cfg.Region)
-	if totalTaps == 0 {
-		return nil, ErrNoTaps
-	}
-
-	stepFactor := cfg.StepFactor
-	if stepFactor <= 0 {
-		stepFactor = DefaultStepFactor
-	}
-	budget := uint64(float64(golden.Steps) * stepFactor)
-
 	plans := cfg.Plans
-	trials := make([]Trial, cfg.Trials)
-	done := make([]bool, cfg.Trials)
-	for _, rec := range cfg.Resume {
-		// Record indices are plan indices; map them into this run's
-		// window.
+	trials := make([]Trial, n)
+	done := make([]bool, n)
+	resumed := s.resumeWindow(cfg.PlanOffset, cfg.PlanOffset+n)
+	for _, rec := range resumed {
 		local := rec.Index - cfg.PlanOffset
-		if local < 0 || local >= cfg.Trials {
-			return nil, fmt.Errorf("fault: resume record index %d out of range [%d,%d)",
-				rec.Index, cfg.PlanOffset, cfg.PlanOffset+cfg.Trials)
-		}
-		if rec.Outcome >= NumOutcomes {
-			return nil, fmt.Errorf("fault: resume record %d has invalid outcome %d", rec.Index, rec.Outcome)
-		}
-		if done[local] {
-			return nil, fmt.Errorf("fault: duplicate resume record for trial %d", rec.Index)
-		}
 		trials[local] = Trial{
 			Plan:    plans[local],
 			Outcome: rec.Outcome,
@@ -288,21 +308,15 @@ func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
 		done[local] = true
 	}
 
-	pending := make([]int, 0, cfg.Trials)
-	for i := 0; i < cfg.Trials; i++ {
+	pending := make([]int, 0, n-len(resumed))
+	for i := range n {
 		if !done[i] {
 			pending = append(pending, i)
 		}
 	}
-	workers := cfg.Workers
-	if workers <= 0 || workers > s.cap {
-		workers = s.cap
-	}
 	// Never run more workers than pending plans: a mostly-resumed
 	// window needs fewer than the pool cap.
-	if workers > len(pending) {
-		workers = len(pending)
-	}
+	workers := min(s.cap, len(pending))
 
 	// Bucket batching groups the pending plans by the checkpoint they
 	// resume from, so each bucket restores/prepares the shared boundary
@@ -330,13 +344,7 @@ func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
 		// view.
 		chunk := 1
 		if workers > 0 {
-			chunk = (len(pending) + workers*4 - 1) / (workers * 4)
-		}
-		if chunk > maxBucketChunk {
-			chunk = maxBucketChunk
-		}
-		if chunk < 1 {
-			chunk = 1
+			chunk = max(min((len(pending)+workers*4-1)/(workers*4), maxBucketChunk), 1)
 		}
 		for _, ci := range cpIdxs {
 			idxs := byCp[ci]
@@ -347,11 +355,7 @@ func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
 				sched.BucketSizes = append(sched.BucketSizes, len(idxs))
 			}
 			for lo := 0; lo < len(idxs); lo += chunk {
-				hi := lo + chunk
-				if hi > len(idxs) {
-					hi = len(idxs)
-				}
-				jobs = append(jobs, trialBatch{bucket: b, idxs: idxs[lo:hi]})
+				jobs = append(jobs, trialBatch{bucket: b, idxs: idxs[lo:min(lo+chunk, len(idxs))]})
 			}
 		}
 	} else {
@@ -361,21 +365,18 @@ func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	exec := &trialExec{
-		budget:    budget,
-		goldenOut: goldenOut,
-		// keepSDC makes the trial hold on to SDC output bytes; the
-		// post-trial hook decides whether they are streamed, retained
-		// or dropped once the cap is reached.
-		keepSDC:   cfg.KeepSDCOutputs || cfg.OnSDCOutput != nil,
-		app:       s.app,
-		staged:    s.staged,
+		budget:    s.budget,
+		goldenOut: golden.Output,
+		keepSDC:   s.cfg.KeepSDCOutputs,
+		app:       s.cfg.App,
+		staged:    s.cfg.Staged,
 		bapp:      s.bapp,
 		golden:    golden,
 		earlyMask: true,
 	}
 
 	win := &windowRun{
-		cfg:    &cfg,
+		offset: cfg.PlanOffset,
 		plans:  plans,
 		exec:   exec,
 		trials: trials,
@@ -403,8 +404,9 @@ feed:
 	sched.EarlyMasks = int(exec.earlyMasks.Load())
 	sched.Converged = int(exec.converged.Load())
 
-	res := newResult(cfg, goldenOut, golden.Steps, totalTaps)
+	res := newResult(cfg, golden.Output, golden.Steps, s.totalTaps)
 	res.Trials = trials
+	res.Resumed = len(resumed)
 	res.Sched = sched
 	for i := range trials {
 		if done[i] {
@@ -412,15 +414,15 @@ feed:
 		}
 	}
 	if ctxErr != nil {
-		return res, fmt.Errorf("fault: campaign interrupted after %d/%d trials: %w", res.Completed, cfg.Trials, ctxErr)
+		return res, fmt.Errorf("fault: campaign interrupted after %d/%d trials: %w", res.Completed, n, ctxErr)
 	}
 	return res, nil
 }
 
-// runBatch executes one trial batch of this window on the calling pool
+// runBatch executes one trial batch of window w on the calling pool
 // worker.
-func (w *windowRun) runBatch(job trialBatch) {
-	cfg, exec := w.cfg, w.exec
+func (s *Session) runBatch(w *windowRun, job trialBatch) {
+	exec := w.exec
 	var cp *Checkpoint
 	var prep any
 	cpIdx := -1
@@ -435,41 +437,35 @@ func (w *windowRun) runBatch(job trialBatch) {
 			prep = b.prep
 		}
 	}
+	maxSDC := s.cfg.MaxSDCOutputs
 	for _, i := range job.idxs {
 		t := exec.run(w.plans[i], cp, cpIdx, prep)
-		w.hookMu.Lock()
-		if t.Output != nil {
-			switch {
-			case cfg.OnSDCOutput != nil:
-				cfg.OnSDCOutput(t.Record(cfg.PlanOffset+i), t.Output)
-				t.Output = nil
-			case cfg.MaxSDCOutputs > 0:
-				if len(w.keptSDC) < cfg.MaxSDCOutputs {
-					w.keptSDC = append(w.keptSDC, i)
+		s.hookMu.Lock()
+		if t.Output != nil && maxSDC > 0 {
+			if len(w.keptSDC) < maxSDC {
+				w.keptSDC = append(w.keptSDC, i)
+			} else {
+				// Cap reached: evict the highest retained index if this
+				// trial precedes it, else drop this trial's output.
+				hi := 0
+				for j := 1; j < len(w.keptSDC); j++ {
+					if w.keptSDC[j] > w.keptSDC[hi] {
+						hi = j
+					}
+				}
+				if i < w.keptSDC[hi] {
+					w.trials[w.keptSDC[hi]].Output = nil
+					w.keptSDC[hi] = i
 				} else {
-					// Cap reached: evict the highest retained index if
-					// this trial precedes it, else drop this trial's
-					// output.
-					hi := 0
-					for j := 1; j < len(w.keptSDC); j++ {
-						if w.keptSDC[j] > w.keptSDC[hi] {
-							hi = j
-						}
-					}
-					if i < w.keptSDC[hi] {
-						w.trials[w.keptSDC[hi]].Output = nil
-						w.keptSDC[hi] = i
-					} else {
-						t.Output = nil
-					}
+					t.Output = nil
 				}
 			}
 		}
 		w.trials[i] = t
 		w.done[i] = true
-		if cfg.OnTrial != nil {
-			cfg.OnTrial(t.Record(cfg.PlanOffset + i))
+		if s.cfg.OnTrial != nil {
+			s.cfg.OnTrial(t.Record(w.offset + i))
 		}
-		w.hookMu.Unlock()
+		s.hookMu.Unlock()
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // sessionStagedToy is a two-stage staged view of toyApp's tap mix for
@@ -106,8 +107,8 @@ func requireSameTrials(t *testing.T, label string, a, b []Trial) {
 // session must visibly amortize its pool across windows.
 func TestSessionWindowsMatchRunCampaign(t *testing.T) {
 	const total = 60
-	base := Config{Trials: total, Class: GPR, Region: RAny, Workers: 2}
-	baseline, err := runCampaign(context.Background(), base, 11, toyApp)
+	sc := SessionConfig{App: toyApp, Class: GPR, Region: RAny, Workers: 2}
+	baseline, err := runCampaign(context.Background(), sc, total, 11)
 	if err != nil {
 		t.Fatalf("one-shot campaign: %v", err)
 	}
@@ -116,7 +117,8 @@ func TestSessionWindowsMatchRunCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CaptureGolden: %v", err)
 	}
-	s, err := NewSession(SessionConfig{App: toyApp, Golden: golden, Workers: 2})
+	sc.Golden = golden
+	s, err := NewSession(sc)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
@@ -125,7 +127,7 @@ func TestSessionWindowsMatchRunCampaign(t *testing.T) {
 	var wins []*Result
 	offsets := []int{0, 20, 40}
 	for _, lo := range offsets {
-		res, err := s.Run(context.Background(), window(base, baseline.Config.Plans, lo, 20))
+		res, err := s.Run(context.Background(), window(baseline.Config.Plans, lo, 20))
 		if err != nil {
 			t.Fatalf("session window [%d,%d): %v", lo, lo+20, err)
 		}
@@ -146,13 +148,10 @@ func TestSessionWindowsMatchRunCampaign(t *testing.T) {
 	}
 }
 
-// window returns base narrowed to the n plans of the plan space that
+// window returns the window of the n plans of the plan space that
 // start at plan index lo.
-func window(base Config, plans []Plan, lo, n int) Config {
-	base.Trials = n
-	base.PlanOffset = lo
-	base.Plans = plans[lo : lo+n]
-	return base
+func window(plans []Plan, lo, n int) Config {
+	return Config{PlanOffset: lo, Plans: plans[lo : lo+n]}
 }
 
 // TestSessionBucketPrepCache checks the staged path: checkpoint-bucket
@@ -167,18 +166,18 @@ func TestSessionBucketPrepCache(t *testing.T) {
 		t.Fatalf("CaptureGoldenStaged: %v", err)
 	}
 	plans := GeneratePlans(3, GPR, RAny, WindowFor(GPR, 0), total, golden.Taps(GPR, RAny))
-	base := Config{Trials: total, Class: GPR, Region: RAny, Workers: 2, Plans: plans}
-	oneShot, err := NewSession(SessionConfig{Staged: st, Golden: golden, Workers: 2})
+	sc := SessionConfig{Staged: st, Golden: golden, Workers: 2, Class: GPR, Region: RAny}
+	oneShot, err := NewSession(sc)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	baseline, err := oneShot.Run(context.Background(), base)
+	baseline, err := oneShot.Run(context.Background(), Config{Plans: plans})
 	oneShot.Close()
 	if err != nil {
 		t.Fatalf("one-shot staged campaign: %v", err)
 	}
 
-	s, err := NewSession(SessionConfig{Staged: st, Golden: golden, Workers: 2})
+	s, err := NewSession(sc)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
@@ -187,7 +186,7 @@ func TestSessionBucketPrepCache(t *testing.T) {
 	var wins []*Result
 	offsets := []int{0, 30}
 	for _, lo := range offsets {
-		res, err := s.Run(context.Background(), window(base, plans, lo, 30))
+		res, err := s.Run(context.Background(), window(plans, lo, 30))
 		if err != nil {
 			t.Fatalf("session window [%d,%d): %v", lo, lo+30, err)
 		}
@@ -214,8 +213,8 @@ func TestSessionBucketPrepCache(t *testing.T) {
 // one-shot campaign.
 func TestSessionConcurrentWindows(t *testing.T) {
 	const total = 60
-	base := Config{Trials: total, Class: FPR, Region: RAny, Workers: 2}
-	baseline, err := runCampaign(context.Background(), base, 29, toyApp)
+	sc := SessionConfig{App: toyApp, Class: FPR, Region: RAny, Workers: 2}
+	baseline, err := runCampaign(context.Background(), sc, total, 29)
 	if err != nil {
 		t.Fatalf("one-shot campaign: %v", err)
 	}
@@ -224,7 +223,8 @@ func TestSessionConcurrentWindows(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CaptureGolden: %v", err)
 	}
-	s, err := NewSession(SessionConfig{App: toyApp, Golden: golden, Workers: 4})
+	sc.Golden, sc.Workers = golden, 4
+	s, err := NewSession(sc)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
@@ -238,7 +238,7 @@ func TestSessionConcurrentWindows(t *testing.T) {
 		wg.Add(1)
 		go func(w, lo int) {
 			defer wg.Done()
-			wins[w], errs[w] = s.Run(context.Background(), window(base, baseline.Config.Plans, lo, 15))
+			wins[w], errs[w] = s.Run(context.Background(), window(baseline.Config.Plans, lo, 15))
 		}(w, lo)
 	}
 	wg.Wait()
@@ -251,9 +251,93 @@ func TestSessionConcurrentWindows(t *testing.T) {
 		stitchWindows(t, total, wins, offsets), baseline.Trials)
 }
 
+// TestSessionHooksAcrossConcurrentWindows runs several windows of one
+// session concurrently with a session-level OnTrial and a resume
+// journal spread over every window. The session must serialize the
+// hook across windows — it appends to an unguarded map, which the race
+// detector flags otherwise, and an in-flight counter catches overlap
+// without it — and every executed plan index must arrive exactly once,
+// while resumed indices never reach the hook.
+func TestSessionHooksAcrossConcurrentWindows(t *testing.T) {
+	const total, windows = 96, 6
+	golden, err := CaptureGolden(toyApp)
+	if err != nil {
+		t.Fatalf("CaptureGolden: %v", err)
+	}
+	plans := GeneratePlans(5, GPR, RAny, WindowFor(GPR, 0), total, golden.Taps(GPR, RAny))
+	// Resume every fifth plan, journaled in reverse order.
+	var resume []TrialRecord
+	for i := total - 1; i >= 0; i-- {
+		if i%5 == 0 {
+			resume = append(resume, TrialRecord{Index: i, Outcome: OutcomeMask})
+		}
+	}
+	seen := make(map[int]int) // written only by the hook
+	var inFlight, overlaps atomic.Int64
+	s, err := NewSession(SessionConfig{
+		App: toyApp, Golden: golden, Workers: 4, Class: GPR, Region: RAny,
+		Resume: resume,
+		OnTrial: func(rec TrialRecord) {
+			if inFlight.Add(1) > 1 {
+				overlaps.Add(1)
+			}
+			seen[rec.Index]++
+			time.Sleep(50 * time.Microsecond) // widen the window an overlap would show in
+			inFlight.Add(-1)
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	defer s.Close()
+
+	n := total / windows
+	wins := make([]*Result, windows)
+	errs := make([]error, windows)
+	var wg sync.WaitGroup
+	for w := range windows {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wins[w], errs[w] = s.Run(context.Background(), window(plans, w*n, n))
+		}()
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("OnTrial ran concurrently %d times", n)
+	}
+	resumed := 0
+	for w, res := range wins {
+		resumed += res.Resumed
+		if res.Completed != n {
+			t.Errorf("window %d completed %d trials, want %d", w, res.Completed, n)
+		}
+	}
+	if resumed != len(resume) {
+		t.Errorf("windows folded %d resume records, want %d", resumed, len(resume))
+	}
+	for i := range total {
+		want := 1
+		if i%5 == 0 {
+			want = 0
+		}
+		if seen[i] != want {
+			t.Errorf("plan index %d reached OnTrial %d times, want %d", i, seen[i], want)
+		}
+	}
+	if len(seen) != total-len(resume) {
+		t.Errorf("OnTrial saw %d indices, want %d", len(seen), total-len(resume))
+	}
+}
+
 // TestSessionValidation covers the session-specific error surface:
-// construction without an app or golden, a window whose plans do not
-// match its trial count, and Run after Close.
+// construction without an app or golden, an empty window and Run after
+// Close.
 func TestSessionValidation(t *testing.T) {
 	golden, err := CaptureGolden(toyApp)
 	if err != nil {
@@ -267,22 +351,17 @@ func TestSessionValidation(t *testing.T) {
 		t.Error("NewSession without golden accepted")
 	}
 
-	s, err := NewSession(SessionConfig{App: toyApp, Golden: golden})
+	s, err := NewSession(SessionConfig{App: toyApp, Golden: golden, Class: GPR, Region: RAny})
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	cfg := Config{Trials: 5, Class: GPR, Region: RAny}
-	if _, err := s.Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "plans") {
-		t.Errorf("window without plans: got %v, want plan-count error", err)
-	}
-	cfg.Plans = GeneratePlans(1, GPR, RAny, WindowFor(GPR, 0), 4, golden.Taps(GPR, RAny))
-	if _, err := s.Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "plans") {
-		t.Errorf("4 plans for 5 trials: got %v, want plan-count error", err)
+	if _, err := s.Run(context.Background(), Config{}); err == nil || !strings.Contains(err.Error(), "empty") {
+		t.Errorf("window without plans: got %v, want empty-window error", err)
 	}
 
 	s.Close()
 	s.Close() // idempotent
-	cfg.Trials = len(cfg.Plans)
+	cfg := Config{Plans: GeneratePlans(1, GPR, RAny, WindowFor(GPR, 0), 4, golden.Taps(GPR, RAny))}
 	if _, err := s.Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Errorf("Run on closed session: got %v, want closed error", err)
 	}

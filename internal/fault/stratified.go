@@ -95,11 +95,12 @@ type StratifiedConfig struct {
 	TrialsPerStratum int
 	// Class selects the register file.
 	Class Class
-	// Seed, Workers, StepFactor, Window as in Config.
-	Seed       uint64
-	Workers    int
-	StepFactor float64
-	Window     uint64
+	// Seed draws the per-stratum samples, Workers caps the session's
+	// worker pool and Window overrides the liveness window (0 = class
+	// default).
+	Seed    uint64
+	Workers int
+	Window  uint64
 }
 
 // StratifiedResult aggregates an equivalence-class campaign.

@@ -37,13 +37,6 @@ func TestCampaignBatchingRegionSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CaptureGoldenStaged: %v", err)
 	}
-	sess, err := fault.NewSession(fault.SessionConfig{
-		App: app, Staged: staged, Golden: golden, Workers: runtime.GOMAXPROCS(0),
-	})
-	if err != nil {
-		t.Fatalf("NewSession: %v", err)
-	}
-	defer sess.Close()
 	const trials, seed = 100, 0x5EED5
 	for _, class := range []fault.Class{fault.GPR, fault.FPR} {
 		for r := fault.Region(0); r < fault.NumRegions; r++ {
@@ -53,13 +46,15 @@ func TestCampaignBatchingRegionSweep(t *testing.T) {
 				continue // this region has no sites for this class
 			}
 			plans := fault.GeneratePlans(seed, class, r, fault.WindowFor(class, 0), trials, taps)
-			res, err := sess.Run(context.Background(), fault.Config{
-				Trials:         trials,
-				Class:          class,
-				Region:         r,
-				KeepSDCOutputs: true,
-				Plans:          plans,
+			sess, err := fault.NewSession(fault.SessionConfig{
+				App: app, Staged: staged, Golden: golden, Workers: runtime.GOMAXPROCS(0),
+				Class: class, Region: r, KeepSDCOutputs: true,
 			})
+			if err != nil {
+				t.Fatalf("%s: NewSession: %v", label, err)
+			}
+			res, err := sess.Run(context.Background(), fault.Config{Plans: plans})
+			sess.Close()
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

@@ -28,8 +28,19 @@ import (
 )
 
 // ErrWrite wraps every error a Log write returns: a record that does
-// not encode, a failed write or fsync, or a write to a closed Log.
+// not encode or is too large, a failed write or fsync, or a write to a
+// closed Log.
 var ErrWrite = errors.New("journal: write failed")
+
+// MaxRecordBytes bounds one encoded record, its newline included.
+// Replay reads lines up to this size, and every write — Append,
+// Commit and the snapshots of Open and Rewrite — refuses a larger
+// record, so a journal never holds a line its own replay cannot read.
+const MaxRecordBytes = 64 << 20
+
+// ErrTooLarge wraps ErrWrite for a record over MaxRecordBytes. Like an
+// encode failure it never reaches the file and does not latch.
+var ErrTooLarge = fmt.Errorf("%w: record over %d bytes", ErrWrite, MaxRecordBytes)
 
 var errClosed = fmt.Errorf("%w: closed", ErrWrite)
 
@@ -73,11 +84,10 @@ func (l *Log[R]) write(rec R, sync bool) error {
 	if l == nil {
 		return nil
 	}
-	data, err := json.Marshal(rec)
+	data, err := encode(rec)
 	if err != nil {
-		return fmt.Errorf("%w: encode: %w", ErrWrite, err)
+		return err
 	}
-	data = append(data, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.usable(); err != nil {
@@ -93,6 +103,18 @@ func (l *Log[R]) write(rec R, sync bool) error {
 	}
 	l.appended++
 	return nil
+}
+
+// encode renders rec as one journal line within MaxRecordBytes.
+func encode[R any](rec R) ([]byte, error) {
+	data, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("%w: encode: %w", ErrWrite, err)
+	}
+	if len(data)+1 > MaxRecordBytes {
+		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(data)+1)
+	}
+	return append(data, '\n'), nil
 }
 
 func (l *Log[R]) usable() error {
@@ -172,9 +194,12 @@ func writeSnapshot[R any](path string, recs []R) error {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
 	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
 	for i := range recs {
-		if err = enc.Encode(recs[i]); err != nil {
+		var data []byte
+		if data, err = encode(recs[i]); err == nil {
+			_, err = w.Write(data)
+		}
+		if err != nil {
 			break
 		}
 	}
@@ -221,7 +246,7 @@ func Replay[R any](path string, fold func(R)) error {
 	defer f.Close()
 
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // results and shards can be large lines
+	sc.Buffer(make([]byte, 0, 1<<20), MaxRecordBytes) // results and shards can be large lines
 	torn := false
 	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
 		if i := bytes.IndexByte(data, '\n'); i >= 0 {

@@ -130,6 +130,38 @@ func TestLogEncodeErrorDoesNotLatch(t *testing.T) {
 	}
 }
 
+// TestLogRefusesOversizeRecord: a record over the replay limit is
+// refused without latching, so the journal stays appendable and still
+// replays. Writing it would leave a line Replay cannot read, and the
+// owner could never restart on the journal again.
+func TestLogRefusesOversizeRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	l, err := Open(path, []rec{{Op: "snap"}})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer l.Close()
+	huge := rec{Op: "huge", S: strings.Repeat("x", 65<<20)}
+	if err := l.Append(huge); !errors.Is(err, ErrWrite) {
+		t.Fatalf("65 MiB append: err %v, want ErrWrite", err)
+	}
+	if err := l.Commit(rec{Op: "ok"}); err != nil {
+		t.Fatalf("commit after oversize append: %v", err)
+	}
+	want := []rec{{Op: "snap"}, {Op: "ok"}}
+	if got := replayAll(t, path); !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed %v, want %v", got, want)
+	}
+	// A snapshot carrying the record is refused too, keeping the old
+	// journal.
+	if err := l.Rewrite([]rec{huge}); err == nil {
+		t.Fatal("rewrite with a 65 MiB record succeeded")
+	}
+	if got := replayAll(t, path); !reflect.DeepEqual(got, want) {
+		t.Errorf("after refused rewrite, replayed %v, want %v", got, want)
+	}
+}
+
 func TestReplayTornTailAndCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		name, data string

@@ -27,14 +27,15 @@ type AdaptiveConfig struct {
 	// RoundSize is the number of trials allocated per adaptive round
 	// after the bootstrap (default 8 per stratum).
 	RoundSize int
-	// MinPerStratum is the bootstrap allocation that seeds every
-	// stratum's estimate in round 0 (default 8).
-	MinPerStratum int
 	// MaxTrials caps the total allocation (default: the fixed-budget
 	// equivalent, FixedBudget(Precision, Confidence, strata) — the
 	// planner never spends more than the non-adaptive design would).
 	MaxTrials int
 }
+
+// minPerStratum is the bootstrap allocation that seeds every stratum's
+// estimate in round 0.
+const minPerStratum = 8
 
 func (cfg *AdaptiveConfig) withDefaults(strata int) {
 	if cfg.Precision <= 0 {
@@ -42,9 +43,6 @@ func (cfg *AdaptiveConfig) withDefaults(strata int) {
 	}
 	if cfg.Confidence <= 0 || cfg.Confidence >= 1 {
 		cfg.Confidence = 0.95
-	}
-	if cfg.MinPerStratum <= 0 {
-		cfg.MinPerStratum = 8
 	}
 	if cfg.RoundSize <= 0 {
 		cfg.RoundSize = 8 * strata
@@ -79,7 +77,7 @@ type adaptiveStratum struct {
 // Adaptive allocates rounds to the strata whose outcome-rate
 // confidence intervals are widest, and stops once every stratum's
 // rates are within Precision at Confidence (or MaxTrials is spent).
-// Round 0 bootstraps every stratum with MinPerStratum trials; each
+// Round 0 bootstraps every stratum with minPerStratum trials; each
 // later round splits RoundSize trials across the unfinished strata
 // proportionally to their current half-widths (largest-remainder
 // rounding, ties to the lower stratum index).
@@ -155,7 +153,7 @@ func (a *Adaptive) Next() (Round, bool) {
 	var alloc []int
 	if a.round == 0 {
 		alloc = make([]int, len(a.strata))
-		if full := a.cfg.MinPerStratum * len(a.strata); full > a.cfg.MaxTrials {
+		if full := minPerStratum * len(a.strata); full > a.cfg.MaxTrials {
 			// An explicit cap below the full bootstrap still binds:
 			// spread it evenly, remainder to the lower stratum indices.
 			base, rem := a.cfg.MaxTrials/len(a.strata), a.cfg.MaxTrials%len(a.strata)
@@ -167,7 +165,7 @@ func (a *Adaptive) Next() (Round, bool) {
 			}
 		} else {
 			for i := range alloc {
-				alloc[i] = a.cfg.MinPerStratum
+				alloc[i] = minPerStratum
 			}
 		}
 	} else {

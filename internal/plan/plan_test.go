@@ -282,7 +282,7 @@ func TestAdaptiveAllocatesToWidestStrata(t *testing.T) {
 func TestAdaptiveRespectsMaxTrials(t *testing.T) {
 	g := toyGolden(t)
 	a, err := NewAdaptive(g, AdaptiveConfig{
-		Class: fault.GPR, Seed: 9, Precision: 0.001, MaxTrials: 200, RoundSize: 64, MinPerStratum: 4,
+		Class: fault.GPR, Seed: 9, Precision: 0.001, MaxTrials: 200, RoundSize: 64,
 	})
 	if err != nil {
 		t.Fatalf("NewAdaptive: %v", err)

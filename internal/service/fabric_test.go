@@ -104,6 +104,9 @@ func TestFabricMountedOnService(t *testing.T) {
 			t.Errorf("/metrics missing %q", metric)
 		}
 	}
+	if strings.Contains(string(body), "vsd_fabric_trials_per_sec") {
+		t.Error("/metrics still exports vsd_fabric_trials_per_sec, a rate() of vsd_fabric_trials_total")
+	}
 }
 
 // TestJournalRuntimeCompaction: with a small CompactEvery, a campaign

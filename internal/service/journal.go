@@ -120,12 +120,20 @@ func replayJournal(path string) (jobs []*Job, maxSeq int, err error) {
 // checkpoints, the state if it moved past queued, and the result.
 // Both the startup compaction and the runtime rewrite produce exactly
 // this shape.
+// snapshotTrialBatch is the most trial records one snapshot line
+// carries (about 1.6 MB of JSON).
+const snapshotTrialBatch = 1 << 16
+
 func snapshotRecords(jobs []*Job) []journalRecord {
 	var recs []journalRecord
 	for _, j := range jobs {
 		recs = append(recs, jobRecord(j))
-		if len(j.resume) > 0 {
-			recs = append(recs, journalRecord{Op: "trials", ID: j.ID, Recs: j.resume})
+		// Trial records go out in batches, keeping every snapshot line far
+		// below journal.MaxRecordBytes however long the campaign.
+		for rs := j.resume; len(rs) > 0; {
+			n := min(len(rs), snapshotTrialBatch)
+			recs = append(recs, journalRecord{Op: "trials", ID: j.ID, Recs: rs[:n]})
+			rs = rs[n:]
 		}
 		if j.State != StateQueued {
 			recs = append(recs, journalRecord{Op: "state", ID: j.ID, State: j.State, Err: j.Err})

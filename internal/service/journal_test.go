@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -195,5 +196,77 @@ func TestEnqueueJournalFailure(t *testing.T) {
 	}
 	if code := statusFor(err); code != http.StatusInternalServerError {
 		t.Errorf("HTTP status %d for a journal failure, want 500", code)
+	}
+}
+
+// TestOversizeJobNotJournaled submits a job whose body is over the
+// journal's 64 MiB record limit. It must be refused with a 4xx before
+// anything is journaled, and vsd must restart on the same journal:
+// journaling it would leave a line the replay cannot read, and every
+// later start would fail.
+func TestOversizeJobNotJournaled(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vsd.journal")
+	svc, err := New(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatalf("service.New: %v", err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	body := `{"type":"summarize","summarize":{"frames_pgm":["` + strings.Repeat("A", 65<<20) + `"]}}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
+	}
+	resp.Body.Close()
+	ts.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Errorf("65 MiB submission: status %d, want 4xx", resp.StatusCode)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	restarted, err := New(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatalf("restart on the same journal: %v", err)
+	}
+	defer restarted.Shutdown(ctx)
+	if jobs := restarted.List(); len(jobs) != 0 {
+		t.Errorf("restarted service has %d jobs, want none", len(jobs))
+	}
+}
+
+// TestSnapshotBatchesTrialRecords: a long campaign's checkpoint
+// records are snapshotted over several lines, each well under the
+// journal's record limit, and replay to the same resume set.
+func TestSnapshotBatchesTrialRecords(t *testing.T) {
+	spec := testCampaignSpec(3 * snapshotTrialBatch)
+	j := &Job{ID: "j1", seq: 1, Spec: spec, State: StateRunning}
+	for i := range 2*snapshotTrialBatch + 5 {
+		j.resume = append(j.resume, fault.TrialRecord{Index: i, Outcome: fault.OutcomeMask})
+	}
+	recs := snapshotRecords([]*Job{j})
+	lines := 0
+	for _, r := range recs {
+		if r.Op == "trials" {
+			lines++
+		}
+	}
+	if lines != 3 {
+		t.Errorf("%d records snapshotted in %d trials lines, want 3", len(j.resume), lines)
+	}
+	path := filepath.Join(t.TempDir(), "vsd.journal")
+	l, err := journal.Open(path, recs)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	l.Close()
+	jobs, _, err := replayJournal(path)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if len(jobs) != 1 || !reflect.DeepEqual(jobs[0].resume, j.resume) {
+		t.Errorf("replayed resume set differs from the snapshotted one")
 	}
 }

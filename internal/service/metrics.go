@@ -18,10 +18,6 @@ import (
 // scale; paper-scale campaigns reach the tail.
 var latencyBuckets = []float64{0.01, 0.05, 0.25, 1, 5, 30, 120, 600}
 
-// trialWindow is the sliding window the trials/sec gauge is computed
-// over.
-const trialWindow = 10 * time.Second
-
 // metrics collects the service's counters and gauges. Everything is
 // guarded by one mutex: update rates are bounded by trial batches and
 // job completions, far below contention range.
@@ -67,13 +63,6 @@ type metrics struct {
 	sessionPrepMisses uint64
 	sessionRounds     uint64
 	sessionReused     uint64
-
-	// trialTimes is a per-second ring of trial completions backing the
-	// trials/sec gauge.
-	trialTimes [16]struct {
-		sec int64
-		n   uint64
-	}
 
 	// latency histograms: per type, count per bucket (+ overflow) and
 	// a running sum for the mean.
@@ -125,30 +114,9 @@ func (m *metrics) jobAccepted() {
 
 // trialsDone records n completed injection trials.
 func (m *metrics) trialsDone(n int) {
-	now := time.Now()
 	m.mu.Lock()
 	m.trialsTotal += uint64(n)
-	sec := now.Unix()
-	slot := &m.trialTimes[sec%int64(len(m.trialTimes))]
-	if slot.sec != sec {
-		slot.sec = sec
-		slot.n = 0
-	}
-	slot.n += uint64(n)
 	m.mu.Unlock()
-}
-
-// trialsPerSec returns the trial completion rate over the sliding
-// window; caller holds mu.
-func (m *metrics) trialsPerSec(now time.Time) float64 {
-	cutoff := now.Add(-trialWindow).Unix()
-	var n uint64
-	for _, s := range m.trialTimes {
-		if s.sec > cutoff {
-			n += s.n
-		}
-	}
-	return float64(n) / trialWindow.Seconds()
 }
 
 // goldenLookup records a golden-run cache lookup.
@@ -312,11 +280,7 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "vsd_queue_depth %d\n", g.queueDepth)
 	fmt.Fprintf(w, "vsd_workers %d\n", g.workers)
 	fmt.Fprintf(w, "vsd_workers_busy %d\n", g.busyWorkers)
-	if g.workers > 0 {
-		fmt.Fprintf(w, "vsd_worker_utilization %.3f\n", float64(g.busyWorkers)/float64(g.workers))
-	}
 	fmt.Fprintf(w, "vsd_trials_total %d\n", m.trialsTotal)
-	fmt.Fprintf(w, "vsd_trials_per_sec %.1f\n", m.trialsPerSec(now))
 	if len(m.workloadTrials) > 0 {
 		cells := make([]workloadCell, 0, len(m.workloadTrials))
 		for c := range m.workloadTrials {

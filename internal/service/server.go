@@ -38,15 +38,23 @@ func (s *Service) Handler() http.Handler {
 }
 
 // maxSpecBytes bounds a job submission body (uploaded PGM frame sets
-// are the large case).
-const maxSpecBytes = 256 << 20
+// are the large case). The accepted spec is journaled as one record,
+// so the bound is the journal's record limit: a larger body is refused
+// here, and a body whose record still comes out over the limit is
+// refused by the journal write, before the job exists.
+const maxSpecBytes = journal.MaxRecordBytes
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err)
 		return
 	}
 	st, err := s.Enqueue(spec)
@@ -112,6 +120,8 @@ func statusFor(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, ErrShuttingDown):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, journal.ErrTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, journal.ErrWrite):
 		return http.StatusInternalServerError
 	default:

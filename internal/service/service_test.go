@@ -438,9 +438,18 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`vsd_job_latency_seconds_count{type="campaign"} 1`,
 		"vsd_queue_depth 0",
 		"vsd_workers 1",
+		"vsd_workers_busy ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, text)
+		}
+	}
+	// Rates and ratios derive from the series above (rate() of
+	// vsd_trials_total, vsd_workers_busy / vsd_workers); vsd does not
+	// export them.
+	for _, gone := range []string{"vsd_trials_per_sec", "vsd_worker_utilization"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("metrics still export derivable series %q", gone)
 		}
 	}
 }
