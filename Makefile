@@ -39,17 +39,23 @@ race:
 # byte-identity tests at the generator, adapter and registry seams, and
 # the per-region sweep (internal/fault) of batched execution, with its
 # window clip and decode-boundary resumes, against cutoff-free
-# re-execution of every plan. Run it after touching any layer of the
-# workload path.
+# re-execution of every plan, the composite-region sweep over the
+# composite's interior boundaries, the compact canvas snapshot and
+# state-compare tests (internal/warp, internal/stitch), the
+# resume-boundary report and the checkpoint schema drift pin. Run it
+# after touching any layer of the workload path.
 identity:
-	$(GO) test -count=1 -run 'TestCampaignBatchingRegionSweep|TestIdentityCell|TestIdentityScenarioByteIdentical|TestVSAdapterByteIdentical|TestCellIdentityMatchesVSConstructor|TestVSConstructorKeyUnchanged' . ./internal/virat/ ./internal/summarize/ ./internal/campaign/ ./internal/fault/
+	$(GO) test -count=1 -run 'TestCampaignBatchingRegionSweep|TestComposite|TestCanvasSnapshot|TestResumeReportsOwnBoundaryFirst|TestCheckpointSchemaDrift|TestIdentityCell|TestIdentityScenarioByteIdentical|TestVSAdapterByteIdentical|TestCellIdentityMatchesVSConstructor|TestVSConstructorKeyUnchanged' . ./internal/virat/ ./internal/summarize/ ./internal/campaign/ ./internal/fault/ ./internal/stitch/ ./internal/warp/ ./internal/vs/
 
 # determinism pins the adaptive planner's reproducibility promise: the
 # confidence-driven trial set must be bit-identical across seeds,
 # worker counts, round-shard counts, resume and a live cluster — and,
 # since the executor went persistent, across session-window
 # decompositions, mid-round cancellation/resume and lease-to-lease
-# session reuse (the TestSession* equivalence suites). Run it after
+# session reuse (the TestSession* equivalence suites) — and on the
+# staged VS workload, whose trials resume from and converge at the
+# composite's interior boundaries, against full execution
+# (TestAdaptiveDeterministicCompositeBoundaries). Run it after
 # touching internal/plan or either round loop (campaign runRounds,
 # fabric Coordinator.drive).
 determinism:
@@ -69,9 +75,11 @@ bench:
 # live workers, one worker killed mid-campaign (lease expiry +
 # reassignment), and a coordinator restart from its journal — plus the
 # shared journal's own tests — all under the race detector. Fast enough
-# to run before pushing fabric changes.
+# to run before pushing fabric changes. It also checks that a shard
+# result too large to journal fails its campaign instead of being
+# leased again forever.
 fabric-smoke:
-	$(GO) test -race -count=1 -run 'TestCluster|TestCoordinatorRestart|TestLog|TestReplay|TestRewrite' ./internal/fabric/ ./internal/journal/
+	$(GO) test -race -count=1 -run 'TestCluster|TestCoordinatorRestart|TestOversize|TestLog|TestReplay|TestRewrite' ./internal/fabric/ ./internal/journal/
 
 # fuzz runs journal replay on arbitrary bytes and on valid journals cut
 # at every byte: replay must never panic, and a cut journal must replay

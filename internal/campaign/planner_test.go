@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"vsresil/internal/fault"
+	"vsresil/internal/virat"
+	"vsresil/internal/vs"
 )
 
 // ---- stratified campaigns through the planner seam ----
@@ -289,5 +291,55 @@ func TestAdaptiveCampaignCancellation(t *testing.T) {
 	var runner Runner
 	if _, err := runner.RunAdaptive(ctx, adaptiveSpec(), 1); err == nil {
 		t.Error("expected cancellation error")
+	}
+}
+
+// TestAdaptiveDeterministicCompositeBoundaries extends the determinism
+// promise to the staged VS workload, whose warp-region trials resume
+// from and converge at the composite's interior boundaries: the
+// adaptive trial set is identical across worker counts and round-shard
+// counts, and identical again on a checkpoint-free golden, where every
+// trial runs in full.
+func TestAdaptiveDeterministicCompositeBoundaries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-execution VS campaign is not -short")
+	}
+	p := virat.TestScale()
+	p.Frames = 8
+	frames := virat.Input2(p).Frames()
+	mk := func(workers int) Spec {
+		return Spec{
+			Workload: VSApp(vs.DefaultConfig(vs.AlgVS), frames, "det", ""),
+			Class:    fault.GPR,
+			Region:   fault.RWarpInvoker,
+			Seed:     5,
+			Workers:  workers,
+			Adaptive: &AdaptiveSpec{Precision: 0.1, Confidence: 0.9},
+		}
+	}
+	var runner Runner
+	base, err := runner.RunAdaptive(context.Background(), mk(1), 1)
+	if err != nil {
+		t.Fatalf("RunAdaptive: %v", err)
+	}
+	if len(base.Records) == 0 {
+		t.Fatal("no records")
+	}
+	full := mk(2)
+	if full.Golden, err = fault.CaptureGolden(full.Workload.App); err != nil {
+		t.Fatalf("CaptureGolden: %v", err)
+	}
+	for label, run := range map[string]func() (*AdaptiveResult, error){
+		"workers=2 shards=3": func() (*AdaptiveResult, error) { return runner.RunAdaptive(context.Background(), mk(2), 3) },
+		"full execution":     func() (*AdaptiveResult, error) { return runner.RunAdaptive(context.Background(), full, 1) },
+	} {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !reflect.DeepEqual(res.Records, base.Records) || res.Rounds != base.Rounds {
+			t.Errorf("%s: trial records diverge from the baseline (%d vs %d trials, %d vs %d rounds)",
+				label, len(res.Records), len(base.Records), res.Rounds, base.Rounds)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,6 +29,11 @@ var (
 	ErrNoCampaign  = errors.New("fabric: no such campaign")
 	ErrNotFinished = errors.New("fabric: campaign has not finished")
 	ErrClosed      = errors.New("fabric: coordinator closed")
+	// ErrResultTooLarge fails a campaign whose shard result cannot be
+	// journaled: it encodes past journal.MaxRecordBytes, and every
+	// later run of the same deterministic shard would produce the same
+	// result again.
+	ErrResultTooLarge = errors.New("fabric: shard result over the journal record limit")
 )
 
 // DefaultLeaseTTL is how long a shard lease lives without a heartbeat
@@ -86,12 +92,14 @@ type camp struct {
 	state      string
 	err        string
 	doneShards int
-	// result is a finished static campaign's rebuilt engine result and
-	// recs a finished campaign's trial records in plan order (both
+	// recs are a finished campaign's trial records in plan order and
+	// sdc a finished static campaign's retained SDC outputs (both
 	// in-memory only); resultJSON is the wire rendering, which is what
-	// the journal persists.
-	result     *campaign.Result
+	// the journal persists. Merged rebuilds a static campaign's engine
+	// result from recs and sdc on demand, so a long-lived coordinator
+	// holds each finished campaign's records, not its per-trial table.
 	recs       []fault.TrialRecord
+	sdc        []SDCOutput
 	resultJSON json.RawMessage
 	started    time.Time
 	// fanout is the round-shard count every round is split into;
@@ -436,7 +444,21 @@ func (c *Coordinator) Complete(res ShardResult) (bool, error) {
 	// The journal commit is the tie-break: it happens under c.mu,
 	// before the shard is marked done or the completion acknowledged,
 	// and a failed commit leaves the shard undone.
-	if err := c.journal.Commit(record{Op: "shard", Campaign: cm.id, Shard: res.Shard, Recs: recs, SDC: res.SDC}); err != nil {
+	var err error
+	if c.journal != nil && sdcEncodedLen(res.SDC) >= journal.MaxRecordBytes {
+		// The retained outputs alone encode past the limit: skip
+		// building a record the journal would refuse.
+		err = journal.ErrTooLarge
+	} else {
+		err = c.journal.Commit(record{Op: "shard", Campaign: cm.id, Shard: res.Shard, Recs: recs, SDC: res.SDC})
+	}
+	if err != nil {
+		if errors.Is(err, journal.ErrTooLarge) {
+			// Leasing the shard again would only rebuild the same
+			// oversize result: fail the campaign instead.
+			err = fmt.Errorf("%w: campaign %s shard %d exceeds %d bytes", ErrResultTooLarge, cm.id, res.Shard, journal.MaxRecordBytes)
+			c.failLocked(cm, err)
+		}
 		return false, err
 	}
 	if l := c.leases[res.Lease]; l != nil {
@@ -459,6 +481,16 @@ func (c *Coordinator) Complete(res ShardResult) (bool, error) {
 	default:
 	}
 	return true, nil
+}
+
+// sdcEncodedLen is the base64 length of a shard's retained outputs, a
+// lower bound on their share of the shard's journal record.
+func sdcEncodedLen(sdc []SDCOutput) int {
+	n := 0
+	for _, out := range sdc {
+		n += base64.StdEncoding.EncodedLen(len(out.Data))
+	}
+	return n
 }
 
 // validateShard checks that records tile the shard's plan window
@@ -515,10 +547,8 @@ func (c *Coordinator) drive(cm *camp) {
 	// restart on a working journal resumes it.
 	fail := func(err error) {
 		c.mu.Lock()
-		cm.state = campFailed
-		cm.err = err.Error()
-		c.mu.Unlock()
-		_ = c.journal.Commit(record{Op: "state", Campaign: cm.id, State: campFailed, Err: err.Error()})
+		defer c.mu.Unlock()
+		c.failLocked(cm, err)
 	}
 	w, err := c.build(cm.spec)
 	if err != nil {
@@ -579,7 +609,7 @@ func (c *Coordinator) drive(cm *camp) {
 	c.mu.Unlock()
 
 	var wire any
-	var res *campaign.Result
+	var kept []SDCOutput
 	if a, ok := planner.(*plan.Adaptive); ok {
 		ar := adaptiveWireResult(a)
 		if !cm.started.IsZero() {
@@ -588,13 +618,18 @@ func (c *Coordinator) drive(cm *camp) {
 		wire = ar
 	} else {
 		spec.Resume = recs
-		res, err = c.rebuild(spec, sdc)
+		res, err := c.rebuild(spec, sdc)
 		if errors.Is(err, context.Canceled) {
 			return // as above: the restarted coordinator rebuilds it
 		}
 		if err != nil {
 			fail(err)
 			return
+		}
+		for i, t := range res.Fault.Trials {
+			if t.Output != nil {
+				kept = append(kept, SDCOutput{Index: i, Data: t.Output})
+			}
 		}
 		cr := wireResult(cm.spec, shards, res)
 		if !cm.started.IsZero() {
@@ -609,8 +644,32 @@ func (c *Coordinator) drive(cm *camp) {
 	}
 	c.mu.Lock()
 	cm.state = campDone
-	cm.result, cm.recs, cm.resultJSON = res, recs, resJSON
+	cm.recs, cm.sdc, cm.resultJSON = recs, kept, resJSON
 	c.mu.Unlock()
+}
+
+// failLocked fails a running campaign: it records err, journals the
+// small failed state record, retires every lease on the campaign (their
+// holders learn on the next heartbeat) and wakes the round driver,
+// which stops. A campaign that already failed keeps its first error.
+// Caller holds c.mu.
+func (c *Coordinator) failLocked(cm *camp, err error) {
+	if cm.state == campFailed {
+		return
+	}
+	cm.state = campFailed
+	cm.err = err.Error()
+	_ = c.journal.Commit(record{Op: "state", Campaign: cm.id, State: campFailed, Err: cm.err})
+	for _, sh := range cm.shards {
+		for id := range sh.leases {
+			delete(c.leases, id)
+		}
+		sh.leases = make(map[string]*lease)
+	}
+	select {
+	case cm.notify <- struct{}{}:
+	default:
+	}
 }
 
 // rebuild reconstructs a finished static campaign's single-node result
@@ -687,7 +746,11 @@ func (c *Coordinator) runRound(cm *camp, round plan.Round, cursor *int) ([]fault
 				pending++
 			}
 		}
+		failed, reason := cm.state == campFailed, cm.err
 		c.mu.Unlock()
+		if failed {
+			return nil, errors.New(reason)
+		}
 		if pending == 0 {
 			break
 		}
@@ -779,21 +842,37 @@ func (c *Coordinator) Result(id string) (json.RawMessage, error) {
 	return cm.resultJSON, nil
 }
 
-// Merged returns a finished static campaign's full in-memory engine
-// result — the equivalence tests compare it against a single-node run.
+// Merged returns a finished static campaign's full engine result —
+// the equivalence tests compare it against a single-node run — rebuilt
+// from its records exactly as the round driver built it at completion.
 // It is nil after a restart (only the wire rendering is journaled) and
 // for adaptive campaigns.
 func (c *Coordinator) Merged(id string) (*campaign.Result, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	cm := c.camps[id]
 	if cm == nil {
+		c.mu.Unlock()
 		return nil, ErrNoCampaign
 	}
 	if cm.state != campDone {
+		c.mu.Unlock()
 		return nil, ErrNotFinished
 	}
-	return cm.result, nil
+	ws, recs, sdc := cm.spec, cm.recs, cm.sdc
+	c.mu.Unlock()
+	if ws.Adaptive || recs == nil {
+		return nil, nil
+	}
+	w, err := c.build(ws)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := ws.campaignSpec(w)
+	if err != nil {
+		return nil, err
+	}
+	spec.Resume = recs
+	return c.rebuild(spec, sdc)
 }
 
 // sweeper periodically expires dead leases so abandoned shards return

@@ -155,6 +155,8 @@ func writeFabricError(w http.ResponseWriter, err error) {
 		code = http.StatusConflict
 	case errors.Is(err, ErrClosed):
 		code = http.StatusServiceUnavailable
+	case errors.Is(err, ErrResultTooLarge):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, journal.ErrWrite):
 		code = http.StatusInternalServerError
 	}

@@ -389,8 +389,7 @@ func GeneratePlans(seed uint64, class Class, region Region, window uint64, n int
 
 // maxBucketChunk caps how many trials one channel send hands a worker,
 // keeping cancellation responsive even when one bucket dominates the
-// campaign (the composite bucket typically holds over a third of all
-// plans).
+// campaign.
 const maxBucketChunk = 16
 
 // schedBucket is one checkpoint bucket of the batched schedule: the
@@ -503,10 +502,13 @@ func (e *trialExec) run(plan Plan, cp *Checkpoint, cpIdx int, prep any) (trial T
 	case cp != nil && e.bapp != nil:
 		m.SeedCounters(cp.Counters)
 		// cursor walks the golden checkpoint stream in lockstep with the
-		// boundaries the resumed suffix crosses; a name mismatch means
-		// the injection perturbed control flow enough to change the
-		// boundary sequence, after which realignment is impossible and
-		// the guard disables itself for the rest of the trial.
+		// boundaries the resumed suffix crosses. The app reports the
+		// resume boundary itself first; no tap has run there, so the
+		// plan is unresolved and that call leaves the cursor alone. A
+		// name mismatch means the injection perturbed control flow
+		// enough to change the boundary sequence, after which
+		// realignment is impossible and the guard disables itself for
+		// the rest of the trial.
 		cursor := cpIdx + 1
 		guard := func(name string, state any) bool {
 			if !m.Resolved() || cursor >= len(e.golden.Checkpoints) {

@@ -12,7 +12,7 @@ import (
 // constant; the drift-guard test pins the golden counter stream per
 // schema version, so a silent change fails loudly instead of quietly
 // invalidating resumed trials.
-const CheckpointSchema = 2
+const CheckpointSchema = 3
 
 // TapCounters is a point-in-time snapshot of a Machine's dynamic tap
 // counters — the coordinates of a stage boundary in the injection-site
@@ -81,7 +81,7 @@ func (m *Machine) SeedCounters(tc TapCounters) {
 // resumes from it — StagedApp.Resume must treat it as immutable
 // (copy-on-restore).
 type Checkpoint struct {
-	// Name labels the boundary (e.g. "features[3]", "composite").
+	// Name labels the boundary (e.g. "features[3]", "composite[4]").
 	Name string
 	// Counters is the machine's tap geometry at the boundary.
 	Counters TapCounters
@@ -112,11 +112,11 @@ type StagedApp interface {
 }
 
 // BoundaryGuard is the convergence probe a batched campaign hands to
-// ResumeGuarded: the app calls it at every stage boundary it crosses
-// after the resume point, before the boundary's first tap, with the
-// boundary's label and current state. A true return means the trial
-// has provably re-joined the golden run — the app abandons the suffix
-// and the campaign classifies the trial from the golden output.
+// ResumeGuarded: the app calls it at every stage boundary it reaches,
+// the resume boundary itself first, before the boundary's first tap,
+// with the boundary's label and current state. A true return means the
+// trial has provably re-joined the golden run — the app abandons the
+// suffix and the campaign classifies the trial from the golden output.
 type BoundaryGuard func(name string, state any) bool
 
 // BatchStagedApp extends StagedApp for checkpoint-bucket campaigns:
@@ -128,16 +128,16 @@ type BatchStagedApp interface {
 	StagedApp
 	// PrepareResume is called once per checkpoint bucket with the
 	// boundary's shared state and returns an immutable view every
-	// ResumeGuarded in the bucket may consume (e.g. precomputed
-	// composite canvas bounds, which carry no taps and are identical
-	// across the bucket's trials). It may return nil when the boundary
-	// offers nothing to amortize.
+	// ResumeGuarded in the bucket may consume (a tap-free value derived
+	// from the state, identical across the bucket's trials). It may
+	// return nil when the boundary offers nothing to amortize.
 	PrepareResume(state any) any
 	// ResumeGuarded is Resume plus the bucket seam: prep is the shared
 	// PrepareResume view (nil when absent) and guard, when non-nil, is
-	// consulted at each later stage boundary; if it fires the app stops
-	// and returns converged=true with a nil output. state and prep are
-	// shared across trials and must not be mutated.
+	// consulted at each stage boundary from the resume boundary on; if
+	// it fires the app stops and returns converged=true with a nil
+	// output. state and prep are shared across trials and must not be
+	// mutated.
 	ResumeGuarded(m *Machine, state, prep any, guard BoundaryGuard) (out []byte, converged bool, err error)
 	// StateEqual reports whether two resumable states of the same
 	// boundary are bit-equal — floating-point fields compared on their

@@ -231,9 +231,9 @@ func (s *Session) ensureWorkers(n int) {
 }
 
 // buckets resolves the checkpoint buckets for the given sorted index
-// list against the session cache, so bucket preparation (the
-// once-per-bucket composite plan) is paid once per campaign rather
-// than once per window.
+// list against the session cache, so bucket preparation
+// (PrepareResume) is paid once per campaign rather than once per
+// window.
 func (s *Session) buckets(cpIdxs []int) map[int]*schedBucket {
 	out := make(map[int]*schedBucket, len(cpIdxs))
 	s.mu.Lock()

@@ -6,6 +6,7 @@
 package stitch
 
 import (
+	"bytes"
 	"math"
 
 	"vsresil/internal/geom"
@@ -74,4 +75,55 @@ func (a *AlignState) EqualBits(b *AlignState) bool {
 		}
 	}
 	return true
+}
+
+// EqualBits reports bit-exact equality of two composite states: the
+// loop position, the canvas plan, every finished panorama and the
+// canvas of the segment in progress. A canvas is compared in whatever
+// form each side holds it — a golden snapshot's compact canvas against
+// a trial's live float canvas compares every touched flag, weight and
+// value against the snapshot's expansion — never by digest.
+func (c *CompositeState) EqualBits(d *CompositeState) bool {
+	if c.seg != d.seg || c.next != d.next || c.placed != d.placed ||
+		!c.plan.equal(d.plan) || len(c.panos) != len(d.panos) {
+		return false
+	}
+	for i := range c.panos {
+		if !c.panos[i].equal(d.panos[i]) {
+			return false
+		}
+	}
+	switch {
+	case c.canvas != nil && d.canvas != nil:
+		return c.canvas.EqualBits(d.canvas)
+	case c.canvas != nil:
+		return d.saved.Matches(c.canvas)
+	case d.canvas != nil:
+		return c.saved.Matches(d.canvas)
+	default:
+		return c.saved.Equal(d.saved)
+	}
+}
+
+func (p *CompositePlan) equal(q *CompositePlan) bool {
+	if p == q {
+		return true
+	}
+	if p == nil || q == nil || len(p.segs) != len(q.segs) {
+		return false
+	}
+	for i := range p.segs {
+		if p.segs[i] != q.segs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func (p *Panorama) equal(q *Panorama) bool {
+	if p == q {
+		return true
+	}
+	return p.Bounds == q.Bounds && p.Frames == q.Frames &&
+		p.Image.W == q.Image.W && p.Image.H == q.Image.H && bytes.Equal(p.Image.Pix, q.Image.Pix)
 }

@@ -348,32 +348,17 @@ func (st *Stitcher) AlignStep(feats []FrameFeatures, a *AlignState, m probe.Sink
 // without mutating it, so a shared golden AlignState snapshot can feed
 // many resumed trials.
 func (st *Stitcher) Composite(frames []*imgproc.Gray, a *AlignState, m probe.Sink) (*Result, error) {
-	return st.CompositePlanned(frames, a, nil, m)
-}
-
-// CompositePlanned is Composite with a precomputed canvas plan. A nil
-// plan is computed on the spot (Composite's behavior); a checkpoint
-// bucket passes the plan it computed once so every trial resumed from
-// the composite boundary skips the redundant bounds pass.
-func (st *Stitcher) CompositePlanned(frames []*imgproc.Gray, a *AlignState, plan *CompositePlan, m probe.Sink) (*Result, error) {
-	m = probe.OrNop(m)
-	if plan == nil {
-		plan = st.PlanComposite(frames, a)
-	}
-	res := &Result{Reports: a.reports, Discarded: a.discarded}
-	if err := st.composite(frames, a.regs, plan, res, m); err != nil {
-		return nil, err
-	}
-	return res, nil
+	c := st.BeginComposite(frames, a)
+	res, _, err := st.CompositeSteps(frames, a, &c, nil, m)
+	return res, err
 }
 
 // CompositePlan is the tap-free geometry of a composite pass: each
 // segment's canvas bounds and frame count. It is a pure function of
 // the registration state and the frame dimensions — values no
-// composite tap can perturb (warps write only canvas buffers) — so a
-// plan computed once per checkpoint bucket is valid verbatim for every
-// trial resumed from that boundary, and using it changes neither the
-// tap stream nor any observable of the pass.
+// composite tap can perturb (warps write only canvas buffers) — so the
+// plan a golden run computes once is valid verbatim for every trial
+// resumed inside its composite.
 type CompositePlan struct {
 	segs []segmentPlan
 }
@@ -383,9 +368,9 @@ type segmentPlan struct {
 	count int
 }
 
-// PlanComposite computes the canvas plan Composite would derive from
-// the registration state. It issues no taps.
-func (st *Stitcher) PlanComposite(frames []*imgproc.Gray, a *AlignState) *CompositePlan {
+// planComposite computes each segment's canvas plan from the
+// registration state. It issues no taps.
+func planComposite(frames []*imgproc.Gray, a *AlignState) *CompositePlan {
 	plan := &CompositePlan{segs: make([]segmentPlan, a.segment+1)}
 	for _, r := range a.regs {
 		if r.segment < 0 || r.segment > a.segment {
@@ -399,6 +384,127 @@ func (st *Stitcher) PlanComposite(frames []*imgproc.Gray, a *AlignState) *Compos
 	return plan
 }
 
+// CompositeEvery is k, the spacing of the composite's interior
+// boundaries: CompositeSteps places one before every k-th warp of a
+// segment (its first warp included, except the pass's very first,
+// which the "composite" boundary already precedes). k = 1 would let a
+// trial converge after every frame, but each boundary costs the golden
+// run one compact canvas snapshot; k = 2 is the smallest spacing that
+// keeps every benchmark workload's live heap within 10% of the atomic
+// composite's (DESIGN §11.1).
+const CompositeEvery = 2
+
+// CompositeState is the composite pass's loop state between frame
+// warps. Like AlignState it is a value type: a golden checkpoint keeps
+// a Snapshot, and a resumed trial continues from a plain copy. A live
+// state owns its canvas; a snapshot holds the canvas in compact form
+// instead and is never mutated by the runs resumed from it.
+type CompositeState struct {
+	plan *CompositePlan
+	// seg is the segment being composited and next the index of the
+	// next registration to consider for it; placed counts the warps
+	// already composited onto seg's canvas.
+	seg, next, placed int
+	canvas            *warp.Canvas         // live canvas of seg (nil between segments)
+	saved             *warp.CanvasSnapshot // compact canvas of a snapshot
+	panos             []*Panorama          // finished mini-panoramas
+}
+
+// BeginComposite starts the composite pass over the completed
+// registration state. It issues no taps.
+func (st *Stitcher) BeginComposite(frames []*imgproc.Gray, a *AlignState) CompositeState {
+	return CompositeState{plan: planComposite(frames, a)}
+}
+
+// Snapshot returns a copy safe to retain while the receiver keeps
+// advancing: a live canvas is encoded compactly (only interior
+// boundaries hold one, and they exist only for compact canvases), and
+// the panorama list is capped so later appends allocate.
+func (c CompositeState) Snapshot() CompositeState {
+	if c.canvas != nil {
+		c.saved, c.canvas = c.canvas.Snapshot(), nil
+	}
+	c.panos = c.panos[:len(c.panos):len(c.panos)]
+	return c
+}
+
+// Release recycles a live state's canvas buffers, for a run abandoned
+// at a boundary. The state must not be advanced afterwards.
+func (c *CompositeState) Release() {
+	if c.canvas != nil {
+		c.canvas.Recycle()
+		c.canvas = nil
+	}
+}
+
+// CompositeSteps runs the composite pass from c onward — the one
+// composite loop, behind Composite and every campaign run — and
+// returns the Result. When boundary is non-nil it is called with the
+// boundary's name at the pass's start ("composite") and, for compact
+// canvases (overwrite blending without exposure compensation), before
+// every CompositeEvery-th warp of a segment ("composite[i]", i the
+// registration index about to be warped); a true return abandons the
+// pass with converged=true. Feather and gain-compensated canvases hold
+// state no snapshot encodes compactly, so their pass has no interior
+// boundary: the decision depends only on the configuration, never on
+// the run. Boundaries issue no taps. A state resumed from a snapshot
+// restores its canvas before its first warp.
+func (st *Stitcher) CompositeSteps(frames []*imgproc.Gray, a *AlignState, c *CompositeState, boundary func(name string) bool, m probe.Sink) (res *Result, converged bool, err error) {
+	m = probe.OrNop(m)
+	if boundary != nil && c.seg == 0 && c.next == 0 {
+		if boundary("composite") {
+			return nil, true, nil
+		}
+	}
+	interior := boundary != nil && st.cfg.Blend == warp.BlendOverwrite && !st.cfg.ExposureCompensation
+	segs := c.plan.segs
+	for ; c.seg < len(segs); c.seg, c.next, c.placed = c.seg+1, 0, 0 {
+		b, count := segs[c.seg].b, segs[c.seg].count
+		if count == 0 || b.Empty() {
+			continue
+		}
+		switch {
+		case c.canvas != nil:
+		case c.saved != nil:
+			c.canvas, c.saved = c.saved.Restore(), nil
+		case b.W()*b.H() > st.cfg.MaxPanoramaPixels:
+			// A wildly wrong (possibly fault-corrupted) transform made
+			// it through: the application aborts, as the original
+			// would on a failed giant allocation.
+			return nil, false, fmt.Errorf("stitch: segment %d panorama %dx%d exceeds pixel budget", c.seg, b.W(), b.H())
+		default:
+			c.canvas = warp.NewCanvasMode(b, st.cfg.Blend)
+			c.canvas.GainCompensation = st.cfg.ExposureCompensation
+		}
+		for ; c.next < len(a.regs); c.next++ {
+			r := &a.regs[c.next]
+			if r.segment != c.seg {
+				continue
+			}
+			if interior && c.placed%CompositeEvery == 0 && (c.seg > 0 || c.placed > 0) &&
+				boundary(fmt.Sprintf("composite[%d]", c.next)) {
+				return nil, true, nil
+			}
+			if _, err := warp.WarpOntoCanvas(frames[r.frame], r.h, c.canvas, m); err != nil {
+				return nil, false, fmt.Errorf("stitch: warp frame %d: %w", r.frame, err)
+			}
+			c.placed++
+		}
+		c.panos = append(c.panos, &Panorama{
+			Image:  c.canvas.Resolve(m),
+			Bounds: b,
+			Frames: count,
+		})
+		// Only the resolved image survives; hand the float buffers back
+		// for the next segment (and the next trial) to reuse.
+		c.Release()
+	}
+	if len(c.panos) == 0 {
+		return nil, false, errors.New("stitch: no panorama could be generated")
+	}
+	return &Result{Panoramas: c.panos, Reports: a.reports, Discarded: a.discarded}, false, nil
+}
+
 // Run stitches the frames into mini-panoramas. m is any probe.Sink;
 // pass probe.Nop{} for an uninstrumented run (nil is normalized). The
 // stitcher's own taps are per-frame, so it threads the interface
@@ -407,7 +513,8 @@ func (st *Stitcher) PlanComposite(frames []*imgproc.Gray, a *AlignState) *Compos
 //
 // Run is the whole pipeline in one call: per-frame features, the
 // registration pass, then compositing. Campaign trials instead drive
-// the stage methods (DetectFrame, BeginAlign, AlignStep, Composite)
+// the stage methods (DetectFrame, BeginAlign, AlignStep,
+// BeginComposite, CompositeSteps)
 // through internal/vs so they can resume from a golden checkpoint
 // rather than executing every stage.
 func (st *Stitcher) Run(frames []*imgproc.Gray, m probe.Sink) (*Result, error) {
@@ -522,45 +629,4 @@ func gate(floor int, fraction float64, queryKps int) int {
 		return floor
 	}
 	return g
-}
-
-// composite renders each segment's mini-panorama from the precomputed
-// canvas plan. The pixel-budget check stays inside the loop so a
-// too-large segment aborts at the same point of the pass (after the
-// preceding segments' warps) as it always has.
-func (st *Stitcher) composite(frames []*imgproc.Gray, regs []registration, plan *CompositePlan, res *Result, m probe.Sink) error {
-	for seg := 0; seg < len(plan.segs); seg++ {
-		b, count := plan.segs[seg].b, plan.segs[seg].count
-		if count == 0 || b.Empty() {
-			continue
-		}
-		if b.W()*b.H() > st.cfg.MaxPanoramaPixels {
-			// A wildly wrong (possibly fault-corrupted) transform made
-			// it through: the application aborts, as the original
-			// would on a failed giant allocation.
-			return fmt.Errorf("stitch: segment %d panorama %dx%d exceeds pixel budget", seg, b.W(), b.H())
-		}
-		canvas := warp.NewCanvasMode(b, st.cfg.Blend)
-		canvas.GainCompensation = st.cfg.ExposureCompensation
-		for _, r := range regs {
-			if r.segment != seg {
-				continue
-			}
-			if _, err := warp.WarpOntoCanvas(frames[r.frame], r.h, canvas, m); err != nil {
-				return fmt.Errorf("stitch: warp frame %d: %w", r.frame, err)
-			}
-		}
-		res.Panoramas = append(res.Panoramas, &Panorama{
-			Image:  canvas.Resolve(m),
-			Bounds: b,
-			Frames: count,
-		})
-		// Only the resolved image survives; hand the float buffers back
-		// for the next segment (and the next trial) to reuse.
-		canvas.Recycle()
-	}
-	if len(res.Panoramas) == 0 {
-		return errors.New("stitch: no panorama could be generated")
-	}
-	return nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"vsresil/internal/fault"
 	"vsresil/internal/imgproc"
-	"vsresil/internal/stitch"
 )
 
 // stagedApp is the fault.StagedApp view of an App over a fixed input:
@@ -33,94 +32,58 @@ func (a *App) Staged(frames []*imgproc.Gray) fault.StagedApp {
 // registration pass, compositing. Snapshot boundaries are placed at tap
 // zero before decode ("decode"), between per-frame detections
 // ("features[k]"), before the registration pass ("align"), between
-// frame pairs ("pair[i]") and before compositing ("composite").
-// Compositing stays atomic because its float canvases are the expensive
-// part to retain. The decode boundary's state carries only the phase:
-// a trial resumed there decodes the app's own input frames again, so
-// the golden run retains no extra copy of them. When snapshots are
-// taken the decoded frames are referenced by the golden run forever,
-// so they are not recycled into the frame pool.
+// frame pairs ("pair[i]"), before compositing ("composite") and, for
+// overwrite canvases without exposure compensation, before every
+// stitch.CompositeEvery-th warp of a segment ("composite[i]"). A
+// composite boundary retains its canvas compactly — a coverage bitset
+// plus one byte per covered pixel — never as float buffers; feather
+// and gain canvases keep the composite atomic. The decode boundary's
+// state carries only the phase: a trial resumed there decodes the
+// app's own input frames again, so the golden run retains no extra
+// copy of them. When snapshots are taken the decoded frames are
+// referenced by the golden run forever, so they are not recycled into
+// the frame pool.
 func (s *stagedApp) RunFull(m *fault.Machine, snap func(name string, state any)) ([]byte, error) {
 	if s.app.nFrames >= 0 && len(s.frames) != s.app.nFrames {
 		return nil, fmt.Errorf("vs: got %d frames, configured for %d", len(s.frames), s.app.nFrames)
 	}
 	var snapState func(string, pipeState)
 	if snap != nil {
-		snap("decode", pipeState{phase: phaseDecode})
 		snapState = func(name string, st pipeState) { snap(name, st) }
 	}
-	retained, err := decode(s.app, s.frames, m)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.app.runFrom(pipeState{frames: retained}, m, snapState, snap == nil)
+	res, _, err := s.app.runFrom(pipeState{phase: phaseDecode}, s.frames, m, snapState, nil)
 	if err != nil {
 		return nil, err
 	}
 	return res.Encode(), nil
-}
-
-// start returns the pipeline state a run entering at state executes
-// from. For the decode boundary that is freshly decoded frames, which
-// belong to this run alone (owned), so the run may recycle them; any
-// later boundary's state is shared with the golden run and returned
-// as is.
-func (s *stagedApp) start(m *fault.Machine, state any) (st pipeState, owned bool, err error) {
-	st, ok := state.(pipeState)
-	if !ok {
-		return st, false, fmt.Errorf("vs: resume state is %T, want pipeState", state)
-	}
-	if st.phase != phaseDecode {
-		return st, false, nil
-	}
-	frames, err := decode(s.app, s.frames, m)
-	if err != nil {
-		return st, false, err
-	}
-	return pipeState{frames: frames}, true, nil
 }
 
 // Resume executes the stages from the checkpointed boundary onward. A
 // later boundary's shared golden state is used through a value copy:
 // the snapshot's slices are capacity-capped, so the copy's appends
-// allocate fresh storage and the golden snapshot — including the
-// decoded frames, which therefore must not be recycled — is never
+// allocate fresh storage, and a compact composite canvas is expanded
+// into a canvas of the run's own, so the golden snapshot — including
+// the decoded frames, which therefore must not be recycled — is never
 // mutated.
 func (s *stagedApp) Resume(m *fault.Machine, state any) ([]byte, error) {
-	st, owned, err := s.start(m, state)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.app.runFrom(st, m, nil, owned)
-	if err != nil {
-		return nil, err
-	}
-	return res.Encode(), nil
+	out, _, err := s.ResumeGuarded(m, state, nil, nil)
+	return out, err
 }
 
-// PrepareResume builds the per-bucket shared view: for the composite
-// boundary, the canvas plan (per-segment bounds + frame counts), which
-// is a tap-free pure function of the immutable golden state and hence
-// identical across every trial in the bucket. Earlier boundaries have
-// nothing to amortize beyond the state snapshot itself.
-func (s *stagedApp) PrepareResume(state any) any {
+// PrepareResume has nothing to amortize per bucket: the composite's
+// canvas plan, the one tap-free value a bucket could share, is part
+// of the golden state of every composite boundary.
+func (s *stagedApp) PrepareResume(any) any { return nil }
+
+// ResumeGuarded is Resume with the convergence guard, consulted at
+// every stage boundary the resumed suffix crosses, the resume
+// boundary itself first.
+func (s *stagedApp) ResumeGuarded(m *fault.Machine, state, _ any, guard fault.BoundaryGuard) ([]byte, bool, error) {
 	st, ok := state.(pipeState)
-	if !ok || st.phase != phaseComposite {
-		return nil
+	if !ok {
+		return nil, false, fmt.Errorf("vs: resume state is %T, want pipeState", state)
 	}
-	return s.app.stitcher.PlanComposite(st.frames, &st.align)
-}
-
-// ResumeGuarded is Resume with the bucket seams: the shared composite
-// plan (when the boundary is the composite) and the convergence guard,
-// consulted at every stage boundary the resumed suffix crosses.
-func (s *stagedApp) ResumeGuarded(m *fault.Machine, state, prep any, guard fault.BoundaryGuard) ([]byte, bool, error) {
-	st, owned, err := s.start(m, state)
-	if err != nil {
-		return nil, false, err
-	}
-	plan, _ := prep.(*stitch.CompositePlan)
-	res, converged, err := s.app.runFromGuarded(st, m, nil, guard, plan, owned)
+	res, converged, err := s.app.runFrom(st, s.frames, m, nil, guard)
 	if converged {
 		return nil, true, nil
 	}
@@ -132,10 +95,12 @@ func (s *stagedApp) ResumeGuarded(m *fault.Machine, state, prep any, guard fault
 
 // StateEqual compares two pipeline states of the same boundary on
 // their bits: phase and progress counters, frame bytes, key points and
-// descriptors, and the full registration state. Frames and feature
-// storage shared with the golden snapshot short-circuit by pointer
-// identity, so the common converged case costs a few pointer compares
-// plus a deep scan of only the entries the trial recomputed.
+// descriptors, the full registration state and the composite state,
+// whose canvas in progress is compared against the golden snapshot's
+// expansion pixel by pixel. Frames and feature storage shared with the
+// golden snapshot short-circuit by pointer identity, so the common
+// converged case costs a few pointer compares plus a deep scan of only
+// the entries the trial recomputed.
 func (s *stagedApp) StateEqual(a, b any) bool {
 	sa, okA := a.(pipeState)
 	sb, okB := b.(pipeState)
@@ -160,5 +125,5 @@ func (s *stagedApp) StateEqual(a, b any) bool {
 			return false
 		}
 	}
-	return sa.align.EqualBits(&sb.align)
+	return sa.align.EqualBits(&sb.align) && sa.comp.EqualBits(&sb.comp)
 }

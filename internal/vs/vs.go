@@ -188,27 +188,15 @@ func (a *App) Run(frames []*imgproc.Gray, s probe.Sink) (*stitch.Result, error) 
 	if a.nFrames >= 0 && len(frames) != a.nFrames {
 		return nil, fmt.Errorf("vs: got %d frames, configured for %d", len(frames), a.nFrames)
 	}
-	s = probe.OrNop(s)
-	var retained []*imgproc.Gray
-	var err error
-	if probe.IsNop(s) {
-		retained, err = decode(a, frames, probe.Nop{})
-	} else if m, ok := s.(*fault.Machine); ok {
-		retained, err = decode(a, frames, m)
-	} else {
-		retained, err = decode(a, frames, s)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return a.runFrom(pipeState{frames: retained}, s, nil, true)
+	res, _, err := a.runFrom(pipeState{phase: phaseDecode}, frames, probe.OrNop(s), nil, nil)
+	return res, err
 }
 
 // Pipeline phases, in execution order. A pipeState snapshot taken at
 // phase p with its progress counters is exactly the state a resumed
 // run needs to execute everything from p onward. phaseDecode sits below
 // zero so that a pipeState holding freshly decoded frames needs no
-// explicit phase; only the staged app's tap-zero boundary uses it.
+// explicit phase.
 const (
 	phaseDecode    int8 = iota - 1 // input decode (nothing produced yet)
 	phaseFeatures                  // per-frame FAST+ORB detection
@@ -227,40 +215,40 @@ type pipeState struct {
 	frames   []*imgproc.Gray
 	feats    []stitch.FrameFeatures
 	align    stitch.AlignState
+	comp     stitch.CompositeState
 }
 
 // snapshot returns a copy safe to retain across further pipeline
 // progress: slice prefixes are capped so any later append — by the
 // live golden run or by a trial resumed from the snapshot — allocates
-// instead of sharing a tail. Frames and per-frame features are
-// read-only once produced, so sharing their storage is safe.
+// instead of sharing a tail, and a composite canvas in progress is
+// encoded compactly. Frames and per-frame features are read-only once
+// produced, so sharing their storage is safe.
 func (st pipeState) snapshot() pipeState {
 	st.frames = st.frames[:len(st.frames):len(st.frames)]
 	st.feats = st.feats[:len(st.feats):len(st.feats)]
 	st.align = st.align.Snapshot()
+	st.comp = st.comp.Snapshot()
 	return st
 }
 
-// runFrom executes the pipeline from st onward: remaining per-frame
-// feature detection, the registration pass, then compositing. When
-// snap is non-nil it receives a labeled snapshot at every stage
-// boundary (before the boundary's first tap) — the golden checkpoint
-// capture. recycle returns decoded frames to the pool once the run
-// finishes or converges; it must be false whenever snapshots (or a
-// shared checkpoint the state came from) still reference the frames.
-func (a *App) runFrom(st pipeState, m probe.Sink, snap func(name string, st pipeState), recycle bool) (*stitch.Result, error) {
-	res, _, err := a.runFromGuarded(st, m, snap, nil, nil, recycle)
-	return res, err
-}
-
-// runFromGuarded is runFrom with the batched-campaign seams threaded
-// through: guard, when non-nil, is consulted at every stage boundary
-// (the exact positions snap is called at, before the boundary's first
-// tap) and a true return abandons the run with converged=true; plan,
-// when non-nil, is a precomputed composite canvas plan shared by a
-// checkpoint bucket. Neither seam changes a single tap of the stages
+// runFrom executes the pipeline from st onward on the input frames:
+// decode (when st is the tap-zero state), the remaining per-frame
+// feature detection, the registration pass, then compositing.
+//
+// Every stage boundary the run reaches — the one st sits at first —
+// is reported before its first tap: to snap, when non-nil, with a
+// snapshot (the golden checkpoint capture), and to guard, when
+// non-nil, with the live state; a true guard return abandons the run
+// with converged=true. Neither hook changes a single tap of the stages
 // that do execute.
-func (a *App) runFromGuarded(st pipeState, m probe.Sink, snap func(name string, st pipeState), guard fault.BoundaryGuard, plan *stitch.CompositePlan, recycle bool) (*stitch.Result, bool, error) {
+//
+// Frames this run decoded itself are recycled into the frame pool once
+// it finishes or converges, unless snap retains them; frames of a
+// resumed state belong to the golden checkpoint and are never
+// recycled.
+func (a *App) runFrom(st pipeState, input []*imgproc.Gray, m probe.Sink, snap func(name string, st pipeState), guard fault.BoundaryGuard) (*stitch.Result, bool, error) {
+	recycle := st.phase == phaseDecode && snap == nil
 	boundary := func(name string) bool {
 		if snap != nil {
 			snap(name, st.snapshot())
@@ -268,10 +256,21 @@ func (a *App) runFromGuarded(st pipeState, m probe.Sink, snap func(name string, 
 		if guard == nil || !guard(name, st) {
 			return false
 		}
+		st.comp.Release()
 		if recycle {
 			recycleFrames(st.frames)
 		}
 		return true
+	}
+	if st.phase == phaseDecode {
+		if boundary("decode") {
+			return nil, true, nil
+		}
+		frames, err := decodeSink(a, input, m)
+		if err != nil {
+			return nil, false, err
+		}
+		st = pipeState{frames: frames}
 	}
 	if st.phase == phaseFeatures {
 		if len(st.frames) == 0 {
@@ -300,20 +299,18 @@ func (a *App) runFromGuarded(st pipeState, m probe.Sink, snap func(name string, 
 			}
 			a.stitcher.AlignStep(st.feats, &st.align, m)
 		}
-		if boundary("composite") {
-			return nil, true, nil
-		}
+		st.comp = a.stitcher.BeginComposite(st.frames, &st.align)
 		st.phase = phaseComposite
 	}
-	res, err := a.stitcher.CompositePlanned(st.frames, &st.align, plan, m)
+	res, converged, err := a.stitcher.CompositeSteps(st.frames, &st.align, &st.comp, boundary, m)
 	// The stitch result references only freshly rendered panoramas,
 	// never the decoded frames, so their buffers can feed the next
 	// trial's decode. (A crashed trial unwinds past this and simply
 	// leaves its frames to the GC.)
-	if recycle {
+	if recycle && !converged {
 		recycleFrames(st.frames)
 	}
-	return res, false, err
+	return res, converged, err
 }
 
 // recycleFrames returns a run's decoded frames to the frame pool.
@@ -367,6 +364,19 @@ func (a *App) RunEncoded(frames []*imgproc.Gray) fault.App {
 		}
 		return res.Encode(), nil
 	}
+}
+
+// decodeSink runs decode on the kernel instantiation for s: the
+// tap-free one for probe.Nop, the devirtualized one for a
+// *fault.Machine, the interface one otherwise.
+func decodeSink(a *App, frames []*imgproc.Gray, s probe.Sink) ([]*imgproc.Gray, error) {
+	if probe.IsNop(s) {
+		return decode(a, frames, probe.Nop{})
+	}
+	if m, ok := s.(*fault.Machine); ok {
+		return decode(a, frames, m)
+	}
+	return decode(a, frames, s)
 }
 
 // decode copies the retained input frames into run-private buffers,

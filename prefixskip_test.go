@@ -233,6 +233,7 @@ func TestCampaignBatchingSchedStats(t *testing.T) {
 var checkpointDigests = map[int]uint64{
 	1: 0x3cf855ea88b931ae,
 	2: 0xf5846b630bab54a7, // adds the tap-zero "decode" boundary
+	3: 0xced995bbea6d261a, // adds "composite[i]" before every second warp of a segment
 }
 
 // TestCheckpointSchemaDrift fails when the golden stage-boundary tap
