@@ -4,11 +4,11 @@
 
 GO ?= go
 
-.PHONY: all check fmt vet build test race identity determinism vsbench-smoke bench bench-json fabric-smoke fuzz loc clean
+.PHONY: all check fmt vet build test race identity determinism vsbench-smoke afirun-smoke bench bench-json fabric-smoke fuzz loc clean
 
 all: check
 
-check: fmt vet build race identity determinism vsbench-smoke
+check: fmt vet build race identity determinism vsbench-smoke afirun-smoke
 
 # fmt fails if any file is not gofmt-clean (prints the offenders).
 fmt:
@@ -67,6 +67,23 @@ determinism:
 vsbench-smoke:
 	$(GO) -C cmd/vsbench vet ./...
 	$(GO) -C cmd/vsbench test ./...
+
+# afirun-smoke runs cmd/afirun end to end at test scale — a fixed
+# budget, -adaptive and -stratified, about a second each — and checks
+# that each run prints its outcome table: the four outcome rows, or the
+# weighted estimate (and, adaptive, the convergence line).
+AFIRUN = $(GO) run ./cmd/afirun -input 2 -scale test -frames 8 -seed 1
+afirun-smoke:
+	@out="$$($(AFIRUN) -trials 200)" && echo "$$out" && \
+	  [ "$$(echo "$$out" | grep -Ec '^(Mask|Crash|SDC|Hang) +[0-9]+ +[01]\.[0-9]{3}$$')" = 4 ] || \
+	  { echo "afirun-smoke: fixed-budget outcome table missing"; exit 1; }
+	@out="$$($(AFIRUN) -adaptive -precision 0.1)" && echo "$$out" && \
+	  echo "$$out" | grep -Eq '^weighted estimate \([0-9]+ trials, [0-9]+ rounds\): Mask [01]\.[0-9]{3} Crash [01]\.[0-9]{3} SDC [01]\.[0-9]{3} Hang [01]\.[0-9]{3}$$' && \
+	  echo "$$out" | grep -Eq '^(converged in|budget exhausted at) [0-9]+ trials' || \
+	  { echo "afirun-smoke: adaptive estimate missing"; exit 1; }
+	@out="$$($(AFIRUN) -trials 200 -stratified)" && echo "$$out" && \
+	  echo "$$out" | grep -Eq '^weighted estimate \([0-9]+ trials\): Mask [01]\.[0-9]{3} Crash [01]\.[0-9]{3} SDC [01]\.[0-9]{3} Hang [01]\.[0-9]{3}$$' || \
+	  { echo "afirun-smoke: stratified estimate missing"; exit 1; }
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

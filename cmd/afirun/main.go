@@ -33,9 +33,6 @@ import (
 	"vsresil/internal/fault"
 	"vsresil/internal/quality"
 	"vsresil/internal/stitch"
-	"vsresil/internal/summarize"
-	"vsresil/internal/virat"
-	"vsresil/internal/vs"
 )
 
 func main() {
@@ -71,23 +68,7 @@ func run() error {
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	mode := campaignMode{
-		Stratified: *stratified,
-		Adaptive:   *adaptive,
-		Fabric:     *fabricAddr,
-		Summarizer: *sumName,
-		Precision:  *precision,
-		Confidence: *confidence,
-		TrialsSet:  set["trials"],
-		ShardsSet:  set["shards"],
-	}
-	if err := mode.validate(); err != nil {
-		return err
-	}
-
-	if *fabricAddr != "" {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		return runFabric(ctx, *fabricAddr, fabric.CampaignSpec{
+		Req: campaign.Request{
 			Algorithm:  *algName,
 			Scenario:   *scenario,
 			Summarizer: *sumName,
@@ -103,39 +84,16 @@ func run() error {
 			Adaptive:   *adaptive,
 			Precision:  *precision,
 			Confidence: *confidence,
-		}, *shards)
+		},
+		Stratified: *stratified,
+		Fabric:     *fabricAddr,
+		TrialsSet:  set["trials"],
+		ShardsSet:  set["shards"],
 	}
-
-	alg, err := vs.ParseAlgorithm(*algName)
-	if err != nil {
+	if err := mode.validate(); err != nil {
 		return err
 	}
-	class, err := fault.ParseClass(*className)
-	if err != nil {
-		return err
-	}
-	region, err := fault.ParseRegion(*regionStr)
-	if err != nil {
-		return err
-	}
-	preset, err := virat.ParsePreset(*scale, *frames)
-	if err != nil {
-		return err
-	}
-	sc, err := virat.ParseScenario(*scenario)
-	if err != nil {
-		return err
-	}
-	seq, err := virat.GenerateInput(*input, preset, sc)
-	if err != nil {
-		return err
-	}
-	cfg := vs.DefaultConfig(alg)
-	cfg.Seed = *seed
-	sum, err := summarize.Parse(*sumName, cfg)
-	if err != nil {
-		return err
-	}
+	req := mode.Req
 
 	// SIGINT/SIGTERM cancel the campaign context: in-flight trials
 	// finish, the partial outcome table is printed, and the process
@@ -143,55 +101,51 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *stratified {
-		return runStratified(ctx, campaign.Summarize(sum, seq), class, *trials, *seed, *workers, alg, seq)
+	if *fabricAddr != "" {
+		return runFabric(ctx, *fabricAddr, req, *shards)
 	}
-	if *adaptive {
-		return runAdaptive(ctx, campaign.Summarize(sum, seq), class, region,
-			*seed, *workers, *precision, *confidence, alg, seq)
+	w, err := req.Workload()
+	if err != nil {
+		return err
+	}
+	spec, err := req.Spec(w)
+	if err != nil {
+		return err
+	}
+	cell := req.Cell().Canonical()
+	var runner campaign.Runner
+	if *stratified {
+		return runStratified(ctx, &runner, cell, spec)
+	}
+	if req.Adaptive {
+		fmt.Printf("adaptive campaign: %s on %s, %v faults, region=%s\n", cell, w.Name, spec.Class, spec.Region)
+		res, err := runner.RunAdaptive(ctx, spec, 1)
+		if err != nil {
+			return err
+		}
+		printAdaptive(req.AdaptiveReport(res))
+		return nil
 	}
 
-	fmt.Printf("campaign: %s [%s] on %s, %v faults, %d trials, region=%s\n",
-		sum.Name(), alg, seq.Name, class, *trials, region)
-	var runner campaign.Runner
-	crun, err := runner.Run(ctx, campaign.Spec{
-		Workload: campaign.Summarize(sum, seq),
-		Class:    class,
-		Region:   region,
-		Trials:   *trials,
-		Seed:     *seed,
-		Workers:  *workers,
-		SDC:      campaign.SDCPolicy{Keep: *sdcEDs},
-	})
+	fmt.Printf("campaign: %s on %s, %v faults, %d trials, region=%s\n", cell, w.Name, spec.Class, spec.Trials, spec.Region)
+	crun, err := runner.Run(ctx, spec)
 	interrupted := err != nil && errors.Is(err, context.Canceled) && crun != nil
 	if err != nil && !interrupted {
 		return err
 	}
-	res := crun.Fault
+	rep := req.Report(crun)
 	if interrupted {
-		fmt.Printf("interrupted: %d/%d trials completed, reporting partial results\n", res.Completed, *trials)
+		fmt.Printf("interrupted: %d/%d trials completed, reporting partial results\n", rep.Completed, rep.Trials)
 	}
+	printStatic(rep)
 
-	fmt.Printf("golden run: %d taps in site space, %d total steps\n", res.TotalTaps, res.GoldenSteps)
-	fmt.Printf("%-8s %8s %8s\n", "outcome", "count", "rate")
-	for o := fault.Outcome(0); o < fault.NumOutcomes; o++ {
-		fmt.Printf("%-8s %8d %8.3f\n", o, res.Counts[o], res.Rate(o))
-	}
-	if crashes := res.Counts[fault.OutcomeCrash]; crashes > 0 {
-		fmt.Printf("crash split: %.0f%% segv-like, %.0f%% abort-like (paper: 92%%/8%%)\n",
-			100*float64(res.CrashCounts[fault.CrashSegv])/float64(crashes),
-			100*float64(res.CrashCounts[fault.CrashAbort])/float64(crashes))
-	}
-	fmt.Printf("register coverage chi2 vs uniform: %.1f (expect ~%d)\n",
-		res.RegHist.ChiSquareUniform(), fault.NumRegisters-1)
-	fmt.Printf("rate-curve knee: ~%d injections\n", res.Curve.Knee(0.02))
+	// Local-only lines: the executor's scheduler counters and the SDC
+	// outputs themselves never leave the process.
+	res := crun.Fault
 	if s := res.Sched; s.Batched > 0 {
 		fmt.Printf("bucket scheduler: %d trials in %d checkpoint buckets (%d restores saved, %d early-masked, %d converged)\n",
 			s.Batched, s.Buckets, s.Batched-s.Buckets, s.EarlyMasks, s.Converged)
 	}
-	fmt.Printf("campaign wall time: %s (%.1f trials/s)\n",
-		crun.Elapsed.Round(time.Millisecond), float64(crun.Executed)/crun.Elapsed.Seconds())
-
 	if *sdcEDs {
 		golden, gox, goy, err := stitch.DecodePrimary(res.GoldenOutput)
 		if err != nil {
@@ -218,20 +172,19 @@ func run() error {
 // runFabric submits the campaign to a cluster coordinator, polls its
 // progress, and prints the merged result. The cluster result is proven
 // bit-identical to a local run, so the numbers printed here are the
-// numbers an in-process campaign with the same spec produces.
-func runFabric(ctx context.Context, base string, spec fabric.CampaignSpec, shards int) error {
+// numbers an in-process campaign with the same request produces.
+func runFabric(ctx context.Context, base string, req campaign.Request, shards int) error {
 	cl := &fabric.Client{Base: base}
-	id, err := cl.Submit(ctx, spec, shards)
+	id, err := cl.Submit(ctx, req, shards)
 	if err != nil {
 		return err
 	}
-	if spec.Adaptive {
-		fmt.Printf("fabric adaptive campaign %s: %s on input %d (%s), %s faults, %d round-shards via %s\n",
-			id, spec.Algorithm, max(spec.Input, 1), spec.Scale, spec.Class, shards, base)
-	} else {
-		fmt.Printf("fabric campaign %s: %s on input %d (%s), %s faults, %d trials, %d shards via %s\n",
-			id, spec.Algorithm, max(spec.Input, 1), spec.Scale, spec.Class, spec.Trials, shards, base)
+	budget := fmt.Sprintf("%d trials", req.Trials)
+	if req.Adaptive {
+		budget = "adaptive"
 	}
+	fmt.Printf("fabric campaign %s: %s on input %d (%s), %s faults, %s, %d shards per round via %s\n",
+		id, req.Cell().Canonical(), max(req.Input, 1), req.Scale, req.Class, budget, shards, base)
 
 	tick := time.NewTicker(500 * time.Millisecond)
 	defer tick.Stop()
@@ -248,10 +201,16 @@ func runFabric(ctx context.Context, base string, spec fabric.CampaignSpec, shard
 		}
 		switch st.State {
 		case "done":
-			if spec.Adaptive {
-				return printFabricAdaptiveResult(ctx, cl, id)
+			rep, err := cl.Result(ctx, id)
+			if err != nil {
+				return err
 			}
-			return printFabricResult(ctx, cl, id)
+			if rep.Adaptive {
+				printAdaptive(rep)
+			} else {
+				printStatic(rep)
+			}
+			return nil
 		case "failed":
 			return fmt.Errorf("cluster campaign failed: %s", st.Error)
 		}
@@ -263,50 +222,75 @@ func runFabric(ctx context.Context, base string, spec fabric.CampaignSpec, shard
 	}
 }
 
-func printFabricResult(ctx context.Context, cl *fabric.Client, id string) error {
-	res, err := cl.Result(ctx, id)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("golden run: %d taps in site space, %d total steps\n", res.TotalTaps, res.GoldenSteps)
+// printStatic prints a fixed-budget campaign report: the outcome table
+// and the coverage statistics.
+func printStatic(rep *campaign.Report) {
+	fmt.Printf("golden run: %d taps in site space, %d total steps\n", rep.TotalTaps, rep.GoldenSteps)
 	fmt.Printf("%-8s %8s %8s\n", "outcome", "count", "rate")
 	for o := fault.Outcome(0); o < fault.NumOutcomes; o++ {
-		fmt.Printf("%-8s %8d %8.3f\n", o, res.Counts[o.String()], res.Rates[o.String()])
+		fmt.Printf("%-8s %8d %8.3f\n", o, rep.Counts[o.String()], rep.Rates[o.String()])
 	}
-	if crashes := res.Counts[fault.OutcomeCrash.String()]; crashes > 0 && len(res.CrashSplit) > 0 {
+	if crashes := rep.Counts[fault.OutcomeCrash.String()]; crashes > 0 {
 		fmt.Printf("crash split: %.0f%% segv-like, %.0f%% abort-like (paper: 92%%/8%%)\n",
-			100*float64(res.CrashSplit[fault.CrashSegv.String()])/float64(crashes),
-			100*float64(res.CrashSplit[fault.CrashAbort.String()])/float64(crashes))
+			100*float64(rep.CrashSplit[fault.CrashSegv.String()])/float64(crashes),
+			100*float64(rep.CrashSplit[fault.CrashAbort.String()])/float64(crashes))
 	}
-	fmt.Printf("register coverage chi2 vs uniform: %.1f (expect ~%d)\n",
-		res.RegChi2, fault.NumRegisters-1)
-	fmt.Printf("rate-curve knee: ~%d injections\n", res.CurveKnee)
-	if res.SDCKept > 0 {
-		fmt.Printf("SDC outputs retained on coordinator: %d\n", res.SDCKept)
+	fmt.Printf("register coverage chi2 vs uniform: %.1f (expect ~%d)\n", rep.RegChi2, fault.NumRegisters-1)
+	fmt.Printf("rate-curve knee: ~%d injections\n", rep.CurveKnee)
+	if rep.SDCKept > 0 {
+		fmt.Printf("SDC outputs retained: %d\n", rep.SDCKept)
 	}
-	fmt.Printf("cluster wall time: %s\n", time.Duration(res.ElapsedSec*float64(time.Second)).Round(time.Millisecond))
-	return nil
+	printWall(rep)
+}
+
+// printAdaptive prints a confidence-driven campaign report: the
+// per-stratum table, the weighted estimate and the savings against the
+// fixed-budget design.
+func printAdaptive(rep *campaign.Report) {
+	fmt.Printf("%-24s %-10s %10s %8s %11s %5s\n",
+		"region", "bits", "population", "trials", "half-width", "done")
+	for _, s := range rep.Strata {
+		fmt.Printf("%-24s %-10s %10d %8d %11.4f %5v\n",
+			s.Region, s.Bits, s.Population, s.Trials, s.HalfWidth, s.Done)
+	}
+	fmt.Printf("weighted estimate (%d trials, %d rounds): Mask %.3f Crash %.3f SDC %.3f Hang %.3f\n",
+		rep.Trials, rep.Rounds,
+		rep.Rates[fault.OutcomeMask.String()], rep.Rates[fault.OutcomeCrash.String()],
+		rep.Rates[fault.OutcomeSDC.String()], rep.Rates[fault.OutcomeHang.String()])
+	if rep.Converged {
+		fmt.Printf("converged in %d trials; fixed-budget equivalent %d (%.1fx savings)\n",
+			rep.Trials, rep.FixedBudget, float64(rep.FixedBudget)/float64(rep.Trials))
+	} else {
+		fmt.Printf("budget exhausted at %d trials (fixed-budget equivalent %d)\n",
+			rep.Trials, rep.FixedBudget)
+	}
+	printWall(rep)
+}
+
+// printWall prints the campaign's wall time and, when this process
+// executed trials, their throughput.
+func printWall(rep *campaign.Report) {
+	wall := time.Duration(rep.ElapsedSec * float64(time.Second)).Round(time.Millisecond)
+	if rep.TrialsPerSec > 0 {
+		fmt.Printf("campaign wall time: %s (%.1f trials/s)\n", wall, rep.TrialsPerSec)
+		return
+	}
+	fmt.Printf("campaign wall time: %s\n", wall)
 }
 
 // runStratified executes the Relyzer-style equivalence-class campaign
 // through the planner seam and prints the per-stratum table plus the
-// weighted estimate.
-func runStratified(ctx context.Context, wl campaign.Workload,
-	class fault.Class, trials int, seed uint64, workers int,
-	alg vs.Algorithm, seq *virat.Sequence) error {
-	perStratum := trials / 24 // comparable total effort to -trials
-	if perStratum < 5 {
-		perStratum = 5
-	}
+// weighted estimate. It runs in process only.
+func runStratified(ctx context.Context, runner *campaign.Runner, cell campaign.Cell, spec campaign.Spec) error {
+	perStratum := max(spec.Trials/24, 5) // comparable total effort to -trials
 	fmt.Printf("stratified campaign: %s on %s, %v faults, %d trials/stratum\n",
-		alg, seq.Name, class, perStratum)
+		cell, spec.Workload.Name, spec.Class, perStratum)
 	start := time.Now()
-	var runner campaign.Runner
-	res, err := runner.RunStratified(ctx, wl, fault.StratifiedConfig{
+	res, err := runner.RunStratified(ctx, spec.Workload, fault.StratifiedConfig{
 		TrialsPerStratum: perStratum,
-		Class:            class,
-		Seed:             seed,
-		Workers:          workers,
+		Class:            spec.Class,
+		Seed:             spec.Seed,
+		Workers:          spec.Workers,
 	})
 	if err != nil {
 		return err
@@ -325,87 +309,5 @@ func runStratified(ctx context.Context, wl campaign.Workload,
 		res.Trials,
 		w[fault.OutcomeMask], w[fault.OutcomeCrash], w[fault.OutcomeSDC], w[fault.OutcomeHang])
 	fmt.Printf("campaign wall time: %s\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runAdaptive executes the confidence-driven campaign: rounds flow to
-// the strata with the widest outcome-rate intervals until every rate
-// is within the precision target, and the savings against the
-// fixed-budget design are reported alongside the weighted estimate.
-func runAdaptive(ctx context.Context, w campaign.Workload,
-	class fault.Class, region fault.Region, seed uint64,
-	workers int, precision, confidence float64,
-	alg vs.Algorithm, seq *virat.Sequence) error {
-	spec := campaign.Spec{
-		Workload: w,
-		Class:    class,
-		Region:   region,
-		Seed:     seed,
-		Workers:  workers,
-		Adaptive: &campaign.AdaptiveSpec{Precision: precision, Confidence: confidence},
-	}
-	fmt.Printf("adaptive campaign: %s on %s, %v faults, region=%s\n",
-		alg, seq.Name, class, region)
-	var runner campaign.Runner
-	res, err := runner.RunAdaptive(ctx, spec, 1)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-24s %-10s %10s %8s %11s %5s\n",
-		"region", "bits", "population", "trials", "half-width", "done")
-	for _, s := range res.Strata {
-		fmt.Printf("%-24s %-10s %10d %8d %11.4f %5v\n",
-			s.Region, s.Bits, s.Population, s.Trials, s.HalfWidth, s.Done)
-	}
-	wr := res.Stratified.WeightedRates()
-	fmt.Printf("weighted estimate (%d trials, %d rounds): Mask %.3f Crash %.3f SDC %.3f Hang %.3f\n",
-		res.Trials, res.Rounds,
-		wr[fault.OutcomeMask], wr[fault.OutcomeCrash], wr[fault.OutcomeSDC], wr[fault.OutcomeHang])
-	if res.Converged {
-		fmt.Printf("converged in %d trials; fixed-budget equivalent %d (%.1fx savings)\n",
-			res.Trials, res.FixedBudget, float64(res.FixedBudget)/float64(res.Trials))
-	} else {
-		fmt.Printf("budget exhausted at %d trials (fixed-budget equivalent %d)\n",
-			res.Trials, res.FixedBudget)
-	}
-	if st := res.Session; st.RoundsServed > 0 {
-		if preps := st.BucketPrepHits + st.BucketPrepMisses; preps > 0 {
-			fmt.Printf("executor session: %d rounds, bucket-prep cache %d/%d hits (%.0f%%), %d worker slots reused\n",
-				st.RoundsServed, st.BucketPrepHits, preps,
-				100*float64(st.BucketPrepHits)/float64(preps), st.WorkersReused)
-		} else {
-			fmt.Printf("executor session: %d rounds, %d worker slots reused\n",
-				st.RoundsServed, st.WorkersReused)
-		}
-	}
-	fmt.Printf("campaign wall time: %s\n", res.Elapsed.Round(time.Millisecond))
-	return nil
-}
-
-// printFabricAdaptiveResult renders a finished adaptive cluster
-// campaign the same way the local runAdaptive does.
-func printFabricAdaptiveResult(ctx context.Context, cl *fabric.Client, id string) error {
-	res, err := cl.AdaptiveResult(ctx, id)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-24s %-10s %10s %8s %11s %5s\n",
-		"region", "bits", "population", "trials", "half-width", "done")
-	for _, s := range res.Strata {
-		fmt.Printf("%-24s %-10s %10d %8d %11.4f %5v\n",
-			s.Region, s.Bits, s.Population, s.Trials, s.HalfWidth, s.Done)
-	}
-	fmt.Printf("weighted estimate (%d trials, %d rounds): Mask %.3f Crash %.3f SDC %.3f Hang %.3f\n",
-		res.Trials, res.Rounds,
-		res.Rates[fault.OutcomeMask.String()], res.Rates[fault.OutcomeCrash.String()],
-		res.Rates[fault.OutcomeSDC.String()], res.Rates[fault.OutcomeHang.String()])
-	if res.Converged {
-		fmt.Printf("converged in %d trials; fixed-budget equivalent %d (%.1fx savings)\n",
-			res.Trials, res.FixedBudget, float64(res.FixedBudget)/float64(res.Trials))
-	} else {
-		fmt.Printf("budget exhausted at %d trials (fixed-budget equivalent %d)\n",
-			res.Trials, res.FixedBudget)
-	}
-	fmt.Printf("cluster wall time: %s\n", time.Duration(res.ElapsedSec*float64(time.Second)).Round(time.Millisecond))
 	return nil
 }

@@ -4,24 +4,22 @@ import (
 	"errors"
 	"fmt"
 
+	"vsresil/internal/campaign"
 	"vsresil/internal/summarize"
 	"vsresil/internal/vs"
 )
 
-// campaignMode is the cross-flag shape of one afirun invocation: which
-// planner drives the campaign and where it executes. validate is the
-// single home of the mutual-exclusion rules that used to be scattered
-// across main()'s flag handling (the -stratified/-fabric conflict and
-// the vs-only stratified restriction among them).
+// campaignMode is one afirun invocation: the campaign request its
+// flags describe, plus the flags that choose the planner and where the
+// campaign executes. validate adds the cross-flag rules to the
+// request's own validation (campaign.Request.Validate, which every
+// surface shares).
 type campaignMode struct {
-	Stratified bool    // -stratified: fixed per-stratum planner
-	Adaptive   bool    // -adaptive: confidence-driven planner
-	Fabric     string  // -fabric coordinator URL ("" = in process)
-	Summarizer string  // -summarizer backend name
-	Precision  float64 // -precision target half-width
-	Confidence float64 // -confidence interval level
-	TrialsSet  bool    // -trials was given explicitly on the command line
-	ShardsSet  bool    // -shards was given explicitly on the command line
+	Req        campaign.Request // the campaign the flags describe
+	Stratified bool             // -stratified: fixed per-stratum planner
+	Fabric     string           // -fabric coordinator URL ("" = in process)
+	TrialsSet  bool             // -trials was given explicitly on the command line
+	ShardsSet  bool             // -shards was given explicitly on the command line
 }
 
 // validate enforces the planner/placement rules before any work runs.
@@ -29,36 +27,21 @@ func (m campaignMode) validate() error {
 	if m.ShardsSet && m.Fabric == "" {
 		return errors.New("-shards splits cluster rounds across workers; add -fabric or drop -shards")
 	}
-	if m.Stratified && m.Adaptive {
+	if m.Stratified && m.Req.Adaptive {
 		return errors.New("-stratified and -adaptive select different planners; pick one")
 	}
 	if m.Stratified {
 		if m.Fabric != "" {
 			return errors.New("-stratified campaigns run in process; drop -fabric")
 		}
-		if !isVSSummarizer(m.Summarizer) {
-			return fmt.Errorf("-stratified supports only the vs summarizer, not %s", m.Summarizer)
+		if !isVSSummarizer(m.Req.Summarizer) {
+			return fmt.Errorf("-stratified supports only the vs summarizer, not %s", m.Req.Summarizer)
 		}
 	}
-	if !m.Adaptive {
-		if m.Precision != 0 {
-			return errors.New("-precision is an adaptive-planner knob; add -adaptive")
-		}
-		if m.Confidence != 0 {
-			return errors.New("-confidence is an adaptive-planner knob; add -adaptive")
-		}
-		return nil
-	}
-	if m.TrialsSet {
+	if m.Req.Adaptive && m.TrialsSet {
 		return errors.New("-trials is the fixed-budget knob; adaptive campaigns size themselves — drop -trials or tune -precision/-confidence")
 	}
-	if m.Precision < 0 || m.Precision >= 0.5 {
-		return fmt.Errorf("-precision %v outside (0, 0.5)", m.Precision)
-	}
-	if m.Confidence < 0 || m.Confidence >= 1 {
-		return fmt.Errorf("-confidence %v outside (0, 1)", m.Confidence)
-	}
-	return nil
+	return m.Req.Validate()
 }
 
 // isVSSummarizer reports whether name parses to the panorama-stitching

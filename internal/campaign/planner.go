@@ -170,13 +170,16 @@ func (r *Runner) RunAdaptive(ctx context.Context, spec Spec, k int) (*AdaptiveRe
 	}
 	planner := p.(*plan.Adaptive)
 
-	res := &AdaptiveResult{Spec: spec}
+	var (
+		executed int
+		records  []fault.TrialRecord
+	)
 	onRound := spec.Adaptive.OnRound
 	_, err = runRounds(ctx, sess, spec, planner, k, func(round plan.Round, parts []*Result) {
 		for _, part := range parts {
-			res.Executed += part.Executed
+			executed += part.Executed
 			for i := range part.Fault.Trials {
-				res.Records = append(res.Records, part.Fault.Trials[i].Record(part.Fault.Config.PlanOffset+i))
+				records = append(records, part.Fault.Trials[i].Record(part.Fault.Config.PlanOffset+i))
 			}
 		}
 		if onRound == nil {
@@ -193,21 +196,37 @@ func (r *Runner) RunAdaptive(ctx context.Context, spec Spec, k int) (*AdaptiveRe
 		onRound(st)
 	})
 
-	res.Strata = planner.Strata()
-	res.Stratified = planner.Result()
+	res := AdaptiveResultOf(spec, planner)
+	res.Executed, res.Records = executed, records
+	res.Session = sess.Stats()
+	res.Elapsed = time.Since(start)
+	return res, err
+}
+
+// AdaptiveResultOf aggregates an adaptive planner's observed state —
+// strata, weighted estimate, raw counts, rounds, convergence and the
+// fixed-budget baseline — into the result of the campaign run as spec.
+// RunAdaptive ends with it, and the fabric coordinator builds its
+// cluster result with it, so both aggregate the same way; the
+// execution fields (Executed, Records, Session, Elapsed) are the
+// caller's.
+func AdaptiveResultOf(spec Spec, planner *plan.Adaptive) *AdaptiveResult {
+	res := &AdaptiveResult{
+		Spec:       spec,
+		Strata:     planner.Strata(),
+		Stratified: planner.Result(),
+		Rounds:     planner.Rounds(),
+		Trials:     planner.Total(),
+		Converged:  planner.Converged(),
+		Planner:    planner.Config(),
+	}
 	for _, st := range res.Stratified.Strata {
 		for o, c := range st.Counts {
 			res.Counts[o] += c
 		}
 	}
-	res.Rounds = planner.Rounds()
-	res.Trials = planner.Total()
-	res.Converged = planner.Converged()
-	res.Planner = planner.Config()
 	res.FixedBudget = plan.FixedBudget(res.Planner.Precision, res.Planner.Confidence, len(res.Strata))
-	res.Session = sess.Stats()
-	res.Elapsed = time.Since(start)
-	return res, err
+	return res
 }
 
 // runRounds is the campaign round loop every Runner entry point drives:

@@ -41,6 +41,24 @@ func (c Cell) String() string {
 	return sc + "/" + sum + "/" + alg
 }
 
+// Canonical returns the cell's labels as reports and metrics show them:
+// each axis parsed and named canonically ("identity", "vs", "VS" for
+// the defaults; "Identity+fog" becomes "fog"). A token that does not
+// parse is kept as given — a custom fabric WorkloadBuilder may key its
+// own workloads off it.
+func (c Cell) Canonical() Cell {
+	if sc, err := virat.ParseScenario(c.Scenario); err == nil {
+		c.Scenario = sc.Name
+	}
+	if sum, err := summarize.Parse(c.Summarizer, vs.DefaultConfig(vs.AlgVS)); err == nil {
+		c.Summarizer = sum.Name()
+	}
+	if alg, err := vs.ParseAlgorithm(c.Algorithm); err == nil {
+		c.Algorithm = alg.String()
+	}
+	return c
+}
+
 // Workload resolves the cell against a numbered paper input at the
 // given preset: parse the three axes, generate the degraded sequence,
 // and bind the summarizer to its frames. appSeed fixes the workload's
@@ -52,13 +70,7 @@ func (c Cell) Workload(input int, p virat.Preset, appSeed uint64) (Workload, err
 	if err != nil {
 		return Workload{}, err
 	}
-	alg, err := vs.ParseAlgorithm(c.Algorithm)
-	if err != nil {
-		return Workload{}, err
-	}
-	cfg := vs.DefaultConfig(alg)
-	cfg.Seed = appSeed
-	sum, err := summarize.Parse(c.Summarizer, cfg)
+	sum, err := c.Backend(appSeed)
 	if err != nil {
 		return Workload{}, err
 	}
@@ -69,6 +81,19 @@ func (c Cell) Workload(input int, p virat.Preset, appSeed uint64) (Workload, err
 	return Summarize(sum, seq), nil
 }
 
+// Backend resolves the cell's summarizer and algorithm axes into the
+// backend, with appSeed fixing its stochastic choices — the binding
+// Workload applies to generated frames and vsd to uploaded ones.
+func (c Cell) Backend(appSeed uint64) (summarize.Summarizer, error) {
+	alg, err := vs.ParseAlgorithm(c.Algorithm)
+	if err != nil {
+		return nil, err
+	}
+	cfg := vs.DefaultConfig(alg)
+	cfg.Seed = appSeed
+	return summarize.Parse(c.Summarizer, cfg)
+}
+
 // Summarize binds a resolved summarizer backend to a generated
 // sequence as a campaign workload. The golden-cache key is derived
 // from the (summarizer config, sequence identity) tuple; the sequence
@@ -77,10 +102,9 @@ func (c Cell) Workload(input int, p virat.Preset, appSeed uint64) (Workload, err
 // exactly as the pre-matrix constructors did.
 func Summarize(sum summarize.Summarizer, seq *virat.Sequence) Workload {
 	frames := seq.Frames()
-	app, staged := sum.Bind(frames)
 	key := fmt.Sprintf("%s|%s:%dx%dx%d", sum.Key(),
 		seq.Name, len(frames), seq.FrameW, seq.FrameH)
-	return Workload{Name: seq.Name, Key: key, App: app, Staged: staged}
+	return SummarizeApp(sum, frames, seq.Name, key)
 }
 
 // MatrixSpec declares a campaign cross-product: every cell runs the

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -141,7 +142,7 @@ func TestClusterAdaptiveEquivalence(t *testing.T) {
 		t.Error("cluster trial records diverge from single-node baseline")
 	}
 
-	res, err := client.AdaptiveResult(context.Background(), id)
+	res, err := client.Result(context.Background(), id)
 	if err != nil {
 		t.Fatalf("wire result: %v", err)
 	}
@@ -335,5 +336,35 @@ func TestAdaptiveSpecValidation(t *testing.T) {
 	ok := CampaignSpec{Algorithm: "toy", Class: "fpr", Seed: 1, Adaptive: true}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("defaulted adaptive spec rejected: %v", err)
+	}
+
+	// Over-bound counts are refused at submit with a 400, before any
+	// campaign exists: planning one would allocate every plan at once.
+	mux := http.NewServeMux()
+	c.Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	for name, spec := range map[string]string{
+		"trials":      `{"algorithm":"toy","trials":2000000000}`,
+		"max_trials":  `{"algorithm":"toy","adaptive":true,"max_trials":2000000000}`,
+		"round_size":  `{"algorithm":"toy","adaptive":true,"round_size":2000000000}`,
+		"default cap": `{"algorithm":"toy","adaptive":true,"precision":0.0001}`,
+		"frames":      `{"algorithm":"toy","trials":10,"frames":20000}`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/fabric/campaigns", "application/json",
+			strings.NewReader(`{"spec":`+spec+`,"shards":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("over-bound %s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if n := metricValue(t, c, "vsd_fabric_shards_total"); n != 0 {
+		t.Errorf("rejected submissions created %d shards", n)
+	}
+	if _, err := c.Status("c1"); !errors.Is(err, ErrNoCampaign) {
+		t.Errorf("a rejected submission registered campaign c1 (status err %v)", err)
 	}
 }

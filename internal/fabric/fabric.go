@@ -25,117 +25,18 @@
 package fabric
 
 import (
-	"fmt"
 	"time"
 
 	"vsresil/internal/campaign"
 	"vsresil/internal/fault"
-	"vsresil/internal/plan"
-	"vsresil/internal/summarize"
-	"vsresil/internal/vs"
-
-	"vsresil/internal/virat"
 )
 
-// CampaignSpec is the wire form of a cluster campaign: everything a
-// worker needs to rebuild the exact same campaign.Spec the coordinator
-// decomposed. Only synthetic inputs are supported on the fabric —
-// uploaded frame sets would have to ship to every worker.
-type CampaignSpec struct {
-	// Algorithm is the VS variant under test (default VS). A custom
-	// WorkloadBuilder may interpret this freely (the test harness keys
-	// toy workloads off it).
-	Algorithm string `json:"algorithm,omitempty"`
-	// Scenario is the capture scenario applied to the synthetic input:
-	// "" or "identity" for the clean baseline, or a "+"-chain of
-	// degradations (e.g. "lowlight+fog").
-	Scenario string `json:"scenario,omitempty"`
-	// Summarizer selects the backend: "" or "vs" for panorama
-	// stitching, "storyboard" for the keyframe filmstrip.
-	Summarizer string `json:"summarizer,omitempty"`
-	// Class is the register class: "gpr" or "fpr" (default gpr).
-	Class string `json:"class,omitempty"`
-	// Region restricts injections to one function ("" = whole app).
-	Region string `json:"region,omitempty"`
-	// Input selects the synthetic sequence (1 or 2, default 1).
-	Input int `json:"input,omitempty"`
-	// Scale is the preset size: "test", "bench" or "paper".
-	Scale string `json:"scale,omitempty"`
-	// Frames overrides the preset's frame count (0 = preset default).
-	Frames int `json:"frames,omitempty"`
-	// Trials is the full campaign size (required, > 0).
-	Trials int `json:"trials"`
-	// Seed makes the campaign reproducible across the cluster.
-	Seed uint64 `json:"seed,omitempty"`
-	// Workers bounds each worker's own trial parallelism
-	// (0 = GOMAXPROCS on the worker).
-	Workers int `json:"workers,omitempty"`
-	// KeepSDC retains SDC output bytes; MaxSDC caps how many (<= 0 =
-	// unlimited). Retention is deterministic across any decomposition:
-	// the rebuilt result keeps the MaxSDC lowest-plan-index SDCs.
-	KeepSDC bool `json:"keep_sdc,omitempty"`
-	MaxSDC  int  `json:"max_sdc,omitempty"`
-	// Adaptive switches the campaign from the fixed Trials budget to
-	// confidence-driven allocation: the coordinator plans rounds from
-	// the merged per-stratum counts and leases plan-carrying round
-	// shards until every stratum rate is within Precision at
-	// Confidence. Trials is ignored; the budget cap is MaxTrials
-	// (0 = the fixed-budget equivalent).
-	Adaptive bool `json:"adaptive,omitempty"`
-	// Precision is the target Wilson half-width (0 = 0.05) and
-	// Confidence the interval level (0 = 0.95) for adaptive campaigns.
-	Precision  float64 `json:"precision,omitempty"`
-	Confidence float64 `json:"confidence,omitempty"`
-	// RoundSize is the per-round trial budget after the bootstrap
-	// (0 = planner default); MaxTrials caps the total allocation.
-	RoundSize int `json:"round_size,omitempty"`
-	MaxTrials int `json:"max_trials,omitempty"`
-}
-
-// dropLegacyKnobs clears the adaptive-only fields of a fixed-budget
-// spec. Validate rejects them, but journals written before it did may
-// carry them; they never had an effect, so replay drops the fields
-// rather than the campaign.
-func (cs *CampaignSpec) dropLegacyKnobs() {
-	if !cs.Adaptive {
-		cs.Precision, cs.Confidence, cs.RoundSize, cs.MaxTrials = 0, 0, 0, 0
-	}
-}
-
-// Validate checks the declarative fields without building a workload.
-func (cs *CampaignSpec) Validate() error {
-	if cs.Adaptive {
-		if cs.Precision < 0 || cs.Precision >= 0.5 {
-			return fmt.Errorf("fabric: adaptive precision %v outside [0, 0.5)", cs.Precision)
-		}
-		if cs.Confidence < 0 || cs.Confidence >= 1 {
-			return fmt.Errorf("fabric: adaptive confidence %v outside [0, 1)", cs.Confidence)
-		}
-		if cs.RoundSize < 0 || cs.MaxTrials < 0 {
-			return fmt.Errorf("fabric: negative adaptive round size or trial cap")
-		}
-	} else {
-		if cs.Trials <= 0 {
-			return fmt.Errorf("fabric: campaign needs trials > 0, got %d", cs.Trials)
-		}
-		if cs.Precision != 0 || cs.Confidence != 0 || cs.RoundSize != 0 || cs.MaxTrials != 0 {
-			return fmt.Errorf("fabric: precision/confidence/round_size/max_trials are adaptive knobs; set \"adaptive\": true")
-		}
-	}
-	if _, err := fault.ParseClass(cs.Class); err != nil {
-		return err
-	}
-	if _, err := fault.ParseRegion(cs.Region); err != nil {
-		return err
-	}
-	if _, err := virat.ParseScenario(cs.Scenario); err != nil {
-		return err
-	}
-	if _, err := summarize.Parse(cs.Summarizer, vs.DefaultConfig(vs.AlgVS)); err != nil {
-		return err
-	}
-	return nil
-}
+// CampaignSpec is the wire form of a cluster campaign: the shared
+// campaign.Request, from which every worker rebuilds the exact same
+// campaign.Spec the coordinator decomposed. Only synthetic inputs are
+// supported on the fabric — uploaded frame sets would have to ship to
+// every worker.
+type CampaignSpec = campaign.Request
 
 // WorkloadBuilder maps a wire spec to the workload a campaign injects
 // into. Coordinator and workers must use the same builder: the rebuild's
@@ -144,54 +45,21 @@ func (cs *CampaignSpec) Validate() error {
 // the spec.
 type WorkloadBuilder func(cs CampaignSpec) (campaign.Workload, error)
 
-// DefaultWorkload resolves the spec's (scenario, summarizer, algorithm)
-// cell against the synthetic input through the campaign registry. A
-// spec with empty scenario/summarizer fields builds the identity/vs
-// workload — byte-identical to the pre-matrix VS constructor.
+// DefaultWorkload resolves the spec's workload through the campaign
+// registry (campaign.Request.Workload).
 func DefaultWorkload(cs CampaignSpec) (campaign.Workload, error) {
-	preset, err := virat.ParsePreset(cs.Scale, cs.Frames)
-	if err != nil {
-		return campaign.Workload{}, err
-	}
-	input := cs.Input
-	if input == 0 {
-		input = 1
-	}
-	cell := campaign.Cell{Scenario: cs.Scenario, Summarizer: cs.Summarizer, Algorithm: cs.Algorithm}
-	return cell.Workload(input, preset, cs.Seed)
+	return cs.Workload()
 }
 
-// campaignSpec translates the wire spec into the engine Spec. The same
-// translation runs on workers (to execute leased plans) and on the
-// coordinator (to plan rounds and rebuild results through the resume
-// path), which is what keeps both sides' plan spaces identical.
-func (cs CampaignSpec) campaignSpec(w campaign.Workload) (campaign.Spec, error) {
-	class, err := fault.ParseClass(cs.Class)
+// engineSpec builds cs's workload with build and translates cs into
+// the engine Spec over it: the construction the coordinator and every
+// worker perform identically.
+func engineSpec(build WorkloadBuilder, cs CampaignSpec) (campaign.Spec, error) {
+	w, err := build(cs)
 	if err != nil {
 		return campaign.Spec{}, err
 	}
-	region, err := fault.ParseRegion(cs.Region)
-	if err != nil {
-		return campaign.Spec{}, err
-	}
-	spec := campaign.Spec{
-		Workload: w,
-		Class:    class,
-		Region:   region,
-		Trials:   cs.Trials,
-		Seed:     cs.Seed,
-		Workers:  cs.Workers,
-		SDC:      campaign.SDCPolicy{Keep: cs.KeepSDC, Max: cs.MaxSDC},
-	}
-	if cs.Adaptive {
-		spec.Adaptive = &campaign.AdaptiveSpec{
-			Precision:  cs.Precision,
-			Confidence: cs.Confidence,
-			RoundSize:  cs.RoundSize,
-			MaxTrials:  cs.MaxTrials,
-		}
-	}
-	return spec, nil
+	return cs.Spec(w)
 }
 
 // SDCOutput carries one retained SDC trial's corrupted output bytes,
@@ -243,121 +111,4 @@ type CampaignStatus struct {
 	TrialsDone  int    `json:"trials_done"`
 	TrialsTotal int    `json:"trials_total"`
 	Error       string `json:"error,omitempty"`
-}
-
-// CampaignResult is the wire form of a finished static cluster
-// campaign — the same aggregates the single-node CampaignResult
-// reports, computed from the bit-identical rebuilt result.
-type CampaignResult struct {
-	Class       string             `json:"class"`
-	Region      string             `json:"region"`
-	Trials      int                `json:"trials"`
-	Shards      int                `json:"shards"`
-	Completed   int                `json:"completed"`
-	TotalTaps   uint64             `json:"total_taps"`
-	GoldenSteps uint64             `json:"golden_steps"`
-	Counts      map[string]int     `json:"counts"`
-	Rates       map[string]float64 `json:"rates"`
-	CrashSplit  map[string]int     `json:"crash_split,omitempty"`
-	RegChi2     float64            `json:"reg_chi2"`
-	CurveKnee   int                `json:"curve_knee"`
-	SDCKept     int                `json:"sdc_kept,omitempty"`
-	ElapsedSec  float64            `json:"elapsed_sec"`
-}
-
-// wireResult renders the rebuilt engine result for the API.
-func wireResult(cs CampaignSpec, shards int, res *campaign.Result) *CampaignResult {
-	fres := res.Fault
-	out := &CampaignResult{
-		Class:       res.Spec.Class.String(),
-		Region:      res.Spec.Region.String(),
-		Trials:      cs.Trials,
-		Shards:      shards,
-		Completed:   fres.Completed,
-		TotalTaps:   fres.TotalTaps,
-		GoldenSteps: fres.GoldenSteps,
-		Counts:      make(map[string]int),
-		Rates:       make(map[string]float64),
-		RegChi2:     fres.RegHist.ChiSquareUniform(),
-		CurveKnee:   fres.Curve.Knee(0.02),
-		SDCKept:     len(fres.SDCOutputs()),
-		ElapsedSec:  res.Elapsed.Seconds(),
-	}
-	for o := fault.Outcome(0); o < fault.NumOutcomes; o++ {
-		out.Counts[o.String()] = fres.Counts[o]
-		out.Rates[o.String()] = fres.Rate(o)
-	}
-	if len(fres.CrashCounts) > 0 {
-		out.CrashSplit = make(map[string]int)
-		for k, n := range fres.CrashCounts {
-			out.CrashSplit[k.String()] = n
-		}
-	}
-	return out
-}
-
-// AdaptiveStratumResult is one stratum's final estimate on the wire.
-type AdaptiveStratumResult struct {
-	Region     string         `json:"region"`
-	Bits       string         `json:"bits"`
-	Population uint64         `json:"population"`
-	Trials     int            `json:"trials"`
-	Counts     map[string]int `json:"counts"`
-	HalfWidth  float64        `json:"half_width"`
-	Done       bool           `json:"done"`
-}
-
-// AdaptiveCampaignResult is the wire form of a finished adaptive
-// cluster campaign: the population-weighted rates plus the per-stratum
-// precision the allocation actually reached, and the fixed-budget
-// trial count the early stopping is measured against.
-type AdaptiveCampaignResult struct {
-	Class       string                  `json:"class"`
-	Region      string                  `json:"region"`
-	Precision   float64                 `json:"precision"`
-	Confidence  float64                 `json:"confidence"`
-	Rounds      int                     `json:"rounds"`
-	Trials      int                     `json:"trials"`
-	FixedBudget int                     `json:"fixed_budget"`
-	Converged   bool                    `json:"converged"`
-	Rates       map[string]float64      `json:"rates"`
-	Strata      []AdaptiveStratumResult `json:"strata"`
-	ElapsedSec  float64                 `json:"elapsed_sec"`
-}
-
-// adaptiveWireResult renders the planner's final state for the API.
-func adaptiveWireResult(planner *plan.Adaptive) *AdaptiveCampaignResult {
-	cfg := planner.Config()
-	strata := planner.Strata()
-	out := &AdaptiveCampaignResult{
-		Class:       cfg.Class.String(),
-		Region:      cfg.Region.String(),
-		Precision:   cfg.Precision,
-		Confidence:  cfg.Confidence,
-		Rounds:      planner.Rounds(),
-		Trials:      planner.Total(),
-		FixedBudget: plan.FixedBudget(cfg.Precision, cfg.Confidence, len(strata)),
-		Converged:   planner.Converged(),
-		Rates:       make(map[string]float64),
-		Strata:      make([]AdaptiveStratumResult, len(strata)),
-	}
-	for o, rate := range planner.Result().WeightedRates() {
-		out.Rates[fault.Outcome(o).String()] = rate
-	}
-	for i, s := range strata {
-		ws := AdaptiveStratumResult{
-			Region:     s.Region.String(),
-			Bits:       s.Bits.String(),
-			Population: s.Population,
-			Trials:     s.Trials,
-			Counts:     make(map[string]int),
-			HalfWidth:  s.HalfWidth,
-			Done:       s.Done,
-		}
-		for o, n := range s.Counts {
-			ws.Counts[fault.Outcome(o).String()] = n
-		}
-		out.Strata[i] = ws
-	}
-	return out
 }

@@ -81,7 +81,7 @@ func singleNode(t *testing.T, cs CampaignSpec) *campaign.Result {
 	if err != nil {
 		t.Fatalf("build workload: %v", err)
 	}
-	spec, err := cs.campaignSpec(w)
+	spec, err := cs.Spec(w)
 	if err != nil {
 		t.Fatalf("translate spec: %v", err)
 	}
@@ -168,7 +168,7 @@ func executeLease(t *testing.T, l Lease, worker string) ShardResult {
 	if err != nil {
 		t.Fatalf("build workload: %v", err)
 	}
-	spec, err := l.Spec.campaignSpec(w)
+	spec, err := l.Spec.Spec(w)
 	if err != nil {
 		t.Fatalf("translate spec: %v", err)
 	}
@@ -464,7 +464,7 @@ func TestCoordinatorRestartStaticJournal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build workload: %v", err)
 	}
-	spec, err := cs.campaignSpec(w)
+	spec, err := cs.Spec(w)
 	if err != nil {
 		t.Fatalf("translate spec: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 
+	"vsresil/internal/campaign"
 	"vsresil/internal/journal"
 )
 
@@ -260,19 +261,9 @@ func (cl *Client) Status(ctx context.Context, id string) (CampaignStatus, error)
 	return st, err
 }
 
-// Result fetches a finished static campaign's result.
-func (cl *Client) Result(ctx context.Context, id string) (*CampaignResult, error) {
-	var res CampaignResult
-	if err := cl.get(ctx, "/v1/fabric/campaigns/"+id+"/result", &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
-// AdaptiveResult fetches a finished adaptive campaign's wire result
-// (the same endpoint as Result, decoded into the adaptive shape).
-func (cl *Client) AdaptiveResult(ctx context.Context, id string) (*AdaptiveCampaignResult, error) {
-	var res AdaptiveCampaignResult
+// Result fetches a finished campaign's report.
+func (cl *Client) Result(ctx context.Context, id string) (*campaign.Report, error) {
+	var res campaign.Report
 	if err := cl.get(ctx, "/v1/fabric/campaigns/"+id+"/result", &res); err != nil {
 		return nil, err
 	}

@@ -66,7 +66,7 @@ func replayJournal(path string) (camps []*camp, maxCampSeq, maxLeaseSeq int, err
 			if rec.Spec == nil || rec.Campaign == "" || rec.Shards < 1 {
 				return
 			}
-			rec.Spec.dropLegacyKnobs()
+			rec.Spec.DropLegacyKnobs()
 			if rec.Spec.Validate() != nil {
 				return
 			}

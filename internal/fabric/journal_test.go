@@ -62,7 +62,7 @@ func TestReplayDropsForgedOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build workload: %v", err)
 	}
-	spec, err := cs.campaignSpec(w)
+	spec, err := cs.Spec(w)
 	if err != nil {
 		t.Fatalf("translate spec: %v", err)
 	}

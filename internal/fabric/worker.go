@@ -106,11 +106,7 @@ func (c *workerSessions) acquire(l Lease) (*leaseSession, error) {
 		return c.cur, nil
 	}
 	c.close()
-	workload, err := c.build(l.Spec)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := l.Spec.campaignSpec(workload)
+	spec, err := engineSpec(c.build, l.Spec)
 	if err != nil {
 		return nil, err
 	}

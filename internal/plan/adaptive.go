@@ -37,7 +37,10 @@ type AdaptiveConfig struct {
 // estimate in round 0.
 const minPerStratum = 8
 
-func (cfg *AdaptiveConfig) withDefaults(strata int) {
+// WithDefaults fills the zero knobs with the planner defaults for a
+// campaign over the given number of strata — the configuration the
+// planner then runs, and the one request validation bounds.
+func (cfg *AdaptiveConfig) WithDefaults(strata int) {
 	if cfg.Precision <= 0 {
 		cfg.Precision = 0.05
 	}
@@ -97,7 +100,7 @@ func NewAdaptive(golden *fault.GoldenRun, cfg AdaptiveConfig) (*Adaptive, error)
 	if len(sites) == 0 {
 		return nil, fault.ErrNoTaps
 	}
-	cfg.withDefaults(len(sites))
+	cfg.WithDefaults(len(sites))
 	a := &Adaptive{cfg: cfg, strata: make([]adaptiveStratum, len(sites))}
 	base := stats.NewRNG(cfg.Seed)
 	for i, s := range sites {

@@ -97,6 +97,11 @@ func TestAdaptiveCampaignJob(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	// The executor-session series duplicated the round series or
+	// counted a cache no production workload fills; they are gone.
+	if strings.Contains(string(body), "vsd_campaign_session_") {
+		t.Errorf("/metrics still exports vsd_campaign_session_* series:\n%s", body)
+	}
 }
 
 // TestAdaptiveDefaultsReported: an adaptive job that leaves precision

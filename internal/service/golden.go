@@ -1,12 +1,11 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
-	"vsresil/internal/summarize"
-	"vsresil/internal/virat"
-	"vsresil/internal/vs"
+	"vsresil/internal/campaign"
 )
 
 // maxGoldenCache bounds the service's golden-run cache. Entries hold
@@ -15,34 +14,31 @@ import (
 // pattern (campaign sweeps over a few workloads) does not reward LRU.
 const maxGoldenCache = 16
 
-// goldenKey canonicalizes the campaign spec fields that determine the
-// golden run: the workload cell (scenario, summarizer, algorithm), the
-// app seed and the input. Class, region, trials, campaign seed and
-// worker count are irrelevant — the golden run is fault-free and
-// shared across them. The key is the workload's identity in the
-// campaign engine's golden cache. Scenario and summarizer tokens are
-// canonicalized (spec validation guarantees they parse), so
-// "Identity+fog" and "fog" key the same workload.
-func (spec *CampaignSpec) goldenKey() string {
-	alg, _ := vs.ParseAlgorithm(spec.Algorithm)
-	sc, _ := virat.ParseScenario(spec.Scenario)
-	sumName := "vs"
-	if sum, err := summarize.Parse(spec.Summarizer, vs.DefaultConfig(alg)); err == nil {
-		sumName = sum.Name()
+// workload resolves the campaign's workload. A generated input goes
+// through the request's registry cell like on every other surface;
+// uploaded frames are the one workload only the service builds, with
+// the cell's summarizer bound to the decoded frames. Its
+// golden-cache key is the summarizer's key plus a SHA-256 of the
+// decoded frames and their dimensions — an identity the client cannot
+// collide by choice, and one that ignores PGM header text (comments,
+// whitespace) that decodes to the same pixels.
+func (c *CampaignSpec) workload(req *campaign.Request) (campaign.Workload, error) {
+	if len(c.FramesPGM) == 0 {
+		return req.Workload()
 	}
-	cell := fmt.Sprintf("%s/%s/%s", sc.Name, sumName, alg)
-	in := spec.InputSpec
-	if len(in.FramesPGM) > 0 {
-		h := fnv.New64a()
-		for _, enc := range in.FramesPGM {
-			h.Write([]byte(enc))
-			h.Write([]byte{0})
-		}
-		return fmt.Sprintf("%s|%d|pgm:%d:%x", cell, spec.Seed, len(in.FramesPGM), h.Sum64())
+	frames, name, err := c.InputSpec.frames()
+	if err != nil {
+		return campaign.Workload{}, err
 	}
-	input := in.Input
-	if input == 0 {
-		input = 1
+	sum, err := req.Cell().Backend(c.Seed)
+	if err != nil {
+		return campaign.Workload{}, err
 	}
-	return fmt.Sprintf("%s|%d|gen:%d:%s:%d", cell, spec.Seed, input, in.Scale, in.Frames)
+	h := sha256.New()
+	for _, g := range frames {
+		binary.Write(h, binary.LittleEndian, [2]uint32{uint32(g.W), uint32(g.H)}) // a hash.Hash write never fails
+		h.Write(g.Pix)
+	}
+	key := fmt.Sprintf("%s|pgm:%d:%x", sum.Key(), len(frames), h.Sum(nil))
+	return campaign.SummarizeApp(sum, frames, name, key), nil
 }

@@ -1,8 +1,13 @@
 package service
 
 import (
+	"bytes"
+	"encoding/base64"
 	"testing"
 	"time"
+
+	"vsresil/internal/imgproc"
+	"vsresil/internal/virat"
 )
 
 // campaignSpecWith builds the shared small campaign with one knob
@@ -20,9 +25,38 @@ func campaignSpecWith(class string, seed uint64) JobSpec {
 	}
 }
 
+// uploadSpecWith builds a small campaign over uploaded frames whose PGM
+// headers carry comment (none when ""): the same pixels in a
+// different encoding.
+func uploadSpecWith(t *testing.T, comment string) JobSpec {
+	t.Helper()
+	p := virat.TestScale()
+	p.Frames = 6
+	var encoded []string
+	for _, f := range virat.Input1(p).Frames() {
+		var buf bytes.Buffer
+		if err := imgproc.WritePGM(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		if comment != "" {
+			raw = bytes.Replace(raw, []byte("P5\n"), []byte("P5\n# "+comment+"\n"), 1)
+		}
+		encoded = append(encoded, base64.StdEncoding.EncodeToString(raw))
+	}
+	return JobSpec{Type: JobCampaign, Campaign: &CampaignSpec{
+		InputSpec: InputSpec{FramesPGM: encoded},
+		Class:     "gpr",
+		Trials:    5,
+		Seed:      7,
+	}}
+}
+
 // TestGoldenCacheSharing checks that campaign jobs over the same
 // workload share one golden capture — and that changing the app seed
-// (which changes the golden run) does not.
+// (which changes the golden run) does not. Uploaded frames key by
+// their decoded pixels, so the same frames under a different PGM
+// header share a capture too.
 func TestGoldenCacheSharing(t *testing.T) {
 	svc := newTestService(t, Config{Workers: 1})
 
@@ -43,15 +77,17 @@ func TestGoldenCacheSharing(t *testing.T) {
 		})
 	}
 
-	run(campaignSpecWith("gpr", 7)) // miss: first sight of the workload
-	run(campaignSpecWith("fpr", 7)) // hit: class is not part of the key
-	run(campaignSpecWith("gpr", 7)) // hit: identical workload
-	run(campaignSpecWith("gpr", 8)) // miss: different app seed
+	run(campaignSpecWith("gpr", 7))    // miss: first sight of the workload
+	run(campaignSpecWith("fpr", 7))    // hit: class is not part of the key
+	run(campaignSpecWith("gpr", 7))    // hit: identical workload
+	run(campaignSpecWith("gpr", 8))    // miss: different app seed
+	run(uploadSpecWith(t, ""))         // miss: first sight of the uploaded frames
+	run(uploadSpecWith(t, "tenant b")) // hit: same pixels, different header
 
 	svc.metrics.mu.Lock()
 	hits, misses := svc.metrics.goldenHits, svc.metrics.goldenMisses
 	svc.metrics.mu.Unlock()
-	if hits != 2 || misses != 2 {
-		t.Errorf("golden cache hits/misses = %d/%d, want 2/2", hits, misses)
+	if hits != 3 || misses != 3 {
+		t.Errorf("golden cache hits/misses = %d/%d, want 3/3", hits, misses)
 	}
 }

@@ -21,10 +21,10 @@ import (
 	"fmt"
 	"time"
 
+	"vsresil/internal/campaign"
 	"vsresil/internal/experiments"
 	"vsresil/internal/fault"
 	"vsresil/internal/imgproc"
-	"vsresil/internal/summarize"
 	"vsresil/internal/virat"
 	"vsresil/internal/vs"
 )
@@ -97,7 +97,10 @@ type SummarizeSpec struct {
 	IncludePGM bool `json:"include_pgm,omitempty"`
 }
 
-// CampaignSpec parameterizes a fault-injection campaign job.
+// CampaignSpec parameterizes a fault-injection campaign job: the
+// fields of campaign.Request, whose input may instead be uploaded
+// frames. It converts to the request for validation, workload
+// resolution and translation.
 type CampaignSpec struct {
 	InputSpec
 	// Summarizer selects the backend under test: "" or "vs" for
@@ -167,27 +170,20 @@ type JobSpec struct {
 	Experiment *ExperimentSpec `json:"experiment,omitempty"`
 }
 
-// dropLegacyKnobs clears the adaptive-only fields of a fixed-budget
-// campaign. Validate rejects them, but journals written before it did
-// may carry them; they never had an effect, so replay drops the fields
-// rather than the job.
-func (s *JobSpec) dropLegacyKnobs() {
-	if c := s.Campaign; c != nil && !c.Adaptive {
-		c.Precision, c.Confidence, c.RoundSize, c.MaxTrials = 0, 0, 0, 0
-	}
-}
-
 // Validate checks the spec without running anything.
-func (s *JobSpec) Validate() error {
+func (s *JobSpec) Validate() error { return s.validate(false) }
+
+// validate checks the spec. replay drops the adaptive-only knobs of a
+// fixed-budget campaign before checking (campaign.Request's
+// DropLegacyKnobs): journals written before submission rejected them
+// may carry them, and they never had an effect.
+func (s *JobSpec) validate(replay bool) error {
 	switch s.Type {
 	case JobSummarize:
 		if s.Summarize == nil {
 			return fmt.Errorf("service: summarize job missing \"summarize\" spec")
 		}
-		if _, err := vs.ParseAlgorithm(s.Summarize.Algorithm); err != nil {
-			return err
-		}
-		if _, err := summarize.Parse(s.Summarize.Summarizer, vs.DefaultConfig(vs.AlgVS)); err != nil {
+		if _, err := (campaign.Cell{Summarizer: s.Summarize.Summarizer, Algorithm: s.Summarize.Algorithm}).Backend(0); err != nil {
 			return err
 		}
 		return s.Summarize.InputSpec.validate()
@@ -196,51 +192,61 @@ func (s *JobSpec) Validate() error {
 		if c == nil {
 			return fmt.Errorf("service: campaign job missing \"campaign\" spec")
 		}
-		if c.Adaptive {
-			if c.Precision < 0 || c.Precision >= 0.5 {
-				return fmt.Errorf("service: adaptive precision %v outside [0, 0.5)", c.Precision)
-			}
-			if c.Confidence < 0 || c.Confidence >= 1 {
-				return fmt.Errorf("service: adaptive confidence %v outside [0, 1)", c.Confidence)
-			}
-			if c.RoundSize < 0 || c.MaxTrials < 0 {
-				return fmt.Errorf("service: adaptive round_size/max_trials must be >= 0")
-			}
-		} else {
-			if c.Trials <= 0 {
-				return fmt.Errorf("service: campaign needs trials > 0, got %d", c.Trials)
-			}
-			if c.Precision != 0 || c.Confidence != 0 || c.RoundSize != 0 || c.MaxTrials != 0 {
-				return fmt.Errorf("service: precision/confidence/round_size/max_trials are adaptive knobs; set \"adaptive\": true")
-			}
-		}
+		// vsd resolves every generated input through the registry, so
+		// the algorithm must parse (a fabric builder may accept others).
 		if _, err := vs.ParseAlgorithm(c.Algorithm); err != nil {
 			return err
 		}
-		if _, err := summarize.Parse(c.Summarizer, vs.DefaultConfig(vs.AlgVS)); err != nil {
+		if err := c.InputSpec.validate(); err != nil {
 			return err
 		}
-		if _, err := fault.ParseClass(c.Class); err != nil {
-			return err
+		req := c.request()
+		if replay {
+			req.DropLegacyKnobs()
 		}
-		if _, err := fault.ParseRegion(c.Region); err != nil {
-			return err
-		}
-		return c.InputSpec.validate()
+		return req.Validate()
 	case JobExperiment:
-		if s.Experiment == nil {
+		e := s.Experiment
+		if e == nil {
 			return fmt.Errorf("service: experiment job missing \"experiment\" spec")
 		}
-		if s.Experiment.Fig == "" {
+		if e.Fig == "" {
 			return fmt.Errorf("service: experiment needs a \"fig\" name")
 		}
-		if _, err := experiments.ParseScale(s.Experiment.Scale); err != nil {
+		if e.Trials > campaign.TrialLimit || e.QualityTrials > campaign.TrialLimit || e.Frames > campaign.FrameLimit {
+			return fmt.Errorf("service: experiment trials/quality_trials over %d or frames over %d", campaign.TrialLimit, campaign.FrameLimit)
+		}
+		if _, err := experiments.ParseScale(e.Scale); err != nil {
 			return err
 		}
 		return nil
 	default:
 		return fmt.Errorf("service: unknown job type %q (want summarize, campaign or experiment)", s.Type)
 	}
+}
+
+// request is the campaign's shared wire form. Uploaded frames replace
+// the generated input, so their request carries no input fields.
+func (c *CampaignSpec) request() campaign.Request {
+	r := campaign.Request{
+		Algorithm:  c.Algorithm,
+		Scenario:   c.Scenario,
+		Summarizer: c.Summarizer,
+		Class:      c.Class,
+		Region:     c.Region,
+		Trials:     c.Trials,
+		Seed:       c.Seed,
+		Workers:    c.Workers,
+		Adaptive:   c.Adaptive,
+		Precision:  c.Precision,
+		Confidence: c.Confidence,
+		RoundSize:  c.RoundSize,
+		MaxTrials:  c.MaxTrials,
+	}
+	if len(c.FramesPGM) == 0 {
+		r.Input, r.Scale, r.Frames = c.Input, c.Scale, c.Frames
+	}
+	return r
 }
 
 func (in *InputSpec) validate() error {
@@ -252,7 +258,13 @@ func (in *InputSpec) validate() error {
 		if !sc.IsIdentity() {
 			return fmt.Errorf("service: scenario %q applies to generated inputs, not uploaded frames", in.Scenario)
 		}
+		if len(in.FramesPGM) > campaign.FrameLimit {
+			return fmt.Errorf("service: %d uploaded frames over the %d-frame limit", len(in.FramesPGM), campaign.FrameLimit)
+		}
 		return nil // frames decoded (and errors reported) at run time
+	}
+	if in.Frames > campaign.FrameLimit {
+		return fmt.Errorf("service: %d frames over the %d-frame limit", in.Frames, campaign.FrameLimit)
 	}
 	if in.Input != 0 && in.Input != 1 && in.Input != 2 {
 		return fmt.Errorf("service: input must be 1 or 2, got %d", in.Input)

@@ -58,8 +58,7 @@ func replayJournal(path string) (jobs []*Job, maxSeq int, err error) {
 			if rec.Job == nil || rec.Job.ID == "" {
 				return
 			}
-			rec.Job.Spec.dropLegacyKnobs()
-			if rec.Job.Spec.Validate() != nil {
+			if rec.Job.Spec.validate(true) != nil {
 				return
 			}
 			byID[rec.Job.ID] = &Job{

@@ -9,7 +9,6 @@ import (
 
 	"vsresil/internal/campaign"
 	"vsresil/internal/fault"
-	"vsresil/internal/plan"
 	"vsresil/internal/probe"
 )
 
@@ -32,8 +31,9 @@ type metrics struct {
 	goldenMisses  uint64
 
 	// workloadTrials splits the trial counter by campaign workload
-	// cell, backing the per-workload /metrics series.
-	workloadTrials map[workloadCell]uint64
+	// cell (in canonical label form), backing the per-workload
+	// /metrics series.
+	workloadTrials map[campaign.Cell]uint64
 
 	// bucket scheduler accumulators fed by fault.SchedStats after each
 	// campaign run; bucketMax is the largest single bucket seen, the
@@ -55,15 +55,6 @@ type metrics struct {
 	roundLastMaxHW float64
 	strataHW       map[stratumCell]stratumGauge
 
-	// executor-session accumulators fed by fault.SessionStats after
-	// each adaptive campaign: how much the persistent session amortized
-	// across its round loop.
-	sessionCampaigns  uint64
-	sessionPrepHits   uint64
-	sessionPrepMisses uint64
-	sessionRounds     uint64
-	sessionReused     uint64
-
 	// latency histograms: per type, count per bucket (+ overflow) and
 	// a running sum for the mean.
 	latCounts map[JobType][]uint64
@@ -83,24 +74,16 @@ func newMetrics() *metrics {
 	return &metrics{
 		start:          time.Now(),
 		jobsCompleted:  make(map[JobType]map[JobState]uint64),
-		workloadTrials: make(map[workloadCell]uint64),
+		workloadTrials: make(map[campaign.Cell]uint64),
 		latCounts:      make(map[JobType][]uint64),
 		latSum:         make(map[JobType]float64),
 		latN:           make(map[JobType]uint64),
 	}
 }
 
-// workloadCell identifies one campaign workload in canonical label
-// form: the (scenario, summarizer, algorithm) tuple of the matrix.
-type workloadCell struct {
-	Scenario   string
-	Summarizer string
-	Algorithm  string
-}
-
 // workloadTrialsDone records n completed trials against a workload
 // cell's /metrics series.
-func (m *metrics) workloadTrialsDone(c workloadCell, n int) {
+func (m *metrics) workloadTrialsDone(c campaign.Cell, n int) {
 	m.mu.Lock()
 	m.workloadTrials[c] += uint64(n)
 	m.mu.Unlock()
@@ -172,34 +155,22 @@ func (m *metrics) roundDone(st campaign.RoundStatus) {
 	m.mu.Unlock()
 }
 
-// adaptiveDone folds one finished adaptive campaign's final strata into
-// the half-width gauge series.
-func (m *metrics) adaptiveDone(class string, strata []plan.StratumStatus, converged bool) {
+// adaptiveDone folds one finished adaptive campaign's report into the
+// half-width gauge series.
+func (m *metrics) adaptiveDone(rep *campaign.Report) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.roundCampaigns++
-	if converged {
+	if rep.Converged {
 		m.roundConverged++
 	}
 	if m.strataHW == nil {
 		m.strataHW = make(map[stratumCell]stratumGauge)
 	}
-	for _, st := range strata {
-		m.strataHW[stratumCell{Class: class, Region: st.Region.String(), Bits: st.Bits.String()}] =
+	for _, st := range rep.Strata {
+		m.strataHW[stratumCell{Class: rep.Class, Region: st.Region, Bits: st.Bits}] =
 			stratumGauge{Trials: st.Trials, HalfWidth: st.HalfWidth, Done: st.Done}
 	}
-}
-
-// sessionDone folds one campaign's executor-session counters into the
-// service-lifetime session gauges.
-func (m *metrics) sessionDone(s fault.SessionStats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sessionCampaigns++
-	m.sessionPrepHits += s.BucketPrepHits
-	m.sessionPrepMisses += s.BucketPrepMisses
-	m.sessionRounds += s.RoundsServed
-	m.sessionReused += s.WorkersReused
 }
 
 // bucketsDone folds one campaign's scheduler statistics into the
@@ -282,7 +253,7 @@ func (m *metrics) write(w io.Writer, g gauges) {
 	fmt.Fprintf(w, "vsd_workers_busy %d\n", g.busyWorkers)
 	fmt.Fprintf(w, "vsd_trials_total %d\n", m.trialsTotal)
 	if len(m.workloadTrials) > 0 {
-		cells := make([]workloadCell, 0, len(m.workloadTrials))
+		cells := make([]campaign.Cell, 0, len(m.workloadTrials))
 		for c := range m.workloadTrials {
 			cells = append(cells, c)
 		}
@@ -316,13 +287,6 @@ func (m *metrics) write(w io.Writer, g gauges) {
 		fmt.Fprintf(w, "vsd_campaign_round_trials_total %d\n", m.roundTrials)
 		fmt.Fprintf(w, "vsd_campaign_round_converged_total %d\n", m.roundConverged)
 		fmt.Fprintf(w, "vsd_campaign_round_last_max_half_width %.4f\n", m.roundLastMaxHW)
-	}
-	if m.sessionCampaigns > 0 {
-		fmt.Fprintf(w, "vsd_campaign_session_campaigns_total %d\n", m.sessionCampaigns)
-		fmt.Fprintf(w, "vsd_campaign_session_bucket_prep_hits %d\n", m.sessionPrepHits)
-		fmt.Fprintf(w, "vsd_campaign_session_bucket_prep_misses %d\n", m.sessionPrepMisses)
-		fmt.Fprintf(w, "vsd_campaign_session_rounds_served %d\n", m.sessionRounds)
-		fmt.Fprintf(w, "vsd_campaign_session_workers_reused %d\n", m.sessionReused)
 	}
 	if len(m.strataHW) > 0 {
 		cells := make([]stratumCell, 0, len(m.strataHW))

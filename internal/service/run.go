@@ -16,7 +16,6 @@ import (
 	"vsresil/internal/probe"
 	"vsresil/internal/stitch"
 	"vsresil/internal/summarize"
-	"vsresil/internal/virat"
 	"vsresil/internal/vs"
 )
 
@@ -60,46 +59,9 @@ type PanoramaInfo struct {
 	Frames int `json:"frames"`
 }
 
-// CampaignResult is the wire form of a campaign job's output.
-type CampaignResult struct {
-	Scenario    string             `json:"scenario"`
-	Summarizer  string             `json:"summarizer"`
-	Algorithm   string             `json:"algorithm"`
-	Input       string             `json:"input"`
-	Class       string             `json:"class"`
-	Region      string             `json:"region"`
-	Trials      int                `json:"trials"`
-	Completed   int                `json:"completed"`
-	Resumed     int                `json:"resumed"`
-	TotalTaps   uint64             `json:"total_taps"`
-	GoldenSteps uint64             `json:"golden_steps"`
-	Counts      map[string]int     `json:"counts"`
-	Rates       map[string]float64 `json:"rates"`
-	CrashSplit  map[string]int     `json:"crash_split,omitempty"`
-	ElapsedSec  float64            `json:"elapsed_sec"`
-	// TrialsPerSec covers only the trials this process executed.
-	TrialsPerSec float64 `json:"trials_per_sec"`
-
-	// Adaptive campaigns fill the planner section: the precision target,
-	// per-stratum estimates and the fixed-budget savings baseline.
-	Adaptive    bool          `json:"adaptive,omitempty"`
-	Precision   float64       `json:"precision,omitempty"`
-	Confidence  float64       `json:"confidence,omitempty"`
-	Rounds      int           `json:"rounds,omitempty"`
-	FixedBudget int           `json:"fixed_budget,omitempty"`
-	Converged   bool          `json:"converged,omitempty"`
-	Strata      []StratumInfo `json:"strata,omitempty"`
-}
-
-// StratumInfo is one adaptive stratum's final estimate on the wire.
-type StratumInfo struct {
-	Region     string  `json:"region"`
-	Bits       string  `json:"bits"`
-	Population uint64  `json:"population"`
-	Trials     int     `json:"trials"`
-	HalfWidth  float64 `json:"half_width"`
-	Done       bool    `json:"done"`
-}
+// CampaignResult is the wire form of a campaign job's output, the
+// campaign report every surface returns.
+type CampaignResult = campaign.Report
 
 // ExperimentResult is the wire form of an experiment job's output: the
 // figure harness's textual report.
@@ -176,17 +138,12 @@ func (s *Service) execute(ctx context.Context, j *Job) {
 func (s *Service) runSummarize(ctx context.Context, j *Job) (any, error) {
 	spec := j.Spec.Summarize
 	started := time.Now()
-	alg, err := vs.ParseAlgorithm(spec.Algorithm)
+	cell := campaign.Cell{Summarizer: spec.Summarizer, Algorithm: spec.Algorithm}
+	sum, err := cell.Backend(spec.Seed)
 	if err != nil {
 		return nil, err
 	}
 	frames, inputName, err := spec.InputSpec.frames()
-	if err != nil {
-		return nil, err
-	}
-	cfg := vs.DefaultConfig(alg)
-	cfg.Seed = spec.Seed
-	sum, err := summarize.Parse(spec.Summarizer, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +185,7 @@ func (s *Service) runSummarize(ctx context.Context, j *Job) (any, error) {
 
 	sr := &SummarizeResult{
 		Summarizer: sum.Name(),
-		Algorithm:  alg.String(),
+		Algorithm:  cell.Canonical().Algorithm,
 		Input:      inputName,
 		Frames:     len(frames),
 		Dropped:    out.dropped,
@@ -279,36 +236,16 @@ func (s *Service) runSummarize(ctx context.Context, j *Job) (any, error) {
 func (s *Service) runCampaign(ctx context.Context, j *Job) (any, error) {
 	spec := j.Spec.Campaign
 	started := time.Now()
-	alg, err := vs.ParseAlgorithm(spec.Algorithm)
+	req := spec.request()
+	w, err := spec.workload(&req)
 	if err != nil {
 		return nil, err
 	}
-	class, err := fault.ParseClass(spec.Class)
+	cspec, err := req.Spec(w)
 	if err != nil {
 		return nil, err
 	}
-	region, err := fault.ParseRegion(spec.Region)
-	if err != nil {
-		return nil, err
-	}
-	frames, inputName, err := spec.InputSpec.frames()
-	if err != nil {
-		return nil, err
-	}
-	vcfg := vs.DefaultConfig(alg)
-	vcfg.Seed = spec.Seed
-	sum, err := summarize.Parse(spec.Summarizer, vcfg)
-	if err != nil {
-		return nil, err
-	}
-	// Canonical workload-cell labels for the result and /metrics: the
-	// uploaded-frames path is always identity (validation rejects the
-	// combination), so the scenario label comes straight from the spec.
-	sc, err := virat.ParseScenario(spec.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	cell := workloadCell{Scenario: sc.Name, Summarizer: sum.Name(), Algorithm: alg.String()}
+	cell := req.Cell().Canonical()
 
 	s.mu.Lock()
 	resume := append([]fault.TrialRecord(nil), j.resume...)
@@ -324,7 +261,7 @@ func (s *Service) runCampaign(ctx context.Context, j *Job) (any, error) {
 		}
 		s.maybeCompact()
 	}
-	onTrial := func(rec fault.TrialRecord) {
+	cspec.OnTrial = func(rec fault.TrialRecord) {
 		s.mu.Lock()
 		j.Progress.Done++
 		j.resume = append(j.resume, rec)
@@ -341,43 +278,32 @@ func (s *Service) runCampaign(ctx context.Context, j *Job) (any, error) {
 			flush(batch)
 		}
 	}
+	cspec.Resume = resume
 
 	// The runner resolves the golden run through the service-wide
-	// cache: repeated campaigns over the same app+input (sweeping
+	// cache: repeated campaigns over the same workload (sweeping
 	// classes, regions or trial counts) skip the capture entirely.
-	cspec := campaign.Spec{
-		Workload: campaign.SummarizeApp(sum, frames, inputName, spec.goldenKey()),
-		Class:    class,
-		Region:   region,
-		Trials:   spec.Trials,
-		Seed:     spec.Seed,
-		Workers:  spec.Workers,
-		OnTrial:  onTrial,
-		Resume:   resume,
-	}
-	var (
-		res  *campaign.Result
-		ares *campaign.AdaptiveResult
-	)
-	if spec.Adaptive {
-		cspec.Trials = 0
-		cspec.Adaptive = &campaign.AdaptiveSpec{
-			Precision:  spec.Precision,
-			Confidence: spec.Confidence,
-			RoundSize:  spec.RoundSize,
-			MaxTrials:  spec.MaxTrials,
-			OnRound: func(st campaign.RoundStatus) {
-				// The allocation is decided round by round, so the
-				// progress denominator grows with it.
-				s.mu.Lock()
-				j.Progress.Total = st.Trials
-				s.mu.Unlock()
-				s.metrics.roundDone(st)
-			},
+	var rep *campaign.Report
+	if cspec.Adaptive != nil {
+		cspec.Adaptive.OnRound = func(st campaign.RoundStatus) {
+			// The allocation is decided round by round, so the
+			// progress denominator grows with it.
+			s.mu.Lock()
+			j.Progress.Total = st.Trials
+			s.mu.Unlock()
+			s.metrics.roundDone(st)
 		}
-		ares, err = s.runner.RunAdaptive(ctx, cspec, 1)
+		var res *campaign.AdaptiveResult
+		if res, err = s.runner.RunAdaptive(ctx, cspec, 1); err == nil {
+			rep = req.AdaptiveReport(res)
+			s.metrics.adaptiveDone(rep)
+		}
 	} else {
-		res, err = s.runner.Run(ctx, cspec)
+		var res *campaign.Result
+		if res, err = s.runner.Run(ctx, cspec); err == nil {
+			rep = req.Report(res)
+			s.metrics.bucketsDone(res.Fault.Sched)
+		}
 	}
 
 	// Flush the tail of the checkpoint batch whether the campaign
@@ -391,71 +317,8 @@ func (s *Service) runCampaign(ctx context.Context, j *Job) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	elapsed := time.Since(started)
-	cr := &CampaignResult{
-		Scenario:   cell.Scenario,
-		Summarizer: cell.Summarizer,
-		Algorithm:  cell.Algorithm,
-		Input:      inputName,
-		Class:      class.String(),
-		Region:     region.String(),
-		Trials:     spec.Trials,
-		Resumed:    len(resume),
-		Counts:     make(map[string]int),
-		Rates:      make(map[string]float64),
-		ElapsedSec: elapsed.Seconds(),
-	}
-	executed := 0
-	if spec.Adaptive {
-		// The effective targets after planner defaulting.
-		cr.Adaptive = true
-		cr.Precision, cr.Confidence = ares.Planner.Precision, ares.Planner.Confidence
-		cr.Trials = ares.Trials
-		cr.Completed = ares.Trials
-		cr.Rounds = ares.Rounds
-		cr.FixedBudget = ares.FixedBudget
-		cr.Converged = ares.Converged
-		rates := ares.Stratified.WeightedRates()
-		for o := fault.Outcome(0); o < fault.NumOutcomes; o++ {
-			cr.Counts[o.String()] = ares.Counts[o]
-			cr.Rates[o.String()] = rates[o]
-		}
-		for _, st := range ares.Strata {
-			cr.Strata = append(cr.Strata, StratumInfo{
-				Region:     st.Region.String(),
-				Bits:       st.Bits.String(),
-				Population: st.Population,
-				Trials:     st.Trials,
-				HalfWidth:  st.HalfWidth,
-				Done:       st.Done,
-			})
-		}
-		s.metrics.adaptiveDone(cr.Class, ares.Strata, ares.Converged)
-		s.metrics.sessionDone(ares.Session)
-		executed = ares.Executed
-	} else {
-		fres := res.Fault
-		s.metrics.bucketsDone(fres.Sched)
-		cr.Completed = fres.Completed
-		cr.TotalTaps = fres.TotalTaps
-		cr.GoldenSteps = fres.GoldenSteps
-		for o := fault.Outcome(0); o < fault.NumOutcomes; o++ {
-			cr.Counts[o.String()] = fres.Counts[o]
-			cr.Rates[o.String()] = fres.Rate(o)
-		}
-		if len(fres.CrashCounts) > 0 {
-			cr.CrashSplit = make(map[string]int)
-			for k, n := range fres.CrashCounts {
-				cr.CrashSplit[k.String()] = n
-			}
-		}
-		executed = res.Executed
-	}
-	if executed > 0 && elapsed > 0 {
-		cr.TrialsPerSec = float64(executed) / elapsed.Seconds()
-	}
-	return cr, nil
+	rep.SetElapsed(time.Since(started))
+	return rep, nil
 }
 
 // runExperiment regenerates one paper figure and captures its report.

@@ -61,9 +61,9 @@ type Service struct {
 	closed  bool
 
 	// runner is the campaign engine all campaign jobs run through. Its
-	// golden cache (bounded by maxGoldenCache, keyed by goldenKey) lets
-	// repeated campaigns over the same workload skip the fault-free
-	// capture run.
+	// golden cache (bounded by maxGoldenCache, keyed by Workload.Key)
+	// lets repeated campaigns over the same workload skip the
+	// fault-free capture run.
 	runner *campaign.Runner
 
 	// fabric is the optional cluster coordinator this daemon fronts.

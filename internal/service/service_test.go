@@ -386,6 +386,15 @@ func TestSubmitValidation(t *testing.T) {
 		"bad-fig":        `{"type":"experiment","experiment":{"fig":""}}`,
 		"unknown-field":  `{"type":"summarize","summarize":{},"bogus":1}`,
 		"malformed-json": `{"type":`,
+		// Over-bound counts: each would allocate or run far past what the
+		// process can hold, so none may reach the queue.
+		"over-trials":           `{"type":"campaign","campaign":{"trials":2000000000}}`,
+		"over-max-trials":       `{"type":"campaign","campaign":{"adaptive":true,"max_trials":2000000000}}`,
+		"over-round-size":       `{"type":"campaign","campaign":{"adaptive":true,"round_size":2000000000}}`,
+		"over-default-cap":      `{"type":"campaign","campaign":{"adaptive":true,"precision":0.0001}}`,
+		"over-frames":           `{"type":"campaign","campaign":{"trials":10,"frames":20000}}`,
+		"over-summarize-frames": `{"type":"summarize","summarize":{"frames":20000}}`,
+		"over-experiment":       `{"type":"experiment","experiment":{"fig":"5","trials":2000000000}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -395,6 +404,9 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+	if jobs := svc.List(); len(jobs) != 0 {
+		t.Errorf("rejected submissions queued %d jobs", len(jobs))
 	}
 	if resp, err := http.Get(ts.URL + "/v1/jobs/j999"); err == nil {
 		resp.Body.Close()
