@@ -4,11 +4,11 @@
 
 GO ?= go
 
-.PHONY: all check fmt vet build test race identity determinism vsbench-smoke afirun-smoke bench bench-json fabric-smoke fuzz loc clean
+.PHONY: all check fmt vet build test race identity determinism mutants vsbench-smoke afirun-smoke bench bench-json fabric-smoke fuzz loc clean
 
 all: check
 
-check: fmt vet build race identity determinism vsbench-smoke afirun-smoke
+check: fmt vet build race identity determinism mutants vsbench-smoke afirun-smoke
 
 # fmt fails if any file is not gofmt-clean (prints the offenders).
 fmt:
@@ -32,20 +32,34 @@ test:
 race:
 	$(GO) test -race -timeout 45m ./...
 
+# check-run fails when an alternative of the -run pattern $(1) names no
+# test, example or fuzz target in the packages $(2) (`go test -list`),
+# so a renamed or deleted test cannot silently drop out of a gate.
+check-run = list="$$($(GO) test -list . $(2))" || { echo "$$list"; exit 1; }; \
+	for alt in $$(echo '$(1)' | tr '|' ' '); do \
+	  echo "$$list" | grep -E '^(Test|Example|Fuzz)' | grep -Eq -- "$$alt" || \
+	    { echo "$@: -run alternative $$alt matches no test in $(2)"; exit 1; }; \
+	done
+
 # identity pins the (identity scenario, vs summarizer) workload cell to
 # the committed golden digest across every execution strategy — full
 # execution, unbucketed resumes, bucket batching, an explicit static
 # planner round and an in-process fabric cluster — plus the
 # byte-identity tests at the generator, adapter and registry seams, and
-# the per-region sweep (internal/fault) of batched execution, with its
-# window clip and decode-boundary resumes, against cutoff-free
-# re-execution of every plan, the composite-region sweep over the
-# composite's interior boundaries, the compact canvas snapshot and
-# state-compare tests (internal/warp, internal/stitch), the
-# resume-boundary report and the checkpoint schema drift pin. Run it
-# after touching any layer of the workload path.
+# internal/fault's reference matrix: every class × region row of
+# batched execution (window clip, decode-boundary and composite
+# resumes, convergence), plain resumes, checkpoint-free goldens and the
+# generic instrumented kernels against cutoff-free re-execution of every
+# plan, with the inert-kernel skip bound pinned on its own
+# (TestCanSkipTaps). Also the composite boundary and canvas snapshot
+# tests (internal/stitch, internal/warp), the resume-boundary report
+# and the checkpoint schema drift pin. Run it after touching any layer
+# of the workload path.
+IDENTITY_RUN = TestReferenceMatrix|TestCanSkipTaps|TestComposite|TestCanvasSnapshot|TestResumeReportsOwnBoundaryFirst|TestCheckpointSchemaDrift|TestIdentityCell|TestIdentityScenarioByteIdentical|TestVSAdapterByteIdentical|TestCellIdentityMatchesVSConstructor|TestVSConstructorKeyUnchanged
+IDENTITY_PKGS = . ./internal/virat/ ./internal/summarize/ ./internal/campaign/ ./internal/fault/ ./internal/stitch/ ./internal/warp/ ./internal/vs/
 identity:
-	$(GO) test -count=1 -run 'TestCampaignBatchingRegionSweep|TestComposite|TestCanvasSnapshot|TestResumeReportsOwnBoundaryFirst|TestCheckpointSchemaDrift|TestIdentityCell|TestIdentityScenarioByteIdentical|TestVSAdapterByteIdentical|TestCellIdentityMatchesVSConstructor|TestVSConstructorKeyUnchanged' . ./internal/virat/ ./internal/summarize/ ./internal/campaign/ ./internal/fault/ ./internal/stitch/ ./internal/warp/ ./internal/vs/
+	@$(call check-run,$(IDENTITY_RUN),$(IDENTITY_PKGS))
+	$(GO) test -count=1 -run '$(IDENTITY_RUN)' $(IDENTITY_PKGS)
 
 # determinism pins the adaptive planner's reproducibility promise: the
 # confidence-driven trial set must be bit-identical across seeds,
@@ -58,8 +72,19 @@ identity:
 # (TestAdaptiveDeterministicCompositeBoundaries). Run it after
 # touching internal/plan or either round loop (campaign runRounds,
 # fabric Coordinator.drive).
+DETERMINISM_RUN = TestAdaptiveDeterministic|TestAdaptiveStratumStreamsIndependent|TestAdaptiveCampaignDeterministicAcrossExecution|TestAdaptiveCancellationMidRound|TestClusterAdaptive|TestCoordinatorRestartAdaptive|TestSession
+DETERMINISM_PKGS = ./internal/plan/ ./internal/campaign/ ./internal/fabric/ ./internal/fault/
 determinism:
-	$(GO) test -count=1 -run 'TestAdaptiveDeterministic|TestAdaptiveStratumStreamsIndependent|TestAdaptiveCampaignDeterministicAcrossExecution|TestAdaptiveCancellationMidRound|TestClusterAdaptive|TestCoordinatorRestartAdaptive|TestSession' ./internal/plan/ ./internal/campaign/ ./internal/fabric/ ./internal/fault/
+	@$(call check-run,$(DETERMINISM_RUN),$(DETERMINISM_PKGS))
+	$(GO) test -count=1 -run '$(DETERMINISM_RUN)' $(DETERMINISM_PKGS)
+
+# mutants measures the suite itself: cmd/mutants applies each source
+# mutation of cmd/mutants/catalogue.json, one at a time, to a copy of
+# the tree and runs the tests the entry names (one go test process at a
+# time). Every mutant must be killed, or marked equivalent with the
+# reason in the catalogue. DESIGN §17 says how to add one.
+mutants:
+	$(GO) run ./cmd/mutants
 
 # vsbench-smoke vets and tests the benchmark module (cmd/vsbench, a Go
 # module of its own): the root `go build ./...` does not compile it, so
@@ -124,10 +149,13 @@ bench-json:
 
 # loc prints the Go line counts of the tracked files: non-test code,
 # non-test code outside the benchmark module (cmd/vsbench), and tests.
+# The test-support package internal/faulttest, which only tests import,
+# counts as test code.
+TESTLIKE = _test\.go$$|^internal/faulttest/
 loc:
-	@echo "non-test:                $$(git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)"
-	@echo "non-test w/o cmd/vsbench: $$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^cmd/vsbench/' | xargs cat | wc -l)"
-	@echo "test:                    $$(git ls-files '*.go' | grep '_test\.go$$' | xargs cat | wc -l)"
+	@echo "non-test:                $$(git ls-files '*.go' | grep -Ev '$(TESTLIKE)' | xargs cat | wc -l)"
+	@echo "non-test w/o cmd/vsbench: $$(git ls-files '*.go' | grep -Ev '$(TESTLIKE)' | grep -v '^cmd/vsbench/' | xargs cat | wc -l)"
+	@echo "test:                    $$(git ls-files '*.go' | grep -E '$(TESTLIKE)' | xargs cat | wc -l)"
 
 clean:
 	$(GO) clean ./...

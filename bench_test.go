@@ -183,10 +183,7 @@ func BenchmarkPipelineInstrumented(b *testing.B) {
 // vsd_trials_total on /metrics). It runs through Runner.Run, the
 // exact code every production fixed-budget campaign takes.
 func BenchmarkCampaignThroughput(b *testing.B) {
-	p := virat.TestScale()
-	p.Frames = 8
-	frames := virat.Input2(p).Frames()
-	app := vs.New(vs.DefaultConfig(vs.AlgVS), len(frames))
+	app, frames := guardApp()
 	workload := campaign.NewStagedWorkload("bench", "", app.RunEncoded(frames), app.Staged(frames))
 	const trialsPerCampaign = 20
 	// The golden run is workload state, not campaign work: capture it
@@ -223,10 +220,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 // only — the interesting number is trials/s alongside the savings the
 // planner reports elsewhere.
 func BenchmarkAdaptiveCampaign(b *testing.B) {
-	p := virat.TestScale()
-	p.Frames = 8
-	frames := virat.Input2(p).Frames()
-	app := vs.New(vs.DefaultConfig(vs.AlgVS), len(frames))
+	app, frames := guardApp()
 	workload := campaign.NewStagedWorkload("bench-adaptive", "", app.RunEncoded(frames), app.Staged(frames))
 	golden, err := fault.CaptureGoldenStaged(workload.Staged)
 	if err != nil {
@@ -287,10 +281,7 @@ func BenchmarkComposite(b *testing.B) {
 // checkpoints, which runs every trial in full. Advisory only — the
 // headline gate stays BenchmarkCampaignThroughput.
 func BenchmarkBucketRestore(b *testing.B) {
-	p := virat.TestScale()
-	p.Frames = 8
-	frames := virat.Input2(p).Frames()
-	app := vs.New(vs.DefaultConfig(vs.AlgVS), len(frames))
+	app, frames := guardApp()
 	workload := campaign.NewStagedWorkload("bench", "", app.RunEncoded(frames), app.Staged(frames))
 	const trialsPerCampaign = 20
 	staged, err := fault.CaptureGoldenStaged(workload.Staged)

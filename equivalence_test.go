@@ -1,136 +1,46 @@
-// Campaign-level bit-exactness guards for the per-trial fast paths and
-// the probe.Sink instrumentation seam: the inert tiled kernels a fault
-// machine takes, the pooled trial arenas, the golden-run cache and the
-// choice of sink (fault machine, Nop, Meter) must not change a single
-// campaign observable — outcome counts, crash kinds, coverage
-// histograms, golden bytes or any per-trial verdict — for a fixed
-// seed. Each reference path is picked by the input: a sink that is not
-// a *fault.Machine runs every kernel's generic instrumented loop.
+// Campaign-level bit-exactness guards for the probe.Sink
+// instrumentation seam and the campaign plumbing around the executor:
+// the choice of sink (fault machine, Nop, Meter) must not change the
+// output, and the outcome stream and a precomputed golden run must not
+// change a single campaign observable for a fixed seed. Per-trial
+// execution paths (inert kernels, buckets, resumes, cutoffs) are
+// checked against the cutoff-free reference by internal/fault's
+// TestReferenceMatrix.
 package vsresil_test
 
 import (
 	"bytes"
 	"context"
-	"reflect"
-	"runtime"
 	"testing"
 
 	"vsresil/internal/campaign"
 	"vsresil/internal/fault"
+	"vsresil/internal/faulttest"
 	"vsresil/internal/imgproc"
 	"vsresil/internal/probe"
 	"vsresil/internal/virat"
 	"vsresil/internal/vs"
 )
 
-// genericSink hides a trial machine's concrete type behind
-// probe.Sink, so every kernel runs its generic instrumented loop — the
-// path a Meter takes — instead of the *fault.Machine fast paths, while
-// the taps still land on the machine.
-type genericSink struct{ probe.Sink }
-
-// genericApp is app.RunEncoded(frames) with every kernel on its
-// generic instrumented path.
-func genericApp(app *vs.App, frames []*imgproc.Gray) fault.App {
-	return func(m *fault.Machine) ([]byte, error) {
-		res, err := app.Run(frames, genericSink{m})
-		if err != nil {
-			return nil, err
-		}
-		return res.Encode(), nil
-	}
-}
-
 // runGuardCampaign executes a fixed-seed full-execution campaign over
-// the guard workload, with the kernels on their generic instrumented
-// loops when generic is set.
-func runGuardCampaign(t *testing.T, class fault.Class, generic bool, workers int, golden *fault.GoldenRun) *fault.Result {
+// the guard workload.
+func runGuardCampaign(t *testing.T, golden *fault.GoldenRun) *fault.Result {
 	t.Helper()
 	vsApp, frames := guardApp()
-	app := vsApp.RunEncoded(frames)
-	if generic {
-		app = genericApp(vsApp, frames)
-	}
 	var runner campaign.Runner
 	res, err := runner.Run(context.Background(), campaign.Spec{
-		Workload: campaign.NewWorkload("guard", "", app),
-		Class:    class,
+		Workload: campaign.NewWorkload("guard", "", vsApp.RunEncoded(frames)),
+		Class:    fault.GPR,
 		Region:   fault.RAny,
 		Trials:   40,
 		Seed:     0x5EED5,
-		Workers:  workers,
+		Workers:  1,
 		Golden:   golden,
 	})
 	if err != nil {
-		t.Fatalf("campaign (class=%v generic=%v workers=%d): %v", class, generic, workers, err)
+		t.Fatalf("guard campaign: %v", err)
 	}
 	return res.Fault
-}
-
-// requireIdentical compares every campaign observable of two results.
-func requireIdentical(t *testing.T, label string, a, b *fault.Result) {
-	t.Helper()
-	if a.Counts != b.Counts {
-		t.Errorf("%s: outcome counts differ: %v vs %v", label, a.Counts, b.Counts)
-	}
-	if !reflect.DeepEqual(a.CrashCounts, b.CrashCounts) {
-		t.Errorf("%s: crash kinds differ: %v vs %v", label, a.CrashCounts, b.CrashCounts)
-	}
-	if !reflect.DeepEqual(a.RegHist.Counts, b.RegHist.Counts) {
-		t.Errorf("%s: register histograms differ", label)
-	}
-	if !reflect.DeepEqual(a.BitHist.Counts, b.BitHist.Counts) {
-		t.Errorf("%s: bit histograms differ", label)
-	}
-	if !bytes.Equal(a.GoldenOutput, b.GoldenOutput) {
-		t.Errorf("%s: golden output bytes differ (%d vs %d bytes)", label, len(a.GoldenOutput), len(b.GoldenOutput))
-	}
-	if a.GoldenSteps != b.GoldenSteps {
-		t.Errorf("%s: golden step counts differ: %d vs %d", label, a.GoldenSteps, b.GoldenSteps)
-	}
-	if a.TotalTaps != b.TotalTaps {
-		t.Errorf("%s: tap-space sizes differ: %d vs %d", label, a.TotalTaps, b.TotalTaps)
-	}
-	if len(a.Trials) != len(b.Trials) {
-		t.Fatalf("%s: trial counts differ: %d vs %d", label, len(a.Trials), len(b.Trials))
-	}
-	for i := range a.Trials {
-		ta, tb := a.Trials[i], b.Trials[i]
-		if ta.Outcome != tb.Outcome || ta.Crash != tb.Crash || ta.Landed != tb.Landed {
-			t.Errorf("%s: trial %d differs: (%v,%v,landed=%v) vs (%v,%v,landed=%v)",
-				label, i, ta.Outcome, ta.Crash, ta.Landed, tb.Outcome, tb.Crash, tb.Landed)
-		}
-	}
-}
-
-// TestCampaignFastpathEquivalence pins the trial machine's fast path
-// (inert tiled warp/blend/resolve kernels, pooled arenas) to the
-// generic instrumented loops at campaign granularity, for both register
-// classes: the same app run through genericSink must reach the same
-// golden and the same verdict on every trial.
-func TestCampaignFastpathEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign equivalence sweep is not -short")
-	}
-	t.Parallel()
-	for _, class := range []fault.Class{fault.GPR, fault.FPR} {
-		fast := runGuardCampaign(t, class, false, 1, nil)
-		ref := runGuardCampaign(t, class, true, 1, nil)
-		requireIdentical(t, "machine vs generic sink, class "+class.String(), fast, ref)
-	}
-}
-
-// TestCampaignWorkerEquivalence checks that trial parallelism does not
-// change results: pooled buffers migrating between worker goroutines
-// must stay invisible.
-func TestCampaignWorkerEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign equivalence sweep is not -short")
-	}
-	t.Parallel()
-	serial := runGuardCampaign(t, fault.GPR, false, 1, nil)
-	parallel := runGuardCampaign(t, fault.GPR, false, runtime.GOMAXPROCS(0), nil)
-	requireIdentical(t, "workers=1 vs GOMAXPROCS", serial, parallel)
 }
 
 // guardApp builds the fixed workload the sink-equivalence tests run.
@@ -206,7 +116,7 @@ func TestCampaignOutcomeStreamEquivalence(t *testing.T) {
 	}
 	recsA, resA := stream()
 	recsB, resB := stream()
-	requireIdentical(t, "outcome-stream run A vs run B", resA, resB)
+	faulttest.RequireIdentical(t, "outcome-stream run A vs run B", resA, resB)
 	if len(recsA) != len(recsB) {
 		t.Fatalf("stream lengths differ: %d vs %d", len(recsA), len(recsB))
 	}
@@ -238,7 +148,7 @@ func TestCampaignGoldenCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CaptureGolden: %v", err)
 	}
-	cached := runGuardCampaign(t, fault.GPR, false, 1, golden)
-	fresh := runGuardCampaign(t, fault.GPR, false, 1, nil)
-	requireIdentical(t, "precomputed vs self-captured golden", cached, fresh)
+	cached := runGuardCampaign(t, golden)
+	fresh := runGuardCampaign(t, nil)
+	faulttest.RequireIdentical(t, "precomputed vs self-captured golden", cached, fresh)
 }

@@ -22,6 +22,7 @@ import (
 	"vsresil/internal/campaign"
 	"vsresil/internal/fabric"
 	"vsresil/internal/fault"
+	"vsresil/internal/faulttest"
 	"vsresil/internal/plan"
 	"vsresil/internal/virat"
 	"vsresil/internal/vs"
@@ -122,7 +123,7 @@ func runIdentityCampaign(t *testing.T) *campaign.Result {
 
 // TestIdentityCellExecutionModeEquivalence sweeps the execution
 // strategies the input selects — full execution (a checkpoint-free
-// golden) and per-trial resumes without buckets (resumeOnly) — and
+// golden) and per-trial resumes without buckets (faulttest.ResumeOnly) — and
 // demands each reproduce the baseline run bit for bit, golden bytes
 // still matching the pinned digest.
 func TestIdentityCellExecutionModeEquivalence(t *testing.T) {
@@ -136,13 +137,13 @@ func TestIdentityCellExecutionModeEquivalence(t *testing.T) {
 		t.Errorf("baseline campaign golden digest = %#016x, want %#016x", d, uint64(identityGoldenDigest))
 	}
 
-	full := runIdentitySpec(t, fullExecution(t, identityCampaignSpec(t)))
+	full := runIdentitySpec(t, fullSpec(t, identityCampaignSpec(t)))
 	resumed := identityCampaignSpec(t)
-	resumed.Workload.Staged = resumeOnly{resumed.Workload.Staged}
+	resumed.Workload.Staged = faulttest.ResumeOnly{StagedApp: resumed.Workload.Staged}
 	noBatch := runIdentitySpec(t, resumed)
 
-	requireIdentical(t, "full execution vs baseline", full.Fault, base.Fault)
-	requireIdentical(t, "unbucketed resumes vs baseline", noBatch.Fault, base.Fault)
+	faulttest.RequireIdentical(t, "full execution vs baseline", full.Fault, base.Fault)
+	faulttest.RequireIdentical(t, "unbucketed resumes vs baseline", noBatch.Fault, base.Fault)
 }
 
 // TestIdentityCellStaticPlannerEquivalence pins the planner seam: an
@@ -186,7 +187,7 @@ func TestIdentityCellStaticPlannerEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunPlans: %v", err)
 	}
-	requireIdentical(t, "static planner round vs baseline", res.Fault, base.Fault)
+	faulttest.RequireIdentical(t, "static planner round vs baseline", res.Fault, base.Fault)
 }
 
 // TestIdentityCellFabricEquivalence closes the loop over the wire: the
@@ -267,7 +268,7 @@ func TestIdentityCellFabricEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merged result: %v", err)
 	}
-	requireIdentical(t, "fabric cluster vs local", base.Fault, merged.Fault)
+	faulttest.RequireIdentical(t, "fabric cluster vs local", base.Fault, merged.Fault)
 	if d := digestOf(merged.Fault.GoldenOutput); d != identityGoldenDigest {
 		t.Errorf("cluster golden digest = %#016x, want %#016x", d, uint64(identityGoldenDigest))
 	}

@@ -1,50 +1,22 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"vsresil/internal/fault"
+	"vsresil/internal/faulttest"
 )
-
-// toyApp is a miniature fault.App with a realistic mix of tap classes
-// (crash-prone indices, SDC-prone pixels, mask-prone saturated
-// floats), cheap enough for property-style campaign sweeps.
-func toyApp(m *fault.Machine) ([]byte, error) {
-	buf := make([]uint8, 64)
-	for i := range buf {
-		buf[i] = uint8(i * 3)
-	}
-	out := make([]uint8, 64)
-	n := m.Cnt(len(buf))
-	if n < 0 || n > len(buf) {
-		return nil, errors.New("toy: invalid length")
-	}
-	for i := 0; i < n; i++ {
-		idx := m.Idx(i)
-		v := m.Pix(buf[idx]) // panics if idx out of range
-		f := m.F64(float64(v) * 1.5)
-		if f > 255 {
-			f = 255
-		}
-		if f < 0 {
-			f = 0
-		}
-		out[m.Idx(i)] = uint8(f)
-	}
-	return out, nil
-}
 
 // toySpec is the small campaign the engine tests run, interrupt and
 // resume.
 func toySpec() Spec {
 	return Spec{
-		Workload: NewWorkload("toy", "", toyApp),
+		Workload: NewWorkload("toy", "", faulttest.ToyApp),
 		Class:    fault.GPR,
 		Region:   fault.RAny,
 		Trials:   60,
@@ -54,45 +26,24 @@ func toySpec() Spec {
 	}
 }
 
-// requireIdentical compares every campaign observable of two results.
-func requireIdentical(t *testing.T, label string, a, b *fault.Result) {
-	t.Helper()
-	if a.Completed != b.Completed {
-		t.Errorf("%s: completed %d vs %d", label, a.Completed, b.Completed)
-	}
-	if a.Counts != b.Counts {
-		t.Errorf("%s: outcome counts differ: %v vs %v", label, a.Counts, b.Counts)
-	}
-	if !reflect.DeepEqual(a.CrashCounts, b.CrashCounts) {
-		t.Errorf("%s: crash splits differ: %v vs %v", label, a.CrashCounts, b.CrashCounts)
-	}
-	if !reflect.DeepEqual(a.RegHist.Counts, b.RegHist.Counts) {
-		t.Errorf("%s: register histograms differ", label)
-	}
-	if !reflect.DeepEqual(a.BitHist.Counts, b.BitHist.Counts) {
-		t.Errorf("%s: bit histograms differ", label)
-	}
-	if !reflect.DeepEqual(a.Curve.Checkpoints, b.Curve.Checkpoints) {
-		t.Errorf("%s: rate-curve checkpoints differ: %v vs %v", label, a.Curve.Checkpoints, b.Curve.Checkpoints)
-	}
-	if !reflect.DeepEqual(a.Curve.Snapshots, b.Curve.Snapshots) {
-		t.Errorf("%s: rate-curve snapshots differ", label)
-	}
-	if !bytes.Equal(a.GoldenOutput, b.GoldenOutput) {
-		t.Errorf("%s: golden outputs differ", label)
-	}
-	if len(a.Trials) != len(b.Trials) {
-		t.Fatalf("%s: trial counts differ: %d vs %d", label, len(a.Trials), len(b.Trials))
-	}
-	for i := range a.Trials {
-		ta, tb := a.Trials[i], b.Trials[i]
-		if ta.Outcome != tb.Outcome || ta.Crash != tb.Crash || ta.Landed != tb.Landed {
-			t.Errorf("%s: trial %d differs: (%v,%v,landed=%v) vs (%v,%v,landed=%v)",
-				label, i, ta.Outcome, ta.Crash, ta.Landed, tb.Outcome, tb.Crash, tb.Landed)
+// cancelAfter returns a context canceled once n trial records have
+// reached the returned OnTrial hook, and a function that returns the
+// records journaled so far.
+func cancelAfter(n int) (context.Context, func(fault.TrialRecord), func() []fault.TrialRecord) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var mu sync.Mutex
+	var recs []fault.TrialRecord
+	hook := func(rec fault.TrialRecord) {
+		mu.Lock()
+		defer mu.Unlock()
+		if recs = append(recs, rec); len(recs) == n {
+			cancel()
 		}
-		if (ta.Output == nil) != (tb.Output == nil) || !bytes.Equal(ta.Output, tb.Output) {
-			t.Errorf("%s: trial %d SDC output retention differs", label, i)
-		}
+	}
+	return ctx, hook, func() []fault.TrialRecord {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(recs)
 	}
 }
 
@@ -116,27 +67,14 @@ func TestInterruptedRunResumes(t *testing.T) {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var mu sync.Mutex
-	var recs []fault.TrialRecord
+	ctx, hook, journal := cancelAfter(10)
 	spec := noRetention()
-	spec.OnTrial = func(rec fault.TrialRecord) {
-		mu.Lock()
-		recs = append(recs, rec)
-		n := len(recs)
-		mu.Unlock()
-		if n == 10 {
-			cancel()
-		}
-	}
+	spec.OnTrial = hook
 	partial, err := runner.Run(ctx, spec)
 	if err == nil {
 		t.Fatal("interrupted run returned no error")
 	}
-	mu.Lock()
-	checkpoint := append([]fault.TrialRecord(nil), recs...)
-	mu.Unlock()
+	checkpoint := journal()
 	// Interruption still yields the partial aggregate for reporting.
 	if partial == nil || partial.Fault == nil {
 		t.Fatal("interrupted run returned no partial result")
@@ -161,7 +99,7 @@ func TestInterruptedRunResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
-	requireIdentical(t, "resumed run", base.Fault, got.Fault)
+	faulttest.RequireIdentical(t, "resumed run", base.Fault, got.Fault)
 	if want := base.Fault.Completed - len(checkpoint); got.Executed != want {
 		t.Errorf("resumed run executed %d trials, want %d", got.Executed, want)
 	}
@@ -238,7 +176,7 @@ func TestResumeWorkerCountSkew(t *testing.T) {
 			t.Fatalf("workers=%d: resumed run: %v", w, err)
 		}
 		collect(got.Fault, sdc)
-		requireIdentical(t, "workers="+string(rune('0'+w)), base.Fault, got.Fault)
+		faulttest.RequireIdentical(t, "workers="+string(rune('0'+w)), base.Fault, got.Fault)
 		if !reflect.DeepEqual(sdc, baseSDC) {
 			t.Errorf("workers=%d: SDC outputs retained across interrupt + resume differ from base run (%d vs %d indices)",
 				w, len(sdc), len(baseSDC))
@@ -252,7 +190,7 @@ func TestGoldenCacheSharing(t *testing.T) {
 	var calls atomic.Int64
 	counted := func(m *fault.Machine) ([]byte, error) {
 		calls.Add(1)
-		return toyApp(m)
+		return faulttest.ToyApp(m)
 	}
 	hits, misses := 0, 0
 	runner := Runner{
@@ -287,8 +225,8 @@ func TestGoldenCacheSharing(t *testing.T) {
 func TestSpecValidation(t *testing.T) {
 	var runner Runner
 	bad := []Spec{
-		{},                                       // no app
-		{Workload: NewWorkload("x", "", toyApp)}, // no trials
+		{}, // no app
+		{Workload: NewWorkload("x", "", faulttest.ToyApp)}, // no trials
 	}
 	for i, s := range bad {
 		if _, err := runner.Run(context.Background(), s); err == nil {

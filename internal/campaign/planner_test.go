@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"vsresil/internal/fault"
+	"vsresil/internal/faulttest"
 	"vsresil/internal/virat"
 	"vsresil/internal/vs"
 )
@@ -18,7 +19,7 @@ import (
 
 func TestStratifiedCampaignStructure(t *testing.T) {
 	var runner Runner
-	res, err := runner.RunStratified(context.Background(), NewWorkload("toy", "", toyApp), fault.StratifiedConfig{
+	res, err := runner.RunStratified(context.Background(), NewWorkload("toy", "", faulttest.ToyApp), fault.StratifiedConfig{
 		TrialsPerStratum: 10,
 		Class:            fault.GPR,
 		Seed:             1,
@@ -63,13 +64,13 @@ func TestStratifiedMatchesUniformEstimate(t *testing.T) {
 	// uniform campaign on the same app within statistical noise.
 	var runner Runner
 	uniform, err := runner.Run(context.Background(), Spec{
-		Workload: NewWorkload("toy", "", toyApp),
+		Workload: NewWorkload("toy", "", faulttest.ToyApp),
 		Class:    fault.GPR, Region: fault.RAny, Trials: 600, Seed: 5, Workers: 2,
 	})
 	if err != nil {
 		t.Fatalf("uniform campaign: %v", err)
 	}
-	strat, err := runner.RunStratified(context.Background(), NewWorkload("toy", "", toyApp), fault.StratifiedConfig{
+	strat, err := runner.RunStratified(context.Background(), NewWorkload("toy", "", faulttest.ToyApp), fault.StratifiedConfig{
 		TrialsPerStratum: 60, Class: fault.GPR, Seed: 5, Workers: 2,
 	})
 	if err != nil {
@@ -87,12 +88,12 @@ func TestStratifiedMatchesUniformEstimate(t *testing.T) {
 func TestStratifiedDeterministicInSeed(t *testing.T) {
 	var runner Runner
 	cfg := fault.StratifiedConfig{TrialsPerStratum: 8, Class: fault.GPR, Seed: 17, Workers: 4}
-	one, err := runner.RunStratified(context.Background(), NewWorkload("toy", "", toyApp), cfg)
+	one, err := runner.RunStratified(context.Background(), NewWorkload("toy", "", faulttest.ToyApp), cfg)
 	if err != nil {
 		t.Fatalf("RunStratified: %v", err)
 	}
 	cfg.Workers = 1
-	two, err := runner.RunStratified(context.Background(), NewWorkload("toy", "", toyApp), cfg)
+	two, err := runner.RunStratified(context.Background(), NewWorkload("toy", "", faulttest.ToyApp), cfg)
 	if err != nil {
 		t.Fatalf("RunStratified: %v", err)
 	}
@@ -115,7 +116,7 @@ func TestStratifiedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var runner Runner
-	if _, err := runner.RunStratified(ctx, NewWorkload("toy", "", toyApp), fault.StratifiedConfig{
+	if _, err := runner.RunStratified(ctx, NewWorkload("toy", "", faulttest.ToyApp), fault.StratifiedConfig{
 		TrialsPerStratum: 1000, Class: fault.GPR, Seed: 1,
 	}); err == nil {
 		t.Error("expected cancellation error")
@@ -136,7 +137,7 @@ func TestStratifiedGoldenFailure(t *testing.T) {
 
 func adaptiveSpec() Spec {
 	return Spec{
-		Workload: NewWorkload("toy", "", toyApp),
+		Workload: NewWorkload("toy", "", faulttest.ToyApp),
 		Class:    fault.FPR,
 		Region:   fault.RAny,
 		Seed:     23,

@@ -18,6 +18,13 @@ import (
 // first trial ran.
 const TrialLimit = 1 << 20
 
+// WorkerLimit bounds the trial parallelism a request may ask for. Each
+// executor worker is a goroutine with its own trial arena, so an
+// unbounded count from the wire would start that many on every host the
+// campaign runs on; fault.NewSession further clamps the pool to a small
+// multiple of the executing host's CPUs.
+const WorkerLimit = 256
+
 // FrameLimit bounds the frame count of a campaign or summarize input:
 // 10x the paper preset's 1,000 frames.
 const FrameLimit = 10 * 1000
@@ -95,7 +102,8 @@ func (r *Request) DropLegacyKnobs() {
 
 // Validate checks the declarative fields without building a workload:
 // the budget rule (a positive fixed Trials, or in-range adaptive knobs
-// and no adaptive knob on a fixed budget), TrialLimit and FrameLimit,
+// and no adaptive knob on a fixed budget), TrialLimit, WorkerLimit and
+// FrameLimit,
 // and that the class, region, scenario, summarizer, input and scale
 // parse.
 func (r *Request) Validate() error {
@@ -133,6 +141,9 @@ func (r *Request) Validate() error {
 		if r.Precision != 0 || r.Confidence != 0 || r.RoundSize != 0 || r.MaxTrials != 0 {
 			return fmt.Errorf("campaign: precision/confidence/round_size/max_trials are adaptive knobs; enable adaptive to use them")
 		}
+	}
+	if r.Workers < 0 || r.Workers > WorkerLimit {
+		return fmt.Errorf("campaign: workers %d outside [0, %d]", r.Workers, WorkerLimit)
 	}
 	if r.Frames > FrameLimit {
 		return fmt.Errorf("campaign: %d frames over the %d-frame limit", r.Frames, FrameLimit)

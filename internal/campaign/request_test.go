@@ -66,3 +66,29 @@ func TestWireFieldPin(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestValidateBounds checks the wire limits on every count a
+// request carries, at the limit and one past it.
+func TestRequestValidateBounds(t *testing.T) {
+	for name, tc := range map[string]struct {
+		req  Request
+		want string // "" = valid
+	}{
+		"trials at limit":   {Request{Trials: TrialLimit}, ""},
+		"trials over":       {Request{Trials: TrialLimit + 1}, "trials"},
+		"workers at limit":  {Request{Trials: 10, Workers: WorkerLimit}, ""},
+		"workers over":      {Request{Trials: 1000000, Workers: 1000000}, "workers"},
+		"workers negative":  {Request{Trials: 10, Workers: -1}, "workers"},
+		"frames at limit":   {Request{Trials: 10, Frames: FrameLimit}, ""},
+		"frames over":       {Request{Trials: 10, Frames: FrameLimit + 1}, "frames"},
+		"adaptive cap over": {Request{Adaptive: true, MaxTrials: TrialLimit + 1}, "trial cap"},
+	} {
+		err := tc.req.Validate()
+		if tc.want == "" && err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: got %v, want an error naming %q", name, err, tc.want)
+		}
+	}
+}

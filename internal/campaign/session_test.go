@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"vsresil/internal/fault"
+	"vsresil/internal/faulttest"
 )
 
 // requireStitchedTrials folds per-window results back into plan order
@@ -171,20 +172,9 @@ func TestAdaptiveCancellationMidRound(t *testing.T) {
 		cancelAt = roundSizes[0] + 1
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var mu sync.Mutex
-	var journal []fault.TrialRecord
+	ctx, hook, journaled := cancelAfter(cancelAt)
 	interrupted := mk()
-	interrupted.OnTrial = func(rec fault.TrialRecord) {
-		mu.Lock()
-		journal = append(journal, rec)
-		n := len(journal)
-		mu.Unlock()
-		if n == cancelAt {
-			cancel()
-		}
-	}
+	interrupted.OnTrial = hook
 	pres, err := runner.RunAdaptive(ctx, interrupted, 2)
 	if err == nil {
 		t.Fatal("canceled campaign returned no error")
@@ -203,9 +193,7 @@ func TestAdaptiveCancellationMidRound(t *testing.T) {
 		t.Error("partial records are not a prefix of the uninterrupted run's")
 	}
 
-	mu.Lock()
-	resume := append([]fault.TrialRecord(nil), journal...)
-	mu.Unlock()
+	resume := journaled()
 	if len(resume) == 0 || len(resume) >= base.Trials {
 		t.Fatalf("interruption journaled %d trials, want partial coverage of %d", len(resume), base.Trials)
 	}
@@ -229,7 +217,7 @@ func TestAdaptiveCancellationMidRound(t *testing.T) {
 // first.
 func TestAdaptiveSessionStats(t *testing.T) {
 	var runner Runner
-	st := newStagedToy()
+	st := faulttest.NewStagedToy()
 	spec := stagedToySpec(st)
 	spec.SDC = SDCPolicy{}
 	spec.Adaptive = &AdaptiveSpec{Precision: 0.05, Confidence: 0.95}
@@ -250,7 +238,7 @@ func TestAdaptiveSessionStats(t *testing.T) {
 	if s.BucketPrepHits == 0 {
 		t.Error("BucketPrepHits = 0: later rounds did not reuse the prep cache")
 	}
-	if st.resumes.Load() == 0 {
+	if st.Resumes.Load() == 0 {
 		t.Error("no trial resumed from a checkpoint — staged path never engaged")
 	}
 }
@@ -288,7 +276,7 @@ func TestAdaptiveRoundLoopAllocs(t *testing.T) {
 		t.Fatal("adaptive campaign executed no trials")
 	}
 	perTrial := allocs / float64(executed)
-	// Measured ~9 objects per executed trial (toyApp's own buffers
+	// Measured ~9 objects per executed trial (faulttest.ToyApp's own buffers
 	// included). The ceiling leaves slack for toolchain drift without
 	// letting a per-round executor rebuild — which shows up as tens of
 	// extra objects per trial — through.

@@ -3,6 +3,9 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"slices"
 	"testing"
 
 	"vsresil/internal/fault"
@@ -201,8 +204,8 @@ func TestFig11bCompositionalMasking(t *testing.T) {
 	// hot-function faults than the standalone kernel (compositional
 	// masking). Compare the combined mask rates.
 	for _, fn := range []fault.Region{fault.RWarpInvoker, fault.RRemapBilinear} {
-		wpMask := res.MaskRate("WP", fn)
-		vsMask := res.MaskRate("VS", fn)
+		wpMask := maskRate(res, "WP", fn)
+		vsMask := maskRate(res, "VS", fn)
 		if wpMask < 0 || vsMask < 0 {
 			t.Fatalf("missing rows for %v", fn)
 		}
@@ -258,9 +261,46 @@ func TestFig13Norms(t *testing.T) {
 	if len(res.Files) != 8 {
 		t.Errorf("wrote %d images, want 8", len(res.Files))
 	}
+	if !slices.IsSorted(res.Files) {
+		t.Errorf("images written out of order: %v", res.Files)
+	}
 	var buf bytes.Buffer
 	res.Write(&buf, o)
 	if buf.Len() == 0 {
 		t.Error("empty report")
 	}
+}
+
+// TestFigureWritesOrderStable renders the map-backed figure tables
+// repeatedly: every rendering must be byte-identical, so a committed
+// table can be compared with a regenerated one.
+func TestFigureWritesOrderStable(t *testing.T) {
+	fig6 := &Fig6Result{Sizes: map[string][2]int{}}
+	fig13 := &Fig13Result{Norms: map[string]float64{}}
+	for i := range 8 {
+		fig6.Sizes[fmt.Sprintf("Input%d/VS_%d", i%2+1, i)] = [2]int{100 + i, 50 + i}
+		fig13.Norms[fmt.Sprintf("Input%d", i+1)] = float64(i) * 1.5
+	}
+	for _, w := range []interface{ Write(io.Writer, Options) }{fig6, fig13} {
+		var first bytes.Buffer
+		w.Write(&first, tinyOptions())
+		for range 20 {
+			var again bytes.Buffer
+			w.Write(&again, tinyOptions())
+			if !bytes.Equal(again.Bytes(), first.Bytes()) {
+				t.Fatalf("%T.Write output changed between renderings:\n%s\nvs\n%s", w, first.String(), again.String())
+			}
+		}
+	}
+}
+
+// maskRate returns the Mask rate of an app/function row, or -1 when
+// absent.
+func maskRate(r *Fig11bResult, app string, fn fault.Region) float64 {
+	for _, row := range r.Rows {
+		if row.App == app && row.Function == fn {
+			return row.Rates[fault.OutcomeMask]
+		}
+	}
+	return -1
 }

@@ -65,27 +65,6 @@ func Fig11b(ctx context.Context, o Options) (*Fig11bResult, error) {
 	return out, nil
 }
 
-// MaskRate returns the Mask rate for an app/function row, or -1 when
-// absent.
-func (r *Fig11bResult) MaskRate(app string, fn fault.Region) float64 {
-	for _, row := range r.Rows {
-		if row.App == app && row.Function == fn {
-			return row.Rates[fault.OutcomeMask]
-		}
-	}
-	return -1
-}
-
-// SDCRate returns the SDC rate for an app/function row, or -1.
-func (r *Fig11bResult) SDCRate(app string, fn fault.Region) float64 {
-	for _, row := range r.Rows {
-		if row.App == app && row.Function == fn {
-			return row.Rates[fault.OutcomeSDC]
-		}
-	}
-	return -1
-}
-
 // Write prints the comparison table.
 func (r *Fig11bResult) Write(w io.Writer, o Options) {
 	writeHeader(w, "Fig 11b: hot-function injections — standalone WP vs full VS", o)

@@ -98,17 +98,6 @@ func Fig12(ctx context.Context, o Options) (*Fig12Result, error) {
 	return out, nil
 }
 
-// Find returns the series for (input, alg, baseline), or nil.
-func (r *Fig12Result) Find(input string, alg vs.Algorithm, baseline string) *Fig12Series {
-	for i := range r.Series {
-		s := &r.Series[i]
-		if s.Input == input && s.Algorithm == alg && s.Baseline == baseline {
-			return s
-		}
-	}
-	return nil
-}
-
 // Write prints each curve at a set of representative ED thresholds.
 func (r *Fig12Result) Write(w io.Writer, o Options) {
 	writeHeader(w, "Fig 12: SDC quality (cumulative fraction of SDCs with ED <= X)", o)
@@ -170,11 +159,12 @@ func Fig13(o Options) (*Fig13Result, error) {
 			}
 			diff := imgproc.AbsDiff(g, f)
 			thr := imgproc.Threshold(diff, quality.DiffThreshold)
-			for name, img := range map[string]*imgproc.Gray{
-				"a_default": g, "b_vssm": f, "c_absdiff": diff, "d_thresholded": thr,
-			} {
-				path := filepath.Join(o.ImageDir, fmt.Sprintf("fig13_%s_%s.pgm", seq.Name, name))
-				if err := imgproc.SavePGM(path, img); err != nil {
+			for _, im := range []struct {
+				name string
+				img  *imgproc.Gray
+			}{{"a_default", g}, {"b_vssm", f}, {"c_absdiff", diff}, {"d_thresholded", thr}} {
+				path := filepath.Join(o.ImageDir, fmt.Sprintf("fig13_%s_%s.pgm", seq.Name, im.name))
+				if err := imgproc.SavePGM(path, im.img); err != nil {
 					return nil, err
 				}
 				out.Files = append(out.Files, path)
@@ -187,7 +177,8 @@ func Fig13(o Options) (*Fig13Result, error) {
 // Write prints the norm values and the written files.
 func (r *Fig13Result) Write(w io.Writer, o Options) {
 	writeHeader(w, "Fig 13: VS vs VS_SM output comparison", o)
-	for input, norm := range r.Norms {
+	for _, input := range sortedKeys(r.Norms) {
+		norm := r.Norms[input]
 		fmt.Fprintf(w, "%-8s relative_l2_norm(VS, VS_SM) = %.1f%%\n", input, norm)
 	}
 	fmt.Fprintln(w, "paper: ~37% for Input 1, ~8% for Input 2 — large metric values despite visually acceptable output")

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"vsresil/internal/energy"
 	"vsresil/internal/fault"
@@ -121,7 +122,8 @@ func Fig6(o Options) (*Fig6Result, error) {
 // Write prints the panorama inventory.
 func (r *Fig6Result) Write(w io.Writer, o Options) {
 	writeHeader(w, "Fig 6: output panoramas per algorithm and input", o)
-	for key, size := range r.Sizes {
+	for _, key := range sortedKeys(r.Sizes) {
+		size := r.Sizes[key]
 		fmt.Fprintf(w, "%-24s %dx%d\n", key, size[0], size[1])
 	}
 	for _, f := range r.Files {
@@ -153,4 +155,15 @@ func (r *Fig8Result) Write(w io.Writer, o Options) {
 	}
 	fmt.Fprintf(w, "%-24s %6.1f%%  (paper: 54.4%%)\n", "warp kernels total", r.Profile.WarpFraction*100)
 	fmt.Fprintf(w, "%-24s %6.1f%%  (paper: ~68%%)\n", "vision library total", r.Profile.LibraryFraction*100)
+}
+
+// sortedKeys returns m's keys in order, so a table printed from a map
+// reads the same on every run.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

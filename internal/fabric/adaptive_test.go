@@ -105,34 +105,14 @@ func TestClusterAdaptiveEquivalence(t *testing.T) {
 		t.Fatalf("baseline did not converge in %d trials", base.Trials)
 	}
 
-	coord, err := NewCoordinator(Config{Workload: toyBuild})
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	defer coord.Close()
-	mux := http.NewServeMux()
-	coord.Mount(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	client := &Client{Base: srv.URL}
-
+	coord, client := serveCoordinator(t, Config{Workload: toyBuild})
 	id, err := client.Submit(context.Background(), cs, 3)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for _, name := range []string{"live-1", "live-2"} {
-		w := &Worker{
-			ID:       name,
-			Client:   &Client{Base: srv.URL},
-			Workload: toyBuild,
-			Poll:     5 * time.Millisecond,
-		}
-		go w.Run(ctx)
-	}
+	stop := runLiveWorkers(client.Base, toyBuild, 5*time.Millisecond)
 	waitDone(t, coord, id)
-	cancel()
+	stop()
 
 	recs, err := coord.AdaptiveRecords(id)
 	if err != nil {
@@ -350,6 +330,7 @@ func TestAdaptiveSpecValidation(t *testing.T) {
 		"round_size":  `{"algorithm":"toy","adaptive":true,"round_size":2000000000}`,
 		"default cap": `{"algorithm":"toy","adaptive":true,"precision":0.0001}`,
 		"frames":      `{"algorithm":"toy","trials":10,"frames":20000}`,
+		"workers":     `{"algorithm":"toy","trials":1000000,"workers":1000000}`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/fabric/campaigns", "application/json",
 			strings.NewReader(`{"spec":`+spec+`,"shards":1}`))

@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -19,37 +17,9 @@ import (
 
 	"vsresil/internal/campaign"
 	"vsresil/internal/fault"
+	"vsresil/internal/faulttest"
 	"vsresil/internal/journal"
 )
-
-// toyApp mirrors the campaign package's miniature workload: a
-// realistic mix of crash-prone indices, SDC-prone pixels and
-// mask-prone saturated floats, cheap enough to run whole clusters of
-// campaigns in-process.
-func toyApp(m *fault.Machine) ([]byte, error) {
-	buf := make([]uint8, 64)
-	for i := range buf {
-		buf[i] = uint8(i * 3)
-	}
-	out := make([]uint8, 64)
-	n := m.Cnt(len(buf))
-	if n < 0 || n > len(buf) {
-		return nil, errors.New("toy: invalid length")
-	}
-	for i := 0; i < n; i++ {
-		idx := m.Idx(i)
-		v := m.Pix(buf[idx])
-		f := m.F64(float64(v) * 1.5)
-		if f > 255 {
-			f = 255
-		}
-		if f < 0 {
-			f = 0
-		}
-		out[m.Idx(i)] = uint8(f)
-	}
-	return out, nil
-}
 
 // toyBuild is the WorkloadBuilder every node in these tests shares;
 // the Algorithm field keys the toy workload exactly the way real specs
@@ -58,7 +28,7 @@ func toyBuild(cs CampaignSpec) (campaign.Workload, error) {
 	if cs.Algorithm != "toy" {
 		return DefaultWorkload(cs)
 	}
-	return campaign.NewWorkload("toy", "toy", toyApp), nil
+	return campaign.NewWorkload("toy", "toy", faulttest.ToyApp), nil
 }
 
 func toyWireSpec() CampaignSpec {
@@ -93,45 +63,42 @@ func singleNode(t *testing.T, cs CampaignSpec) *campaign.Result {
 	return res
 }
 
-// requireIdentical compares every campaign observable of two results.
-func requireIdentical(t *testing.T, label string, a, b *fault.Result) {
+// serveCoordinator starts a coordinator behind an HTTP test server,
+// both closed when the test ends, and returns a client of it.
+func serveCoordinator(t *testing.T, cfg Config) (*Coordinator, *Client) {
 	t.Helper()
-	if a.Completed != b.Completed {
-		t.Errorf("%s: completed %d vs %d", label, a.Completed, b.Completed)
+	coord, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
 	}
-	if a.Counts != b.Counts {
-		t.Errorf("%s: outcome counts differ: %v vs %v", label, a.Counts, b.Counts)
+	mux := http.NewServeMux()
+	coord.Mount(mux)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(func() {
+		srv.Close()
+		coord.Close()
+	})
+	return coord, &Client{Base: srv.URL}
+}
+
+// runLiveWorkers starts workers live-1 and live-2 against the server
+// at base. The returned stop cancels them and waits until they exit: a
+// straggler (a thief still running a stolen shard) may still be
+// executing when the campaign is done.
+func runLiveWorkers(base string, build WorkloadBuilder, poll time.Duration) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var workers sync.WaitGroup
+	for _, name := range []string{"live-1", "live-2"} {
+		w := &Worker{ID: name, Client: &Client{Base: base}, Workload: build, Poll: poll}
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			w.Run(ctx)
+		}()
 	}
-	if !reflect.DeepEqual(a.CrashCounts, b.CrashCounts) {
-		t.Errorf("%s: crash splits differ: %v vs %v", label, a.CrashCounts, b.CrashCounts)
-	}
-	if !reflect.DeepEqual(a.RegHist.Counts, b.RegHist.Counts) {
-		t.Errorf("%s: register histograms differ", label)
-	}
-	if !reflect.DeepEqual(a.BitHist.Counts, b.BitHist.Counts) {
-		t.Errorf("%s: bit histograms differ", label)
-	}
-	if !reflect.DeepEqual(a.Curve.Checkpoints, b.Curve.Checkpoints) {
-		t.Errorf("%s: rate-curve checkpoints differ", label)
-	}
-	if !reflect.DeepEqual(a.Curve.Snapshots, b.Curve.Snapshots) {
-		t.Errorf("%s: rate-curve snapshots differ", label)
-	}
-	if !bytes.Equal(a.GoldenOutput, b.GoldenOutput) {
-		t.Errorf("%s: golden outputs differ", label)
-	}
-	if len(a.Trials) != len(b.Trials) {
-		t.Fatalf("%s: trial counts differ: %d vs %d", label, len(a.Trials), len(b.Trials))
-	}
-	for i := range a.Trials {
-		ta, tb := a.Trials[i], b.Trials[i]
-		if ta.Outcome != tb.Outcome || ta.Crash != tb.Crash || ta.Landed != tb.Landed {
-			t.Errorf("%s: trial %d differs: (%v,%v,landed=%v) vs (%v,%v,landed=%v)",
-				label, i, ta.Outcome, ta.Crash, ta.Landed, tb.Outcome, tb.Crash, tb.Landed)
-		}
-		if (ta.Output == nil) != (tb.Output == nil) || !bytes.Equal(ta.Output, tb.Output) {
-			t.Errorf("%s: trial %d SDC output retention differs", label, i)
-		}
+	return func() {
+		cancel()
+		workers.Wait()
 	}
 }
 
@@ -229,21 +196,7 @@ func metricValue(t *testing.T, c *Coordinator, name string) int {
 // bit-identically to the single-node run, with the dead worker's shard
 // reassigned after its lease expires.
 func TestClusterEquivalence(t *testing.T) {
-	coord, err := NewCoordinator(Config{
-		LeaseTTL: 50 * time.Millisecond,
-		Workload: toyBuild,
-	})
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	defer coord.Close()
-
-	mux := http.NewServeMux()
-	coord.Mount(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	client := &Client{Base: srv.URL}
-
+	coord, client := serveCoordinator(t, Config{LeaseTTL: 50 * time.Millisecond, Workload: toyBuild})
 	cs := toyWireSpec()
 	id, err := client.Submit(context.Background(), cs, 5)
 	if err != nil {
@@ -277,27 +230,16 @@ func TestClusterEquivalence(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for _, name := range []string{"live-1", "live-2"} {
-		w := &Worker{
-			ID:       name,
-			Client:   &Client{Base: srv.URL},
-			Workload: toyBuild,
-			Poll:     10 * time.Millisecond,
-		}
-		go w.Run(ctx)
-	}
-
+	stop := runLiveWorkers(client.Base, toyBuild, 10*time.Millisecond)
 	waitDone(t, coord, id)
-	cancel()
+	stop()
 
 	merged, err := coord.Merged(id)
 	if err != nil {
 		t.Fatalf("merged result: %v", err)
 	}
 	base := singleNode(t, cs)
-	requireIdentical(t, "cluster", base.Fault, merged.Fault)
+	faulttest.RequireIdentical(t, "cluster", base.Fault, merged.Fault)
 
 	if n := metricValue(t, coord, "vsd_fabric_leases_expired_total"); n < 1 {
 		t.Errorf("leases_expired_total = %d, want >= 1 (the doomed worker's)", n)
@@ -343,41 +285,14 @@ func TestClusterEquivalenceBatching(t *testing.T) {
 
 	base := singleNode(t, cs)
 
-	coord, err := NewCoordinator(Config{Workload: DefaultWorkload})
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	defer coord.Close()
-	mux := http.NewServeMux()
-	coord.Mount(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	client := &Client{Base: srv.URL}
-
+	coord, client := serveCoordinator(t, Config{Workload: DefaultWorkload})
 	id, err := client.Submit(context.Background(), cs, 3)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// The workers must have exited before the test returns: a straggler
-	// (a thief still running a stolen shard) may still be executing.
-	var workers sync.WaitGroup
-	for _, name := range []string{"live-1", "live-2"} {
-		w := &Worker{
-			ID:     name,
-			Client: &Client{Base: srv.URL},
-			Poll:   10 * time.Millisecond,
-		}
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			w.Run(ctx)
-		}()
-	}
+	stop := runLiveWorkers(client.Base, nil, 10*time.Millisecond)
 	waitDone(t, coord, id)
-	cancel()
-	workers.Wait()
+	stop()
 
 	merged, err := coord.Merged(id)
 	if err != nil {
@@ -387,7 +302,7 @@ func TestClusterEquivalenceBatching(t *testing.T) {
 	// (shards ship trial records, and the coordinator rebuilds results
 	// through the resume path), so only the campaign observables are
 	// compared here; TestCampaignBatchingSchedStats covers the stats.
-	requireIdentical(t, "cluster vs single-node", base.Fault, merged.Fault)
+	faulttest.RequireIdentical(t, "cluster vs single-node", base.Fault, merged.Fault)
 }
 
 // TestCoordinatorRestart closes a coordinator mid-campaign and reopens
@@ -449,7 +364,7 @@ func TestCoordinatorRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merged result: %v", err)
 	}
-	requireIdentical(t, "restarted", singleNode(t, cs).Fault, merged.Fault)
+	faulttest.RequireIdentical(t, "restarted", singleNode(t, cs).Fault, merged.Fault)
 }
 
 // TestCoordinatorRestartStaticJournal replays a journal written in the
@@ -545,7 +460,7 @@ func TestCoordinatorRestartStaticJournal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merged result: %v", err)
 	}
-	requireIdentical(t, "hand-written journal", singleNode(t, cs).Fault, merged.Fault)
+	faulttest.RequireIdentical(t, "hand-written journal", singleNode(t, cs).Fault, merged.Fault)
 }
 
 // TestLeaseExpiry: a worker that takes a shard and goes silent loses
@@ -645,7 +560,7 @@ func TestWorkStealing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merged result: %v", err)
 	}
-	requireIdentical(t, "stolen", singleNode(t, cs).Fault, merged.Fault)
+	faulttest.RequireIdentical(t, "stolen", singleNode(t, cs).Fault, merged.Fault)
 }
 
 // TestShardResultValidation: results that do not tile their window are
@@ -676,18 +591,10 @@ func TestShardResultValidation(t *testing.T) {
 // submit endpoint is a 400, not a campaign silently run at the
 // knob's default. The worker protocol endpoints stay lenient.
 func TestSubmitRejectsUnknownSpecFields(t *testing.T) {
-	c, err := NewCoordinator(Config{Workload: toyBuild})
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	defer c.Close()
-	mux := http.NewServeMux()
-	c.Mount(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	_, client := serveCoordinator(t, Config{Workload: toyBuild})
 	post := func(path, body string) int {
 		t.Helper()
-		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		resp, err := http.Post(client.Base+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("POST %s: %v", path, err)
 		}

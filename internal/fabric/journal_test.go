@@ -15,6 +15,7 @@ import (
 
 	"vsresil/internal/campaign"
 	"vsresil/internal/fault"
+	"vsresil/internal/faulttest"
 	"vsresil/internal/journal"
 )
 
@@ -144,7 +145,7 @@ func TestReplayLegacyFixedBudgetKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merged result: %v", err)
 	}
-	requireIdentical(t, "legacy fixed-budget campaign", singleNode(t, cs).Fault, merged.Fault)
+	faulttest.RequireIdentical(t, "legacy fixed-budget campaign", singleNode(t, cs).Fault, merged.Fault)
 }
 
 // TestCoordinatorJournalFailure closes the journal underneath a running

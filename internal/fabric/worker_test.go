@@ -2,8 +2,6 @@ package fabric
 
 import (
 	"context"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"vsresil/internal/campaign"
@@ -81,20 +79,12 @@ func testCachedSessionRollover(t *testing.T, cs CampaignSpec) {
 // testLeasesShareSession runs two real leases of one campaign through
 // one worker's runLease: both must execute on a single session.
 func testLeasesShareSession(t *testing.T, cs CampaignSpec) {
-	coord, err := NewCoordinator(Config{Workload: toyBuild})
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	defer coord.Close()
-	mux := http.NewServeMux()
-	coord.Mount(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	coord, client := serveCoordinator(t, Config{Workload: toyBuild})
 	if _, err := coord.Submit(cs, 2); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 
-	w := &Worker{ID: "w", Client: &Client{Base: srv.URL}}
+	w := &Worker{ID: "w", Client: client}
 	sessions := &workerSessions{runner: &campaign.Runner{}, build: toyBuild}
 	defer sessions.close()
 	var first *leaseSession

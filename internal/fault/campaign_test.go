@@ -1,4 +1,4 @@
-package fault
+package fault_test
 
 import (
 	"bytes"
@@ -7,72 +7,43 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-)
 
-// toyApp is a miniature application with a realistic mix of tap
-// classes: it walks a buffer with tapped indices (crash-prone), sums
-// tapped pixels (SDC/mask-prone) and runs a tapped float stage that is
-// saturated away (mask-prone).
-func toyApp(m *Machine) ([]byte, error) {
-	buf := make([]uint8, 64)
-	for i := range buf {
-		buf[i] = uint8(i * 3)
-	}
-	out := make([]uint8, 64)
-	n := m.Cnt(len(buf))
-	if n != len(buf) {
-		// Mimic an application-level sanity check that aborts.
-		if n < 0 || n > len(buf) {
-			return nil, errors.New("toy: invalid length")
-		}
-	}
-	for i := 0; i < n; i++ {
-		idx := m.Idx(i)
-		v := m.Pix(buf[idx]) // panics if idx out of range
-		f := m.F64(float64(v) * 1.5)
-		if f > 255 {
-			f = 255
-		}
-		if f < 0 {
-			f = 0
-		}
-		out[m.Idx(i)] = uint8(f)
-	}
-	return out, nil
-}
+	"vsresil/internal/fault"
+	"vsresil/internal/faulttest"
+)
 
 // runCampaign is the one-shot seed-driven campaign the package tests
 // drive the executor with, shaped like campaign.Runner.Run: capture the
 // golden run of sc.App, open a session with sc, draw n plans from seed
 // with GeneratePlans (the stream plan.Static emits) and execute them as
 // one window.
-func runCampaign(ctx context.Context, sc SessionConfig, n int, seed uint64) (*Result, error) {
-	golden, err := CaptureGolden(sc.App)
+func runCampaign(ctx context.Context, sc fault.SessionConfig, n int, seed uint64) (*fault.Result, error) {
+	golden, err := fault.CaptureGolden(sc.App)
 	if err != nil {
 		return nil, err
 	}
 	sc.Golden = golden
-	s, err := NewSession(sc)
+	s, err := fault.NewSession(sc)
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
-	plans := GeneratePlans(seed, sc.Class, sc.Region, WindowFor(sc.Class, 0), n, golden.Taps(sc.Class, sc.Region))
-	return s.Run(ctx, Config{Plans: plans})
+	plans := fault.GeneratePlans(seed, sc.Class, sc.Region, fault.WindowFor(sc.Class, 0), n, golden.Taps(sc.Class, sc.Region))
+	return s.Run(ctx, fault.Config{Plans: plans})
 }
 
 func TestCampaignGoldenIsMaskFree(t *testing.T) {
 	// A four-tap app: every trial must still be classified exactly
 	// once.
-	app := func(m *Machine) ([]byte, error) {
+	app := func(m *fault.Machine) ([]byte, error) {
 		out := make([]byte, 4)
 		for i := 0; i < 4; i++ {
 			out[i] = byte(m.Idx(i))
 		}
 		return out, nil
 	}
-	res, err := runCampaign(context.Background(), SessionConfig{
-		App: app, Class: GPR, Region: RAny, Workers: 2,
+	res, err := runCampaign(context.Background(), fault.SessionConfig{
+		App: app, Class: fault.GPR, Region: fault.RAny, Workers: 2,
 	}, 50, 1)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
@@ -97,7 +68,7 @@ func TestCampaignGoldenIsMaskFree(t *testing.T) {
 }
 
 func TestCampaignDeterminism(t *testing.T) {
-	cfg := SessionConfig{App: toyApp, Class: GPR, Region: RAny, Workers: 4}
+	cfg := fault.SessionConfig{App: faulttest.ToyApp, Class: fault.GPR, Region: fault.RAny, Workers: 4}
 	a, err := runCampaign(context.Background(), cfg, 200, 42)
 	if err != nil {
 		t.Fatalf("campaign A: %v", err)
@@ -118,8 +89,8 @@ func TestCampaignDeterminism(t *testing.T) {
 }
 
 func TestCampaignProducesAllOutcomeMachinery(t *testing.T) {
-	res, err := runCampaign(context.Background(), SessionConfig{
-		App: toyApp, Class: GPR, Region: RAny, Workers: 4,
+	res, err := runCampaign(context.Background(), fault.SessionConfig{
+		App: faulttest.ToyApp, Class: fault.GPR, Region: fault.RAny, Workers: 4,
 	}, 400, 7)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
@@ -127,10 +98,10 @@ func TestCampaignProducesAllOutcomeMachinery(t *testing.T) {
 	if res.TotalTaps == 0 || res.GoldenSteps == 0 {
 		t.Error("golden run did not count taps")
 	}
-	if res.Counts[OutcomeMask] == 0 {
+	if res.Counts[fault.OutcomeMask] == 0 {
 		t.Error("expected some masked trials")
 	}
-	if res.Counts[OutcomeCrash] == 0 {
+	if res.Counts[fault.OutcomeCrash] == 0 {
 		t.Error("expected some crashes from corrupted indices")
 	}
 	if res.RegHist.Total() != 400 || res.BitHist.Total() != 400 {
@@ -145,28 +116,28 @@ func TestCampaignProducesAllOutcomeMachinery(t *testing.T) {
 }
 
 func TestCampaignFPRMostlyMasked(t *testing.T) {
-	res, err := runCampaign(context.Background(), SessionConfig{
-		App: toyApp, Class: FPR, Region: RAny, Workers: 4,
+	res, err := runCampaign(context.Background(), fault.SessionConfig{
+		App: faulttest.ToyApp, Class: fault.FPR, Region: fault.RAny, Workers: 4,
 	}, 300, 9)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
-	if rate := res.Rate(OutcomeMask); rate < 0.90 {
+	if rate := res.Rate(fault.OutcomeMask); rate < 0.90 {
 		t.Errorf("FPR mask rate = %v, want >= 0.90 (small liveness window)", rate)
 	}
 }
 
 func TestCampaignKeepsSDCOutputs(t *testing.T) {
-	res, err := runCampaign(context.Background(), SessionConfig{
-		App: toyApp, Class: GPR, Region: RAny, Workers: 4,
+	res, err := runCampaign(context.Background(), fault.SessionConfig{
+		App: faulttest.ToyApp, Class: fault.GPR, Region: fault.RAny, Workers: 4,
 		KeepSDCOutputs: true,
 	}, 500, 3)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
 	outs := res.SDCOutputs()
-	if len(outs) != res.Counts[OutcomeSDC] {
-		t.Errorf("kept %d SDC outputs, want %d", len(outs), res.Counts[OutcomeSDC])
+	if len(outs) != res.Counts[fault.OutcomeSDC] {
+		t.Errorf("kept %d SDC outputs, want %d", len(outs), res.Counts[fault.OutcomeSDC])
 	}
 	for _, o := range outs {
 		if bytes.Equal(o, res.GoldenOutput) {
@@ -179,7 +150,7 @@ func TestCampaignHangDetection(t *testing.T) {
 	// An app whose loop bound is tapped every iteration: a high-bit
 	// corruption inflates the bound and the step budget
 	// (DefaultStepFactor golden runs) trips.
-	app := func(m *Machine) ([]byte, error) {
+	app := func(m *fault.Machine) ([]byte, error) {
 		sum := 0
 		n := 1000
 		for i := 0; i < n; i++ {
@@ -188,13 +159,13 @@ func TestCampaignHangDetection(t *testing.T) {
 		}
 		return []byte{byte(sum)}, nil
 	}
-	res, err := runCampaign(context.Background(), SessionConfig{
-		App: app, Class: GPR, Region: RAny, Workers: 4,
+	res, err := runCampaign(context.Background(), fault.SessionConfig{
+		App: app, Class: fault.GPR, Region: fault.RAny, Workers: 4,
 	}, 300, 11)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
-	if res.Counts[OutcomeHang] == 0 {
+	if res.Counts[fault.OutcomeHang] == 0 {
 		t.Error("expected hang outcomes from corrupted loop bounds")
 	}
 }
@@ -202,7 +173,7 @@ func TestCampaignHangDetection(t *testing.T) {
 func TestCampaignCrashAbort(t *testing.T) {
 	// An app that validates a tapped value and returns an error when it
 	// is corrupted — AFI's "abort signal" crash flavor.
-	app := func(m *Machine) ([]byte, error) {
+	app := func(m *fault.Machine) ([]byte, error) {
 		for i := 0; i < 50; i++ {
 			v := m.Idx(7)
 			if v != 7 {
@@ -211,35 +182,35 @@ func TestCampaignCrashAbort(t *testing.T) {
 		}
 		return []byte{1}, nil
 	}
-	res, err := runCampaign(context.Background(), SessionConfig{
-		App: app, Class: GPR, Region: RAny, Workers: 2,
+	res, err := runCampaign(context.Background(), fault.SessionConfig{
+		App: app, Class: fault.GPR, Region: fault.RAny, Workers: 2,
 	}, 200, 13)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
-	if res.CrashCounts[CrashAbort] == 0 {
+	if res.CrashCounts[fault.CrashAbort] == 0 {
 		t.Error("expected abort-class crashes")
 	}
-	if res.CrashCounts[CrashAbort] != res.Counts[OutcomeCrash] {
+	if res.CrashCounts[fault.CrashAbort] != res.Counts[fault.OutcomeCrash] {
 		t.Error("all crashes here should be aborts")
 	}
 }
 
 func TestCampaignRegionScoped(t *testing.T) {
-	app := func(m *Machine) ([]byte, error) {
+	app := func(m *fault.Machine) ([]byte, error) {
 		var out []byte
 		for i := 0; i < 20; i++ {
 			out = append(out, byte(m.Idx(i)))
 		}
-		restore := m.Enter(RRemapBilinear)
+		restore := m.Enter(fault.RRemapBilinear)
 		for i := 0; i < 20; i++ {
 			out = append(out, m.Pix(uint8(i)))
 		}
 		restore()
 		return out, nil
 	}
-	res, err := runCampaign(context.Background(), SessionConfig{
-		App: app, Class: GPR, Region: RRemapBilinear, Workers: 2,
+	res, err := runCampaign(context.Background(), fault.SessionConfig{
+		App: app, Class: fault.GPR, Region: fault.RRemapBilinear, Workers: 2,
 	}, 100, 5)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
@@ -249,25 +220,25 @@ func TestCampaignRegionScoped(t *testing.T) {
 	}
 	// Region-scoped injections into Pix taps can only mask or SDC —
 	// never crash (no indices are tapped there).
-	if res.Counts[OutcomeCrash] != 0 {
-		t.Errorf("region-scoped pixel faults crashed %d times", res.Counts[OutcomeCrash])
+	if res.Counts[fault.OutcomeCrash] != 0 {
+		t.Errorf("region-scoped pixel faults crashed %d times", res.Counts[fault.OutcomeCrash])
 	}
 }
 
 func TestCampaignErrors(t *testing.T) {
-	okApp := func(m *Machine) ([]byte, error) { m.Idx(1); return []byte{0}, nil }
+	okApp := func(m *fault.Machine) ([]byte, error) { m.Idx(1); return []byte{0}, nil }
 
-	if _, err := runCampaign(context.Background(), SessionConfig{App: okApp, Class: GPR, Region: RAny}, 0, 0); err == nil {
+	if _, err := runCampaign(context.Background(), fault.SessionConfig{App: okApp, Class: fault.GPR, Region: fault.RAny}, 0, 0); err == nil {
 		t.Error("expected error for zero trials")
 	}
 
-	failing := func(m *Machine) ([]byte, error) { return nil, errors.New("boom") }
-	if _, err := runCampaign(context.Background(), SessionConfig{App: failing, Class: GPR, Region: RAny}, 1, 0); err == nil {
+	failing := func(m *fault.Machine) ([]byte, error) { return nil, errors.New("boom") }
+	if _, err := runCampaign(context.Background(), fault.SessionConfig{App: failing, Class: fault.GPR, Region: fault.RAny}, 1, 0); err == nil {
 		t.Error("expected error for failing golden run")
 	}
 
-	noFPR := func(m *Machine) ([]byte, error) { m.Idx(1); return []byte{0}, nil }
-	if _, err := runCampaign(context.Background(), SessionConfig{App: noFPR, Class: FPR, Region: RAny}, 1, 0); !errors.Is(err, ErrNoTaps) {
+	noFPR := func(m *fault.Machine) ([]byte, error) { m.Idx(1); return []byte{0}, nil }
+	if _, err := runCampaign(context.Background(), fault.SessionConfig{App: noFPR, Class: fault.FPR, Region: fault.RAny}, 1, 0); !errors.Is(err, fault.ErrNoTaps) {
 		t.Errorf("expected ErrNoTaps, got %v", err)
 	}
 }
@@ -275,7 +246,7 @@ func TestCampaignErrors(t *testing.T) {
 func TestCampaignContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := runCampaign(ctx, SessionConfig{App: toyApp, Class: GPR, Region: RAny}, 10000, 1)
+	_, err := runCampaign(ctx, fault.SessionConfig{App: faulttest.ToyApp, Class: fault.GPR, Region: fault.RAny}, 10000, 1)
 	if err == nil {
 		t.Error("expected cancellation error")
 	}
@@ -283,21 +254,21 @@ func TestCampaignContextCancellation(t *testing.T) {
 
 func TestCampaignResumeMatchesColdRun(t *testing.T) {
 	const trials = 300
-	cfg := SessionConfig{App: toyApp, Class: GPR, Region: RAny, Workers: 4}
+	cfg := fault.SessionConfig{App: faulttest.ToyApp, Class: fault.GPR, Region: fault.RAny, Workers: 4}
 	cold, err := runCampaign(context.Background(), cfg, trials, 21)
 	if err != nil {
 		t.Fatalf("cold campaign: %v", err)
 	}
 	// Pretend the first half completed before an interruption and
 	// resume from its checkpoint records.
-	var recs []TrialRecord
+	var recs []fault.TrialRecord
 	for i := 0; i < trials/2; i++ {
 		recs = append(recs, cold.Trials[i].Record(i))
 	}
 	rcfg := cfg
 	rcfg.Resume = recs
 	executed := 0
-	rcfg.OnTrial = func(rec TrialRecord) { executed++ }
+	rcfg.OnTrial = func(rec fault.TrialRecord) { executed++ }
 	warm, err := runCampaign(context.Background(), rcfg, trials, 21)
 	if err != nil {
 		t.Fatalf("resumed campaign: %v", err)
@@ -324,10 +295,10 @@ func TestCampaignResumeMatchesColdRun(t *testing.T) {
 // runs. A record past the campaign's plan space is not an error: no
 // window reaches it, so it is ignored.
 func TestCampaignResumeRejectsBadRecords(t *testing.T) {
-	base := SessionConfig{App: toyApp, Class: GPR, Region: RAny}
-	for name, recs := range map[string][]TrialRecord{
+	base := fault.SessionConfig{App: faulttest.ToyApp, Class: fault.GPR, Region: fault.RAny}
+	for name, recs := range map[string][]fault.TrialRecord{
 		"negative":    {{Index: -1}},
-		"bad-outcome": {{Index: 0, Outcome: NumOutcomes}},
+		"bad-outcome": {{Index: 0, Outcome: fault.NumOutcomes}},
 		"duplicate":   {{Index: 3}, {Index: 3}},
 	} {
 		cfg := base
@@ -337,12 +308,12 @@ func TestCampaignResumeRejectsBadRecords(t *testing.T) {
 		}
 	}
 	cfg := base
-	cfg.Resume = []TrialRecord{{Index: 10, Outcome: OutcomeHang}}
+	cfg.Resume = []fault.TrialRecord{{Index: 10, Outcome: fault.OutcomeHang}}
 	res, err := runCampaign(context.Background(), cfg, 10, 1)
 	if err != nil {
 		t.Fatalf("record past the plan space: %v", err)
 	}
-	if res.Resumed != 0 || res.Completed != 10 || res.Counts[OutcomeHang] != 0 {
+	if res.Resumed != 0 || res.Completed != 10 || res.Counts[fault.OutcomeHang] != 0 {
 		t.Errorf("record past the plan space was folded: Resumed=%d Completed=%d counts=%v",
 			res.Resumed, res.Completed, res.Counts)
 	}
@@ -353,9 +324,9 @@ func TestCampaignPartialResultOnCancel(t *testing.T) {
 	defer cancel()
 	const stopAfter, trials = 40, 5000
 	seen := 0
-	cfg := SessionConfig{
-		App: toyApp, Class: GPR, Region: RAny, Workers: 2,
-		OnTrial: func(TrialRecord) {
+	cfg := fault.SessionConfig{
+		App: faulttest.ToyApp, Class: fault.GPR, Region: fault.RAny, Workers: 2,
+		OnTrial: func(fault.TrialRecord) {
 			seen++
 			if seen == stopAfter {
 				cancel()
@@ -385,15 +356,15 @@ func TestCampaignPartialResultOnCancel(t *testing.T) {
 }
 
 func TestCampaignSDCOutputCap(t *testing.T) {
-	res, err := runCampaign(context.Background(), SessionConfig{
-		App: toyApp, Class: GPR, Region: RAny, Workers: 4,
+	res, err := runCampaign(context.Background(), fault.SessionConfig{
+		App: faulttest.ToyApp, Class: fault.GPR, Region: fault.RAny, Workers: 4,
 		KeepSDCOutputs: true, MaxSDCOutputs: 2,
 	}, 500, 3)
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
-	if res.Counts[OutcomeSDC] <= 2 {
-		t.Skipf("only %d SDCs; cap not exercised", res.Counts[OutcomeSDC])
+	if res.Counts[fault.OutcomeSDC] <= 2 {
+		t.Skipf("only %d SDCs; cap not exercised", res.Counts[fault.OutcomeSDC])
 	}
 	if got := len(res.SDCOutputs()); got != 2 {
 		t.Errorf("retained %d SDC outputs, want cap of 2", got)
@@ -401,22 +372,22 @@ func TestCampaignSDCOutputCap(t *testing.T) {
 }
 
 func TestResultRateEmpty(t *testing.T) {
-	r := &Result{}
-	if r.Rate(OutcomeMask) != 0 {
+	r := &fault.Result{}
+	if r.Rate(fault.OutcomeMask) != 0 {
 		t.Error("empty result rate should be 0")
 	}
 }
 
 func BenchmarkTapIdx(b *testing.B) {
-	m := New()
+	m := fault.New()
 	for i := 0; i < b.N; i++ {
 		m.Idx(i)
 	}
 }
 
 func BenchmarkTapIdxWithPlan(b *testing.B) {
-	p := Plan{Class: GPR, Reg: 5, Bit: 3, Site: 1 << 60, Window: 10, Region: RAny}
-	m := NewWithPlan(p, 0)
+	p := fault.Plan{Class: fault.GPR, Reg: 5, Bit: 3, Site: 1 << 60, Window: 10, Region: fault.RAny}
+	m := fault.NewWithPlan(p, 0)
 	for i := 0; i < b.N; i++ {
 		m.Idx(i)
 	}
@@ -425,8 +396,8 @@ func BenchmarkTapIdxWithPlan(b *testing.B) {
 func BenchmarkCampaignToyApp(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := runCampaign(context.Background(), SessionConfig{
-			App: toyApp, Class: GPR, Region: RAny,
+		if _, err := runCampaign(context.Background(), fault.SessionConfig{
+			App: faulttest.ToyApp, Class: fault.GPR, Region: fault.RAny,
 		}, 100, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
@@ -436,26 +407,26 @@ func BenchmarkCampaignToyApp(b *testing.B) {
 // TestDedupRecords: records come back in plan-index order with the
 // first record of a repeated index kept, and the input is untouched.
 func TestDedupRecords(t *testing.T) {
-	in := []TrialRecord{
-		{Index: 3, Outcome: OutcomeSDC},
-		{Index: 1, Outcome: OutcomeCrash, Crash: CrashSegv},
-		{Index: 3, Outcome: OutcomeMask},
-		{Index: 0, Outcome: OutcomeHang},
-		{Index: 1, Outcome: OutcomeMask},
+	in := []fault.TrialRecord{
+		{Index: 3, Outcome: fault.OutcomeSDC},
+		{Index: 1, Outcome: fault.OutcomeCrash, Crash: fault.CrashSegv},
+		{Index: 3, Outcome: fault.OutcomeMask},
+		{Index: 0, Outcome: fault.OutcomeHang},
+		{Index: 1, Outcome: fault.OutcomeMask},
 	}
-	orig := append([]TrialRecord(nil), in...)
-	want := []TrialRecord{
-		{Index: 0, Outcome: OutcomeHang},
-		{Index: 1, Outcome: OutcomeCrash, Crash: CrashSegv},
-		{Index: 3, Outcome: OutcomeSDC},
+	orig := append([]fault.TrialRecord(nil), in...)
+	want := []fault.TrialRecord{
+		{Index: 0, Outcome: fault.OutcomeHang},
+		{Index: 1, Outcome: fault.OutcomeCrash, Crash: fault.CrashSegv},
+		{Index: 3, Outcome: fault.OutcomeSDC},
 	}
-	if got := DedupRecords(in); !reflect.DeepEqual(got, want) {
+	if got := fault.DedupRecords(in); !reflect.DeepEqual(got, want) {
 		t.Errorf("DedupRecords = %v, want %v", got, want)
 	}
 	if !reflect.DeepEqual(in, orig) {
 		t.Errorf("DedupRecords modified its input: %v", in)
 	}
-	if got := DedupRecords(nil); got != nil {
+	if got := fault.DedupRecords(nil); got != nil {
 		t.Errorf("DedupRecords(nil) = %v, want nil", got)
 	}
 }

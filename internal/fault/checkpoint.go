@@ -167,23 +167,15 @@ func CaptureGoldenStaged(sa StagedApp) (*GoldenRun, error) {
 	return g, nil
 }
 
-// CheckpointFor returns the latest checkpoint a trial of plan p can
-// resume from: the last boundary whose class/region-scoped counter
-// does not exceed the plan's site. Every tap in the prefix before that
-// boundary has a scoped index below the site, so the plan can neither
-// fire nor resolve there — the prefix is provably fault-free and its
-// state is bit-identical to the golden snapshot. Returns nil when the
-// site precedes the first boundary (or no checkpoints were recorded).
-func (g *GoldenRun) CheckpointFor(p Plan) *Checkpoint {
-	if n := g.CheckpointIndexFor(p); n >= 0 {
-		return &g.Checkpoints[n]
-	}
-	return nil
-}
-
-// CheckpointIndexFor returns the index of the checkpoint CheckpointFor
-// would resume plan p from, or -1 when the site precedes the first
-// boundary. The bucket scheduler groups plans by this index.
+// CheckpointIndexFor returns the index of the latest checkpoint a trial
+// of plan p can resume from: the last boundary whose class/region-scoped
+// counter does not exceed the plan's site. Every tap in the prefix
+// before that boundary has a scoped index below the site, so the plan
+// can neither fire nor resolve there — the prefix is provably
+// fault-free and its state is bit-identical to the golden snapshot.
+// Returns -1 when the site precedes the first boundary (or no
+// checkpoints were recorded). The bucket scheduler groups plans by this
+// index.
 func (g *GoldenRun) CheckpointIndexFor(p Plan) int {
 	// Boundary counters are monotone in capture order, so the viable
 	// prefix of the checkpoint stream is contiguous.

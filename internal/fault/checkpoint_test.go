@@ -40,8 +40,9 @@ func TestCountersSeedRoundtrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointFor checks plan bucketing: the latest boundary not past
-// the plan's site, in the counter scoped to the plan's class/region.
+// TestCheckpointFor checks plan bucketing (CheckpointIndexFor): the
+// latest boundary not past the plan's site, in the counter scoped to
+// the plan's class/region.
 func TestCheckpointFor(t *testing.T) {
 	g := &GoldenRun{Schema: CheckpointSchema}
 	mk := func(name string, gpr, fpr, regGPR uint64) Checkpoint {
@@ -69,13 +70,12 @@ func TestCheckpointFor(t *testing.T) {
 		{Plan{Class: GPR, Region: RMatch, Site: 7}, "b"},
 	}
 	for _, c := range cases {
-		cp := g.CheckpointFor(c.plan)
 		got := ""
-		if cp != nil {
-			got = cp.Name
+		if i := g.CheckpointIndexFor(c.plan); i >= 0 {
+			got = g.Checkpoints[i].Name
 		}
 		if got != c.want {
-			t.Errorf("CheckpointFor(%v) = %q, want %q", c.plan, got, c.want)
+			t.Errorf("CheckpointIndexFor(%v) selects %q, want %q", c.plan, got, c.want)
 		}
 	}
 }

@@ -35,12 +35,12 @@ func ExampleGoldenRun_Taps() {
 	// detector FPR sites: 0
 }
 
-// ExampleGoldenRun_CheckpointFor shows plan bucketing for golden-prefix
-// skipping: a staged capture records tap counters at each stage
-// boundary, and CheckpointFor picks the last boundary a plan's
+// ExampleGoldenRun_CheckpointIndexFor shows plan bucketing for
+// golden-prefix skipping: a staged capture records tap counters at each
+// stage boundary, and CheckpointIndexFor picks the last boundary a plan's
 // injection site has not yet passed — the point a trial can safely
 // resume from instead of re-executing its fault-free prefix.
-func ExampleGoldenRun_CheckpointFor() {
+func ExampleGoldenRun_CheckpointIndexFor() {
 	staged := stagedFunc(func(m *fault.Machine, snap func(name string, state any)) ([]byte, error) {
 		for i := 0; i < 10; i++ {
 			m.Idx(i) // stage one: ten GPR taps
@@ -59,9 +59,9 @@ func ExampleGoldenRun_CheckpointFor() {
 	}
 	early := fault.Plan{Class: fault.GPR, Region: fault.RAny, Site: 3}
 	late := fault.Plan{Class: fault.GPR, Region: fault.RAny, Site: 12}
-	fmt.Println("site 3 resumes from:", name(g.CheckpointFor(early)))
-	fmt.Println("site 12 resumes from:", name(g.CheckpointFor(late)))
-	fmt.Println("boundary GPR counter:", g.CheckpointFor(late).Counters.For(fault.GPR, fault.RAny))
+	fmt.Println("site 3 resumes from:", name(g, early))
+	fmt.Println("site 12 resumes from:", name(g, late))
+	fmt.Println("boundary GPR counter:", g.Checkpoints[g.CheckpointIndexFor(late)].Counters.For(fault.GPR, fault.RAny))
 	// Output:
 	// site 3 resumes from: the start (full run)
 	// site 12 resumes from: stage-two
@@ -84,9 +84,11 @@ func (f stagedFunc) Resume(m *fault.Machine, state any) ([]byte, error) {
 	return append(out, "out"...), nil
 }
 
-func name(cp *fault.Checkpoint) string {
-	if cp == nil {
+// name labels the boundary a trial of plan p resumes from.
+func name(g *fault.GoldenRun, p fault.Plan) string {
+	i := g.CheckpointIndexFor(p)
+	if i < 0 {
 		return "the start (full run)"
 	}
-	return cp.Name
+	return g.Checkpoints[i].Name
 }

@@ -16,3 +16,7 @@ func RunTrialFull(app App, golden *GoldenRun, plan Plan) Trial {
 	}
 	return e.run(plan, nil, -1, nil)
 }
+
+// WorkerCap returns the session's worker-pool cap, so tests can check
+// the clamp without starting the workers.
+func (s *Session) WorkerCap() int { return s.cap }

@@ -461,3 +461,59 @@ func TestClipWindowLastTapStillInjects(t *testing.T) {
 		}
 	}
 }
+
+// spanOf returns a kernel span of n taps of class c, all inside region
+// r (RAny: outside every plan's region).
+func spanOf(c Class, r Region, n uint64) TapCounters {
+	s := TapCounters{Steps: n}
+	if c == GPR {
+		s.GPR = n
+	} else {
+		s.FPR = n
+	}
+	if r != RAny {
+		if c == GPR {
+			s.RegionGPR[r] = n
+		} else {
+			s.RegionFPR[r] = n
+		}
+	}
+	return s
+}
+
+// TestCanSkipTapsBoundary pins the inert-kernel skip bound in each class
+// and in the whole-program and region-scoped counters: a span whose
+// taps end just before the armed plan's site may run tap-free, one that
+// ends exactly at the site may not, and neither may one that reaches
+// far past it. AdvanceTaps then moves every counter by the span.
+func TestCanSkipTapsBoundary(t *testing.T) {
+	const done, site = 5, 12 // in-scope taps before the span; the plan's site
+	for _, c := range clipCases {
+		m := NewWithPlan(Plan{Class: c.class, Site: site, Window: 96, Region: c.region}, 0)
+		for k := 0; k < done; k++ {
+			tapScoped(m, c.class, c.region)
+		}
+		for _, tc := range []struct {
+			n    uint64
+			skip bool
+		}{{site - done, true}, {site - done + 1, false}, {2 * (site - done), false}} {
+			if got := m.CanSkipTaps(spanOf(c.class, c.region, tc.n)); got != tc.skip {
+				t.Errorf("%v/%v: span of %d taps after %d: CanSkipTaps = %v, want %v",
+					c.class, c.region, tc.n, done, got, tc.skip)
+			}
+		}
+		span := spanOf(c.class, c.region, site-done)
+		before := m.Counters()
+		m.AdvanceTaps(span)
+		after := m.Counters()
+		if after.Steps != before.Steps+span.Steps || after.GPR != before.GPR+span.GPR || after.FPR != before.FPR+span.FPR ||
+			after.For(c.class, c.region) != site {
+			t.Errorf("%v/%v: AdvanceTaps moved %+v to %+v by %+v", c.class, c.region, before, after, span)
+		}
+	}
+	// The hang budget bounds a skip too: the span may not cross it.
+	m := NewWithPlan(Plan{Class: GPR, Site: 1 << 40, Window: 1, Region: RAny}, 10)
+	if !m.CanSkipTaps(spanOf(GPR, RAny, 10)) || m.CanSkipTaps(spanOf(GPR, RAny, 11)) {
+		t.Error("CanSkipTaps ignores the hang budget")
+	}
+}

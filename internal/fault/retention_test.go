@@ -1,14 +1,17 @@
-package fault
+package fault_test
 
 import (
 	"context"
 	"reflect"
 	"testing"
+
+	"vsresil/internal/fault"
+	"vsresil/internal/faulttest"
 )
 
 // retainedSDCIndices returns the trial indices whose SDC output bytes
 // were kept.
-func retainedSDCIndices(res *Result) []int {
+func retainedSDCIndices(res *fault.Result) []int {
 	var kept []int
 	for i := range res.Trials {
 		if res.Trials[i].Output != nil {
@@ -22,9 +25,9 @@ func retainedSDCIndices(res *Result) []int {
 // retained subset is the lowest-index SDC trials, independent of
 // worker count and completion order.
 func TestSDCRetentionDeterministic(t *testing.T) {
-	run := func(workers int) *Result {
-		res, err := runCampaign(context.Background(), SessionConfig{
-			App: toyApp, Class: GPR, Region: RAny,
+	run := func(workers int) *fault.Result {
+		res, err := runCampaign(context.Background(), fault.SessionConfig{
+			App: faulttest.ToyApp, Class: fault.GPR, Region: fault.RAny,
 			Workers: workers, KeepSDCOutputs: true, MaxSDCOutputs: 2,
 		}, 300, 11)
 		if err != nil {
@@ -45,7 +48,7 @@ func TestSDCRetentionDeterministic(t *testing.T) {
 	// must converge on the same set.
 	var lowest []int
 	for i := range serial.Trials {
-		if serial.Trials[i].Outcome == OutcomeSDC {
+		if serial.Trials[i].Outcome == fault.OutcomeSDC {
 			lowest = append(lowest, i)
 			if len(lowest) == 2 {
 				break

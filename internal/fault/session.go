@@ -31,11 +31,12 @@ type SessionConfig struct {
 	// across plan windows of one campaign, and those windows share one
 	// golden by construction.
 	Golden *GoldenRun
-	// Workers caps the session's worker pool (0 = GOMAXPROCS). Workers
-	// are spawned lazily up to min(Workers, pending trials of the
-	// current window) and then kept for the session's lifetime. Workers
-	// set inter-trial parallelism only; results are bit-identical for
-	// every worker count.
+	// Workers caps the session's worker pool (0 = GOMAXPROCS), clamped
+	// to WorkersPerCPU times the host's CPU count. Workers are spawned
+	// lazily up to min(Workers, pending trials of the current window)
+	// and then kept for the session's lifetime. Workers set inter-trial
+	// parallelism only; results are bit-identical for every worker
+	// count.
 	Workers int
 	// Class selects GPR or FPR injections and Region restricts them to
 	// one function (RAny = whole app). Together they size
@@ -66,6 +67,11 @@ type SessionConfig struct {
 	// index.
 	Resume []TrialRecord
 }
+
+// WorkersPerCPU bounds a session's worker pool per CPU of the executing
+// host: trial workers are CPU-bound, so more buys nothing but their
+// arenas' memory.
+const WorkersPerCPU = 4
 
 // SessionStats counts what a session amortized across its windows. All
 // numbers are observational — they never influence an execution
@@ -152,6 +158,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if capWorkers <= 0 {
 		capWorkers = runtime.GOMAXPROCS(0)
 	}
+	capWorkers = min(capWorkers, WorkersPerCPU*runtime.NumCPU())
 	s := &Session{
 		cfg:       cfg,
 		cap:       capWorkers,

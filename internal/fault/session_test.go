@@ -1,74 +1,24 @@
-package fault
+package fault_test
 
 import (
 	"context"
-	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"vsresil/internal/fault"
+	"vsresil/internal/faulttest"
 )
-
-// sessionStagedToy is a two-stage staged view of toyApp's tap mix for
-// the session tests: stage "transform" snapshots the filled buffer so
-// resumed trials share the boundary state. Counters let the tests
-// assert the skip/prep paths engaged.
-type sessionStagedToy struct {
-	fulls, resumes *atomic.Int64
-}
-
-func newSessionStagedToy() sessionStagedToy {
-	return sessionStagedToy{fulls: new(atomic.Int64), resumes: new(atomic.Int64)}
-}
-
-func (s sessionStagedToy) run(m *Machine, snap func(string, any), buf []uint8) ([]byte, error) {
-	if buf == nil {
-		b := make([]uint8, 64)
-		for i := range b {
-			b[i] = m.Pix(uint8(i * 3))
-		}
-		if snap != nil {
-			snap("transform", b[:len(b):len(b)])
-		}
-		buf = b
-	}
-	out := make([]uint8, 64)
-	n := m.Cnt(len(buf))
-	if n < 0 || n > len(buf) {
-		return nil, errors.New("toy: invalid length")
-	}
-	for i := 0; i < n; i++ {
-		idx := m.Idx(i)
-		v := m.Pix(buf[idx])
-		f := m.F64(float64(v) * 1.5)
-		if f > 255 {
-			f = 255
-		}
-		if f < 0 {
-			f = 0
-		}
-		out[m.Idx(i)] = uint8(f)
-	}
-	return out, nil
-}
-
-func (s sessionStagedToy) RunFull(m *Machine, snap func(name string, state any)) ([]byte, error) {
-	s.fulls.Add(1)
-	return s.run(m, snap, nil)
-}
-
-func (s sessionStagedToy) Resume(m *Machine, state any) ([]byte, error) {
-	s.resumes.Add(1)
-	return s.run(m, nil, state.([]uint8))
-}
 
 // stitchWindows folds per-window results into one trial table of the
 // full plan space, so the session path can be compared against the
 // one-shot campaign trial by trial.
-func stitchWindows(t *testing.T, total int, wins []*Result, offsets []int) []Trial {
+func stitchWindows(t *testing.T, total int, wins []*fault.Result, offsets []int) []fault.Trial {
 	t.Helper()
-	trials := make([]Trial, total)
+	trials := make([]fault.Trial, total)
 	seen := make([]bool, total)
 	for w, res := range wins {
 		for i := range res.Trials {
@@ -88,43 +38,30 @@ func stitchWindows(t *testing.T, total int, wins []*Result, offsets []int) []Tri
 	return trials
 }
 
-func requireSameTrials(t *testing.T, label string, a, b []Trial) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: trial counts differ: %d vs %d", label, len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Outcome != b[i].Outcome || a[i].Crash != b[i].Crash || a[i].Landed != b[i].Landed {
-			t.Errorf("%s: trial %d differs: (%v,%v,landed=%v) vs (%v,%v,landed=%v)",
-				label, i, a[i].Outcome, a[i].Crash, a[i].Landed, b[i].Outcome, b[i].Crash, b[i].Landed)
-		}
-	}
-}
-
 // TestSessionWindowsMatchRunCampaign is the tentpole equivalence at the
 // fault layer: successive windows through one persistent session must
 // reproduce the one-shot campaign (runCampaign) bit for bit, and the
 // session must visibly amortize its pool across windows.
 func TestSessionWindowsMatchRunCampaign(t *testing.T) {
 	const total = 60
-	sc := SessionConfig{App: toyApp, Class: GPR, Region: RAny, Workers: 2}
+	sc := fault.SessionConfig{App: faulttest.ToyApp, Class: fault.GPR, Region: fault.RAny, Workers: 2}
 	baseline, err := runCampaign(context.Background(), sc, total, 11)
 	if err != nil {
 		t.Fatalf("one-shot campaign: %v", err)
 	}
 
-	golden, err := CaptureGolden(toyApp)
+	golden, err := fault.CaptureGolden(faulttest.ToyApp)
 	if err != nil {
 		t.Fatalf("CaptureGolden: %v", err)
 	}
 	sc.Golden = golden
-	s, err := NewSession(sc)
+	s, err := fault.NewSession(sc)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
 	defer s.Close()
 
-	var wins []*Result
+	var wins []*fault.Result
 	offsets := []int{0, 20, 40}
 	for _, lo := range offsets {
 		res, err := s.Run(context.Background(), window(baseline.Config.Plans, lo, 20))
@@ -133,7 +70,7 @@ func TestSessionWindowsMatchRunCampaign(t *testing.T) {
 		}
 		wins = append(wins, res)
 	}
-	requireSameTrials(t, "session windows vs one-shot",
+	faulttest.RequireSameTrials(t, "session windows vs one-shot",
 		stitchWindows(t, total, wins, offsets), baseline.Trials)
 
 	st := s.Stats()
@@ -150,8 +87,8 @@ func TestSessionWindowsMatchRunCampaign(t *testing.T) {
 
 // window returns the window of the n plans of the plan space that
 // start at plan index lo.
-func window(plans []Plan, lo, n int) Config {
-	return Config{PlanOffset: lo, Plans: plans[lo : lo+n]}
+func window(plans []fault.Plan, lo, n int) fault.Config {
+	return fault.Config{PlanOffset: lo, Plans: plans[lo : lo+n]}
 }
 
 // TestSessionBucketPrepCache checks the staged path: checkpoint-bucket
@@ -160,30 +97,30 @@ func window(plans []Plan, lo, n int) Config {
 // observable.
 func TestSessionBucketPrepCache(t *testing.T) {
 	const total = 60
-	st := newSessionStagedToy()
-	golden, err := CaptureGoldenStaged(st)
+	st := faulttest.NewStagedToy()
+	golden, err := fault.CaptureGoldenStaged(st)
 	if err != nil {
 		t.Fatalf("CaptureGoldenStaged: %v", err)
 	}
-	plans := GeneratePlans(3, GPR, RAny, WindowFor(GPR, 0), total, golden.Taps(GPR, RAny))
-	sc := SessionConfig{Staged: st, Golden: golden, Workers: 2, Class: GPR, Region: RAny}
-	oneShot, err := NewSession(sc)
+	plans := fault.GeneratePlans(3, fault.GPR, fault.RAny, fault.WindowFor(fault.GPR, 0), total, golden.Taps(fault.GPR, fault.RAny))
+	sc := fault.SessionConfig{Staged: st, Golden: golden, Workers: 2, Class: fault.GPR, Region: fault.RAny}
+	oneShot, err := fault.NewSession(sc)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	baseline, err := oneShot.Run(context.Background(), Config{Plans: plans})
+	baseline, err := oneShot.Run(context.Background(), fault.Config{Plans: plans})
 	oneShot.Close()
 	if err != nil {
 		t.Fatalf("one-shot staged campaign: %v", err)
 	}
 
-	s, err := NewSession(sc)
+	s, err := fault.NewSession(sc)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
 	defer s.Close()
 
-	var wins []*Result
+	var wins []*fault.Result
 	offsets := []int{0, 30}
 	for _, lo := range offsets {
 		res, err := s.Run(context.Background(), window(plans, lo, 30))
@@ -192,7 +129,7 @@ func TestSessionBucketPrepCache(t *testing.T) {
 		}
 		wins = append(wins, res)
 	}
-	requireSameTrials(t, "staged session windows vs one-shot",
+	faulttest.RequireSameTrials(t, "staged session windows vs one-shot",
 		stitchWindows(t, total, wins, offsets), baseline.Trials)
 
 	stats := s.Stats()
@@ -202,7 +139,7 @@ func TestSessionBucketPrepCache(t *testing.T) {
 	if stats.BucketPrepHits == 0 {
 		t.Error("BucketPrepHits = 0: the second window did not reuse the prep cache")
 	}
-	if st.resumes.Load() == 0 {
+	if st.Resumes.Load() == 0 {
 		t.Error("no trial resumed from a checkpoint — staged path never engaged")
 	}
 }
@@ -213,25 +150,25 @@ func TestSessionBucketPrepCache(t *testing.T) {
 // one-shot campaign.
 func TestSessionConcurrentWindows(t *testing.T) {
 	const total = 60
-	sc := SessionConfig{App: toyApp, Class: FPR, Region: RAny, Workers: 2}
+	sc := fault.SessionConfig{App: faulttest.ToyApp, Class: fault.FPR, Region: fault.RAny, Workers: 2}
 	baseline, err := runCampaign(context.Background(), sc, total, 29)
 	if err != nil {
 		t.Fatalf("one-shot campaign: %v", err)
 	}
 
-	golden, err := CaptureGolden(toyApp)
+	golden, err := fault.CaptureGolden(faulttest.ToyApp)
 	if err != nil {
 		t.Fatalf("CaptureGolden: %v", err)
 	}
 	sc.Golden, sc.Workers = golden, 4
-	s, err := NewSession(sc)
+	s, err := fault.NewSession(sc)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
 	defer s.Close()
 
 	offsets := []int{0, 15, 30, 45}
-	wins := make([]*Result, len(offsets))
+	wins := make([]*fault.Result, len(offsets))
 	errs := make([]error, len(offsets))
 	var wg sync.WaitGroup
 	for w, lo := range offsets {
@@ -247,7 +184,7 @@ func TestSessionConcurrentWindows(t *testing.T) {
 			t.Fatalf("concurrent window %d: %v", w, err)
 		}
 	}
-	requireSameTrials(t, "concurrent session windows vs one-shot",
+	faulttest.RequireSameTrials(t, "concurrent session windows vs one-shot",
 		stitchWindows(t, total, wins, offsets), baseline.Trials)
 }
 
@@ -260,24 +197,24 @@ func TestSessionConcurrentWindows(t *testing.T) {
 // while resumed indices never reach the hook.
 func TestSessionHooksAcrossConcurrentWindows(t *testing.T) {
 	const total, windows = 96, 6
-	golden, err := CaptureGolden(toyApp)
+	golden, err := fault.CaptureGolden(faulttest.ToyApp)
 	if err != nil {
 		t.Fatalf("CaptureGolden: %v", err)
 	}
-	plans := GeneratePlans(5, GPR, RAny, WindowFor(GPR, 0), total, golden.Taps(GPR, RAny))
+	plans := fault.GeneratePlans(5, fault.GPR, fault.RAny, fault.WindowFor(fault.GPR, 0), total, golden.Taps(fault.GPR, fault.RAny))
 	// Resume every fifth plan, journaled in reverse order.
-	var resume []TrialRecord
+	var resume []fault.TrialRecord
 	for i := total - 1; i >= 0; i-- {
 		if i%5 == 0 {
-			resume = append(resume, TrialRecord{Index: i, Outcome: OutcomeMask})
+			resume = append(resume, fault.TrialRecord{Index: i, Outcome: fault.OutcomeMask})
 		}
 	}
 	seen := make(map[int]int) // written only by the hook
 	var inFlight, overlaps atomic.Int64
-	s, err := NewSession(SessionConfig{
-		App: toyApp, Golden: golden, Workers: 4, Class: GPR, Region: RAny,
+	s, err := fault.NewSession(fault.SessionConfig{
+		App: faulttest.ToyApp, Golden: golden, Workers: 4, Class: fault.GPR, Region: fault.RAny,
 		Resume: resume,
-		OnTrial: func(rec TrialRecord) {
+		OnTrial: func(rec fault.TrialRecord) {
 			if inFlight.Add(1) > 1 {
 				overlaps.Add(1)
 			}
@@ -292,7 +229,7 @@ func TestSessionHooksAcrossConcurrentWindows(t *testing.T) {
 	defer s.Close()
 
 	n := total / windows
-	wins := make([]*Result, windows)
+	wins := make([]*fault.Result, windows)
 	errs := make([]error, windows)
 	var wg sync.WaitGroup
 	for w := range windows {
@@ -339,30 +276,60 @@ func TestSessionHooksAcrossConcurrentWindows(t *testing.T) {
 // construction without an app or golden, an empty window and Run after
 // Close.
 func TestSessionValidation(t *testing.T) {
-	golden, err := CaptureGolden(toyApp)
+	golden, err := fault.CaptureGolden(faulttest.ToyApp)
 	if err != nil {
 		t.Fatalf("CaptureGolden: %v", err)
 	}
 
-	if _, err := NewSession(SessionConfig{Golden: golden}); err == nil {
+	if _, err := fault.NewSession(fault.SessionConfig{Golden: golden}); err == nil {
 		t.Error("NewSession without app accepted")
 	}
-	if _, err := NewSession(SessionConfig{App: toyApp}); err == nil {
+	if _, err := fault.NewSession(fault.SessionConfig{App: faulttest.ToyApp}); err == nil {
 		t.Error("NewSession without golden accepted")
 	}
 
-	s, err := NewSession(SessionConfig{App: toyApp, Golden: golden, Class: GPR, Region: RAny})
+	s, err := fault.NewSession(fault.SessionConfig{App: faulttest.ToyApp, Golden: golden, Class: fault.GPR, Region: fault.RAny})
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	if _, err := s.Run(context.Background(), Config{}); err == nil || !strings.Contains(err.Error(), "empty") {
+	if _, err := s.Run(context.Background(), fault.Config{}); err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Errorf("window without plans: got %v, want empty-window error", err)
 	}
 
 	s.Close()
 	s.Close() // idempotent
-	cfg := Config{Plans: GeneratePlans(1, GPR, RAny, WindowFor(GPR, 0), 4, golden.Taps(GPR, RAny))}
+	cfg := fault.Config{Plans: fault.GeneratePlans(1, fault.GPR, fault.RAny, fault.WindowFor(fault.GPR, 0), 4, golden.Taps(fault.GPR, fault.RAny))}
 	if _, err := s.Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Errorf("Run on closed session: got %v, want closed error", err)
+	}
+}
+
+// TestSessionClampsWorkers reads the pool cap a session computes: an
+// explicit count is kept up to WorkersPerCPU per host CPU and clamped
+// beyond it, and zero means GOMAXPROCS. No worker is started.
+func TestSessionClampsWorkers(t *testing.T) {
+	golden, err := fault.CaptureGolden(faulttest.ToyApp)
+	if err != nil {
+		t.Fatalf("CaptureGolden: %v", err)
+	}
+	limit := fault.WorkersPerCPU * runtime.NumCPU()
+	for _, tc := range []struct{ workers, want int }{
+		{1, 1},
+		{limit, limit},
+		{limit + 1, limit},
+		{1000000, limit},
+		{0, min(runtime.GOMAXPROCS(0), limit)},
+	} {
+		s, err := fault.NewSession(fault.SessionConfig{App: faulttest.ToyApp, Golden: golden, Workers: tc.workers, Class: fault.GPR, Region: fault.RAny})
+		if err != nil {
+			t.Fatalf("NewSession: %v", err)
+		}
+		if got := s.WorkerCap(); got != tc.want {
+			t.Errorf("Workers %d: pool cap %d, want %d", tc.workers, got, tc.want)
+		}
+		if st := s.Stats(); st.WorkersSpawned != 0 {
+			t.Errorf("Workers %d: opening the session spawned %d workers", tc.workers, st.WorkersSpawned)
+		}
+		s.Close()
 	}
 }

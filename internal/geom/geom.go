@@ -203,9 +203,6 @@ func (h Homography) String() string {
 // mapping (x, y) -> (a0 x + a1 y + a2, a3 x + a4 y + a5).
 type Affine [6]float64
 
-// IdentityAffine returns the identity affine transform.
-func IdentityAffine() Affine { return Affine{1, 0, 0, 0, 1, 0} }
-
 // Apply maps p through a.
 func (a Affine) Apply(p Pt) Pt {
 	return Pt{

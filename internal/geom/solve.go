@@ -289,11 +289,6 @@ func EstimateAffine(src, dst []Pt) (Affine, error) {
 	return a, nil
 }
 
-// ReprojError returns the Euclidean reprojection error |h(src) - dst|.
-func ReprojError(h Homography, src, dst Pt) float64 {
-	return h.Apply(src).Dist(dst)
-}
-
 // Collinear reports whether the three points are (nearly) collinear,
 // using twice the triangle area against a tolerance scaled by the
 // points' extent.

@@ -6,40 +6,13 @@ import (
 	"testing"
 
 	"vsresil/internal/fault"
+	"vsresil/internal/faulttest"
 	"vsresil/internal/stats"
 )
 
-// toyApp mirrors the campaign package's miniature workload: a
-// realistic mix of tap classes, cheap enough to capture a golden run
-// per test.
-func toyApp(m *fault.Machine) ([]byte, error) {
-	buf := make([]uint8, 64)
-	for i := range buf {
-		buf[i] = uint8(i * 3)
-	}
-	out := make([]uint8, 64)
-	n := m.Cnt(len(buf))
-	if n < 0 || n > len(buf) {
-		return nil, errors.New("toy: invalid length")
-	}
-	for i := 0; i < n; i++ {
-		idx := m.Idx(i)
-		v := m.Pix(buf[idx])
-		f := m.F64(float64(v) * 1.5)
-		if f > 255 {
-			f = 255
-		}
-		if f < 0 {
-			f = 0
-		}
-		out[m.Idx(i)] = uint8(f)
-	}
-	return out, nil
-}
-
 func toyGolden(t *testing.T) *fault.GoldenRun {
 	t.Helper()
-	g, err := fault.CaptureGolden(toyApp)
+	g, err := fault.CaptureGolden(faulttest.ToyApp)
 	if err != nil {
 		t.Fatalf("CaptureGolden: %v", err)
 	}

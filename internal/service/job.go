@@ -197,7 +197,9 @@ func (s *JobSpec) validate(replay bool) error {
 		if _, err := vs.ParseAlgorithm(c.Algorithm); err != nil {
 			return err
 		}
-		if err := c.InputSpec.validate(); err != nil {
+		// A generated input is the request's to check; only uploaded
+		// frames are the job's own.
+		if err := c.InputSpec.validateUpload(); err != nil {
 			return err
 		}
 		req := c.request()
@@ -215,6 +217,9 @@ func (s *JobSpec) validate(replay bool) error {
 		}
 		if e.Trials > campaign.TrialLimit || e.QualityTrials > campaign.TrialLimit || e.Frames > campaign.FrameLimit {
 			return fmt.Errorf("service: experiment trials/quality_trials over %d or frames over %d", campaign.TrialLimit, campaign.FrameLimit)
+		}
+		if e.Workers < 0 || e.Workers > campaign.WorkerLimit {
+			return fmt.Errorf("service: experiment workers %d outside [0, %d]", e.Workers, campaign.WorkerLimit)
 		}
 		if _, err := experiments.ParseScale(e.Scale); err != nil {
 			return err
@@ -249,19 +254,13 @@ func (c *CampaignSpec) request() campaign.Request {
 	return r
 }
 
+// validate checks a summarize job's input.
 func (in *InputSpec) validate() error {
-	sc, err := virat.ParseScenario(in.Scenario)
-	if err != nil {
-		return err
-	}
 	if len(in.FramesPGM) > 0 {
-		if !sc.IsIdentity() {
-			return fmt.Errorf("service: scenario %q applies to generated inputs, not uploaded frames", in.Scenario)
-		}
-		if len(in.FramesPGM) > campaign.FrameLimit {
-			return fmt.Errorf("service: %d uploaded frames over the %d-frame limit", len(in.FramesPGM), campaign.FrameLimit)
-		}
-		return nil // frames decoded (and errors reported) at run time
+		return in.validateUpload()
+	}
+	if _, err := virat.ParseScenario(in.Scenario); err != nil {
+		return err
 	}
 	if in.Frames > campaign.FrameLimit {
 		return fmt.Errorf("service: %d frames over the %d-frame limit", in.Frames, campaign.FrameLimit)
@@ -271,6 +270,27 @@ func (in *InputSpec) validate() error {
 	}
 	if _, err := virat.ParsePreset(in.Scale, in.Frames); err != nil {
 		return err
+	}
+	return nil
+}
+
+// validateUpload checks what only uploaded frames carry: their count,
+// and no scenario (a scenario degrades generated inputs); a generated
+// input passes. The frames are decoded, and their errors reported, at
+// run time.
+func (in *InputSpec) validateUpload() error {
+	if len(in.FramesPGM) == 0 {
+		return nil
+	}
+	sc, err := virat.ParseScenario(in.Scenario)
+	if err != nil {
+		return err
+	}
+	if !sc.IsIdentity() {
+		return fmt.Errorf("service: scenario %q applies to generated inputs, not uploaded frames", in.Scenario)
+	}
+	if len(in.FramesPGM) > campaign.FrameLimit {
+		return fmt.Errorf("service: %d uploaded frames over the %d-frame limit", len(in.FramesPGM), campaign.FrameLimit)
 	}
 	return nil
 }

@@ -388,13 +388,16 @@ func TestSubmitValidation(t *testing.T) {
 		"malformed-json": `{"type":`,
 		// Over-bound counts: each would allocate or run far past what the
 		// process can hold, so none may reach the queue.
-		"over-trials":           `{"type":"campaign","campaign":{"trials":2000000000}}`,
-		"over-max-trials":       `{"type":"campaign","campaign":{"adaptive":true,"max_trials":2000000000}}`,
-		"over-round-size":       `{"type":"campaign","campaign":{"adaptive":true,"round_size":2000000000}}`,
-		"over-default-cap":      `{"type":"campaign","campaign":{"adaptive":true,"precision":0.0001}}`,
-		"over-frames":           `{"type":"campaign","campaign":{"trials":10,"frames":20000}}`,
-		"over-summarize-frames": `{"type":"summarize","summarize":{"frames":20000}}`,
-		"over-experiment":       `{"type":"experiment","experiment":{"fig":"5","trials":2000000000}}`,
+		"over-trials":             `{"type":"campaign","campaign":{"trials":2000000000}}`,
+		"over-max-trials":         `{"type":"campaign","campaign":{"adaptive":true,"max_trials":2000000000}}`,
+		"over-round-size":         `{"type":"campaign","campaign":{"adaptive":true,"round_size":2000000000}}`,
+		"over-default-cap":        `{"type":"campaign","campaign":{"adaptive":true,"precision":0.0001}}`,
+		"over-frames":             `{"type":"campaign","campaign":{"trials":10,"frames":20000}}`,
+		"over-summarize-frames":   `{"type":"summarize","summarize":{"frames":20000}}`,
+		"over-experiment":         `{"type":"experiment","experiment":{"fig":"5","trials":2000000000}}`,
+		"over-workers":            `{"type":"campaign","campaign":{"trials":1000000,"workers":1000000}}`,
+		"negative-workers":        `{"type":"campaign","campaign":{"trials":10,"workers":-1}}`,
+		"over-experiment-workers": `{"type":"experiment","experiment":{"fig":"5","workers":1000000}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -194,32 +194,6 @@ func (s *Sequence) renderObjects(out *imgproc.Gray, frameToWorld geom.Homography
 	}
 }
 
-// ObjectFramePosition returns the frame-coordinate position of object
-// oi at frame t and whether it is inside the frame — ground truth for
-// the event summarization tests.
-func (s *Sequence) ObjectFramePosition(oi, t int) (geom.Pt, bool) {
-	worldToFrame, err := s.Poses[t].FrameToWorld(s.FrameW, s.FrameH).Inverse()
-	if err != nil {
-		return geom.Pt{}, false
-	}
-	wx, wy := s.Objects[oi].At(t)
-	fp := worldToFrame.Apply(geom.Pt{X: wx, Y: wy})
-	in := fp.X >= 0 && fp.Y >= 0 && fp.X < float64(s.FrameW) && fp.Y < float64(s.FrameH)
-	return fp, in
-}
-
-// TrueHomography returns the ground-truth transform mapping frame i
-// coordinates to frame j coordinates.
-func (s *Sequence) TrueHomography(i, j int) (geom.Homography, error) {
-	wi := s.Poses[i].FrameToWorld(s.FrameW, s.FrameH)
-	wj := s.Poses[j].FrameToWorld(s.FrameW, s.FrameH)
-	wjInv, err := wj.Inverse()
-	if err != nil {
-		return geom.Homography{}, fmt.Errorf("virat: pose %d not invertible: %w", j, err)
-	}
-	return wjInv.Mul(wi), nil
-}
-
 // Input1 generates the reproduction's analogue of VIRAT clip
 // 09152008flight2tape1_2: fast panning with frequent heading and
 // altitude changes plus hard scene cuts, producing many mini-panoramas

@@ -1,6 +1,7 @@
 package virat
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -214,9 +215,9 @@ func frameDiff(a, b *imgproc.Gray) float64 {
 
 func TestTrueHomographyConsistency(t *testing.T) {
 	s := Input2(TestScale())
-	h01, err := s.TrueHomography(0, 1)
+	h01, err := trueHomography(s, 0, 1)
 	if err != nil {
-		t.Fatalf("TrueHomography: %v", err)
+		t.Fatalf("trueHomography: %v", err)
 	}
 	// A world point seen at p in frame 0 must appear at h01(p) in
 	// frame 1: verify by round-tripping through the pose transforms.
@@ -265,4 +266,16 @@ func BenchmarkRenderFrame(b *testing.B) {
 		s.frames = nil // defeat the cache
 		s.Frame(0)
 	}
+}
+
+// trueHomography returns the ground-truth transform mapping frame i
+// coordinates to frame j coordinates.
+func trueHomography(s *Sequence, i, j int) (geom.Homography, error) {
+	wi := s.Poses[i].FrameToWorld(s.FrameW, s.FrameH)
+	wj := s.Poses[j].FrameToWorld(s.FrameW, s.FrameH)
+	wjInv, err := wj.Inverse()
+	if err != nil {
+		return geom.Homography{}, fmt.Errorf("virat: pose %d not invertible: %w", j, err)
+	}
+	return wjInv.Mul(wi), nil
 }

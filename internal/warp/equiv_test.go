@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vsresil/internal/fault"
+	"vsresil/internal/faulttest"
 	"vsresil/internal/geom"
 	"vsresil/internal/imgproc"
 	"vsresil/internal/probe"
@@ -54,19 +55,13 @@ func randomGray(rng *stats.RNG, w, h int) *imgproc.Gray {
 	return g
 }
 
-// genericSink hides a machine's concrete type behind probe.Sink, so
-// every kernel takes its generic instrumented loop — the path a Meter
-// takes — instead of the *fault.Machine inert fast path. The taps still
-// land on the wrapped machine.
-type genericSink struct{ probe.Sink }
-
 // TestInertTiledWarpEquivalence guards the tiled inert kernels: a
 // machine that cannot be hit inside the warp (here: a plan-free
 // machine) runs the tap-free banded kernels and accounts its taps and
 // op counts post hoc from the closed-form spans. That accounting must
 // be exact — same pixels, same step count, same per-region tap spaces,
 // same op matrix — as the instrumented loop it replaces (the same
-// machine behind genericSink), for every blend mode and for the
+// machine behind faulttest.GenericSink), for every blend mode and for the
 // resolve pass, otherwise a later trial resumed from such a golden
 // capture would bucket against drifted checkpoint counters.
 func TestInertTiledWarpEquivalence(t *testing.T) {
@@ -86,7 +81,7 @@ func TestInertTiledWarpEquivalence(t *testing.T) {
 
 		run := func(inert bool) ([]uint8, machineCounters) {
 			m := fault.New()
-			var s probe.Sink = genericSink{m}
+			var s probe.Sink = faulttest.GenericSink{Sink: m}
 			if inert {
 				s = m
 			}
