@@ -51,12 +51,14 @@ check-run = list="$$($(GO) test -list . $(2))" || { echo "$$list"; exit 1; }; \
 # resumes, convergence), plain resumes, checkpoint-free goldens and the
 # generic instrumented kernels against cutoff-free re-execution of every
 # plan, with the inert-kernel skip bound pinned on its own
-# (TestCanSkipTaps). Also the composite boundary and canvas snapshot
-# tests (internal/stitch, internal/warp), the resume-boundary report
-# and the checkpoint schema drift pin. Run it after touching any layer
-# of the workload path.
-IDENTITY_RUN = TestReferenceMatrix|TestCanSkipTaps|TestComposite|TestCanvasSnapshot|TestResumeReportsOwnBoundaryFirst|TestCheckpointSchemaDrift|TestIdentityCell|TestIdentityScenarioByteIdentical|TestVSAdapterByteIdentical|TestCellIdentityMatchesVSConstructor|TestVSConstructorKeyUnchanged
-IDENTITY_PKGS = . ./internal/virat/ ./internal/summarize/ ./internal/campaign/ ./internal/fault/ ./internal/stitch/ ./internal/warp/ ./internal/vs/
+# (TestCanSkipTaps). Also the composite and registration boundary
+# tests, the canvas snapshot and RANSAC split tests (internal/stitch,
+# internal/warp, internal/ransac), the live-state compare and the
+# converged-hang arithmetic (internal/vs, internal/fault), the
+# resume-boundary report and the checkpoint schema drift pin. Run it
+# after touching any layer of the workload path.
+IDENTITY_RUN = TestReferenceMatrix|TestCanSkipTaps|TestComposite|TestAlignBoundaries|TestAlignStateEqualLive|TestSearchSplitMatchesEstimate|TestStateEqualLiveState|TestConvergedTrialHangs|TestCanvasSnapshot|TestResumeReportsOwnBoundaryFirst|TestCheckpointSchemaDrift|TestIdentityCell|TestIdentityScenarioByteIdentical|TestVSAdapterByteIdentical|TestCellIdentityMatchesVSConstructor|TestVSConstructorKeyUnchanged
+IDENTITY_PKGS = . ./internal/virat/ ./internal/summarize/ ./internal/campaign/ ./internal/fault/ ./internal/stitch/ ./internal/warp/ ./internal/vs/ ./internal/ransac/
 identity:
 	@$(call check-run,$(IDENTITY_RUN),$(IDENTITY_PKGS))
 	$(GO) test -count=1 -run '$(IDENTITY_RUN)' $(IDENTITY_PKGS)

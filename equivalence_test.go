@@ -22,25 +22,37 @@ import (
 	"vsresil/internal/vs"
 )
 
-// runGuardCampaign executes a fixed-seed full-execution campaign over
-// the guard workload.
-func runGuardCampaign(t *testing.T, golden *fault.GoldenRun) *fault.Result {
+// runGuardCampaign executes a fixed-seed campaign over the staged
+// guard workload — checkpoint buckets, resumes and boundary
+// convergence included — with the given golden (nil: the campaign
+// captures its own) and OnTrial hook.
+func runGuardCampaign(t *testing.T, golden *fault.GoldenRun, onTrial func(fault.TrialRecord)) *fault.Result {
 	t.Helper()
-	vsApp, frames := guardApp()
 	var runner campaign.Runner
 	res, err := runner.Run(context.Background(), campaign.Spec{
-		Workload: campaign.NewWorkload("guard", "", vsApp.RunEncoded(frames)),
+		Workload: guardWorkload(),
 		Class:    fault.GPR,
 		Region:   fault.RAny,
 		Trials:   40,
 		Seed:     0x5EED5,
 		Workers:  1,
 		Golden:   golden,
+		OnTrial:  onTrial,
 	})
 	if err != nil {
 		t.Fatalf("guard campaign: %v", err)
 	}
+	if res.Fault.Sched.Converged == 0 {
+		t.Error("no guard campaign trial converged at a boundary")
+	}
 	return res.Fault
+}
+
+// guardWorkload is the guard app over its input as a staged campaign
+// workload.
+func guardWorkload() campaign.Workload {
+	_, frames := guardApp()
+	return campaign.VSApp(vs.DefaultConfig(vs.AlgVS), frames, "guard", "")
 }
 
 // guardApp builds the fixed workload the sink-equivalence tests run.
@@ -97,22 +109,9 @@ func TestCampaignOutcomeStreamEquivalence(t *testing.T) {
 	}
 	t.Parallel()
 	stream := func() ([]fault.TrialRecord, *fault.Result) {
-		app, frames := guardApp()
 		var recs []fault.TrialRecord
-		var runner campaign.Runner
-		res, err := runner.Run(context.Background(), campaign.Spec{
-			Workload: campaign.NewWorkload("guard", "", app.RunEncoded(frames)),
-			Class:    fault.GPR,
-			Region:   fault.RAny,
-			Trials:   40,
-			Seed:     0x5EED5,
-			Workers:  1,
-			OnTrial:  func(rec fault.TrialRecord) { recs = append(recs, rec) },
-		})
-		if err != nil {
-			t.Fatalf("campaign: %v", err)
-		}
-		return recs, res.Fault
+		res := runGuardCampaign(t, nil, func(rec fault.TrialRecord) { recs = append(recs, rec) })
+		return recs, res
 	}
 	recsA, resA := stream()
 	recsB, resB := stream()
@@ -143,12 +142,11 @@ func TestCampaignGoldenCacheEquivalence(t *testing.T) {
 		t.Skip("campaign equivalence sweep is not -short")
 	}
 	t.Parallel()
-	app, frames := guardApp()
-	golden, err := fault.CaptureGolden(app.RunEncoded(frames))
+	golden, err := fault.CaptureGoldenStaged(guardWorkload().Staged)
 	if err != nil {
-		t.Fatalf("CaptureGolden: %v", err)
+		t.Fatalf("CaptureGoldenStaged: %v", err)
 	}
-	cached := runGuardCampaign(t, golden)
-	fresh := runGuardCampaign(t, nil)
+	cached := runGuardCampaign(t, golden, nil)
+	fresh := runGuardCampaign(t, nil, nil)
 	faulttest.RequireIdentical(t, "precomputed vs self-captured golden", cached, fresh)
 }

@@ -186,3 +186,40 @@ func TestCoordinatorJournalFailure(t *testing.T) {
 		t.Errorf("HTTP status %d for a journal failure, want 500", rec.Code)
 	}
 }
+
+// TestPackedRecordsRoundTrip checks the finished-campaign record
+// packing: every outcome, crash kind and Landed combination unpacks to
+// the record it packed, and records that do not tile the plan indices
+// from zero, or carry a value the byte cannot hold, are refused.
+func TestPackedRecordsRoundTrip(t *testing.T) {
+	var recs []fault.TrialRecord
+	for o := fault.Outcome(0); o < fault.NumOutcomes; o++ {
+		for k := fault.CrashNone; k <= fault.CrashAbort; k++ {
+			for _, landed := range []bool{false, true} {
+				recs = append(recs, fault.TrialRecord{Index: len(recs), Outcome: o, Crash: k, Landed: landed})
+			}
+		}
+	}
+	p, err := packRecords(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p) != len(recs) {
+		t.Fatalf("packed %d records into %d bytes", len(recs), len(p))
+	}
+	if got := p.unpack(); !reflect.DeepEqual(got, recs) {
+		t.Fatalf("round trip: got %v, want %v", got, recs)
+	}
+	if packedRecords(nil).unpack() != nil {
+		t.Error("nil packed records unpack to a non-nil slice")
+	}
+	for name, bad := range map[string]fault.TrialRecord{
+		"gap":     {Index: 1},
+		"outcome": {Outcome: fault.NumOutcomes},
+		"crash":   {Crash: fault.CrashAbort + 1},
+	} {
+		if _, err := packRecords([]fault.TrialRecord{bad}); err == nil {
+			t.Errorf("%s: packed without error", name)
+		}
+	}
+}

@@ -234,8 +234,10 @@ type SchedStats struct {
 	// EarlyMasks counts trials abandoned at liveness-window expiry
 	// (the flip conclusively missed, so the suffix is the golden run);
 	// Converged counts trials abandoned at a later stage boundary
-	// whose counters and state had re-joined the golden run bit-exactly.
-	// Both classify as Mask, exactly as running the suffix would.
+	// whose live state had re-joined the golden run bit-exactly.
+	// Early masks classify as Mask; converged trials as Mask, or as
+	// Hang when the golden suffix would overrun the step budget —
+	// exactly as running the suffix would.
 	EarlyMasks int
 	Converged  int
 }
@@ -455,13 +457,17 @@ type trialExec struct {
 //     raises maskResolved and the trial is classified Mask with
 //     Landed=false — exactly what running to completion would record.
 //   - Boundary convergence: once the plan is resolved (fired or
-//     expired), if a later stage boundary is reached with tap counters
-//     equal to the golden checkpoint's and bit-equal state, the
-//     remaining suffix is deterministically the golden suffix. The
-//     guard fires, the app abandons the run, and the trial is
-//     classified Mask with Landed=m.Injected() — again identical to a
-//     full run (a landed injection whose effects died before the
-//     boundary is a Mask either way).
+//     expired), every tap passes its value through, so from a later
+//     stage boundary whose live state — everything the rest of the run
+//     reads (BatchStagedApp.StateEqual) — is bit-equal to the golden
+//     checkpoint's, the remaining suffix is deterministically the
+//     golden suffix, whatever the tap counters say. The guard fires and
+//     the app abandons the run. The suffix would have added the golden
+//     run's remaining steps, golden.Steps minus the checkpoint's: the
+//     trial is a Hang iff the machine's steps plus those exceed the
+//     budget, and otherwise a Mask with Landed=m.Injected() — both
+//     identical to a full run (a landed injection whose effects died
+//     before the boundary is a Mask either way).
 func (e *trialExec) run(plan Plan, cp *Checkpoint, cpIdx int, prep any) (trial Trial) {
 	trial.Plan = plan
 	m := NewWithPlan(plan, e.budget)
@@ -510,6 +516,7 @@ func (e *trialExec) run(plan Plan, cp *Checkpoint, cpIdx int, prep any) (trial T
 		// realignment is impossible and the guard disables itself for
 		// the rest of the trial.
 		cursor := cpIdx + 1
+		var at *Checkpoint
 		guard := func(name string, state any) bool {
 			if !m.Resolved() || cursor >= len(e.golden.Checkpoints) {
 				return false
@@ -520,13 +527,26 @@ func (e *trialExec) run(plan Plan, cp *Checkpoint, cpIdx int, prep any) (trial T
 				return false
 			}
 			cursor++
-			return m.Counters() == gcp.Counters && e.bapp.StateEqual(gcp.State, state)
+			if !e.bapp.StateEqual(gcp.State, state) {
+				return false
+			}
+			at = gcp
+			return true
 		}
 		var conv bool
 		out, conv, err = e.bapp.ResumeGuarded(m, cp.State, prep, guard)
 		if conv && err == nil {
-			trial.Outcome = OutcomeMask
 			e.converged.Add(1)
+			// From equal live state the suffix is the golden suffix: it
+			// adds exactly the golden run's remaining steps, so it hangs
+			// iff they overrun the budget, and otherwise ends in the
+			// golden output.
+			if rest := e.golden.Steps - at.Counters.Steps; e.budget != 0 && m.Steps()+rest > e.budget {
+				trial.Outcome = OutcomeHang
+				trial.Err = hangError{steps: e.budget + 1}
+				return trial
+			}
+			trial.Outcome = OutcomeMask
 			return trial
 		}
 	case cp != nil:

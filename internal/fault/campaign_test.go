@@ -10,6 +10,7 @@ import (
 
 	"vsresil/internal/fault"
 	"vsresil/internal/faulttest"
+	"vsresil/internal/stats"
 )
 
 // runCampaign is the one-shot seed-driven campaign the package tests
@@ -167,6 +168,48 @@ func TestCampaignHangDetection(t *testing.T) {
 	}
 	if res.Counts[fault.OutcomeHang] == 0 {
 		t.Error("expected hang outcomes from corrupted loop bounds")
+	}
+}
+
+// TestConvergedTrialHangs checks the convergence guard's hang
+// arithmetic on faulttest.HangToy: flips of the spin's trip count
+// reach the "work" boundary resolved and with the golden state, and
+// each must classify as the full run does — a Mask when the golden
+// suffix fits the remaining step budget, a Hang when it would overrun
+// it (bit HangToyBit), even though the trial converged first.
+func TestConvergedTrialHangs(t *testing.T) {
+	toy := faulttest.HangToy{}
+	golden, err := fault.CaptureGoldenStaged(toy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func(bit int) fault.Plan {
+		return fault.Plan{Class: fault.GPR, Reg: int(stats.Hash64(0) % fault.NumRegisters), Bit: bit,
+			Window: fault.DefaultGPRWindow, Region: fault.RAny}
+	}
+	plans := []fault.Plan{plan(6), plan(7), plan(faulttest.HangToyBit), plan(faulttest.HangToyBit + 1)}
+	sess, err := fault.NewSession(fault.SessionConfig{
+		App: toy.App, Staged: toy, Golden: golden, Workers: 1, Class: fault.GPR, Region: fault.RAny,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	res, err := sess.Run(context.Background(), fault.Config{Plans: plans})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range plans {
+		got, want := res.Trials[i], fault.RunTrialFull(toy.App, golden, p)
+		if got.Outcome != want.Outcome || got.Landed != want.Landed {
+			t.Errorf("bit %d: %v (landed=%v), full run %v (landed=%v)", p.Bit, got.Outcome, got.Landed, want.Outcome, want.Landed)
+		}
+	}
+	if got := res.Trials[2].Outcome; got != fault.OutcomeHang {
+		t.Errorf("bit %d: %v, want Hang", faulttest.HangToyBit, got)
+	}
+	if res.Sched.Converged < 3 {
+		t.Errorf("%d trials converged, want the three that reach the work boundary", res.Sched.Converged)
 	}
 }
 

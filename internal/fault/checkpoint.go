@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -12,7 +13,7 @@ import (
 // constant; the drift-guard test pins the golden counter stream per
 // schema version, so a silent change fails loudly instead of quietly
 // invalidating resumed trials.
-const CheckpointSchema = 3
+const CheckpointSchema = 4
 
 // TapCounters is a point-in-time snapshot of a Machine's dynamic tap
 // counters — the coordinates of a stage boundary in the injection-site
@@ -140,11 +141,13 @@ type BatchStagedApp interface {
 	// mutated.
 	ResumeGuarded(m *Machine, state, prep any, guard BoundaryGuard) (out []byte, converged bool, err error)
 	// StateEqual reports whether two resumable states of the same
-	// boundary are bit-equal — floating-point fields compared on their
-	// IEEE-754 bits, so +0/-0 and NaN payload differences count as
-	// divergence. It backs the convergence guard's soundness: equal
-	// counters + bit-equal state + a resolved plan imply the remaining
-	// suffix is the golden suffix.
+	// boundary are bit-equal in everything the rest of the run reads —
+	// floating-point fields compared on their IEEE-754 bits, so +0/-0
+	// and NaN payload differences count as divergence. State no later
+	// stage turns into output (reports, statistics) may differ. It
+	// backs the convergence guard's soundness: equal live state + a
+	// resolved plan imply the remaining suffix is the golden suffix,
+	// with the golden suffix's step count.
 	StateEqual(a, b any) bool
 }
 
@@ -162,7 +165,9 @@ func CaptureGoldenStaged(sa StagedApp) (*GoldenRun, error) {
 		return nil, fmt.Errorf("fault: golden run failed: %w", err)
 	}
 	g := newGoldenRun(out, m)
-	g.Checkpoints = cps
+	// Every cached golden keeps its checkpoint stream for good: drop
+	// the append slack.
+	g.Checkpoints = slices.Clone(cps)
 	g.Schema = CheckpointSchema
 	return g, nil
 }

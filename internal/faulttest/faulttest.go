@@ -1,7 +1,8 @@
 // Package faulttest holds the fixtures the fault-injection tests of
 // several packages share: a miniature application, its two-stage
-// staged view, the reference executors' input wrappers and the one
-// campaign-observable comparison. Only _test.go files import it; it
+// staged view, a staged toy whose converged trials can hang, the
+// reference executors' input wrappers and the one campaign-observable
+// comparison. Only _test.go files import it; it
 // imports nothing of the repository but packages fault and probe, so
 // the in-package tests of campaign, fabric, plan and the rest can use
 // it without an import cycle.
@@ -171,3 +172,78 @@ func RequireSameTrials(t testing.TB, label string, a, b []fault.Trial) {
 		}
 	}
 }
+
+// HangToy is a two-stage fault.BatchStagedApp whose first stage,
+// "spin", runs a tapped trip count of pass-through taps and leaves no
+// state, and whose second, "work", sums HangToyWork tapped values.
+// Flipping bit HangToyBit of the trip count (GPR site 0) stretches the
+// spin by 4096 steps: the trial reaches the "work" boundary resolved,
+// with the golden state and within the hang budget, yet the golden
+// suffix from there overruns the budget. A converged trial of that plan
+// must therefore classify as a Hang, exactly like the full run.
+type HangToy struct{}
+
+// HangToy's shape: the spin's golden trip count, the work stage's
+// length and the trip-count bit whose flip turns convergence into a
+// hang.
+const (
+	HangToySpin = 64
+	HangToyWork = 1000
+	HangToyBit  = 12
+)
+
+// RunFull implements fault.StagedApp.
+func (h HangToy) RunFull(m *fault.Machine, snap func(name string, state any)) ([]byte, error) {
+	if snap != nil {
+		snap("spin", "spin")
+	}
+	h.spin(m)
+	if snap != nil {
+		snap("work", "work")
+	}
+	return h.work(m), nil
+}
+
+func (HangToy) spin(m *fault.Machine) {
+	n := m.Cnt(HangToySpin)
+	for i := 0; i < n; i++ {
+		m.Pix(0)
+	}
+}
+
+func (HangToy) work(m *fault.Machine) []byte {
+	var sum uint8
+	for i := range HangToyWork {
+		sum += m.Pix(uint8(i))
+	}
+	return []byte{sum}
+}
+
+// Resume implements fault.StagedApp.
+func (h HangToy) Resume(m *fault.Machine, state any) ([]byte, error) {
+	out, _, err := h.ResumeGuarded(m, state, nil, nil)
+	return out, err
+}
+
+// PrepareResume implements fault.BatchStagedApp.
+func (HangToy) PrepareResume(any) any { return nil }
+
+// ResumeGuarded implements fault.BatchStagedApp.
+func (h HangToy) ResumeGuarded(m *fault.Machine, state, _ any, guard fault.BoundaryGuard) ([]byte, bool, error) {
+	if state == "spin" {
+		if guard != nil && guard("spin", state) {
+			return nil, true, nil
+		}
+		h.spin(m)
+	}
+	if guard != nil && guard("work", "work") {
+		return nil, true, nil
+	}
+	return h.work(m), false, nil
+}
+
+// StateEqual implements fault.BatchStagedApp.
+func (HangToy) StateEqual(a, b any) bool { return a == b }
+
+// App is the hang toy run end to end, as a fault.App.
+func (h HangToy) App(m *fault.Machine) ([]byte, error) { return h.RunFull(m, nil) }

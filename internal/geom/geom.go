@@ -53,6 +53,17 @@ var ErrSingular = errors.New("geom: singular system")
 // coordinates. The zero value is NOT a valid transform; use Identity.
 type Homography [9]float64
 
+// EqualBits reports whether h and g are equal on their raw IEEE-754
+// bits, so +0/-0 and NaN-payload differences count as different.
+func (h Homography) EqualBits(g Homography) bool {
+	for i := range h {
+		if math.Float64bits(h[i]) != math.Float64bits(g[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Identity returns the identity homography.
 func Identity() Homography {
 	return Homography{1, 0, 0, 0, 1, 0, 0, 0, 1}

@@ -11,6 +11,7 @@ package ransac
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"vsresil/internal/fault"
 	"vsresil/internal/geom"
@@ -98,21 +99,69 @@ var ErrNoConsensus = errors.New("ransac: no model reached the inlier threshold")
 
 // Estimate fits the configured model to the correspondences src[i] ->
 // dst[i]. s is any probe.Sink; pass probe.Nop{} for an uninstrumented
-// run (nil is normalized).
+// run (nil is normalized). It is Begin, one Step over every iteration
+// and Finish: a run split into several Steps is the same computation,
+// tap for tap.
 func Estimate(src, dst []geom.Pt, cfg Config, s probe.Sink) (*Result, error) {
-	if s = probe.OrNop(s); probe.IsNop(s) {
-		return estimate(src, dst, cfg, probe.Nop{})
+	sr, err := Begin(src, dst, cfg, s)
+	if err != nil {
+		return nil, err
 	}
-	if m, ok := s.(*fault.Machine); ok {
-		return estimate(src, dst, cfg, m)
-	}
-	return estimate(src, dst, cfg, s)
+	sr.Step(src, dst, sr.iters, s)
+	return sr.Finish(src, dst, s)
 }
 
-func estimate[S probe.Sink](src, dst []geom.Pt, cfg Config, m S) (*Result, error) {
+// Search is the sampling loop's state between iterations: the
+// configuration with its defaults applied, the tapped correspondence
+// and iteration counts, the next iteration, the sampler's RNG state
+// and the best model so far. It is a value type deliberately: a golden
+// checkpoint keeps a copy, and a trial resumed from it continues the
+// search from a plain copy. It holds no correspondences; every call
+// takes the same src and dst that Begin got.
+type Search struct {
+	cfg       Config
+	k         int
+	n, iters  int
+	it        int
+	rng       stats.RNG
+	bestCount int
+	bestH     geom.Homography
+}
+
+// Iteration returns the index of the next sampling iteration.
+func (sr *Search) Iteration() int { return sr.it }
+
+// Iterations returns the (tapped, hence possibly fault-corrupted)
+// number of sampling iterations the search runs.
+func (sr *Search) Iterations() int { return sr.iters }
+
+// EqualBits reports bit-exact equality of two search states.
+func (sr *Search) EqualBits(o *Search) bool {
+	return sr.cfg.Model == o.cfg.Model && sr.cfg.Iterations == o.cfg.Iterations &&
+		math.Float64bits(sr.cfg.InlierThreshold) == math.Float64bits(o.cfg.InlierThreshold) &&
+		sr.cfg.MinInliers == o.cfg.MinInliers && sr.cfg.Seed == o.cfg.Seed &&
+		sr.cfg.DisableRefit == o.cfg.DisableRefit && sr.k == o.k &&
+		sr.n == o.n && sr.iters == o.iters && sr.it == o.it && sr.rng == o.rng &&
+		sr.bestCount == o.bestCount && sr.bestH.EqualBits(o.bestH)
+}
+
+// Begin starts a search: it applies the configuration's defaults and
+// taps the correspondence and iteration counts. It returns
+// ErrNoConsensus when too few correspondences exist for the model.
+func Begin(src, dst []geom.Pt, cfg Config, s probe.Sink) (Search, error) {
+	if s = probe.OrNop(s); probe.IsNop(s) {
+		return begin(src, dst, cfg, probe.Nop{})
+	}
+	if m, ok := s.(*fault.Machine); ok {
+		return begin(src, dst, cfg, m)
+	}
+	return begin(src, dst, cfg, s)
+}
+
+func begin[S probe.Sink](src, dst []geom.Pt, cfg Config, m S) (Search, error) {
 	defer m.Enter(probe.RRANSAC)()
 	if len(src) != len(dst) {
-		return nil, fmt.Errorf("ransac: correspondence count mismatch %d vs %d", len(src), len(dst))
+		return Search{}, fmt.Errorf("ransac: correspondence count mismatch %d vs %d", len(src), len(dst))
 	}
 	k := cfg.Model.minSamples()
 	if cfg.Iterations <= 0 {
@@ -126,22 +175,35 @@ func estimate[S probe.Sink](src, dst []geom.Pt, cfg Config, m S) (*Result, error
 	}
 	n := m.Cnt(len(src))
 	if n < k || n < cfg.MinInliers {
-		return nil, ErrNoConsensus
+		return Search{}, ErrNoConsensus
 	}
+	return Search{cfg: cfg, k: k, n: n, iters: m.Cnt(cfg.Iterations), rng: *stats.NewRNG(cfg.Seed)}, nil
+}
 
-	rng := stats.NewRNG(cfg.Seed)
-	thresh2 := cfg.InlierThreshold * cfg.InlierThreshold
+// Step runs the sampling iterations before until (or before the
+// search's last, whichever comes first).
+func (sr *Search) Step(src, dst []geom.Pt, until int, s probe.Sink) {
+	if s = probe.OrNop(s); probe.IsNop(s) {
+		step(sr, src, dst, until, probe.Nop{})
+	} else if m, ok := s.(*fault.Machine); ok {
+		step(sr, src, dst, until, m)
+	} else {
+		step(sr, src, dst, until, s)
+	}
+}
 
-	bestCount := 0
-	var bestH geom.Homography
+// step is the one sampling loop.
+func step[S probe.Sink](sr *Search, src, dst []geom.Pt, until int, m S) {
+	defer m.Enter(probe.RRANSAC)()
+	n, k := sr.n, sr.k
+	rng := &sr.rng
+	thresh2 := sr.cfg.InlierThreshold * sr.cfg.InlierThreshold
 	var sample [4]int
-
-	iters := m.Cnt(cfg.Iterations)
-	for it := 0; it < iters; it++ {
+	for ; sr.it < min(until, sr.iters); sr.it++ {
 		if !drawSample(rng, n, k, &sample) {
 			continue
 		}
-		h, ok := fitSample(src, dst, sample[:k], cfg.Model)
+		h, ok := fitSample(src, dst, sample[:k], sr.cfg.Model)
 		if !ok {
 			continue
 		}
@@ -154,21 +216,40 @@ func estimate[S probe.Sink](src, dst []geom.Pt, cfg Config, m S) (*Result, error
 				count++
 			}
 		}
-		if count > bestCount {
-			bestCount = count
-			bestH = h
+		if count > sr.bestCount {
+			sr.bestCount = count
+			sr.bestH = h
 		}
 	}
-	if bestCount < cfg.MinInliers {
+}
+
+// Finish ends the search: it collects the best model's consensus set,
+// refits on it and returns the accepted model, or ErrNoConsensus when
+// no sampled model reached MinInliers.
+func (sr *Search) Finish(src, dst []geom.Pt, s probe.Sink) (*Result, error) {
+	if s = probe.OrNop(s); probe.IsNop(s) {
+		return finish(sr, src, dst, probe.Nop{})
+	}
+	if m, ok := s.(*fault.Machine); ok {
+		return finish(sr, src, dst, m)
+	}
+	return finish(sr, src, dst, s)
+}
+
+func finish[S probe.Sink](sr *Search, src, dst []geom.Pt, m S) (*Result, error) {
+	defer m.Enter(probe.RRANSAC)()
+	cfg, k, n := sr.cfg, sr.k, sr.n
+	if sr.bestCount < cfg.MinInliers {
 		return nil, ErrNoConsensus
 	}
+	thresh2 := cfg.InlierThreshold * cfg.InlierThreshold
 
 	// Collect the consensus set of the best model.
-	inliers := collectInliers(bestH, src, dst, thresh2, n, m)
+	inliers := collectInliers(sr.bestH, src, dst, thresh2, n, m)
 
 	// Refit on all inliers for accuracy, keeping the sample model if
 	// the refit degenerates or loses consensus.
-	h := bestH
+	h := sr.bestH
 	if !cfg.DisableRefit && len(inliers) > k {
 		if refit, ok := fitIndices(src, dst, inliers, cfg.Model); ok {
 			refitInliers := collectInliers(refit, src, dst, thresh2, n, m)

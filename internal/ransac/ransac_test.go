@@ -3,6 +3,7 @@ package ransac
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -276,6 +277,105 @@ func BenchmarkEstimateHomography(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Estimate(src, dst, cfg, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// machineTrace is everything a sink observes of a run: the tap
+// counters and the op accounting per region and class.
+type machineTrace struct {
+	counters fault.TapCounters
+	ops      [fault.NumRegions][fault.NumOpClasses]uint64
+}
+
+func traceOf(m *fault.Machine) machineTrace {
+	tr := machineTrace{counters: m.Counters()}
+	for r := range tr.ops {
+		for c := range tr.ops[r] {
+			tr.ops[r][c] = m.OpCount(fault.Region(r), fault.OpClass(c))
+		}
+	}
+	return tr
+}
+
+// TestSearchSplitMatchesEstimate checks that a search split at any
+// iteration — Begin, Step to the split, a copy of the state Stepped to
+// the end, Finish — reproduces Estimate's result bits, taps and op
+// counts, and the search state of one uninterrupted Step: the
+// value-type state carries the whole sampler, RNG included. Noisy
+// inliers make nearly every sample's consensus count differ, so the
+// best model depends on the exact sample sequence.
+func TestSearchSplitMatchesEstimate(t *testing.T) {
+	for _, model := range []Model{ModelHomography, ModelAffine} {
+		src, dst := makeCorrespondences(geom.Translation(5, 12).Mul(geom.Rotation(0.05)), 60, 0.4, 2, 23)
+		cfg := DefaultConfig(model)
+		cfg.Seed = 7
+		cfg.Iterations = 120
+		gm := fault.New()
+		want, err := Estimate(src, dst, cfg, gm)
+		if err != nil {
+			t.Fatalf("%v: Estimate: %v", model, err)
+		}
+		wantTrace := traceOf(gm)
+		whole, err := Begin(src, dst, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole.Step(src, dst, whole.Iterations(), nil)
+		for split := 0; split <= cfg.Iterations; split++ {
+			m := fault.New()
+			sr, err := Begin(src, dst, cfg, m)
+			if err != nil {
+				t.Fatalf("%v split %d: Begin: %v", model, split, err)
+			}
+			sr.Step(src, dst, split, m)
+			if sr.Iteration() != split {
+				t.Fatalf("%v: Step(%d) stopped at iteration %d", model, split, sr.Iteration())
+			}
+			resumed := sr
+			resumed.Step(src, dst, resumed.Iterations(), m)
+			if !resumed.EqualBits(&whole) {
+				t.Fatalf("%v split %d: search state differs from one uninterrupted Step", model, split)
+			}
+			got, err := resumed.Finish(src, dst, m)
+			if err != nil {
+				t.Fatalf("%v split %d: Finish: %v", model, split, err)
+			}
+			if !got.H.EqualBits(want.H) || math.Float64bits(got.Error) != math.Float64bits(want.Error) ||
+				!slices.Equal(got.Inliers, want.Inliers) {
+				t.Fatalf("%v split %d: result differs from Estimate's", model, split)
+			}
+			if traceOf(m) != wantTrace {
+				t.Fatalf("%v split %d: taps or op counts differ from Estimate's", model, split)
+			}
+		}
+	}
+}
+
+// TestSearchEqualBits checks that the search state compares on every
+// field a resumed search reads: the position, the RNG state and the
+// best model.
+func TestSearchEqualBits(t *testing.T) {
+	src, dst := makeCorrespondences(geom.Translation(3, 4), 50, 0.3, 0.3, 29)
+	sr, err := Begin(src, dst, DefaultConfig(ModelHomography), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr.Step(src, dst, 40, nil)
+	same := sr
+	if !sr.EqualBits(&same) {
+		t.Fatal("a copy of the search state compares unequal")
+	}
+	for name, mutate := range map[string]func(*Search){
+		"iteration": func(s *Search) { s.it++ },
+		"rng":       func(s *Search) { s.rng.Uint64() },
+		"best":      func(s *Search) { s.bestH[0] = math.Copysign(0, -1) * s.bestH[0] },
+		"count":     func(s *Search) { s.bestCount++ },
+	} {
+		o := sr
+		mutate(&o)
+		if sr.EqualBits(&o) {
+			t.Errorf("mutating the %s compares equal", name)
 		}
 	}
 }

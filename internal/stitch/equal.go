@@ -1,8 +1,9 @@
 // Bit-exact state equality for the convergence guard: a batched
-// campaign declares a resumed trial converged only when its pipeline
-// state at a stage boundary is indistinguishable — on IEEE-754 bits,
-// not float comparison — from the golden snapshot of the same
-// boundary, so +0/-0 and NaN-payload differences count as divergence.
+// campaign declares a resumed trial converged only when the state the
+// rest of its run reads at a stage boundary is indistinguishable — on
+// IEEE-754 bits, not float comparison — from the golden snapshot of
+// the same boundary, so +0/-0 and NaN-payload differences count as
+// divergence. State no later stage reads is not compared.
 package stitch
 
 import (
@@ -11,16 +12,6 @@ import (
 
 	"vsresil/internal/geom"
 )
-
-// homographyEqualBits compares two transforms on their raw float bits.
-func homographyEqualBits(a, b geom.Homography) bool {
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
 
 // EqualBits reports bit-exact equality with b. Resumed trials share
 // the golden snapshot's backing arrays for the prefix they did not
@@ -49,28 +40,71 @@ func (f *FrameFeatures) EqualBits(g *FrameFeatures) bool {
 	return true
 }
 
-// EqualBits reports bit-exact equality of two registration states,
-// including the unexported loop state and every recorded report.
-func (a *AlignState) EqualBits(b *AlignState) bool {
+// EqualLive reports bit-exact equality of everything the rest of the
+// registration pass and the composite read from two states of the same
+// pair boundary, given each run's per-frame features: the frame count
+// and position, the segment, the reference frame and its transform,
+// the failure streak, every registration, the pair in progress
+// (correspondences, gates, model and search state) and the features of
+// the reference frame and of every frame not yet registered. The frame
+// reports and the discard count reach only the Result's Reports and
+// Discarded, never its encoded panoramas, and the features of
+// registered frames other than the reference are never read again, so
+// none of them is compared.
+func (a *AlignState) EqualLive(b *AlignState, fa, fb []FrameFeatures) bool {
 	if a.N != b.N || a.Next != b.Next || a.segment != b.segment ||
 		a.refFrame != b.refFrame || a.failStreak != b.failStreak ||
-		a.discarded != b.discarded ||
-		len(a.regs) != len(b.regs) || len(a.reports) != len(b.reports) {
+		!a.refToSegment.EqualBits(b.refToSegment) || !a.EqualRegs(b) || !a.pairEqual(b) ||
+		len(fa) != len(fb) {
 		return false
 	}
-	if !homographyEqualBits(a.refToSegment, b.refToSegment) {
+	if a.refFrame < len(fa) && !fa[a.refFrame].EqualBits(&fb[a.refFrame]) {
+		return false
+	}
+	for i := max(a.Next, 0); i < len(fa); i++ {
+		if !fa[i].EqualBits(&fb[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// EqualRegs reports bit-exact equality of the two states'
+// registrations — all the composite reads of the registration pass.
+func (a *AlignState) EqualRegs(b *AlignState) bool {
+	if len(a.regs) != len(b.regs) {
 		return false
 	}
 	for i := range a.regs {
 		ra, rb := &a.regs[i], &b.regs[i]
-		if ra.frame != rb.frame || ra.segment != rb.segment || !homographyEqualBits(ra.h, rb.h) {
+		if ra.frame != rb.frame || ra.segment != rb.segment || !ra.h.EqualBits(rb.h) {
 			return false
 		}
 	}
-	for i := range a.reports {
-		ra, rb := &a.reports[i], &b.reports[i]
-		if ra.Index != rb.Index || ra.Status != rb.Status || ra.Matches != rb.Matches ||
-			ra.Inliers != rb.Inliers || ra.Segment != rb.Segment || !homographyEqualBits(ra.H, rb.H) {
+	return true
+}
+
+// pairEqual compares the pairs in progress: the search state and, when
+// the two runs did not share them, the correspondences and gates.
+func (a *AlignState) pairEqual(b *AlignState) bool {
+	p, q := a.pair, b.pair
+	if p == nil || q == nil {
+		return p == q
+	}
+	if a.model != b.model || !a.search.EqualBits(&b.search) {
+		return false
+	}
+	return p == q || (p.gateH == q.gateH && p.gateA == q.gateA &&
+		ptsEqualBits(p.src, q.src) && ptsEqualBits(p.dst, q.dst))
+}
+
+func ptsEqualBits(a, b []geom.Pt) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].X) != math.Float64bits(b[i].X) ||
+			math.Float64bits(a[i].Y) != math.Float64bits(b[i].Y) {
 			return false
 		}
 	}

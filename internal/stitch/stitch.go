@@ -247,14 +247,14 @@ type registration struct {
 }
 
 // AlignState is the registration pass's loop state between frame
-// pairs. It is a value type deliberately: a golden checkpoint captures
-// it with Snapshot, and a resumed trial continues from a plain copy —
-// appends in the copy allocate fresh storage, so the shared golden
-// snapshot is never mutated.
+// pairs and inside one. It is a value type deliberately: a golden
+// checkpoint captures it with Snapshot, and a resumed trial continues
+// from a plain copy — appends in the copy allocate fresh storage, so
+// the shared golden snapshot is never mutated.
 type AlignState struct {
 	// N is the (tapped, hence possibly fault-corrupted) frame count
-	// bounding the pass; Next is the frame index the next AlignStep
-	// registers. The pass is finished when Next >= N.
+	// bounding the pass; Next is the frame index AlignStep registers
+	// (or is registering). The pass is finished when Next >= N.
 	N, Next int
 
 	segment      int
@@ -264,16 +264,37 @@ type AlignState struct {
 	regs         []registration
 	reports      []FrameReport
 	discarded    int
+
+	// pair is frame Next's registration in progress (nil between
+	// pairs) and search its transform search for model. The pair's
+	// correspondences are shared read-only by every snapshot taken
+	// inside it; a boundary adds only the search state.
+	pair   *pairScratch
+	model  ransac.Model
+	search ransac.Search
 }
 
 // Snapshot returns a copy safe to retain while the receiver keeps
 // advancing: the slice prefixes are capped at their current length, so
 // both the live state and any state resumed from the snapshot append
-// into fresh storage instead of sharing a tail.
+// into fresh storage instead of sharing a tail, and a pair in progress
+// is marked shared, so its correspondences are never recycled.
 func (a AlignState) Snapshot() AlignState {
 	a.regs = a.regs[:len(a.regs):len(a.regs)]
 	a.reports = a.reports[:len(a.reports):len(a.reports)]
+	if a.pair != nil {
+		a.pair.share()
+	}
 	return a
+}
+
+// Release recycles a pair in progress's buffers, for a run abandoned at
+// a boundary. The state must not be advanced afterwards.
+func (a *AlignState) Release() {
+	if a.pair != nil && !a.pair.shared {
+		putPairScratch(a.pair)
+	}
+	a.pair = nil
 }
 
 // DetectFrame runs the per-frame feature stage (FAST detection + ORB
@@ -297,17 +318,97 @@ func (st *Stitcher) BeginAlign(frames []*imgproc.Gray, m probe.Sink) AlignState 
 	return a
 }
 
+// RANSACEvery is the spacing, in sampling iterations, of the
+// registration pass's interior boundaries: AlignStep places one after
+// matching — before the first iteration of a search — and before every
+// RANSACEvery-th iteration of the homography search and of the affine
+// fallback. Each boundary costs the golden run one small search-state
+// snapshot (the pair's correspondences are shared); 250 is the
+// smallest spacing that keeps every benchmark workload's live heap
+// within 10% of a registration pass with boundaries only between
+// pairs (DESIGN §11.1).
+const RANSACEvery = 250
+
 // AlignStep registers frame a.Next against the current reference frame
-// (matching + RANSAC homography with affine fallback) and advances the
-// state by one frame — the per-pair unit the pipeline checkpoints.
-func (st *Stitcher) AlignStep(feats []FrameFeatures, a *AlignState, m probe.Sink) {
+// — matching, then a RANSAC homography search with the affine fallback
+// — and advances the state past the pair; it is the one registration
+// loop, behind Run and every campaign run. When boundary is non-nil it
+// is called with the boundary's name before the pair ("pair[i]") and
+// before every RANSACEvery-th iteration of each search, the first
+// included ("pair[i]/homography@k", "pair[i]/affine@k", k the next
+// iteration); a true return abandons the pair with converged=true.
+// Boundaries issue no taps. A state snapshotted inside a pair resumes
+// at the boundary it was taken at, which it reports first.
+func (st *Stitcher) AlignStep(feats []FrameFeatures, a *AlignState, boundary func(name string) bool, m probe.Sink) (converged bool) {
 	m = probe.OrNop(m)
 	i := a.Next
+	if a.pair == nil {
+		if boundary != nil && boundary(fmt.Sprintf("pair[%d]", i)) {
+			return true
+		}
+		a.pair = st.matchPair(&feats[i], &feats[a.refFrame], m)
+		if !st.beginSearch(a, ransac.ModelHomography, m) && !st.beginSearch(a, ransac.ModelAffine, m) {
+			st.endPair(a, geom.Homography{}, StatusDiscarded, 0)
+			return false
+		}
+	}
+	p := a.pair
+	for {
+		sr := &a.search
+		for it := sr.Iteration(); it < sr.Iterations(); it = sr.Iteration() {
+			if boundary != nil && it%RANSACEvery == 0 &&
+				boundary(fmt.Sprintf("pair[%d]/%v@%d", i, a.model, it)) {
+				return true
+			}
+			sr.Step(p.src, p.dst, it-it%RANSACEvery+RANSACEvery, m)
+		}
+		r, err := sr.Finish(p.src, p.dst, m)
+		switch {
+		case err == nil && a.model == ransac.ModelHomography:
+			st.endPair(a, r.H, StatusHomography, len(r.Inliers))
+		case err == nil:
+			st.endPair(a, r.H, StatusAffine, len(r.Inliers))
+		case a.model == ransac.ModelHomography && st.beginSearch(a, ransac.ModelAffine, m):
+			// Affine fallback: "we estimate a simpler affine
+			// transformation which requires fewer matching points"
+			// (§III-A).
+			continue
+		default:
+			st.endPair(a, geom.Homography{}, StatusDiscarded, 0)
+		}
+		return false
+	}
+}
+
+// beginSearch starts the pair's transform search for model when the
+// model's confidence gate admits the pair's match count, and reports
+// whether a search began.
+func (st *Stitcher) beginSearch(a *AlignState, model ransac.Model, m probe.Sink) bool {
+	p := a.pair
+	cfg := ransac.DefaultConfig(model)
+	cfg.Seed, cfg.MinInliers = st.cfg.Seed, p.gateH
+	if model == ransac.ModelAffine {
+		cfg.Seed, cfg.MinInliers = st.cfg.Seed+1, p.gateA
+	}
+	if len(p.src) < cfg.MinInliers {
+		return false
+	}
+	sr, err := ransac.Begin(p.src, p.dst, cfg, m)
+	if err != nil {
+		return false
+	}
+	a.model, a.search = model, sr
+	return true
+}
+
+// endPair records frame a.Next's registration outcome — transform h
+// with the given status and inlier count — and advances the loop state
+// to the next pair.
+func (st *Stitcher) endPair(a *AlignState, h geom.Homography, status FrameStatus, inliers int) {
+	i := a.Next
+	rep := FrameReport{Index: i, Segment: a.segment, Matches: len(a.pair.src), Inliers: inliers}
+	a.Release()
 	a.Next++
-	rep := FrameReport{Index: i, Segment: a.segment}
-	h, status, matches, inliers := st.registerPair(&feats[i], &feats[a.refFrame], m)
-	rep.Matches = matches
-	rep.Inliers = inliers
 	if status == StatusDiscarded {
 		a.failStreak++
 		a.discarded++
@@ -529,18 +630,36 @@ func (st *Stitcher) Run(frames []*imgproc.Gray, m probe.Sink) (*Result, error) {
 	}
 	a := st.BeginAlign(frames, m)
 	for a.Next < a.N {
-		st.AlignStep(feats, &a, m)
+		st.AlignStep(feats, &a, nil, m)
 	}
 	return st.Composite(frames, &a, m)
 }
 
-// pairScratch holds the per-registration working set (match list and
-// correspondence arrays). RANSAC only reads the correspondences and
-// retains nothing but its own inlier indices, so the buffers can be
-// recycled as soon as registerPair returns.
+// pairScratch is one frame pair's registration inputs: the match list
+// and the correspondence arrays matching builds, plus the pair's
+// confidence gates. RANSAC only reads the correspondences and retains
+// nothing but its own inlier indices, so the buffers go back to the
+// pool as soon as the pair ends — unless a snapshot shared them, after
+// which they belong to the golden run and the trials resumed from it.
 type pairScratch struct {
-	matches  []match.Match
-	src, dst []geom.Pt
+	matches      []match.Match
+	src, dst     []geom.Pt
+	gateH, gateA int
+	shared       bool
+}
+
+// share marks the pair as retained by a snapshot. The match list,
+// which nothing past matching reads, goes back to the pool in a
+// scratch of its own, so the next pair reuses its buffer.
+func (p *pairScratch) share() {
+	if p.shared {
+		return
+	}
+	p.shared = true
+	if p.matches != nil {
+		putPairScratch(&pairScratch{matches: p.matches})
+		p.matches = nil
+	}
 }
 
 var pairPool sync.Pool
@@ -573,52 +692,30 @@ func growPts(s []geom.Pt, n int) []geom.Pt {
 	return s[:n]
 }
 
-// registerPair estimates the transform mapping frame `cur` onto frame
-// `ref`, trying a homography first and falling back to affine.
-func (st *Stitcher) registerPair(cur, ref *FrameFeatures, m probe.Sink) (geom.Homography, FrameStatus, int, int) {
+// matchPair matches frame cur's descriptors against the reference
+// frame's and builds the pair's correspondences and confidence gates.
+func (st *Stitcher) matchPair(cur, ref *FrameFeatures, m probe.Sink) *pairScratch {
 	curKps, curDescs := cur.KPs, cur.Descs
 	if st.cfg.KeyPointStride > 1 {
 		// VS_KDS: match only a fraction of the key points.
 		curKps, curDescs = match.SubsampleStrongest(curKps, curDescs, st.cfg.KeyPointStride)
 	}
-	sc := getPairScratch()
-	defer putPairScratch(sc)
-	matches := st.matcher.AppendMatches(sc.matches, curDescs, ref.Descs, m)
-	sc.matches = matches
-	nm := len(matches)
-	src := growPts(sc.src, nm)
-	dst := growPts(sc.dst, nm)
-	sc.src, sc.dst = src, dst
-	for i, mm := range matches {
+	p := getPairScratch()
+	p.matches = st.matcher.AppendMatches(p.matches, curDescs, ref.Descs, m)
+	nm := len(p.matches)
+	p.src = growPts(p.src, nm)
+	p.dst = growPts(p.dst, nm)
+	for i, mm := range p.matches {
 		x, y := curKps[mm.Query].Pt()
-		src[i] = geom.Pt{X: x, Y: y}
+		p.src[i] = geom.Pt{X: x, Y: y}
 		x, y = ref.KPs[mm.Train].Pt()
-		dst[i] = geom.Pt{X: x, Y: y}
+		p.dst[i] = geom.Pt{X: x, Y: y}
 	}
-
 	// Confidence gates scale with the query key-point count (floored
 	// by the absolute minimums a model mathematically needs).
-	gateH := gate(st.cfg.MinMatchesHomography, st.cfg.MinMatchFractionHomography, len(curKps))
-	gateA := gate(st.cfg.MinMatchesAffine, st.cfg.MinMatchFractionAffine, len(curKps))
-	if nm >= gateH {
-		cfg := ransac.DefaultConfig(ransac.ModelHomography)
-		cfg.Seed = st.cfg.Seed
-		cfg.MinInliers = gateH
-		if r, err := ransac.Estimate(src, dst, cfg, m); err == nil {
-			return r.H, StatusHomography, nm, len(r.Inliers)
-		}
-	}
-	// Affine fallback: "we estimate a simpler affine transformation
-	// which requires fewer matching points" (§III-A).
-	if nm >= gateA {
-		cfg := ransac.DefaultConfig(ransac.ModelAffine)
-		cfg.Seed = st.cfg.Seed + 1
-		cfg.MinInliers = gateA
-		if r, err := ransac.Estimate(src, dst, cfg, m); err == nil {
-			return r.H, StatusAffine, nm, len(r.Inliers)
-		}
-	}
-	return geom.Homography{}, StatusDiscarded, nm, 0
+	p.gateH = gate(st.cfg.MinMatchesHomography, st.cfg.MinMatchFractionHomography, len(curKps))
+	p.gateA = gate(st.cfg.MinMatchesAffine, st.cfg.MinMatchFractionAffine, len(curKps))
+	return p
 }
 
 // gate returns the effective minimum match count: the larger of the

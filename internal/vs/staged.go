@@ -32,7 +32,10 @@ func (a *App) Staged(frames []*imgproc.Gray) fault.StagedApp {
 // registration pass, compositing. Snapshot boundaries are placed at tap
 // zero before decode ("decode"), between per-frame detections
 // ("features[k]"), before the registration pass ("align"), between
-// frame pairs ("pair[i]"), before compositing ("composite") and, for
+// frame pairs ("pair[i]"), inside each pair after matching and every
+// stitch.RANSACEvery sampling iterations of its RANSAC searches
+// ("pair[i]/homography@k", "pair[i]/affine@k"), before compositing
+// ("composite") and, for
 // overwrite canvases without exposure compensation, before every
 // stitch.CompositeEvery-th warp of a segment ("composite[i]"). A
 // composite boundary retains its canvas compactly — a coverage bitset
@@ -64,7 +67,8 @@ func (s *stagedApp) RunFull(m *fault.Machine, snap func(name string, state any))
 // allocate fresh storage, and a compact composite canvas is expanded
 // into a canvas of the run's own, so the golden snapshot — including
 // the decoded frames, which therefore must not be recycled — is never
-// mutated.
+// mutated. A pair's correspondences are shared the same way: a trial
+// resumed inside a pair only reads them.
 func (s *stagedApp) Resume(m *fault.Machine, state any) ([]byte, error) {
 	out, _, err := s.ResumeGuarded(m, state, nil, nil)
 	return out, err
@@ -93,22 +97,33 @@ func (s *stagedApp) ResumeGuarded(m *fault.Machine, state, _ any, guard fault.Bo
 	return res.Encode(), false, nil
 }
 
-// StateEqual compares two pipeline states of the same boundary on
-// their bits: phase and progress counters, frame bytes, key points and
-// descriptors, the full registration state and the composite state,
-// whose canvas in progress is compared against the golden snapshot's
-// expansion pixel by pixel. Frames and feature storage shared with the
-// golden snapshot short-circuit by pointer identity, so the common
-// converged case costs a few pointer compares plus a deep scan of only
-// the entries the trial recomputed.
+// StateEqual compares two pipeline states of the same boundary on the
+// bits of everything the rest of the run reads — the state the suffix
+// turns into the encoded panoramas, which are the app's whole output:
+//
+//   - always the phase and the decoded frames (the composite warps
+//     them);
+//   - before registration, every feature computed so far and the
+//     detection progress;
+//   - at pair boundaries, the registration loop state, every
+//     registration, the pair in progress and the features of the
+//     reference frame and of the frames not yet registered
+//     (stitch.AlignState.EqualLive);
+//   - at composite boundaries, the registrations and the composite
+//     state, whose canvas in progress is compared against the golden
+//     snapshot's expansion pixel by pixel.
+//
+// Frame reports, the discard count and the features of frames no pair
+// reads again are dead: no later stage turns them into output bytes.
+// Frames and feature storage shared with the golden snapshot
+// short-circuit by pointer identity, so the common converged case
+// costs a few pointer compares plus a deep scan of only the entries
+// the trial recomputed. Either side may be a pipeState or, as the
+// live state runFrom hands its guard, a *pipeState.
 func (s *stagedApp) StateEqual(a, b any) bool {
-	sa, okA := a.(pipeState)
-	sb, okB := b.(pipeState)
-	if !okA || !okB {
-		return false
-	}
-	if sa.phase != sb.phase || sa.featDone != sb.featDone ||
-		len(sa.frames) != len(sb.frames) || len(sa.feats) != len(sb.feats) {
+	sa, okA := pipeStateOf(a)
+	sb, okB := pipeStateOf(b)
+	if !okA || !okB || sa.phase != sb.phase || len(sa.frames) != len(sb.frames) {
 		return false
 	}
 	for i := range sa.frames {
@@ -120,10 +135,35 @@ func (s *stagedApp) StateEqual(a, b any) bool {
 			return false
 		}
 	}
-	for i := range sa.feats {
-		if !sa.feats[i].EqualBits(&sb.feats[i]) {
+	switch sa.phase {
+	case phaseDecode:
+		return true
+	case phaseFeatures:
+		if sa.featDone != sb.featDone || len(sa.feats) != len(sb.feats) {
 			return false
 		}
+		for i := range sa.feats {
+			if !sa.feats[i].EqualBits(&sb.feats[i]) {
+				return false
+			}
+		}
+		return true
+	case phasePairs:
+		return sa.align.EqualLive(&sb.align, sa.feats, sb.feats)
+	default:
+		return sa.align.EqualRegs(&sb.align) && sa.comp.EqualBits(&sb.comp)
 	}
-	return sa.align.EqualBits(&sb.align) && sa.comp.EqualBits(&sb.comp)
+}
+
+// pipeStateOf unwraps a boundary state handed to StateEqual.
+func pipeStateOf(x any) (pipeState, bool) {
+	switch st := x.(type) {
+	case pipeState:
+		return st, true
+	case *pipeState:
+		if st != nil {
+			return *st, true
+		}
+	}
+	return pipeState{}, false
 }

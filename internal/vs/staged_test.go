@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"vsresil/internal/fault"
+	"vsresil/internal/features"
+	"vsresil/internal/imgproc"
+	"vsresil/internal/stitch"
 )
 
 // TestResumeReportsOwnBoundaryFirst checks that a guarded resume from
@@ -36,5 +39,83 @@ func TestResumeReportsOwnBoundaryFirst(t *testing.T) {
 		if calls == 0 || first != cp.Name {
 			t.Errorf("resume from %s: first guard call %q (of %d), want %q", cp.Name, first, calls, cp.Name)
 		}
+	}
+}
+
+// TestStateEqualLiveState is the table test of the convergence guard's
+// state compare over every golden boundary: a change to anything the
+// rest of the run reads — a decoded frame, a feature before
+// registration, the features of the reference frame or of a frame not
+// yet registered — breaks the equality, while the features of the
+// other registered frames and every feature at a composite boundary
+// are dead and do not. At each pair boundary exactly one registered
+// frame's features are live: the reference frame's.
+func TestStateEqualLiveState(t *testing.T) {
+	app := New(DefaultConfig(AlgVS), 8)
+	staged := app.Staged(inputFrames(t, 8)).(fault.BatchStagedApp)
+	golden, err := fault.CaptureGoldenStaged(staged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bumped := func(f stitch.FrameFeatures) stitch.FrameFeatures {
+		kps := append([]features.KeyPoint(nil), f.KPs...)
+		kps[0].Score++
+		return stitch.FrameFeatures{KPs: kps, Descs: f.Descs}
+	}
+	// equalWith reports whether the golden state still equals a live
+	// copy whose features at i are changed.
+	equalWith := func(g pipeState, i int) bool {
+		live := g
+		live.feats = append([]stitch.FrameFeatures(nil), g.feats...)
+		live.feats[i] = bumped(g.feats[i])
+		return staged.StateEqual(g, &live)
+	}
+	pairs := 0
+	for _, cp := range golden.Checkpoints {
+		g := cp.State.(pipeState)
+		if live := g; !staged.StateEqual(g, &live) {
+			t.Fatalf("%s: an unchanged live state differs", cp.Name)
+		}
+		if len(g.frames) > 0 {
+			live := g
+			live.frames = append([]*imgproc.Gray(nil), g.frames...)
+			f := imgproc.NewGray(g.frames[0].W, g.frames[0].H)
+			copy(f.Pix, g.frames[0].Pix)
+			f.Pix[0]++
+			live.frames[0] = f
+			if staged.StateEqual(g, &live) {
+				t.Errorf("%s: a changed frame compares equal", cp.Name)
+			}
+		}
+		switch g.phase {
+		case phaseFeatures:
+			if g.featDone > 0 && equalWith(g, 0) {
+				t.Errorf("%s: changed features before registration compare equal", cp.Name)
+			}
+		case phasePairs:
+			pairs++
+			liveRegistered := 0
+			for i := range g.feats {
+				live := !equalWith(g, i)
+				if i >= g.align.Next && !live {
+					t.Errorf("%s: changed features of unregistered frame %d compare equal", cp.Name, i)
+				}
+				if i < g.align.Next && live {
+					liveRegistered++
+				}
+			}
+			if liveRegistered != 1 {
+				t.Errorf("%s: %d registered frames' features are live, want 1 (the reference)", cp.Name, liveRegistered)
+			}
+		case phaseComposite:
+			for i := range g.feats {
+				if !equalWith(g, i) {
+					t.Errorf("%s: features of frame %d are live at a composite boundary", cp.Name, i)
+				}
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("the golden run recorded no pair boundary")
 	}
 }

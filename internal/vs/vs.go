@@ -239,9 +239,10 @@ func (st pipeState) snapshot() pipeState {
 // Every stage boundary the run reaches — the one st sits at first —
 // is reported before its first tap: to snap, when non-nil, with a
 // snapshot (the golden checkpoint capture), and to guard, when
-// non-nil, with the live state; a true guard return abandons the run
-// with converged=true. Neither hook changes a single tap of the stages
-// that do execute.
+// non-nil, with a pointer to the live state; a true guard return
+// abandons the run with converged=true, recycling the pair and canvas
+// buffers the run owns. Neither hook changes a single tap of the
+// stages that do execute.
 //
 // Frames this run decoded itself are recycled into the frame pool once
 // it finishes or converges, unless snap retains them; frames of a
@@ -253,9 +254,10 @@ func (a *App) runFrom(st pipeState, input []*imgproc.Gray, m probe.Sink, snap fu
 		if snap != nil {
 			snap(name, st.snapshot())
 		}
-		if guard == nil || !guard(name, st) {
+		if guard == nil || !guard(name, &st) {
 			return false
 		}
+		st.align.Release()
 		st.comp.Release()
 		if recycle {
 			recycleFrames(st.frames)
@@ -294,10 +296,9 @@ func (a *App) runFrom(st pipeState, input []*imgproc.Gray, m probe.Sink, snap fu
 	}
 	if st.phase == phasePairs {
 		for st.align.Next < st.align.N {
-			if boundary(fmt.Sprintf("pair[%d]", st.align.Next)) {
+			if a.stitcher.AlignStep(st.feats, &st.align, boundary, m) {
 				return nil, true, nil
 			}
-			a.stitcher.AlignStep(st.feats, &st.align, m)
 		}
 		st.comp = a.stitcher.BeginComposite(st.frames, &st.align)
 		st.phase = phaseComposite

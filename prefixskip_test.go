@@ -92,6 +92,7 @@ var checkpointDigests = map[int]uint64{
 	1: 0x3cf855ea88b931ae,
 	2: 0xf5846b630bab54a7, // adds the tap-zero "decode" boundary
 	3: 0xced995bbea6d261a, // adds "composite[i]" before every second warp of a segment
+	4: 0xc7f8ac6c40e91ab0, // adds "pair[i]/<model>@k" after matching and every stitch.RANSACEvery sampling iterations
 }
 
 // TestCheckpointSchemaDrift fails when the golden stage-boundary tap
