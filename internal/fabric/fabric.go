@@ -85,6 +85,11 @@ type Lease struct {
 	// TTL is the lease duration: a worker must heartbeat well inside
 	// it or the shard is reassigned.
 	TTL time.Duration `json:"ttl_ns"`
+	// Duplicate marks a stolen lease: another worker already runs the
+	// shard and the first completion wins. Its holder heartbeats at its
+	// idle poll interval instead of TTL/3, so it abandons the run as
+	// soon as the other copy completes.
+	Duplicate bool `json:"duplicate,omitempty"`
 	// Plans are the planner's trials for the window: the worker
 	// executes exactly these (plan index PlanLo+i for Plans[i]).
 	Plans []fault.Plan `json:"plans,omitempty"`

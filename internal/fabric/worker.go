@@ -49,10 +49,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	sessions := &workerSessions{runner: runner, build: build}
 	defer sessions.close()
-	poll := w.Poll
-	if poll <= 0 {
-		poll = 500 * time.Millisecond
-	}
+	poll := w.pollInterval()
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -74,6 +71,15 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		w.runLease(ctx, sessions, l)
 	}
+}
+
+// pollInterval is the idle backoff between lease requests: Poll, or
+// 500ms when unset.
+func (w *Worker) pollInterval() time.Duration {
+	if w.Poll <= 0 {
+		return 500 * time.Millisecond
+	}
+	return w.Poll
 }
 
 // workerSessions caches one open executor session per campaign (the
@@ -143,7 +149,11 @@ func (w *Worker) runLease(ctx context.Context, sessions *workerSessions, l Lease
 
 	// Heartbeat at TTL/3 so two beats can be lost before the lease
 	// expires. A "lost" answer means the shard completed elsewhere or
-	// the lease was reassigned: abandon the run.
+	// the lease was reassigned: abandon the run. A duplicate usually
+	// loses to the copy it races, which had a head start; idle, this
+	// worker would poll at pollInterval, so it beats at that rate and is
+	// free for the next lease within a beat of the other copy
+	// completing, instead of finishing a shard nobody needs.
 	leaseCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	hbDone := make(chan struct{})
@@ -152,6 +162,9 @@ func (w *Worker) runLease(ctx context.Context, sessions *workerSessions, l Lease
 		interval := l.TTL / 3
 		if interval <= 0 {
 			interval = DefaultLeaseTTL / 3
+		}
+		if l.Duplicate {
+			interval = min(interval, w.pollInterval())
 		}
 		t := time.NewTicker(interval)
 		defer t.Stop()

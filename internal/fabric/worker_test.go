@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"testing"
+	"time"
 
 	"vsresil/internal/campaign"
 	"vsresil/internal/fault"
@@ -108,5 +109,92 @@ func testLeasesShareSession(t *testing.T, cs CampaignSpec) {
 	}
 	if done := metricValue(t, coord, "vsd_fabric_shards_done"); done != 2 {
 		t.Errorf("coordinator accepted %d shard results, want 2", done)
+	}
+}
+
+// TestDuplicateLeaseAbandoned: a thief running a stolen shard learns
+// within its poll interval that the copy it raced completed, abandons
+// the run and ships no duplicate result — although its lease TTL, and
+// so its regular heartbeat, is minutes long. The progress it reported
+// before losing is not counted on top of the shard's trials.
+func TestDuplicateLeaseAbandoned(t *testing.T) {
+	coord, client := serveCoordinator(t, Config{LeaseTTL: 3 * time.Minute, Workload: toyBuild})
+	cs := toyWireSpec()
+	cs.Workers = 1
+	if _, err := coord.Submit(cs, 1); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	orig := leaseWait(t, coord, "a")
+	if orig.Duplicate {
+		t.Fatal("the first lease on a shard is marked duplicate")
+	}
+
+	// The thief's trials take 20ms each, so its copy of the 60-trial
+	// shard would run for over a second.
+	slow := func(cs CampaignSpec) (campaign.Workload, error) {
+		w, err := toyBuild(cs)
+		app := w.App
+		w.App = func(m *fault.Machine) ([]byte, error) {
+			time.Sleep(20 * time.Millisecond)
+			return app(m)
+		}
+		return w, err
+	}
+	leases := make(chan Lease, 4)
+	thief := &Worker{
+		ID: "thief", Client: client, Workload: slow, Poll: 5 * time.Millisecond,
+		OnLease: func(l Lease) { leases <- l },
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		thief.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-exited
+	}()
+
+	stolen := <-leases
+	if !stolen.Duplicate || stolen.ShardIndex != orig.ShardIndex {
+		t.Fatalf("thief lease on shard %d duplicate=%v, want a duplicate of shard %d", stolen.ShardIndex, stolen.Duplicate, orig.ShardIndex)
+	}
+	// Only the thief heartbeats, so any progress is its own.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, err := coord.Status(orig.Campaign)
+		if err != nil {
+			t.Fatalf("status: %v", err)
+		}
+		if st.TrialsDone > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the thief reported no progress within 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if accepted, err := coord.Complete(executeLease(t, orig, "a")); err != nil || !accepted {
+		t.Fatalf("original completion: accepted=%v err=%v", accepted, err)
+	}
+
+	// A second, small campaign has only the thief to run it, so once it
+	// is done the thief is through with its duplicate either way.
+	next := toyWireSpec()
+	next.Trials, next.Seed, next.Workers = 4, 8, 1
+	id, err := coord.Submit(next, 1)
+	if err != nil {
+		t.Fatalf("submit second campaign: %v", err)
+	}
+	waitDone(t, coord, id)
+	if n := metricValue(t, coord, "vsd_fabric_duplicate_results_total"); n != 0 {
+		t.Errorf("duplicate_results_total = %d, want 0: the thief finished a shard that was already done", n)
+	}
+	if n := metricValue(t, coord, "vsd_fabric_leases_stolen_total"); n != 1 {
+		t.Errorf("leases_stolen_total = %d, want 1", n)
+	}
+	if n := metricValue(t, coord, "vsd_fabric_trials_total"); n != cs.Trials+next.Trials {
+		t.Errorf("trials_total = %d, want the two campaigns' %d", n, cs.Trials+next.Trials)
 	}
 }
