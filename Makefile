@@ -51,14 +51,17 @@ check-run = list="$$($(GO) test -list . $(2))" || { echo "$$list"; exit 1; }; \
 # resumes, convergence), plain resumes, checkpoint-free goldens and the
 # generic instrumented kernels against cutoff-free re-execution of every
 # plan, with the inert-kernel skip bound pinned on its own
-# (TestCanSkipTaps). Also the composite and registration boundary
+# (TestCanSkipTaps, TestInertUnits) and the per-unit inert splits of the
+# warp rows, ORB key points and match queries checked against the
+# instrumented loops (TestInertWarpRowSplit, TestInertDescribeSplit,
+# TestInertMatchSplit). Also the composite and registration boundary
 # tests, the canvas snapshot and RANSAC split tests (internal/stitch,
 # internal/warp, internal/ransac), the live-state compare and the
 # converged-hang arithmetic (internal/vs, internal/fault), the
 # resume-boundary report and the checkpoint schema drift pin. Run it
 # after touching any layer of the workload path.
-IDENTITY_RUN = TestReferenceMatrix|TestCanSkipTaps|TestComposite|TestAlignBoundaries|TestAlignStateEqualLive|TestSearchSplitMatchesEstimate|TestStateEqualLiveState|TestConvergedTrialHangs|TestCanvasSnapshot|TestResumeReportsOwnBoundaryFirst|TestCheckpointSchemaDrift|TestIdentityCell|TestIdentityScenarioByteIdentical|TestVSAdapterByteIdentical|TestCellIdentityMatchesVSConstructor|TestVSConstructorKeyUnchanged
-IDENTITY_PKGS = . ./internal/virat/ ./internal/summarize/ ./internal/campaign/ ./internal/fault/ ./internal/stitch/ ./internal/warp/ ./internal/vs/ ./internal/ransac/
+IDENTITY_RUN = TestReferenceMatrix|TestCanSkipTaps|TestInertUnits|TestInertWarpRowSplit|TestInertDescribeSplit|TestInertMatchSplit|TestComposite|TestAlignBoundaries|TestAlignStateEqualLive|TestSearchSplitMatchesEstimate|TestStateEqualLiveState|TestConvergedTrialHangs|TestCanvasSnapshot|TestResumeReportsOwnBoundaryFirst|TestCheckpointSchemaDrift|TestIdentityCell|TestIdentityScenarioByteIdentical|TestVSAdapterByteIdentical|TestCellIdentityMatchesVSConstructor|TestVSConstructorKeyUnchanged
+IDENTITY_PKGS = . ./internal/virat/ ./internal/summarize/ ./internal/campaign/ ./internal/fault/ ./internal/stitch/ ./internal/warp/ ./internal/vs/ ./internal/ransac/ ./internal/features/ ./internal/match/ ./internal/fabric/
 identity:
 	@$(call check-run,$(IDENTITY_RUN),$(IDENTITY_PKGS))
 	$(GO) test -count=1 -run '$(IDENTITY_RUN)' $(IDENTITY_PKGS)

@@ -3,7 +3,8 @@
 // output the repo has always produced, and fault campaigns over it
 // must stay bit-identical across every execution strategy — full
 // execution, per-trial checkpoint resumes, the bucket scheduler, shard
-// decompositions and a live fabric cluster. A pinned FNV-64a digest
+// decompositions and a live fabric cluster (the last in internal/fabric,
+// whose in-process cluster helpers it shares). A pinned FNV-64a digest
 // anchors the whole chain to one constant: any drift in the generator,
 // the summarizer seam, the registry or an executor shows up as a
 // digest mismatch here before it can silently re-baseline the paper's
@@ -13,14 +14,9 @@ package vsresil_test
 import (
 	"context"
 	"hash/fnv"
-	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
-	"time"
 
 	"vsresil/internal/campaign"
-	"vsresil/internal/fabric"
 	"vsresil/internal/fault"
 	"vsresil/internal/faulttest"
 	"vsresil/internal/plan"
@@ -188,88 +184,4 @@ func TestIdentityCellStaticPlannerEquivalence(t *testing.T) {
 		t.Fatalf("RunPlans: %v", err)
 	}
 	faulttest.RequireIdentical(t, "static planner round vs baseline", res.Fault, base.Fault)
-}
-
-// TestIdentityCellFabricEquivalence closes the loop over the wire: the
-// same identity spec submitted to an in-process coordinator with two
-// live HTTP workers merges bit-identically to the local run, golden
-// bytes still on the pinned digest.
-func TestIdentityCellFabricEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fabric identity equivalence is not -short")
-	}
-	t.Parallel()
-	cs := fabric.CampaignSpec{
-		Class:   "gpr",
-		Input:   identityInputNum,
-		Scale:   "test",
-		Frames:  8,
-		Trials:  identityTrials,
-		Seed:    identityAppSeed,
-		Workers: 2,
-	}
-	base := runIdentityCampaign(t)
-
-	coord, err := fabric.NewCoordinator(fabric.Config{Workload: fabric.DefaultWorkload})
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	defer coord.Close()
-	mux := http.NewServeMux()
-	coord.Mount(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	client := &fabric.Client{Base: srv.URL}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	id, err := client.Submit(ctx, cs, 2)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	// The workers must have exited before this test returns.
-	var workers sync.WaitGroup
-	defer func() {
-		cancel()
-		workers.Wait()
-	}()
-	for _, name := range []string{"live-1", "live-2"} {
-		w := &fabric.Worker{
-			ID:     name,
-			Client: &fabric.Client{Base: srv.URL},
-			Poll:   10 * time.Millisecond,
-		}
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			w.Run(ctx)
-		}()
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		st, err := client.Status(ctx, id)
-		if err != nil {
-			t.Fatalf("status: %v", err)
-		}
-		if st.State == "done" {
-			break
-		}
-		if st.State == "failed" {
-			t.Fatalf("cluster campaign failed: %s", st.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("cluster campaign did not finish in 60s")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	cancel()
-
-	merged, err := coord.Merged(id)
-	if err != nil {
-		t.Fatalf("merged result: %v", err)
-	}
-	faulttest.RequireIdentical(t, "fabric cluster vs local", base.Fault, merged.Fault)
-	if d := digestOf(merged.Fault.GoldenOutput); d != identityGoldenDigest {
-		t.Errorf("cluster golden digest = %#016x, want %#016x", d, uint64(identityGoldenDigest))
-	}
 }

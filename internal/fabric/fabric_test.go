@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -19,6 +20,7 @@ import (
 	"vsresil/internal/fault"
 	"vsresil/internal/faulttest"
 	"vsresil/internal/journal"
+	"vsresil/internal/virat"
 )
 
 // toyBuild is the WorkloadBuilder every node in these tests shares;
@@ -303,6 +305,66 @@ func TestClusterEquivalenceBatching(t *testing.T) {
 	// through the resume path), so only the campaign observables are
 	// compared here; TestCampaignBatchingSchedStats covers the stats.
 	faulttest.RequireIdentical(t, "cluster vs single-node", base.Fault, merged.Fault)
+}
+
+// identityGoldenDigest is the identity cell's pinned golden digest
+// (FNV-64a of the encoded panoramas), the constant the root package's
+// TestIdentityCellPinnedDigest anchors.
+const identityGoldenDigest = 0x8a7474734a0ab448
+
+// TestIdentityCellFabricEquivalence closes the identity chain over the
+// wire: the identity spec (the all-defaults registry cell on the
+// 8-frame Input 2 test preset) submitted to an in-process coordinator
+// with two live HTTP workers merges bit-identically to the local run
+// of the cell, golden bytes still on the pinned digest.
+func TestIdentityCellFabricEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fabric identity equivalence is not -short")
+	}
+	t.Parallel()
+	cs := CampaignSpec{
+		Class:   "gpr",
+		Input:   2,
+		Scale:   "test",
+		Frames:  8,
+		Trials:  40,
+		Seed:    0x5EED5,
+		Workers: 2,
+	}
+	p := virat.TestScale()
+	p.Frames = cs.Frames
+	w, err := campaign.Cell{}.Workload(cs.Input, p, cs.Seed)
+	if err != nil {
+		t.Fatalf("identity cell workload: %v", err)
+	}
+	var runner campaign.Runner
+	base, err := runner.Run(context.Background(), campaign.Spec{
+		Workload: w, Class: fault.GPR, Region: fault.RAny,
+		Trials: cs.Trials, Seed: cs.Seed, Workers: cs.Workers,
+	})
+	if err != nil {
+		t.Fatalf("local identity campaign: %v", err)
+	}
+
+	coord, client := serveCoordinator(t, Config{Workload: DefaultWorkload})
+	id, err := client.Submit(context.Background(), cs, 2)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	stop := runLiveWorkers(client.Base, nil, 10*time.Millisecond)
+	waitDone(t, coord, id)
+	stop()
+
+	merged, err := coord.Merged(id)
+	if err != nil {
+		t.Fatalf("merged result: %v", err)
+	}
+	faulttest.RequireIdentical(t, "fabric cluster vs local", base.Fault, merged.Fault)
+	h := fnv.New64a()
+	h.Write(merged.Fault.GoldenOutput)
+	if d := h.Sum64(); d != identityGoldenDigest {
+		t.Errorf("cluster golden digest = %#016x, want %#016x", d, uint64(identityGoldenDigest))
+	}
 }
 
 // TestCoordinatorRestart closes a coordinator mid-campaign and reopens

@@ -311,45 +311,72 @@ func (m *Machine) expire() {
 // CanSkipTaps reports whether a kernel about to execute at most span
 // taps may run tap-free: no armed plan site is reachable within the
 // span (so no tap could fire, arm-check or disarm) and the hang budget
-// cannot expire inside it. span's class and region counters must be
-// upper bounds on the kernel's tap footprint; Steps must bound the
-// total. Callers that take the skip must afterwards bulk-advance the
-// counters by the kernel's exact footprint with AdvanceTaps, so that
-// every later tap indexes the site space exactly as if the kernel had
-// executed its instrumented loop.
+// cannot expire inside it. It is InertUnits for one unit. span's class
+// and region counters must be upper bounds on the kernel's tap
+// footprint; Steps must bound the total. Callers that take the skip
+// must afterwards bulk-advance the counters by the kernel's exact
+// footprint with AdvanceTaps, so that every later tap indexes the site
+// space exactly as if the kernel had executed its instrumented loop.
 func (m *Machine) CanSkipTaps(span TapCounters) bool {
-	if m == nil {
-		return true
+	return m.InertUnits(span, 1) == 1
+}
+
+// InertUnits returns how many of the next n units of a kernel — rows,
+// key points, queries, each issuing at most unit taps — may run
+// tap-free, by the same argument as CanSkipTaps applied to k·unit: no
+// armed site is reachable within the first k units and the hang budget
+// cannot expire inside them. The count is arithmetic, not a scan: the
+// distance to the armed site divided by the unit's need in the plan's
+// class and scope, and the step headroom divided by unit.Steps. A
+// kernel runs that many units on its clean mirror, advances the
+// counters by their exact footprint (AdvanceTaps, OpsIn), runs the
+// next unit instrumented and asks again. A nil machine returns n.
+func (m *Machine) InertUnits(unit TapCounters, n int) int {
+	if m == nil || n <= 0 {
+		return max(n, 0)
 	}
-	if m.steps+span.Steps > m.stepLimit {
-		return false
+	if m.steps > m.stepLimit {
+		return 0
 	}
+	k := fitUnits(uint64(n), m.stepLimit-m.steps, unit.Steps)
 	if m.armedGPR {
 		p := m.plan
-		scoped, need := m.gprCount, span.GPR
+		scoped, need := m.gprCount, unit.GPR
 		if p.Region != RAny {
-			scoped, need = m.regionGPR[p.Region], span.RegionGPR[p.Region]
+			scoped, need = m.regionGPR[p.Region], unit.RegionGPR[p.Region]
 		}
-		// All in-kernel tap indices are scoped..scoped+need-1; they stay
-		// strictly below the site iff scoped+need <= Site. (An open
-		// window fails this too: every in-scope tap from the site on must
-		// run instrumented so it can fire, or disarm at the window end or
-		// at the golden run's last in-scope tap.)
-		if scoped+need > p.Site {
-			return false
+		// The in-scope tap indices of k units are scoped..scoped+k·need-1;
+		// they stay strictly below the site iff scoped+k·need <= Site.
+		// (An open window, scoped > Site, admits no unit: every in-scope
+		// tap from the site on must run instrumented so it can fire, or
+		// disarm at the window end or at the golden run's last in-scope
+		// tap.)
+		if scoped > p.Site {
+			return 0
 		}
+		k = fitUnits(k, p.Site-scoped, need)
 	}
 	if m.armedFPR {
 		p := m.plan
-		scoped, need := m.fprCount, span.FPR
+		scoped, need := m.fprCount, unit.FPR
 		if p.Region != RAny {
-			scoped, need = m.regionFPR[p.Region], span.RegionFPR[p.Region]
+			scoped, need = m.regionFPR[p.Region], unit.RegionFPR[p.Region]
 		}
-		if scoped+need > p.Site {
-			return false
+		if scoped > p.Site {
+			return 0
 		}
+		k = fitUnits(k, p.Site-scoped, need)
 	}
-	return true
+	return int(k)
+}
+
+// fitUnits caps k at the number of units of need taps that fit in
+// room taps; a unit that needs none always fits.
+func fitUnits(k, room, need uint64) uint64 {
+	if need > 0 && room/need < k {
+		return room / need
+	}
+	return k
 }
 
 // AdvanceTaps bulk-advances the machine's tap counters by span — the

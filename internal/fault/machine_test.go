@@ -517,3 +517,92 @@ func TestCanSkipTapsBoundary(t *testing.T) {
 		t.Error("CanSkipTaps ignores the hang budget")
 	}
 }
+
+// TestInertUnits pins the per-unit skip count: after done in-scope taps,
+// with units of need in-scope taps each, the first k units may run
+// tap-free iff done+k·need <= Site, capped at n. The table puts the
+// site on a unit edge (the last tap of a unit), mid-unit and at the
+// first tap of the next unit, in each class and in the whole-program
+// and region-scoped counters.
+func TestInertUnits(t *testing.T) {
+	const done, need = 5, 4
+	for _, c := range clipCases {
+		for _, tc := range []struct {
+			name string
+			site uint64
+			n    int
+			want int
+		}{
+			{"site on the last tap of unit 2", done + 3*need - 1, 10, 2},
+			{"site mid-unit 2", done + 2*need + 2, 10, 2},
+			{"site at the first tap of unit 3", done + 3*need, 10, 3},
+			{"n caps the count", done + 3*need, 2, 2},
+			{"site at the next tap", done, 10, 0},
+			{"no units asked", done + 3*need, 0, 0},
+		} {
+			m := NewWithPlan(Plan{Class: c.class, Site: tc.site, Window: 96, Region: c.region}, 0)
+			for k := 0; k < done; k++ {
+				tapScoped(m, c.class, c.region)
+			}
+			if got := m.InertUnits(spanOf(c.class, c.region, need), tc.n); got != tc.want {
+				t.Errorf("%v/%v %s: InertUnits(%d) = %d, want %d", c.class, c.region, tc.name, tc.n, got, tc.want)
+			}
+			// Units with no taps in the plan's class, or outside its
+			// region, cannot reach the site.
+			other := spanOf(1-c.class, c.region, need)
+			if c.region != RAny {
+				other = spanOf(c.class, RAny, need)
+			}
+			if got := m.InertUnits(other, 10); got != 10 {
+				t.Errorf("%v/%v %s: units outside the plan's scope: InertUnits = %d, want 10", c.class, c.region, tc.name, got)
+			}
+		}
+
+		// An open window (the site passed, the plan still armed) admits
+		// no unit, whatever its need. The plan's register misses the
+		// window's taps so far.
+		reg := 0
+		for reg == regForTap(c.class, globalIdx(c.region, done-2)) || reg == regForTap(c.class, globalIdx(c.region, done-1)) {
+			reg++
+		}
+		m := NewWithPlan(Plan{Class: c.class, Reg: reg, Site: done - 2, Window: 96, Region: c.region}, 0)
+		for k := 0; k < done; k++ {
+			tapScoped(m, c.class, c.region)
+		}
+		if m.Resolved() {
+			t.Fatalf("%v/%v: plan resolved inside its window", c.class, c.region)
+		}
+		if got := m.InertUnits(spanOf(c.class, c.region, need), 10); got != 0 {
+			t.Errorf("%v/%v: open window: InertUnits = %d, want 0", c.class, c.region, got)
+		}
+	}
+
+	// The hang budget: units of 3 steps under a 10-step budget, from 0,
+	// 1 and 2 steps taken.
+	m := NewWithPlan(Plan{Class: GPR, Site: 1 << 40, Window: 1, Region: RAny}, 10)
+	for steps, want := range []int{3, 3, 2} {
+		if got := m.InertUnits(spanOf(FPR, RAny, 3), 5); got != want {
+			t.Errorf("after %d steps: InertUnits under a 10-step budget = %d, want %d", steps, got, want)
+		}
+		m.Word(0)
+	}
+
+	// A resolved machine is bounded by the budget alone; golden and nil
+	// machines never are.
+	p := Plan{Class: GPR, Reg: regForTap(GPR, 0), Bit: 1, Site: 0, Window: 1, Region: RAny}
+	fired := NewWithPlan(p, 100)
+	fired.Word(0)
+	if !fired.Injected() || !fired.Resolved() {
+		t.Fatal("plan at tap 0 did not fire")
+	}
+	if got := fired.InertUnits(spanOf(GPR, RAny, 9), 50); got != 11 {
+		t.Errorf("resolved machine: InertUnits = %d, want 11 (99 steps left / 9)", got)
+	}
+	if got := New().InertUnits(spanOf(GPR, RAny, 1<<30), 50); got != 50 {
+		t.Errorf("golden machine: InertUnits = %d, want 50", got)
+	}
+	var nilM *Machine
+	if got := nilM.InertUnits(spanOf(GPR, RAny, 9), 7); got != 7 {
+		t.Errorf("nil machine: InertUnits = %d, want 7", got)
+	}
+}

@@ -1,9 +1,10 @@
 // Package faulttest holds the fixtures the fault-injection tests of
 // several packages share: a miniature application, its two-stage
 // staged view, a staged toy whose converged trials can hang, the
-// reference executors' input wrappers and the one campaign-observable
-// comparison. Only _test.go files import it; it
-// imports nothing of the repository but packages fault and probe, so
+// reference executors' input wrappers, the one campaign-observable
+// comparison and the split-exactness check for kernels with inert
+// units (split.go). Only _test.go files import it; it imports nothing
+// of the repository but packages fault, probe and stats, so
 // the in-package tests of campaign, fabric, plan and the rest can use
 // it without an import cycle.
 package faulttest

@@ -6,7 +6,9 @@ import (
 	"testing/quick"
 
 	"vsresil/internal/fault"
+	"vsresil/internal/faulttest"
 	vssim "vsresil/internal/imgproc"
+	"vsresil/internal/probe"
 )
 
 // cornerGrid returns a dark image with a grid of isolated bright
@@ -133,17 +135,17 @@ func TestNonMaxSuppressionReduces(t *testing.T) {
 
 func TestHammingBasics(t *testing.T) {
 	var a, b Descriptor
-	if d := a.Hamming(b, nil); d != 0 {
+	if d := HammingDist(a, b, probe.Nop{}); d != 0 {
 		t.Errorf("identical descriptors: distance %d", d)
 	}
 	b[0] = 1
-	if d := a.Hamming(b, nil); d != 1 {
+	if d := HammingDist(a, b, probe.Nop{}); d != 1 {
 		t.Errorf("one bit: distance %d", d)
 	}
 	for i := range b {
 		b[i] = ^uint64(0)
 	}
-	if d := a.Hamming(b, nil); d != DescriptorBits {
+	if d := HammingDist(a, b, probe.Nop{}); d != DescriptorBits {
 		t.Errorf("all bits: distance %d", d)
 	}
 }
@@ -155,16 +157,16 @@ func TestPropertyHammingMetric(t *testing.T) {
 		a := Descriptor{a0, a1, a2, a3}
 		b := Descriptor{b0, b1, b2, b3}
 		c := Descriptor{c0, c1, c2, c3}
-		dab := a.Hamming(b, nil)
-		dba := b.Hamming(a, nil)
+		dab := HammingDist(a, b, probe.Nop{})
+		dba := HammingDist(b, a, probe.Nop{})
 		if dab != dba {
 			return false
 		}
-		if a.Hamming(a, nil) != 0 {
+		if HammingDist(a, a, probe.Nop{}) != 0 {
 			return false
 		}
-		dac := a.Hamming(c, nil)
-		dcb := c.Hamming(b, nil)
+		dac := HammingDist(a, c, probe.Nop{})
+		dcb := HammingDist(c, b, probe.Nop{})
 		return dab <= dac+dcb
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -228,7 +230,7 @@ func TestOrientationGradient(t *testing.T) {
 		}
 	}
 	e := NewExtractor(ORBConfig{PatchRadius: 8})
-	a := e.Orientation(g, 32, 32, nil)
+	a := orientation(e, g, 32, 32, probe.Nop{})
 	if math.Abs(a) > 0.1 {
 		t.Errorf("horizontal ramp angle = %v, want ~0", a)
 	}
@@ -238,7 +240,7 @@ func TestOrientationGradient(t *testing.T) {
 			g.Set(x, y, uint8(y*4))
 		}
 	}
-	a = e.Orientation(g, 32, 32, nil)
+	a = orientation(e, g, 32, 32, probe.Nop{})
 	if math.Abs(a-math.Pi/2) > 0.1 {
 		t.Errorf("vertical ramp angle = %v, want ~pi/2", a)
 	}
@@ -264,7 +266,7 @@ func TestDescribeDeterministic(t *testing.T) {
 	kps := DetectFAST(g, cfg, nil)
 	e := NewExtractor(ORBConfig{PatchRadius: 12})
 	_, d1 := e.Describe(g, kps, nil)
-	_, d2 := e.Describe(g, kps, fault.New())
+	_, d2 := e.Describe(g, kps, faulttest.GenericSink{Sink: fault.New()})
 	if len(d1) != len(d2) {
 		t.Fatalf("lengths differ: %d vs %d", len(d1), len(d2))
 	}
@@ -307,7 +309,7 @@ func TestDescriptorRotationInvariance(t *testing.T) {
 	if len(d1) != 1 || len(d2) != 1 {
 		t.Fatal("descriptors missing")
 	}
-	dist := d1[0].Hamming(d2[0], nil)
+	dist := HammingDist(d1[0], d2[0], probe.Nop{})
 	if dist > DescriptorBits/3 {
 		t.Errorf("rotated descriptor distance %d too large (not rotation-steered?)", dist)
 	}
@@ -343,7 +345,7 @@ func BenchmarkDescribe(b *testing.B) {
 	g := cornerGrid(320, 240, 16)
 	cfg := DefaultFASTConfig()
 	kps := DetectFAST(g, cfg, nil)
-	e := NewExtractor(DefaultORBConfig())
+	e := NewExtractor(ORBConfig{PatchRadius: 15, PatternSeed: 0x08b, AngleBins: 30})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -355,6 +357,6 @@ func BenchmarkHamming(b *testing.B) {
 	d1 := Descriptor{0xdeadbeef, 0x12345678, 0xabcdef, 0x55aa55aa}
 	d2 := Descriptor{0xfeedface, 0x87654321, 0xfedcba, 0xaa55aa55}
 	for i := 0; i < b.N; i++ {
-		d1.Hamming(d2, nil)
+		HammingDist(d1, d2, probe.Nop{})
 	}
 }

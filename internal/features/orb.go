@@ -19,23 +19,12 @@ const DescriptorBits = DescriptorWords * 64
 // Descriptor is a 256-bit binary feature descriptor.
 type Descriptor [DescriptorWords]uint64
 
-// Hamming returns the Hamming distance between two descriptors,
+// HammingDist returns the Hamming distance between two descriptors,
 // accumulating through sink taps (the accumulator and the descriptor
-// words are GPR state in the original binary). s is any probe.Sink;
-// pass probe.Nop{} for an uninstrumented distance (nil is normalized).
-func (d Descriptor) Hamming(o Descriptor, s probe.Sink) int {
-	if s = probe.OrNop(s); probe.IsNop(s) {
-		return HammingDist(d, o, probe.Nop{})
-	}
-	if m, ok := s.(*fault.Machine); ok {
-		return HammingDist(d, o, m)
-	}
-	return HammingDist(d, o, s)
-}
-
-// HammingDist is the generic kernel behind Descriptor.Hamming. The
-// matcher calls it with its own concrete sink type so the per-pair
-// inner loop never boxes the sink into an interface.
+// words are GPR state in the original binary): DescriptorWords Word
+// taps and one Cnt. The matcher calls it with its own concrete sink
+// type so the per-pair inner loop never boxes the sink into an
+// interface; pass probe.Nop{} for an uninstrumented distance.
 func HammingDist[S probe.Sink](d, o Descriptor, m S) int {
 	dist := 0
 	for i := 0; i < DescriptorWords; i++ {
@@ -100,11 +89,6 @@ type ORBConfig struct {
 	// AngleBins quantizes the steering rotation (ORB uses 30 bins of
 	// 12 degrees).
 	AngleBins int
-}
-
-// DefaultORBConfig mirrors the original ORB parameters.
-func DefaultORBConfig() ORBConfig {
-	return ORBConfig{PatchRadius: 15, PatternSeed: 0x08b, AngleBins: 30}
 }
 
 // Extractor computes oriented BRIEF descriptors with a shared pattern.
@@ -193,20 +177,9 @@ func NewExtractor(cfg ORBConfig) *Extractor {
 	return e
 }
 
-// Orientation computes the intensity-centroid angle of the patch
+// orientation computes the intensity-centroid angle of the patch
 // around (x, y): atan2(m01, m10) over the circular patch, as in ORB.
-// s is any probe.Sink; pass probe.Nop{} for an uninstrumented run
-// (nil is normalized).
-func (e *Extractor) Orientation(g *imgproc.Gray, x, y int, s probe.Sink) float64 {
-	if s = probe.OrNop(s); probe.IsNop(s) {
-		return orientation(e, g, x, y, probe.Nop{})
-	}
-	if m, ok := s.(*fault.Machine); ok {
-		return orientation(e, g, x, y, m)
-	}
-	return orientation(e, g, x, y, s)
-}
-
+// Its two moments are FPR taps.
 func orientation[S probe.Sink](e *Extractor, g *imgproc.Gray, x, y int, m S) float64 {
 	r := e.cfg.PatchRadius
 	var m01, m10 float64
@@ -264,88 +237,153 @@ func (e *Extractor) Describe(g *imgproc.Gray, kps []KeyPoint, s probe.Sink) ([]K
 		return describe(e, g, kps, probe.Nop{})
 	}
 	if m, ok := s.(*fault.Machine); ok {
-		return describe(e, g, kps, m)
+		return describeMachine(e, g, kps, m)
 	}
 	return describe(e, g, kps, s)
 }
 
 func describe[S probe.Sink](e *Extractor, g *imgproc.Gray, kps []KeyPoint, m S) ([]KeyPoint, []Descriptor) {
 	defer m.Enter(probe.RORBDescribe)()
-	r := e.cfg.PatchRadius
-	binWidth := 2 * math.Pi / float64(e.cfg.AngleBins)
-
 	outKps := make([]KeyPoint, 0, len(kps))
 	outDescs := make([]Descriptor, 0, len(kps))
 	n := m.Cnt(len(kps))
 	for i := 0; i < n; i++ {
-		kp := kps[m.Idx(i)]
-		if kp.X < r || kp.Y < r || kp.X >= g.W-r || kp.Y >= g.H-r {
-			continue
+		if kp, d, ok := describeKeyPoint(e, g, kps[m.Idx(i)], m); ok {
+			outKps = append(outKps, kp)
+			outDescs = append(outDescs, d)
 		}
-		angle := orientation(e, g, kp.X, kp.Y, m)
-		// Quantize the steering angle like ORB (12-degree bins) so the
-		// rotated pattern can be reused across features.
-		bin := math.Round(angle / binWidth)
-		qa := bin * binWidth
-		sin, cos := math.Sincos(qa)
-		sin = m.F64(sin)
-		cos = m.F64(cos)
-
-		// The pre-rotated pattern for this bin applies only when the
-		// tapped sin/cos still equal the values it was built from; a
-		// corrupted (or out-of-range, e.g. NaN-angled) value rotates
-		// live, exactly as the reference path always does.
-		var rot *[DescriptorBits][4]int16
-		margin := 0
-		if bi := int(bin) - e.binLo; bi >= 0 && bi < len(e.rot) &&
-			sin == e.rotSin[bi] && cos == e.rotCos[bi] {
-			rot = &e.rot[bi]
-			margin = e.rotMax[bi]
-		}
-
-		var d Descriptor
-		if rot != nil && kp.X >= margin && kp.Y >= margin &&
-			kp.X < g.W-margin && kp.Y < g.H-margin {
-			// Every sample stays inside the image, so AtClamped never
-			// clamps and raw indexing reads the same bytes.
-			base := kp.Y*g.W + kp.X
-			for b := 0; b < DescriptorBits; b++ {
-				rp := &rot[b]
-				p1 := m.Pix(g.Pix[base+int(rp[1])*g.W+int(rp[0])])
-				p2 := g.Pix[base+int(rp[3])*g.W+int(rp[2])]
-				if p1 < p2 {
-					d[b>>6] |= 1 << uint(b&63)
-				}
-			}
-		} else if rot != nil {
-			for b := 0; b < DescriptorBits; b++ {
-				rp := &rot[b]
-				p1 := m.Pix(g.AtClamped(kp.X+int(rp[0]), kp.Y+int(rp[1])))
-				p2 := g.AtClamped(kp.X+int(rp[2]), kp.Y+int(rp[3]))
-				if p1 < p2 {
-					d[b>>6] |= 1 << uint(b&63)
-				}
-			}
-		} else {
-			for b := 0; b < DescriptorBits; b++ {
-				pr := e.pattern.pairs[b]
-				x1, y1 := rotatePoint(int(pr[0]), int(pr[1]), sin, cos)
-				x2, y2 := rotatePoint(int(pr[2]), int(pr[3]), sin, cos)
-				p1 := m.Pix(g.AtClamped(kp.X+x1, kp.Y+y1))
-				p2 := g.AtClamped(kp.X+x2, kp.Y+y2)
-				if p1 < p2 {
-					d[b>>6] |= 1 << uint(b&63)
-				}
-			}
-		}
-		m.Ops(probe.OpLoad, DescriptorBits*2)
-		m.Ops(probe.OpInt, DescriptorBits)
-
-		kp.Angle = angle
-		outKps = append(outKps, kp)
-		outDescs = append(outDescs, d)
 	}
 	return outKps, outDescs
+}
+
+// keyPointsSpan is the tap footprint of n key points of which in lie
+// inside the patch border, all in RORBDescribe: one Idx per key point
+// and, per in-border one, the two orientation moments, the steering
+// sin and cos (four F64) and one Pix per descriptor bit.
+// keyPointsSpan(1, 1) bounds any one key point.
+func keyPointsSpan(n, in uint64) fault.TapCounters {
+	var tc fault.TapCounters
+	tc.RegionGPR[probe.RORBDescribe] = n + DescriptorBits*in
+	tc.GPR = tc.RegionGPR[probe.RORBDescribe]
+	tc.RegionFPR[probe.RORBDescribe] = 4 * in
+	tc.FPR = tc.RegionFPR[probe.RORBDescribe]
+	tc.Steps = tc.GPR + tc.FPR
+	return tc
+}
+
+// describeMachine is describe under an injecting machine, split per key
+// point: Machine.InertUnits says how many of the next key points cannot
+// reach the armed site; those run describeKeyPoint on the Nop sink and
+// are accounted with their exact footprint (keyPointsSpan plus the op
+// counts of the instrumented body), the next one runs instrumented, and
+// the loop asks again. A corrupted key-point count keeps the whole loop
+// instrumented, as in describe.
+func describeMachine(e *Extractor, g *imgproc.Gray, kps []KeyPoint, m *fault.Machine) ([]KeyPoint, []Descriptor) {
+	defer m.Enter(probe.RORBDescribe)()
+	outKps := make([]KeyPoint, 0, len(kps))
+	outDescs := make([]Descriptor, 0, len(kps))
+	n := m.Cnt(len(kps))
+	unit := keyPointsSpan(1, 1)
+	side := uint64(2*e.cfg.PatchRadius + 1)
+	for i := 0; i < n; {
+		if n == len(kps) {
+			if k := m.InertUnits(unit, n-i); k > 0 {
+				in := uint64(0)
+				for _, p := range kps[i : i+k] {
+					if kp, d, ok := describeKeyPoint(e, g, p, probe.Nop{}); ok {
+						outKps = append(outKps, kp)
+						outDescs = append(outDescs, d)
+						in++
+					}
+				}
+				m.AdvanceTaps(keyPointsSpan(uint64(k), in))
+				m.OpsIn(probe.RORBDescribe, probe.OpInt, uint64(k)+2*DescriptorBits*in)
+				m.OpsIn(probe.RORBDescribe, probe.OpLoad, (side*side+2*DescriptorBits)*in)
+				m.OpsIn(probe.RORBDescribe, probe.OpFloat, (2*side*side+4)*in)
+				i += k
+				continue
+			}
+		}
+		if kp, d, ok := describeKeyPoint(e, g, kps[m.Idx(i)], m); ok {
+			outKps = append(outKps, kp)
+			outDescs = append(outDescs, d)
+		}
+		i++
+	}
+	return outKps, outDescs
+}
+
+// describeKeyPoint is the instrumented body for one key point, the one
+// copy describe and describeMachine share: it orients and describes kp,
+// or reports false for a key point too close to the border for the
+// patch (which issues no tap).
+func describeKeyPoint[S probe.Sink](e *Extractor, g *imgproc.Gray, kp KeyPoint, m S) (KeyPoint, Descriptor, bool) {
+	r := e.cfg.PatchRadius
+	if kp.X < r || kp.Y < r || kp.X >= g.W-r || kp.Y >= g.H-r {
+		return kp, Descriptor{}, false
+	}
+	angle := orientation(e, g, kp.X, kp.Y, m)
+	// Quantize the steering angle like ORB (12-degree bins) so the
+	// rotated pattern can be reused across features.
+	binWidth := 2 * math.Pi / float64(e.cfg.AngleBins)
+	bin := math.Round(angle / binWidth)
+	qa := bin * binWidth
+	sin, cos := math.Sincos(qa)
+	sin = m.F64(sin)
+	cos = m.F64(cos)
+
+	// The pre-rotated pattern for this bin applies only when the
+	// tapped sin/cos still equal the values it was built from; a
+	// corrupted (or out-of-range, e.g. NaN-angled) value rotates
+	// live, exactly as the reference path always does.
+	var rot *[DescriptorBits][4]int16
+	margin := 0
+	if bi := int(bin) - e.binLo; bi >= 0 && bi < len(e.rot) &&
+		sin == e.rotSin[bi] && cos == e.rotCos[bi] {
+		rot = &e.rot[bi]
+		margin = e.rotMax[bi]
+	}
+
+	var d Descriptor
+	if rot != nil && kp.X >= margin && kp.Y >= margin &&
+		kp.X < g.W-margin && kp.Y < g.H-margin {
+		// Every sample stays inside the image, so AtClamped never
+		// clamps and raw indexing reads the same bytes.
+		base := kp.Y*g.W + kp.X
+		for b := 0; b < DescriptorBits; b++ {
+			rp := &rot[b]
+			p1 := m.Pix(g.Pix[base+int(rp[1])*g.W+int(rp[0])])
+			p2 := g.Pix[base+int(rp[3])*g.W+int(rp[2])]
+			if p1 < p2 {
+				d[b>>6] |= 1 << uint(b&63)
+			}
+		}
+	} else if rot != nil {
+		for b := 0; b < DescriptorBits; b++ {
+			rp := &rot[b]
+			p1 := m.Pix(g.AtClamped(kp.X+int(rp[0]), kp.Y+int(rp[1])))
+			p2 := g.AtClamped(kp.X+int(rp[2]), kp.Y+int(rp[3]))
+			if p1 < p2 {
+				d[b>>6] |= 1 << uint(b&63)
+			}
+		}
+	} else {
+		for b := 0; b < DescriptorBits; b++ {
+			pr := e.pattern.pairs[b]
+			x1, y1 := rotatePoint(int(pr[0]), int(pr[1]), sin, cos)
+			x2, y2 := rotatePoint(int(pr[2]), int(pr[3]), sin, cos)
+			p1 := m.Pix(g.AtClamped(kp.X+x1, kp.Y+y1))
+			p2 := g.AtClamped(kp.X+x2, kp.Y+y2)
+			if p1 < p2 {
+				d[b>>6] |= 1 << uint(b&63)
+			}
+		}
+	}
+	m.Ops(probe.OpLoad, DescriptorBits*2)
+	m.Ops(probe.OpInt, DescriptorBits)
+
+	kp.Angle = angle
+	return kp, d, true
 }
 
 // rotatePoint rotates the integer offset (x, y) by the angle whose

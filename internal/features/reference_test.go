@@ -1,10 +1,13 @@
 package features
 
 import (
+	"fmt"
 	"testing"
 
 	"vsresil/internal/fault"
+	"vsresil/internal/faulttest"
 	"vsresil/internal/imgproc"
+	"vsresil/internal/probe"
 	"vsresil/internal/stats"
 )
 
@@ -87,15 +90,16 @@ func TestExtractorTablesMatchReference(t *testing.T) {
 				continue
 			}
 			mRef, mTab := fault.New(), fault.New()
-			if a, b := ref.Orientation(g, kp.X, kp.Y, mRef), e.Orientation(g, kp.X, kp.Y, mTab); a != b ||
+			if a, b := orientation(ref, g, kp.X, kp.Y, mRef), orientation(e, g, kp.X, kp.Y, mTab); a != b ||
 				stateOf(mRef) != stateOf(mTab) {
 				t.Fatalf("radius %d %+v: table orientation %v, reference %v (or machine state differs)", radius, kp, b, a)
 			}
 		}
 
+		// Behind GenericSink both run the instrumented loop, taps and all.
 		mRef, mTab := fault.New(), fault.New()
-		refKps, refDescs := ref.Describe(g, kps, mRef)
-		tabKps, tabDescs := e.Describe(g, kps, mTab)
+		refKps, refDescs := ref.Describe(g, kps, faulttest.GenericSink{Sink: mRef})
+		tabKps, tabDescs := e.Describe(g, kps, faulttest.GenericSink{Sink: mTab})
 		if len(refKps) != len(tabKps) || len(refKps) == 0 {
 			t.Fatalf("radius %d: kept %d key points with tables, %d without", radius, len(tabKps), len(refKps))
 		}
@@ -107,6 +111,46 @@ func TestExtractorTablesMatchReference(t *testing.T) {
 		}
 		if stateOf(mRef) != stateOf(mTab) {
 			t.Errorf("radius %d: Describe machine state differs with and without tables", radius)
+		}
+	}
+}
+
+// TestInertDescribeSplit checks the per-key-point split of describe
+// under an armed machine: with a plan landing at the first and at the
+// last tap of each class of every key point (and at the key-point
+// count), or a hang budget expiring there, the machine path — inert key
+// points on the Nop sink, the rest instrumented — must leave the same
+// key points and descriptors, panic kind, tap counters and op matrix as
+// the instrumented loop behind faulttest.GenericSink. The key points mix
+// interior ones, ones in the clamped band and ones the describer drops.
+func TestInertDescribeSplit(t *testing.T) {
+	t.Parallel()
+	rng := stats.NewRNG(0x5B11D)
+	for _, radius := range []int{6, 15} {
+		e := NewExtractor(ORBConfig{PatchRadius: radius, PatternSeed: 0x08b, AngleBins: 30})
+		g := noiseImage(rng, 48, 40)
+		var kps []KeyPoint
+		for i := 0; i < 10; i++ {
+			kps = append(kps, KeyPoint{X: rng.Intn(g.W), Y: rng.Intn(g.H)})
+		}
+		kernel := func(s probe.Sink) string {
+			outKps, descs := e.Describe(g, kps, s)
+			return fmt.Sprint(outKps, descs)
+		}
+		// Units: the key-point count, then one per key point, each
+		// starting at the Idx that loads it.
+		keyPoints := func(taps []faulttest.Tap) [][2]int {
+			units := [][2]int{{0, 1}}
+			for i, tp := range taps {
+				if tp.Kind == 'I' {
+					units[len(units)-1][1] = i
+					units = append(units, [2]int{i, len(taps)})
+				}
+			}
+			return units
+		}
+		if n := faulttest.CheckUnitSplit(t, fmt.Sprintf("radius %d", radius), kernel, keyPoints); n == 0 {
+			t.Fatalf("radius %d: no split case ran", radius)
 		}
 	}
 }

@@ -115,7 +115,7 @@ func (mt *Matcher) AppendMatches(dst []Match, query, train []features.Descriptor
 		return appendMatches(mt, dst, query, train, probe.Nop{})
 	}
 	if m, ok := s.(*fault.Machine); ok {
-		return appendMatches(mt, dst, query, train, m)
+		return appendMatchesMachine(mt, dst, query, train, m)
 	}
 	return appendMatches(mt, dst, query, train, s)
 }
@@ -131,39 +131,115 @@ func appendMatches[S probe.Sink](mt *Matcher, dst []Match, query, train []featur
 	}
 	nq := m.Cnt(len(query))
 	for qi := 0; qi < nq; qi++ {
-		q := query[m.Idx(qi)]
-		switch mt.cfg.Strategy {
-		case SimpleNearest:
-			best, bestDist := nearest1(q, train, mt.cfg.MaxDistance/2, m)
-			// Absolute bound: only near-perfect matches survive.
-			if bestDist <= m.Cnt(mt.cfg.MaxDistance) {
-				out = append(out, Match{Query: qi, Train: best, Distance: bestDist})
-			}
-		default: // RatioTest
-			best, bestDist, secondDist := nearest2(q, train, m)
-			// The 2-NN bookkeeping costs extra comparisons per
-			// candidate relative to the single-NN scan.
-			m.Ops(probe.OpBranch, uint64(len(train)))
-			// Keep only when the best is sufficiently closer than the
-			// runner-up; with a single candidate the runner-up is
-			// treated as maximally distant.
-			if float64(bestDist) < mt.cfg.Ratio*float64(secondDist) {
-				out = append(out, Match{Query: qi, Train: best, Distance: bestDist})
-			}
-		}
+		out, _ = matchQuery(mt, out, qi, query[m.Idx(qi)], train, m)
 	}
 	return out
+}
+
+// queriesSpan is the tap footprint of n queries that scanned scanned
+// train descriptors in total, all GPR in RMatch: per query the Idx that
+// loads it and the train-count Cnt (SimpleNearest adds the tapped
+// distance bound), per scanned train descriptor its Idx and
+// HammingDist's DescriptorWords Word taps and one Cnt. RatioTest scans
+// every train descriptor, so queriesSpan(s, 1, len(train)) is exact
+// for one of its queries and bounds one SimpleNearest query.
+func queriesSpan(s Strategy, n, scanned uint64) fault.TapCounters {
+	perQuery := uint64(2)
+	if s == SimpleNearest {
+		perQuery = 3
+	}
+	var tc fault.TapCounters
+	tc.RegionGPR[probe.RMatch] = perQuery*n + (features.DescriptorWords+2)*scanned
+	tc.GPR = tc.RegionGPR[probe.RMatch]
+	tc.Steps = tc.GPR
+	return tc
+}
+
+// appendMatchesMachine is appendMatches under an injecting machine,
+// split per query: Machine.InertUnits says how many of the next
+// queries cannot reach the armed site; those run matchQuery on the Nop
+// sink and are accounted with their exact footprint (queriesSpan plus
+// the branch counts of the instrumented body), the next one runs
+// instrumented, and the loop asks again. A corrupted query count keeps
+// the whole loop instrumented, as in appendMatches.
+func appendMatchesMachine(mt *Matcher, dst []Match, query, train []features.Descriptor, m *fault.Machine) []Match {
+	defer m.Enter(probe.RMatch)()
+	if len(train) == 0 {
+		return dst[:0]
+	}
+	out := dst[:0]
+	if cap(out) < len(query) {
+		out = make([]Match, 0, len(query))
+	}
+	nq := m.Cnt(len(query))
+	nt := uint64(len(train))
+	unit := queriesSpan(mt.cfg.Strategy, 1, nt)
+	branches := 2 * nt // nearest2's and the ratio test's per-candidate bookkeeping
+	if mt.cfg.Strategy == SimpleNearest {
+		branches = nt
+	}
+	for qi := 0; qi < nq; {
+		if nq == len(query) {
+			if k := m.InertUnits(unit, nq-qi); k > 0 {
+				scanned := uint64(0)
+				for j := qi; j < qi+k; j++ {
+					var n int
+					out, n = matchQuery(mt, out, j, query[j], train, probe.Nop{})
+					scanned += uint64(n)
+				}
+				span := queriesSpan(mt.cfg.Strategy, uint64(k), scanned)
+				m.AdvanceTaps(span)
+				m.OpsIn(probe.RMatch, probe.OpInt, span.GPR)
+				m.OpsIn(probe.RMatch, probe.OpBranch, branches*uint64(k))
+				qi += k
+				continue
+			}
+		}
+		out, _ = matchQuery(mt, out, qi, query[m.Idx(qi)], train, m)
+		qi++
+	}
+	return out
+}
+
+// matchQuery is the instrumented body for query qi with descriptor q,
+// the one copy appendMatches and appendMatchesMachine share: it appends
+// q's match to out when the strategy keeps one, and returns out and
+// how many train descriptors the scan visited.
+func matchQuery[S probe.Sink](mt *Matcher, out []Match, qi int, q features.Descriptor, train []features.Descriptor, m S) ([]Match, int) {
+	switch mt.cfg.Strategy {
+	case SimpleNearest:
+		best, bestDist, scanned := nearest1(q, train, mt.cfg.MaxDistance/2, m)
+		// Absolute bound: only near-perfect matches survive.
+		if bestDist <= m.Cnt(mt.cfg.MaxDistance) {
+			out = append(out, Match{Query: qi, Train: best, Distance: bestDist})
+		}
+		return out, scanned
+	default: // RatioTest
+		best, bestDist, secondDist := nearest2(q, train, m)
+		// The 2-NN bookkeeping costs extra comparisons per candidate
+		// relative to the single-NN scan.
+		m.Ops(probe.OpBranch, uint64(len(train)))
+		// Keep only when the best is sufficiently closer than the
+		// runner-up; with a single candidate the runner-up is treated
+		// as maximally distant.
+		if float64(bestDist) < mt.cfg.Ratio*float64(secondDist) {
+			out = append(out, Match{Query: qi, Train: best, Distance: bestDist})
+		}
+		return out, len(train)
+	}
 }
 
 // nearest1 scans train for the single nearest neighbor of q. Because
 // VS_SM only accepts near-perfect matches anyway, the scan terminates
 // early once a candidate within earlyExit bits is found — the
-// algorithmic source of the approximation's speedup (§IV(3)).
-func nearest1[S probe.Sink](q features.Descriptor, train []features.Descriptor, earlyExit int, m S) (int, int) {
-	best, bestDist := -1, features.DescriptorBits+1
+// algorithmic source of the approximation's speedup (§IV(3)). It also
+// returns how many train descriptors it visited.
+func nearest1[S probe.Sink](q features.Descriptor, train []features.Descriptor, earlyExit int, m S) (best, bestDist, scanned int) {
+	best, bestDist = -1, features.DescriptorBits+1
 	nt := m.Cnt(len(train))
 	m.Ops(probe.OpBranch, uint64(nt))
 	for ti := 0; ti < nt; ti++ {
+		scanned++
 		d := features.HammingDist(q, train[m.Idx(ti)], m)
 		if d < bestDist {
 			best, bestDist = ti, d
@@ -172,7 +248,7 @@ func nearest1[S probe.Sink](q features.Descriptor, train []features.Descriptor, 
 			}
 		}
 	}
-	return best, bestDist
+	return best, bestDist, scanned
 }
 
 // nearest2 scans train for the two nearest neighbors of q.

@@ -1,11 +1,15 @@
 package match
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"vsresil/internal/fault"
+	"vsresil/internal/faulttest"
 	"vsresil/internal/features"
+	"vsresil/internal/probe"
+	"vsresil/internal/stats"
 )
 
 // desc builds a descriptor with the given bits set.
@@ -129,7 +133,7 @@ func TestMatchInstrumentedIdentical(t *testing.T) {
 	}
 	mt := New(DefaultConfig())
 	bare := mt.Match(q, train, nil)
-	inst := mt.Match(q, train, fault.New())
+	inst := mt.Match(q, train, faulttest.GenericSink{Sink: fault.New()})
 	if len(bare) != len(inst) {
 		t.Fatalf("instrumentation changed results: %d vs %d", len(bare), len(inst))
 	}
@@ -216,7 +220,7 @@ func TestPropertyMatchIndicesValid(t *testing.T) {
 			if mm.Query < 0 || mm.Query >= len(q) || mm.Train < 0 || mm.Train >= len(train) {
 				return false
 			}
-			if mm.Distance != q[mm.Query].Hamming(train[mm.Train], nil) {
+			if mm.Distance != features.HammingDist(q[mm.Query], train[mm.Train], probe.Nop{}) {
 				return false
 			}
 		}
@@ -252,5 +256,53 @@ func BenchmarkMatchSimple(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mt.Match(q, train, nil)
+	}
+}
+
+// TestInertMatchSplit checks the per-query split of the matcher under
+// an armed machine, for both strategies: with a plan landing at the
+// first and at the last tap of every query (and at the query count), or
+// a hang budget expiring there, the machine path — inert queries on the
+// Nop sink, the rest instrumented — must leave the same matches, panic
+// kind, tap counters and op matrix as the instrumented loop behind
+// faulttest.GenericSink. Near copies of some queries in the train set
+// make SimpleNearest stop its scans early.
+func TestInertMatchSplit(t *testing.T) {
+	t.Parallel()
+	rng := stats.NewRNG(0x5B11E)
+	random := func() features.Descriptor {
+		return features.Descriptor{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
+	}
+	query := make([]features.Descriptor, 8)
+	train := make([]features.Descriptor, 7)
+	for i := range query {
+		query[i] = random()
+	}
+	for i := range train {
+		train[i] = random()
+		if i%2 == 1 {
+			train[i] = query[i]
+			train[i][0] ^= 1 << uint(i)
+		}
+	}
+	for _, cfg := range []Config{DefaultConfig(), SimpleConfig()} {
+		mt := New(cfg)
+		kernel := func(s probe.Sink) string { return fmt.Sprint(mt.Match(query, train, s)) }
+		// Units: the query count, then one per query, each starting at
+		// the Idx that loads it (the next tap is the train-count Cnt; a
+		// train descriptor's Idx is followed by a Word).
+		queries := func(taps []faulttest.Tap) [][2]int {
+			units := [][2]int{{0, 1}}
+			for i := 1; i+1 < len(taps); i++ {
+				if taps[i].Kind == 'I' && taps[i+1].Kind == 'C' {
+					units[len(units)-1][1] = i
+					units = append(units, [2]int{i, len(taps)})
+				}
+			}
+			return units
+		}
+		if n := faulttest.CheckUnitSplit(t, cfg.Strategy.String(), kernel, queries); n == 0 {
+			t.Fatalf("%v: no split case ran", cfg.Strategy)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"vsresil/internal/features"
+	"vsresil/internal/probe"
 )
 
 func TestSubsampleStrongestKeepsTopScores(t *testing.T) {
@@ -106,7 +107,7 @@ func TestSimpleNearestEarlyExitStillValid(t *testing.T) {
 	if len(ms) != 1 {
 		t.Fatalf("matches = %d", len(ms))
 	}
-	if got := q[0].Hamming(train[ms[0].Train], nil); got != ms[0].Distance {
+	if got := features.HammingDist(q[0], train[ms[0].Train], probe.Nop{}); got != ms[0].Distance {
 		t.Errorf("reported distance %d, true %d", ms[0].Distance, got)
 	}
 	if ms[0].Distance > SimpleConfig().MaxDistance {

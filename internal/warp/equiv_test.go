@@ -2,6 +2,7 @@ package warp_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"vsresil/internal/fault"
@@ -102,5 +103,59 @@ func TestInertTiledWarpEquivalence(t *testing.T) {
 		if tiledCtr != refCtr {
 			t.Errorf("trial %d (h=%v): inert tap accounting drifted:\n tiled %+v\n   ref %+v", trial, h, tiledCtr, refCtr)
 		}
+	}
+}
+
+// TestInertWarpRowSplit checks the per-row split of stage 1 under an
+// armed machine: with a plan landing at the first and at the last tap of
+// each class in every row (and in the row-bound Cnt pair), or a hang
+// budget expiring there, the machine path — inert rows on the clean
+// mirror, the rest through warpRow — must leave the same resolved
+// pixels, panic kind, tap counters and op matrix as the instrumented
+// loop behind faulttest.GenericSink.
+func TestInertWarpRowSplit(t *testing.T) {
+	t.Parallel()
+	rng := stats.NewRNG(0x5B117)
+	cases := 0
+	for trial := 0; trial < 4; trial++ {
+		src := randomGray(rng, 14+rng.Intn(10), 12+rng.Intn(10))
+		h := randomHomography(rng)
+		if _, err := h.Inverse(); err != nil {
+			continue
+		}
+		mode := warp.BlendMode(trial % 2)
+		bounds := warp.ProjectBounds(h, src.W, src.H)
+		kernel := func(s probe.Sink) string {
+			c := warp.NewCanvasMode(bounds, mode)
+			if _, err := warp.WarpOntoCanvas(src, h, c, s); err != nil {
+				return err.Error()
+			}
+			return string(c.Resolve(s).Pix)
+		}
+		// Units: the row-bound Cnt pair, then one per destination row.
+		// Row ty's first F64 is stage 1's (2·tw·ty)-th; its Idx precedes
+		// it. The last row ends where the blend (RBlend) begins.
+		rows := func(taps []faulttest.Tap) [][2]int {
+			units := [][2]int{{0, 2}}
+			f := 0
+			for i, tp := range taps {
+				switch {
+				case tp.Region == probe.RBlend:
+					units[len(units)-1][1] = i
+					return units
+				case tp.Kind == 'F':
+					if f%(2*bounds.W()) == 0 {
+						units[len(units)-1][1] = i - 1
+						units = append(units, [2]int{i - 1, len(taps)})
+					}
+					f++
+				}
+			}
+			return units
+		}
+		cases += faulttest.CheckUnitSplit(t, fmt.Sprintf("trial %d (h=%v)", trial, h), kernel, rows)
+	}
+	if cases == 0 {
+		t.Fatal("no split case ran")
 	}
 }

@@ -1,18 +1,24 @@
 // Inert kernel invocations: when a *fault.Machine can prove that no
-// armed plan site is reachable within a kernel's tap footprint (and
-// the hang budget cannot expire inside it), every tap the kernel would
-// issue is an identity pass-through — so the kernel may run its
-// tap-free clean mirror, row-tiled across goroutines, and afterwards
+// armed plan site is reachable within a run of kernel units (and the
+// hang budget cannot expire inside it), every tap those units would
+// issue is an identity pass-through — so they may run the tap-free
+// clean mirror, row-tiled across goroutines for a whole kernel, and
+// afterwards
 // bulk-advance the tap counters and op accounts by the instrumented
 // loop's exact footprint. Later taps then index the injection-site
 // space exactly as if the instrumented loop had run, which is what
 // keeps campaign results bit-identical to running the instrumented
 // loops, the path every sink other than a *fault.Machine takes.
 //
+// Stage 1 is split per destination row (Machine.InertUnits): a plan
+// whose site falls inside a frame's warp runs only the rows that can
+// reach the site instrumented, and the rows before them and after the
+// plan resolves on the clean mirror.
+//
 // The footprint formulas below are derived from (and must stay in
 // lockstep with) the instrumented loops in warp.go; the counter-
-// exactness test in the warp test suite compares a full instrumented
-// run against an inert one, taps, ops and bytes.
+// exactness tests in the warp test suite compare instrumented runs
+// against inert and split ones, taps, ops and bytes.
 package warp
 
 import (
@@ -22,23 +28,33 @@ import (
 	"vsresil/internal/probe"
 )
 
-// stage1Span is the tap footprint of the instrumented stage-1 warp
-// loop over rows scanlines of pixels destination pixels, written of
-// which pass the bounds/NaN reject. Per the loop in warpOntoCanvas:
-// two Cnt taps for the row bounds, one Idx per row, two F64 per pixel
-// (the inverse-mapped coordinates), and per accepted pixel three GPR
-// taps inside remapBilinear (two Idx, one Pix) plus the destination
-// Idx back in the invoker. Rejected pixels leave remapBilinear before
-// its first tap.
-func stage1Span(rows, pixels, written uint64) fault.TapCounters {
+// rowsSpan is the tap footprint of rows instrumented stage-1 rows
+// (warpRow) over pixels destination pixels, written of which pass the
+// bounds/NaN reject: one Idx per row, two F64 per pixel (the
+// inverse-mapped coordinates), and per accepted pixel three GPR taps
+// inside remapBilinear (two Idx, one Pix) plus the destination Idx back
+// in the invoker. Rejected pixels leave remapBilinear before its first
+// tap. rowsSpan(1, tw, tw) bounds any one row.
+func rowsSpan(rows, pixels, written uint64) fault.TapCounters {
 	var tc fault.TapCounters
-	tc.RegionGPR[probe.RWarpInvoker] = 2 + rows + written
+	tc.RegionGPR[probe.RWarpInvoker] = rows + written
 	tc.RegionGPR[probe.RRemapBilinear] = 3 * written
 	tc.GPR = tc.RegionGPR[probe.RWarpInvoker] + tc.RegionGPR[probe.RRemapBilinear]
 	tc.RegionFPR[probe.RWarpInvoker] = 2 * pixels
 	tc.FPR = tc.RegionFPR[probe.RWarpInvoker]
 	tc.Steps = tc.GPR + tc.FPR
 	return tc
+}
+
+// advanceRows accounts rows stage-1 rows that ran on the clean mirror:
+// rowsSpan's taps plus warpRow's op counts, in the regions the
+// instrumented row would have attributed them to.
+func advanceRows(m *fault.Machine, rows, pixels, written uint64) {
+	m.AdvanceTaps(rowsSpan(rows, pixels, written))
+	m.OpsIn(probe.RWarpInvoker, probe.OpInt, 6*pixels+rows+written)
+	m.OpsIn(probe.RWarpInvoker, probe.OpLoad, 4*pixels)
+	m.OpsIn(probe.RWarpInvoker, probe.OpFloat, 26*pixels)
+	m.OpsIn(probe.RRemapBilinear, probe.OpInt, 3*written)
 }
 
 // stage2Span is the tap footprint of the instrumented stage-2
@@ -65,11 +81,10 @@ func resolveSpan(rows uint64) fault.TapCounters {
 	return tc
 }
 
-// warpOntoCanvasMachine is WarpOntoCanvas for an injecting machine: it
-// runs each stage through the tiled clean mirror whenever CanSkipTaps
-// proves the stage inert, falling back to the instrumented loops
-// otherwise (per stage — an armed plan targeting the blend region
-// still gets a clean stage 1).
+// warpOntoCanvasMachine is WarpOntoCanvas for an injecting machine:
+// stage 1 runs per row, inert rows on the clean mirror (see
+// warpStage1Machine); stage 2 runs the banded clean blend whenever
+// CanSkipTaps proves it inert and the instrumented loop otherwise.
 func warpOntoCanvasMachine(src *imgproc.Gray, h geom.Homography, c *Canvas, m *fault.Machine) (int, error) {
 	inv, err := h.Inverse()
 	if err != nil {
@@ -84,12 +99,6 @@ func warpOntoCanvasMachine(src *imgproc.Gray, h geom.Homography, c *Canvas, m *f
 	}
 	tw, th := region.W(), region.H()
 	pixels := uint64(tw) * uint64(th)
-	// The eligibility check bounds written by pixels (every pixel
-	// accepted); the post-hoc advance uses the exact count the clean
-	// kernel reports.
-	if !m.CanSkipTaps(stage1Span(uint64(th), pixels, pixels)) {
-		return warpOntoCanvas(src, h, c, m)
-	}
 	vals := getFloats(tw*th, false)
 	wts := getFloats(tw*th, true)
 	defer putFloats(vals)
@@ -98,14 +107,7 @@ func warpOntoCanvasMachine(src *imgproc.Gray, h geom.Homography, c *Canvas, m *f
 	defer putFloats(cols)
 	var proj scanProjector
 	proj.init(inv, region.MinX, tw, cols)
-	halfW := float64(src.W) / 2
-	halfH := float64(src.H) / 2
-	written := warpStage1Clean(src, &proj, region, vals, wts, c.Mode, halfW, halfH)
-	m.AdvanceTaps(stage1Span(uint64(th), pixels, uint64(written)))
-	m.OpsIn(probe.RWarpInvoker, probe.OpInt, 6*pixels+2+uint64(th)+uint64(written))
-	m.OpsIn(probe.RWarpInvoker, probe.OpLoad, 4*pixels)
-	m.OpsIn(probe.RWarpInvoker, probe.OpFloat, 26*pixels)
-	m.OpsIn(probe.RRemapBilinear, probe.OpInt, 3*uint64(written))
+	written := warpStage1Machine(src, &proj, region, vals, wts, c.Mode, m)
 
 	if !c.GainCompensation && m.CanSkipTaps(stage2Span(uint64(th))) {
 		forEachBand(th, func(_, lo, hi int) {
@@ -119,6 +121,45 @@ func warpOntoCanvasMachine(src *imgproc.Gray, h geom.Homography, c *Canvas, m *f
 		warpStage2Instr(c, region, vals, wts, m)
 	}
 	return written, nil
+}
+
+// warpStage1Machine is the stage-1 row loop under an injecting
+// machine. The two row-bound Cnt taps always run instrumented. Then,
+// row by row, Machine.InertUnits says how many of the next rows cannot
+// reach the armed site (each bounded by rowsSpan(1, tw, tw)); those run
+// on the clean mirror and are accounted with their exact footprint,
+// the next row runs instrumented through warpRow, and the loop asks
+// again. A fully inert warp is one banded clean run over every row; a
+// partial run stays on the calling goroutine, since it only happens
+// inside campaign trials, whose workers already occupy the CPUs. Rows
+// outside [0, th), which only a corrupted bound reaches, always run
+// instrumented.
+func warpStage1Machine(src *imgproc.Gray, proj *scanProjector, region Bounds, vals, wts []float64, mode BlendMode, m *fault.Machine) int {
+	defer m.Enter(probe.RWarpInvoker)()
+	tw, th := region.W(), region.H()
+	unit := rowsSpan(1, uint64(tw), uint64(tw))
+	written := 0
+	y0 := m.Cnt(0)
+	y1 := m.Cnt(th)
+	for ty := y0; ty < y1; {
+		if ty >= 0 && ty < th {
+			if k := m.InertUnits(unit, min(y1, th)-ty); k > 0 {
+				var w int
+				if k == th {
+					w = warpStage1Clean(src, proj, region, vals, wts, mode)
+				} else {
+					w = warpStage1Band(src, *proj, region, ty, ty+k, vals, wts, mode)
+				}
+				advanceRows(m, uint64(k), uint64(k)*uint64(tw), uint64(w))
+				written += w
+				ty += k
+				continue
+			}
+		}
+		written += warpRow(src, proj, region, ty, vals, wts, mode, m)
+		ty++
+	}
+	return written
 }
 
 // resolveCanvasMachine is Canvas.Resolve for an injecting machine,

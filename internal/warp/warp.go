@@ -293,21 +293,6 @@ func resolveBand(c *Canvas, out *imgproc.Gray, y0, y1 int) {
 	}
 }
 
-// Coverage returns the fraction of canvas pixels that received at
-// least one sample.
-func (c *Canvas) Coverage() float64 {
-	if len(c.touched) == 0 {
-		return 0
-	}
-	n := 0
-	for _, t := range c.touched {
-		if t {
-			n++
-		}
-	}
-	return float64(n) / float64(len(c.touched))
-}
-
 // WarpOntoCanvas composites src onto the canvas through the transform
 // h (src coordinates -> global coordinates). It reproduces OpenCV's
 // warpPerspectiveInvoker structure: iterate destination pixels inside
@@ -366,58 +351,17 @@ func warpOntoCanvas[S probe.Sink](src *imgproc.Gray, h geom.Homography, c *Canva
 	var proj scanProjector
 	proj.init(inv, region.MinX, tw, cols)
 	written := 0
-	halfW := float64(src.W) / 2
-	halfH := float64(src.H) / 2
 	if _, clean := any(m).(probe.Nop); clean {
 		// Devirtualized clean path: identical arithmetic with the taps
 		// compiled out and the bilinear sample inlined into the row
 		// loop. Bit-exactness vs the instrumented loop under a plan-free
 		// sink is pinned by the equivalence tests.
-		written = warpStage1Clean(src, &proj, region, vals, wts, c.Mode, halfW, halfH)
+		written = warpStage1Clean(src, &proj, region, vals, wts, c.Mode)
 	} else {
 		y0 := m.Cnt(0)
 		y1 := m.Cnt(th)
 		for ty := y0; ty < y1; ty++ {
-			m.Ops(probe.OpInt, uint64(tw)*6)
-			m.Ops(probe.OpLoad, uint64(tw)*4)
-			// Per-pixel arithmetic of the inverse map + bilinear sample:
-			// 3x3 matrix-vector product (15 flops), perspective divide (2)
-			// and bilinear interpolation (7).
-			m.Ops(probe.OpFloat, uint64(tw)*24)
-			// Destination row base: address arithmetic through a GPR, as
-			// in the compiled invoker. Corruption displaces or faults the
-			// row's stores.
-			rowIdx := m.Idx(ty * tw)
-			proj.setRow(float64(region.MinY + ty))
-			for tx := 0; tx < tw; tx++ {
-				// Inverse map the destination pixel to source coordinates.
-				// These coordinate temporaries are the workload's dominant
-				// floating-point state.
-				spX, spY := proj.at(tx)
-				sx := m.F64(spX)
-				sy := m.F64(spY)
-				v, ok := remapBilinear(src, sx, sy, m)
-				if !ok {
-					continue
-				}
-				weight := 1.0
-				if c.Mode == BlendFeather {
-					// Feather weight: 1 at frame center falling toward the
-					// border, so seams blend.
-					wx := 1 - math.Abs(sx-halfW)/halfW
-					wy := 1 - math.Abs(sy-halfH)/halfH
-					weight = wx * wy
-					if weight < 0.05 {
-						weight = 0.05
-					}
-				}
-				// Per-pixel destination address (base + row + column), as
-				// the compiled store computes it.
-				i := m.Idx(rowIdx + tx)
-				vals[i] = float64(v)
-				wts[i] = weight
-				written++
-			}
+			written += warpRow(src, &proj, region, ty, vals, wts, c.Mode, m)
 		}
 	}
 
@@ -477,28 +421,80 @@ func warpStage2Band(c *Canvas, region Bounds, vals, wts []float64, gain float64,
 	}
 }
 
-// warpStage1Clean is the uninstrumented stage-1 warp: one scanline at
-// a time through the cached projector with the bilinear sample inlined
-// by hand (the instrumented remapBilinear is too large to inline and
-// its per-pixel call would otherwise dominate the clean path). Every
-// expression mirrors the instrumented loop exactly — same projection,
-// same NaN/bounds rejects, same interpolation association order — so a
-// clean run is byte-identical to a plan-free instrumented one. Rows
-// are tiled across goroutines when GOMAXPROCS and the row count allow;
-// each band writes a disjoint row range of vals/wts and per-
-// band written counts are summed in band order, so the result is the
-// same for any band count.
-func warpStage1Clean(src *imgproc.Gray, proj *scanProjector, region Bounds, vals, wts []float64, mode BlendMode, halfW, halfH float64) int {
+// warpRow is the instrumented stage-1 body for destination row ty, in
+// RWarpInvoker: the one copy the generic loop and the machine path's
+// non-inert rows share. It returns the pixels written. Its tap
+// footprint is rowsSpan(1, tw, written).
+func warpRow[S probe.Sink](src *imgproc.Gray, proj *scanProjector, region Bounds, ty int, vals, wts []float64, mode BlendMode, m S) int {
+	tw := region.W()
+	halfW := float64(src.W) / 2
+	halfH := float64(src.H) / 2
+	m.Ops(probe.OpInt, uint64(tw)*6)
+	m.Ops(probe.OpLoad, uint64(tw)*4)
+	// Per-pixel arithmetic of the inverse map + bilinear sample:
+	// 3x3 matrix-vector product (15 flops), perspective divide (2)
+	// and bilinear interpolation (7).
+	m.Ops(probe.OpFloat, uint64(tw)*24)
+	// Destination row base: address arithmetic through a GPR, as in
+	// the compiled invoker. Corruption displaces or faults the row's
+	// stores.
+	rowIdx := m.Idx(ty * tw)
+	proj.setRow(float64(region.MinY + ty))
+	written := 0
+	for tx := 0; tx < tw; tx++ {
+		// Inverse map the destination pixel to source coordinates.
+		// These coordinate temporaries are the workload's dominant
+		// floating-point state.
+		spX, spY := proj.at(tx)
+		sx := m.F64(spX)
+		sy := m.F64(spY)
+		v, ok := remapBilinear(src, sx, sy, m)
+		if !ok {
+			continue
+		}
+		weight := 1.0
+		if mode == BlendFeather {
+			// Feather weight: 1 at frame center falling toward the
+			// border, so seams blend.
+			wx := 1 - math.Abs(sx-halfW)/halfW
+			wy := 1 - math.Abs(sy-halfH)/halfH
+			weight = wx * wy
+			if weight < 0.05 {
+				weight = 0.05
+			}
+		}
+		// Per-pixel destination address (base + row + column), as the
+		// compiled store computes it.
+		i := m.Idx(rowIdx + tx)
+		vals[i] = float64(v)
+		wts[i] = weight
+		written++
+	}
+	return written
+}
+
+// warpStage1Clean is the uninstrumented stage-1 warp over every row:
+// one scanline at a time through the cached projector with the
+// bilinear sample inlined by hand (the instrumented remapBilinear is
+// too large to inline and its per-pixel call would otherwise dominate
+// the clean path). Every expression mirrors warpRow exactly — same
+// projection, same NaN/bounds rejects, same interpolation association
+// order — so a clean run is byte-identical to a plan-free instrumented
+// one. Rows are tiled across goroutines when GOMAXPROCS and the row
+// count allow; each band writes a disjoint row range of vals/wts and
+// per-band written counts are summed in band order, so the result is
+// the same for any band count.
+func warpStage1Clean(src *imgproc.Gray, proj *scanProjector, region Bounds, vals, wts []float64, mode BlendMode) int {
 	th := region.H()
 	n := bandCount(th)
 	if n <= 1 {
-		return warpStage1Band(src, *proj, region, 0, th, vals, wts, mode, halfW, halfH)
+		return warpStage1Band(src, *proj, region, 0, th, vals, wts, mode)
 	}
 	perBand := make([]int, n)
 	forEachBand(th, func(b, lo, hi int) {
 		// Each band carries its own projector copy: the column caches
 		// are shared read-only, the row products are per-band state.
-		perBand[b] = warpStage1Band(src, *proj, region, lo, hi, vals, wts, mode, halfW, halfH)
+		perBand[b] = warpStage1Band(src, *proj, region, lo, hi, vals, wts, mode)
 	})
 	written := 0
 	for _, w := range perBand {
@@ -510,8 +506,10 @@ func warpStage1Clean(src *imgproc.Gray, proj *scanProjector, region Bounds, vals
 // warpStage1Band runs the clean stage-1 kernel over destination rows
 // [y0, y1) of region. proj is taken by value so concurrent bands do
 // not share row state.
-func warpStage1Band(src *imgproc.Gray, proj scanProjector, region Bounds, y0, y1 int, vals, wts []float64, mode BlendMode, halfW, halfH float64) int {
+func warpStage1Band(src *imgproc.Gray, proj scanProjector, region Bounds, y0, y1 int, vals, wts []float64, mode BlendMode) int {
 	tw := region.W()
+	halfW := float64(src.W) / 2
+	halfH := float64(src.H) / 2
 	fw := float64(src.W - 1)
 	fh := float64(src.H - 1)
 	written := 0
