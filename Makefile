@@ -130,9 +130,12 @@ fabric-smoke:
 
 # fuzz runs journal replay on arbitrary bytes and on valid journals cut
 # at every byte: replay must never panic, and a cut journal must replay
-# to a prefix of its records.
+# to a prefix of its records. Then it decodes arbitrary JSON into a
+# campaign request: Validate must never panic, and an accepted request
+# must stay inside the trial, worker and frame limits.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime 20s ./internal/journal/
+	$(GO) test -run '^$$' -fuzz FuzzRequest -fuzztime 20s ./internal/campaign/
 
 # bench-json refreshes the "after" section of the committed benchmark
 # ledger from the root-package perf benchmarks (the figure harness

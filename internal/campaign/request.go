@@ -121,6 +121,11 @@ func (r *Request) Validate() error {
 		if r.RoundSize < 0 || r.MaxTrials < 0 {
 			return fmt.Errorf("campaign: adaptive round_size/max_trials must be >= 0")
 		}
+		// An adaptive campaign ignores trials, but the field still
+		// reaches progress totals, so it is bounded like the others.
+		if r.Trials < 0 || r.Trials > TrialLimit {
+			return fmt.Errorf("campaign: trials %d outside [0, %d]", r.Trials, TrialLimit)
+		}
 		// Bound the planner's effective budget over the most strata the
 		// region can have: a zero max_trials defaults to the fixed-budget
 		// equivalent, which grows without bound as precision tightens.

@@ -1,10 +1,14 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"vsresil/internal/faulttest"
 )
 
 // jsonFields lists a struct type's JSON field names in field order.
@@ -67,22 +71,28 @@ func TestWireFieldPin(t *testing.T) {
 	}
 }
 
+// boundsRows are requests at and one past each wire limit; want names
+// the rejected field ("" = valid). TestRequestValidateBounds checks
+// them and FuzzRequest starts from them.
+var boundsRows = map[string]struct {
+	req  Request
+	want string
+}{
+	"trials at limit":   {Request{Trials: TrialLimit}, ""},
+	"trials over":       {Request{Trials: TrialLimit + 1}, "trials"},
+	"workers at limit":  {Request{Trials: 10, Workers: WorkerLimit}, ""},
+	"workers over":      {Request{Trials: 1000000, Workers: 1000000}, "workers"},
+	"workers negative":  {Request{Trials: 10, Workers: -1}, "workers"},
+	"frames at limit":   {Request{Trials: 10, Frames: FrameLimit}, ""},
+	"frames over":       {Request{Trials: 10, Frames: FrameLimit + 1}, "frames"},
+	"adaptive cap over": {Request{Adaptive: true, MaxTrials: TrialLimit + 1}, "trial cap"},
+	"adaptive trials":   {Request{Adaptive: true, Trials: TrialLimit + 1}, "trials"},
+}
+
 // TestRequestValidateBounds checks the wire limits on every count a
 // request carries, at the limit and one past it.
 func TestRequestValidateBounds(t *testing.T) {
-	for name, tc := range map[string]struct {
-		req  Request
-		want string // "" = valid
-	}{
-		"trials at limit":   {Request{Trials: TrialLimit}, ""},
-		"trials over":       {Request{Trials: TrialLimit + 1}, "trials"},
-		"workers at limit":  {Request{Trials: 10, Workers: WorkerLimit}, ""},
-		"workers over":      {Request{Trials: 1000000, Workers: 1000000}, "workers"},
-		"workers negative":  {Request{Trials: 10, Workers: -1}, "workers"},
-		"frames at limit":   {Request{Trials: 10, Frames: FrameLimit}, ""},
-		"frames over":       {Request{Trials: 10, Frames: FrameLimit + 1}, "frames"},
-		"adaptive cap over": {Request{Adaptive: true, MaxTrials: TrialLimit + 1}, "trial cap"},
-	} {
+	for name, tc := range boundsRows {
 		err := tc.req.Validate()
 		if tc.want == "" && err != nil {
 			t.Errorf("%s: rejected: %v", name, err)
@@ -91,4 +101,46 @@ func TestRequestValidateBounds(t *testing.T) {
 			t.Errorf("%s: got %v, want an error naming %q", name, err, tc.want)
 		}
 	}
+}
+
+// FuzzRequest decodes arbitrary JSON into a Request the way the fabric
+// submit endpoint decodes its spec (unknown fields rejected) and
+// validates it. Nothing may panic, and every accepted request stays
+// inside the wire limits and translates to a Spec on a toy workload.
+// No campaign runs.
+func FuzzRequest(f *testing.F) {
+	for _, tc := range boundsRows {
+		data, err := json.Marshal(tc.req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"adaptive":true,"precision":0.1,"confidence":0.9,"round_size":64,"max_trials":4096}`))
+	f.Add([]byte(`{"trials":10,"class":"fpr","region":"remapBilinear","scenario":"lowlight+fog","summarizer":"storyboard"}`))
+	f.Add([]byte(`{"trials":10,"shards":4}`))
+	w := NewWorkload("toy", "", faulttest.ToyApp)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r Request
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&r) != nil || r.Validate() != nil {
+			return
+		}
+		if r.Trials > TrialLimit || r.RoundSize > TrialLimit || r.MaxTrials > TrialLimit {
+			t.Fatalf("accepted %+v: a trial count over %d", r, TrialLimit)
+		}
+		if r.Workers > WorkerLimit || r.Frames > FrameLimit {
+			t.Fatalf("accepted %+v: workers over %d or frames over %d", r, WorkerLimit, FrameLimit)
+		}
+		spec, err := r.Spec(w)
+		if err != nil {
+			t.Fatalf("accepted %+v, but Spec failed: %v", r, err)
+		}
+		if !r.Adaptive {
+			if err := spec.validate(); err != nil {
+				t.Fatalf("accepted %+v, but its Spec is invalid: %v", r, err)
+			}
+		}
+	})
 }

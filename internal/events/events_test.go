@@ -103,7 +103,13 @@ func TestDetectMotionCompensatesCameraMotion(t *testing.T) {
 	for i := range world.Pix {
 		world.Pix[i] = uint8((i*31 + i/96*7) % 256)
 	}
-	crop := func(x0, y0 int) *imgproc.Gray { return world.SubImage(x0, y0, x0+48, y0+48) }
+	crop := func(x0, y0 int) *imgproc.Gray {
+		out := imgproc.NewGray(48, 48)
+		for y := 0; y < 48; y++ {
+			copy(out.Pix[y*48:(y+1)*48], world.Pix[(y0+y)*world.W+x0:])
+		}
+		return out
+	}
 	prev := crop(0, 0)
 	cur := crop(6, 0)
 	// prev -> cur: content shifts left by 6.

@@ -156,10 +156,14 @@ type maskResolved struct{}
 // skip their fault-free prefix (the counters are then fast-forwarded
 // with SeedCounters so the suffix taps index identically). It is the
 // injecting implementation of probe.Sink — the stage packages accept
-// any Sink, and campaigns thread a Machine through that seam. Tap
-// methods remain nil-safe for legacy call sites, but uninstrumented
-// runs should use probe.Nop{} (the devirtualized clean path) rather
-// than a nil *Machine.
+// any Sink, and campaigns thread a Machine through that seam. Kernels
+// run it on the same instrumented instantiation as any other tapping
+// sink, calling its taps through the interface; the one thing they do
+// for a Machine alone is the inert-unit skip (InertUnits, AdvanceTaps,
+// OpsIn), which runs units that cannot reach the armed site tap-free.
+// Tap methods remain nil-safe for legacy call sites, but uninstrumented
+// runs should use probe.Nop{} (the tap-free instantiation) rather than
+// a nil *Machine.
 //
 // Machine is not safe for concurrent use; every trial gets its own.
 type Machine struct {

@@ -99,9 +99,9 @@ func (s StagedToy) App(m *fault.Machine) ([]byte, error) { return s.RunFull(m, n
 type ResumeOnly struct{ fault.StagedApp }
 
 // GenericSink hides a machine's concrete type behind probe.Sink, so
-// every kernel takes its generic instrumented loop — the path a Meter
-// takes — instead of the *fault.Machine fast paths, while the taps
-// still land on the wrapped machine.
+// no kernel recognises the machine and every unit runs instrumented —
+// the path a Meter takes — instead of the inert-unit skip, while the
+// taps still land on the wrapped machine.
 type GenericSink struct{ probe.Sink }
 
 // FullGolden captures app's golden run with no checkpoints: a campaign

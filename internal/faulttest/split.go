@@ -19,8 +19,8 @@ type Tap struct {
 	Before fault.TapCounters
 }
 
-// TapLog forwards every call to M behind probe.Sink — so kernels take
-// their generic instrumented loops — and records each tap.
+// TapLog forwards every call to M behind probe.Sink — so kernels run
+// every unit instrumented — and records each tap.
 type TapLog struct {
 	probe.Sink
 	M    *fault.Machine
@@ -95,11 +95,11 @@ func registerFor(c fault.Class, idx uint64) int {
 	return int(stats.Hash64(idx) % fault.NumRegisters)
 }
 
-// CheckUnitSplit is the split-exactness check for a kernel whose
-// *fault.Machine path runs inert units on its clean mirror. It logs
-// the kernel's taps on the generic path, asks units for the kernel's
-// unit ranges (half-open indices into the log), and for the first and
-// the last tap of each class in every unit arms in turn a
+// CheckUnitSplit is the split-exactness check for a kernel that runs
+// inert units on its clean mirror under a *fault.Machine. It logs the
+// kernel's taps with every unit instrumented, asks units for the
+// kernel's unit ranges (half-open indices into the log), and for the
+// first and the last tap of each class in every unit arms in turn a
 // whole-program plan, a plan scoped to the tap's region (both landing
 // exactly at that tap, under a budget of four plan-free runs) and a
 // hang budget expiring at it. Each case runs once through the machine

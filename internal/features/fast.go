@@ -13,7 +13,6 @@ package features
 import (
 	"sort"
 
-	"vsresil/internal/fault"
 	"vsresil/internal/imgproc"
 	"vsresil/internal/probe"
 )
@@ -72,9 +71,6 @@ func DefaultFASTConfig() FASTConfig {
 func DetectFAST(g *imgproc.Gray, cfg FASTConfig, s probe.Sink) []KeyPoint {
 	if s = probe.OrNop(s); probe.IsNop(s) {
 		return detectFAST(g, cfg, probe.Nop{})
-	}
-	if m, ok := s.(*fault.Machine); ok {
-		return detectFAST(g, cfg, m)
 	}
 	return detectFAST(g, cfg, s)
 }

@@ -236,22 +236,43 @@ func (e *Extractor) Describe(g *imgproc.Gray, kps []KeyPoint, s probe.Sink) ([]K
 	if s = probe.OrNop(s); probe.IsNop(s) {
 		return describe(e, g, kps, probe.Nop{})
 	}
-	if m, ok := s.(*fault.Machine); ok {
-		return describeMachine(e, g, kps, m)
-	}
 	return describe(e, g, kps, s)
 }
 
+// describe is the key-point loop. A *fault.Machine sink (itself, not a
+// wrapper) splits it per key point: Machine.InertUnits says how many of
+// the next key points cannot reach the armed site; those run
+// describeKeyPoint on the Nop sink and are accounted with their exact
+// footprint (advanceKeyPoints), the next one runs instrumented, and the
+// loop asks again. A corrupted key-point count keeps the whole loop
+// instrumented.
 func describe[S probe.Sink](e *Extractor, g *imgproc.Gray, kps []KeyPoint, m S) ([]KeyPoint, []Descriptor) {
 	defer m.Enter(probe.RORBDescribe)()
 	outKps := make([]KeyPoint, 0, len(kps))
 	outDescs := make([]Descriptor, 0, len(kps))
 	n := m.Cnt(len(kps))
-	for i := 0; i < n; i++ {
+	fm, _ := any(m).(*fault.Machine)
+	for i := 0; i < n; {
+		if fm != nil && n == len(kps) {
+			if k := fm.InertUnits(keyPointsSpan(1, 1), n-i); k > 0 {
+				in := uint64(0)
+				for _, p := range kps[i : i+k] {
+					if kp, d, ok := describeKeyPoint(e, g, p, probe.Nop{}); ok {
+						outKps = append(outKps, kp)
+						outDescs = append(outDescs, d)
+						in++
+					}
+				}
+				advanceKeyPoints(fm, e, uint64(k), in)
+				i += k
+				continue
+			}
+		}
 		if kp, d, ok := describeKeyPoint(e, g, kps[m.Idx(i)], m); ok {
 			outKps = append(outKps, kp)
 			outDescs = append(outDescs, d)
 		}
+		i++
 	}
 	return outKps, outDescs
 }
@@ -271,52 +292,20 @@ func keyPointsSpan(n, in uint64) fault.TapCounters {
 	return tc
 }
 
-// describeMachine is describe under an injecting machine, split per key
-// point: Machine.InertUnits says how many of the next key points cannot
-// reach the armed site; those run describeKeyPoint on the Nop sink and
-// are accounted with their exact footprint (keyPointsSpan plus the op
-// counts of the instrumented body), the next one runs instrumented, and
-// the loop asks again. A corrupted key-point count keeps the whole loop
-// instrumented, as in describe.
-func describeMachine(e *Extractor, g *imgproc.Gray, kps []KeyPoint, m *fault.Machine) ([]KeyPoint, []Descriptor) {
-	defer m.Enter(probe.RORBDescribe)()
-	outKps := make([]KeyPoint, 0, len(kps))
-	outDescs := make([]Descriptor, 0, len(kps))
-	n := m.Cnt(len(kps))
-	unit := keyPointsSpan(1, 1)
+// advanceKeyPoints accounts n key points, in of them inside the patch
+// border, that ran on the Nop sink: keyPointsSpan's taps plus the op
+// counts of the instrumented body.
+func advanceKeyPoints(m *fault.Machine, e *Extractor, n, in uint64) {
 	side := uint64(2*e.cfg.PatchRadius + 1)
-	for i := 0; i < n; {
-		if n == len(kps) {
-			if k := m.InertUnits(unit, n-i); k > 0 {
-				in := uint64(0)
-				for _, p := range kps[i : i+k] {
-					if kp, d, ok := describeKeyPoint(e, g, p, probe.Nop{}); ok {
-						outKps = append(outKps, kp)
-						outDescs = append(outDescs, d)
-						in++
-					}
-				}
-				m.AdvanceTaps(keyPointsSpan(uint64(k), in))
-				m.OpsIn(probe.RORBDescribe, probe.OpInt, uint64(k)+2*DescriptorBits*in)
-				m.OpsIn(probe.RORBDescribe, probe.OpLoad, (side*side+2*DescriptorBits)*in)
-				m.OpsIn(probe.RORBDescribe, probe.OpFloat, (2*side*side+4)*in)
-				i += k
-				continue
-			}
-		}
-		if kp, d, ok := describeKeyPoint(e, g, kps[m.Idx(i)], m); ok {
-			outKps = append(outKps, kp)
-			outDescs = append(outDescs, d)
-		}
-		i++
-	}
-	return outKps, outDescs
+	m.AdvanceTaps(keyPointsSpan(n, in))
+	m.OpsIn(probe.RORBDescribe, probe.OpInt, n+2*DescriptorBits*in)
+	m.OpsIn(probe.RORBDescribe, probe.OpLoad, (side*side+2*DescriptorBits)*in)
+	m.OpsIn(probe.RORBDescribe, probe.OpFloat, (2*side*side+4)*in)
 }
 
-// describeKeyPoint is the instrumented body for one key point, the one
-// copy describe and describeMachine share: it orients and describes kp,
-// or reports false for a key point too close to the border for the
-// patch (which issues no tap).
+// describeKeyPoint is the instrumented body for one key point: it
+// orients and describes kp, or reports false for a key point too close
+// to the border for the patch (which issues no tap).
 func describeKeyPoint[S probe.Sink](e *Extractor, g *imgproc.Gray, kp KeyPoint, m S) (KeyPoint, Descriptor, bool) {
 	r := e.cfg.PatchRadius
 	if kp.X < r || kp.Y < r || kp.X >= g.W-r || kp.Y >= g.H-r {

@@ -61,28 +61,6 @@ func GaussianBlur(g *Gray, radius int, sigma float64) *Gray {
 	return out
 }
 
-// BoxBlur smooths g with an integer box filter of the given radius
-// using an integral image, so the cost is independent of the radius.
-func BoxBlur(g *Gray, radius int) *Gray {
-	if radius <= 0 || g.W == 0 || g.H == 0 {
-		return g.Clone()
-	}
-	ii := NewIntegral(g)
-	out := NewGray(g.W, g.H)
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			x0 := clampInt(x-radius, 0, g.W-1)
-			x1 := clampInt(x+radius, 0, g.W-1)
-			y0 := clampInt(y-radius, 0, g.H-1)
-			y1 := clampInt(y+radius, 0, g.H-1)
-			area := (x1 - x0 + 1) * (y1 - y0 + 1)
-			sum := ii.Sum(x0, y0, x1, y1)
-			out.Pix[y*g.W+x] = SaturateUint8(float64(sum) / float64(area))
-		}
-	}
-	return out
-}
-
 // Integral is a summed-area table: I[y][x] holds the sum of all pixels
 // strictly above and to the left, so rectangle sums are four lookups.
 type Integral struct {
@@ -113,29 +91,6 @@ func (ii *Integral) Sum(x0, y0, x1, y1 int) uint64 {
 	c := ii.sums[(y1+1)*w+x0]
 	d := ii.sums[(y1+1)*w+x1+1]
 	return d + a - b - c
-}
-
-// Downsample returns g reduced by an integer factor using box
-// averaging, the decimation the paper applies to its inputs ("we
-// further downsampled the video by a factor of 3").
-func Downsample(g *Gray, factor int) *Gray {
-	if factor <= 1 {
-		return g.Clone()
-	}
-	w, h := g.W/factor, g.H/factor
-	out := NewGray(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var sum int
-			for dy := 0; dy < factor; dy++ {
-				for dx := 0; dx < factor; dx++ {
-					sum += int(g.Pix[(y*factor+dy)*g.W+x*factor+dx])
-				}
-			}
-			out.Pix[y*w+x] = SaturateUint8(float64(sum) / float64(factor*factor))
-		}
-	}
-	return out
 }
 
 // SampleBilinear samples g at the (possibly fractional) coordinate

@@ -102,26 +102,6 @@ func (g *Gray) Fill(v uint8) {
 	}
 }
 
-// SubImage copies the rectangle [x0,x1)x[y0,y1) into a new image,
-// clamping the rectangle to the image bounds.
-func (g *Gray) SubImage(x0, y0, x1, y1 int) *Gray {
-	x0 = clampInt(x0, 0, g.W)
-	x1 = clampInt(x1, 0, g.W)
-	y0 = clampInt(y0, 0, g.H)
-	y1 = clampInt(y1, 0, g.H)
-	if x1 < x0 {
-		x0, x1 = x1, x0
-	}
-	if y1 < y0 {
-		y0, y1 = y1, y0
-	}
-	out := NewGray(x1-x0, y1-y0)
-	for y := y0; y < y1; y++ {
-		copy(out.Pix[(y-y0)*out.W:(y-y0+1)*out.W], g.Pix[y*g.W+x0:y*g.W+x1])
-	}
-	return out
-}
-
 // Mean returns the average pixel intensity; 0 for empty images.
 func (g *Gray) Mean() float64 {
 	if len(g.Pix) == 0 {
@@ -191,24 +171,6 @@ func (m *Mat) Set(x, y int, v float64) {
 		panic(fmt.Sprintf("imgproc: mat write (%d,%d) outside %dx%d", x, y, m.W, m.H))
 	}
 	m.Data[y*m.W+x] = v
-}
-
-// ToGray saturate-casts the matrix to an 8-bit image.
-func (m *Mat) ToGray() *Gray {
-	out := NewGray(m.W, m.H)
-	for i, v := range m.Data {
-		out.Pix[i] = SaturateUint8(v)
-	}
-	return out
-}
-
-// MatFromGray widens an 8-bit image into a float matrix.
-func MatFromGray(g *Gray) *Mat {
-	out := NewMat(g.W, g.H)
-	for i, v := range g.Pix {
-		out.Data[i] = float64(v)
-	}
-	return out
 }
 
 // ErrEmptyImage is returned by operations that require a non-empty image.

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"image"
-	"image/color"
 	"image/png"
 	"io"
 	"os"
@@ -105,16 +104,6 @@ func SavePGM(path string, g *Gray) error {
 	return nil
 }
 
-// LoadPGM reads the named PGM file.
-func LoadPGM(path string) (*Gray, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("imgproc: open %s: %w", path, err)
-	}
-	defer f.Close()
-	return ReadPGM(f)
-}
-
 // WritePNG writes g as a grayscale PNG.
 func WritePNG(w io.Writer, g *Gray) error {
 	img := image.NewGray(image.Rect(0, 0, g.W, g.H))
@@ -139,27 +128,4 @@ func SavePNG(path string, g *Gray) error {
 		return fmt.Errorf("imgproc: close %s: %w", path, err)
 	}
 	return nil
-}
-
-// LoadPNG reads the named PNG file and converts it to grayscale using
-// the Rec. 601 luma weights.
-func LoadPNG(path string) (*Gray, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("imgproc: open %s: %w", path, err)
-	}
-	defer f.Close()
-	img, err := png.Decode(f)
-	if err != nil {
-		return nil, fmt.Errorf("imgproc: decode %s: %w", path, err)
-	}
-	b := img.Bounds()
-	g := NewGray(b.Dx(), b.Dy())
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		for x := b.Min.X; x < b.Max.X; x++ {
-			c := color.GrayModel.Convert(img.At(x, y)).(color.Gray)
-			g.Set(x-b.Min.X, y-b.Min.Y, c.Y)
-		}
-	}
-	return g, nil
 }

@@ -114,12 +114,15 @@ func (mt *Matcher) AppendMatches(dst []Match, query, train []features.Descriptor
 	if s = probe.OrNop(s); probe.IsNop(s) {
 		return appendMatches(mt, dst, query, train, probe.Nop{})
 	}
-	if m, ok := s.(*fault.Machine); ok {
-		return appendMatchesMachine(mt, dst, query, train, m)
-	}
 	return appendMatches(mt, dst, query, train, s)
 }
 
+// appendMatches is the query loop. A *fault.Machine sink (itself, not
+// a wrapper) splits it per query: Machine.InertUnits says how many of
+// the next queries cannot reach the armed site; those run matchQuery on
+// the Nop sink and are accounted with their exact footprint
+// (advanceQueries), the next one runs instrumented, and the loop asks
+// again. A corrupted query count keeps the whole loop instrumented.
 func appendMatches[S probe.Sink](mt *Matcher, dst []Match, query, train []features.Descriptor, m S) []Match {
 	defer m.Enter(probe.RMatch)()
 	if len(train) == 0 {
@@ -130,8 +133,23 @@ func appendMatches[S probe.Sink](mt *Matcher, dst []Match, query, train []featur
 		out = make([]Match, 0, len(query))
 	}
 	nq := m.Cnt(len(query))
-	for qi := 0; qi < nq; qi++ {
+	fm, _ := any(m).(*fault.Machine)
+	for qi := 0; qi < nq; {
+		if fm != nil && nq == len(query) {
+			if k := fm.InertUnits(queriesSpan(mt.cfg.Strategy, 1, uint64(len(train))), nq-qi); k > 0 {
+				scanned := 0
+				for j := qi; j < qi+k; j++ {
+					var n int
+					out, n = matchQuery(mt, out, j, query[j], train, probe.Nop{})
+					scanned += n
+				}
+				advanceQueries(fm, mt.cfg.Strategy, uint64(k), uint64(scanned), uint64(len(train)))
+				qi += k
+				continue
+			}
+		}
 		out, _ = matchQuery(mt, out, qi, query[m.Idx(qi)], train, m)
+		qi++
 	}
 	return out
 }
@@ -155,56 +173,24 @@ func queriesSpan(s Strategy, n, scanned uint64) fault.TapCounters {
 	return tc
 }
 
-// appendMatchesMachine is appendMatches under an injecting machine,
-// split per query: Machine.InertUnits says how many of the next
-// queries cannot reach the armed site; those run matchQuery on the Nop
-// sink and are accounted with their exact footprint (queriesSpan plus
-// the branch counts of the instrumented body), the next one runs
-// instrumented, and the loop asks again. A corrupted query count keeps
-// the whole loop instrumented, as in appendMatches.
-func appendMatchesMachine(mt *Matcher, dst []Match, query, train []features.Descriptor, m *fault.Machine) []Match {
-	defer m.Enter(probe.RMatch)()
-	if len(train) == 0 {
-		return dst[:0]
-	}
-	out := dst[:0]
-	if cap(out) < len(query) {
-		out = make([]Match, 0, len(query))
-	}
-	nq := m.Cnt(len(query))
-	nt := uint64(len(train))
-	unit := queriesSpan(mt.cfg.Strategy, 1, nt)
-	branches := 2 * nt // nearest2's and the ratio test's per-candidate bookkeeping
-	if mt.cfg.Strategy == SimpleNearest {
+// advanceQueries accounts n queries against nt train descriptors that
+// ran on the Nop sink and scanned scanned of them: queriesSpan's taps
+// plus the branch counts of the instrumented body (nearest2's and the
+// ratio test's per-candidate bookkeeping, or nearest1's one).
+func advanceQueries(m *fault.Machine, s Strategy, n, scanned, nt uint64) {
+	branches := 2 * nt
+	if s == SimpleNearest {
 		branches = nt
 	}
-	for qi := 0; qi < nq; {
-		if nq == len(query) {
-			if k := m.InertUnits(unit, nq-qi); k > 0 {
-				scanned := uint64(0)
-				for j := qi; j < qi+k; j++ {
-					var n int
-					out, n = matchQuery(mt, out, j, query[j], train, probe.Nop{})
-					scanned += uint64(n)
-				}
-				span := queriesSpan(mt.cfg.Strategy, uint64(k), scanned)
-				m.AdvanceTaps(span)
-				m.OpsIn(probe.RMatch, probe.OpInt, span.GPR)
-				m.OpsIn(probe.RMatch, probe.OpBranch, branches*uint64(k))
-				qi += k
-				continue
-			}
-		}
-		out, _ = matchQuery(mt, out, qi, query[m.Idx(qi)], train, m)
-		qi++
-	}
-	return out
+	span := queriesSpan(s, n, scanned)
+	m.AdvanceTaps(span)
+	m.OpsIn(probe.RMatch, probe.OpInt, span.GPR)
+	m.OpsIn(probe.RMatch, probe.OpBranch, branches*n)
 }
 
-// matchQuery is the instrumented body for query qi with descriptor q,
-// the one copy appendMatches and appendMatchesMachine share: it appends
-// q's match to out when the strategy keeps one, and returns out and
-// how many train descriptors the scan visited.
+// matchQuery is the instrumented body for query qi with descriptor q:
+// it appends q's match to out when the strategy keeps one, and returns
+// out and how many train descriptors the scan visited.
 func matchQuery[S probe.Sink](mt *Matcher, out []Match, qi int, q features.Descriptor, train []features.Descriptor, m S) ([]Match, int) {
 	switch mt.cfg.Strategy {
 	case SimpleNearest:
@@ -301,22 +287,6 @@ func SubsampleStrongest(kps []features.KeyPoint, descs []features.Descriptor, st
 	outK := make([]features.KeyPoint, 0, keep)
 	outD := make([]features.Descriptor, 0, keep)
 	for _, i := range chosen {
-		outK = append(outK, kps[i])
-		outD = append(outD, descs[i])
-	}
-	return outK, outD
-}
-
-// Subsample keeps every stride-th key point/descriptor pair — the
-// VS_KDS approximation performs matching on one third of the key
-// points (stride 3). The returned slices alias fresh storage.
-func Subsample(kps []features.KeyPoint, descs []features.Descriptor, stride int) ([]features.KeyPoint, []features.Descriptor) {
-	if stride <= 1 {
-		return kps, descs
-	}
-	outK := make([]features.KeyPoint, 0, (len(kps)+stride-1)/stride)
-	outD := make([]features.Descriptor, 0, cap(outK))
-	for i := 0; i < len(kps) && i < len(descs); i += stride {
 		outK = append(outK, kps[i])
 		outD = append(outD, descs[i])
 	}

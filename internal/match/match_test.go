@@ -154,45 +154,6 @@ func TestMatchTapsInRegion(t *testing.T) {
 	}
 }
 
-func TestSubsample(t *testing.T) {
-	kps := make([]features.KeyPoint, 10)
-	descs := make([]features.Descriptor, 10)
-	for i := range kps {
-		kps[i].X = i
-	}
-	outK, outD := Subsample(kps, descs, 3)
-	if len(outK) != 4 || len(outD) != 4 {
-		t.Fatalf("subsample kept %d/%d, want 4", len(outK), len(outD))
-	}
-	want := []int{0, 3, 6, 9}
-	for i, k := range outK {
-		if k.X != want[i] {
-			t.Errorf("kept wrong points: %v", outK)
-		}
-	}
-}
-
-func TestSubsampleStrideOne(t *testing.T) {
-	kps := make([]features.KeyPoint, 5)
-	descs := make([]features.Descriptor, 5)
-	outK, outD := Subsample(kps, descs, 1)
-	if len(outK) != 5 || len(outD) != 5 {
-		t.Error("stride 1 should keep all")
-	}
-}
-
-func TestSubsampleMismatchedLengths(t *testing.T) {
-	kps := make([]features.KeyPoint, 5)
-	descs := make([]features.Descriptor, 3)
-	outK, outD := Subsample(kps, descs, 2)
-	if len(outK) != len(outD) {
-		t.Error("outputs must stay parallel")
-	}
-	if len(outK) != 2 {
-		t.Errorf("kept %d, want 2", len(outK))
-	}
-}
-
 // Property: every match returned by either strategy refers to valid
 // indices and reports the true Hamming distance.
 func TestPropertyMatchIndicesValid(t *testing.T) {

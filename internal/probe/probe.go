@@ -11,12 +11,18 @@
 //
 //   - *fault.Machine injects single-bit register faults and accounts
 //     taps/ops for the campaign (it satisfies Sink unchanged);
-//   - Nop is the devirtualized zero-cost path for summarize-only
-//     traffic: stages instantiate their generic kernels with Nop so
-//     every tap compiles to an identity and op accounting disappears;
+//   - Nop is the zero-cost path for summarize-only traffic: stages
+//     instantiate their generic kernels with Nop so every tap compiles
+//     to an identity and op accounting disappears;
 //   - Meter records per-region tap counts, op counts and wall-time,
 //     feeding the energy/profilesim models and the vsd /metrics
 //     per-stage gauges from live runs.
+//
+// Each kernel has two instantiations: Nop's, and one for the Sink
+// interface that every tapping sink shares. A concrete pointer sink
+// would gain nothing from a third: the compiler gives every pointer
+// type argument the one GC shape and calls its methods through the
+// instantiation's dictionary, as indirectly as through the interface.
 //
 // # Tap-ordering invariant
 //
@@ -206,7 +212,7 @@ var _ Sink = Nop{}
 
 // IsNop reports whether s is the no-op sink (or nil, which stages
 // treat the same way). Stage entry points use it to dispatch onto the
-// devirtualized clean instantiation of their kernels.
+// tap-free instantiation of their kernels.
 func IsNop(s Sink) bool {
 	if s == nil {
 		return true

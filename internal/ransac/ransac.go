@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 
-	"vsresil/internal/fault"
 	"vsresil/internal/geom"
 	"vsresil/internal/probe"
 	"vsresil/internal/stats"
@@ -152,9 +151,6 @@ func Begin(src, dst []geom.Pt, cfg Config, s probe.Sink) (Search, error) {
 	if s = probe.OrNop(s); probe.IsNop(s) {
 		return begin(src, dst, cfg, probe.Nop{})
 	}
-	if m, ok := s.(*fault.Machine); ok {
-		return begin(src, dst, cfg, m)
-	}
 	return begin(src, dst, cfg, s)
 }
 
@@ -185,8 +181,6 @@ func begin[S probe.Sink](src, dst []geom.Pt, cfg Config, m S) (Search, error) {
 func (sr *Search) Step(src, dst []geom.Pt, until int, s probe.Sink) {
 	if s = probe.OrNop(s); probe.IsNop(s) {
 		step(sr, src, dst, until, probe.Nop{})
-	} else if m, ok := s.(*fault.Machine); ok {
-		step(sr, src, dst, until, m)
 	} else {
 		step(sr, src, dst, until, s)
 	}
@@ -229,9 +223,6 @@ func step[S probe.Sink](sr *Search, src, dst []geom.Pt, until int, m S) {
 func (sr *Search) Finish(src, dst []geom.Pt, s probe.Sink) (*Result, error) {
 	if s = probe.OrNop(s); probe.IsNop(s) {
 		return finish(sr, src, dst, probe.Nop{})
-	}
-	if m, ok := s.(*fault.Machine); ok {
-		return finish(sr, src, dst, m)
 	}
 	return finish(sr, src, dst, s)
 }

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit shared by the
 // reproduction: a deterministic splitmix64 RNG (so every experiment in
-// the paper reproduction is replayable from a seed), histograms, CDF
-// summaries, running outcome-rate curves and knee detection for the
+// the paper reproduction is replayable from a seed), histograms,
+// running outcome-rate curves and knee detection for the
 // error-injection coverage study (Fig 9).
 package stats
 
@@ -63,19 +63,6 @@ func (r *RNG) NormFloat64() float64 {
 		}
 		return u * math.Sqrt(-2*math.Log(s)/s)
 	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Split returns a new independent generator derived from this one.

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -75,61 +74,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) of xs using
-// linear interpolation. It does not modify xs.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// CDF returns, for each threshold in thresholds, the fraction of xs
-// that is <= that threshold. This generates the Fig 12 ED curves
-// ("percentage of SDCs with ED less than or equal to X").
-func CDF(xs []float64, thresholds []float64) []float64 {
-	out := make([]float64, len(thresholds))
-	if len(xs) == 0 {
-		return out
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	for i, t := range thresholds {
-		idx := sort.SearchFloat64s(sorted, math.Nextafter(t, math.Inf(1)))
-		out[i] = float64(idx) / float64(len(sorted))
-	}
-	return out
 }
 
 // RateCurve tracks how category rates evolve as more samples arrive —

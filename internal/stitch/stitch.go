@@ -609,8 +609,9 @@ func (st *Stitcher) CompositeSteps(frames []*imgproc.Gray, a *AlignState, c *Com
 // Run stitches the frames into mini-panoramas. m is any probe.Sink;
 // pass probe.Nop{} for an uninstrumented run (nil is normalized). The
 // stitcher's own taps are per-frame, so it threads the interface
-// straight through; the per-pixel stages re-dispatch onto their
-// devirtualized kernels at their own entry points.
+// straight through; the per-pixel stages dispatch at their own entry
+// points, probe.Nop onto their tap-free instantiation and any other
+// sink onto the instrumented one.
 //
 // Run is the whole pipeline in one call: per-frame features, the
 // registration pass, then compositing. Campaign trials instead drive

@@ -368,14 +368,11 @@ func (a *App) RunEncoded(frames []*imgproc.Gray) fault.App {
 }
 
 // decodeSink runs decode on the kernel instantiation for s: the
-// tap-free one for probe.Nop, the devirtualized one for a
-// *fault.Machine, the interface one otherwise.
+// tap-free one for probe.Nop, the instrumented one (which calls every
+// tap through the interface) for any other sink.
 func decodeSink(a *App, frames []*imgproc.Gray, s probe.Sink) ([]*imgproc.Gray, error) {
 	if probe.IsNop(s) {
 		return decode(a, frames, probe.Nop{})
-	}
-	if m, ok := s.(*fault.Machine); ok {
-		return decode(a, frames, m)
 	}
 	return decode(a, frames, s)
 }

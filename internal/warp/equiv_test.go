@@ -112,7 +112,10 @@ func TestInertTiledWarpEquivalence(t *testing.T) {
 // budget expiring there, the machine path — inert rows on the clean
 // mirror, the rest through warpRow — must leave the same resolved
 // pixels, panic kind, tap counters and op matrix as the instrumented
-// loop behind faulttest.GenericSink.
+// loop behind faulttest.GenericSink. Each warp runs on a canvas that
+// holds it whole and on one that cuts off its bottom third, so that
+// the rows past the buffer a corrupted row bound reaches still sample
+// the source.
 func TestInertWarpRowSplit(t *testing.T) {
 	t.Parallel()
 	rng := stats.NewRNG(0x5B117)
@@ -125,13 +128,6 @@ func TestInertWarpRowSplit(t *testing.T) {
 		}
 		mode := warp.BlendMode(trial % 2)
 		bounds := warp.ProjectBounds(h, src.W, src.H)
-		kernel := func(s probe.Sink) string {
-			c := warp.NewCanvasMode(bounds, mode)
-			if _, err := warp.WarpOntoCanvas(src, h, c, s); err != nil {
-				return err.Error()
-			}
-			return string(c.Resolve(s).Pix)
-		}
 		// Units: the row-bound Cnt pair, then one per destination row.
 		// Row ty's first F64 is stage 1's (2·tw·ty)-th; its Idx precedes
 		// it. The last row ends where the blend (RBlend) begins.
@@ -153,7 +149,18 @@ func TestInertWarpRowSplit(t *testing.T) {
 			}
 			return units
 		}
-		cases += faulttest.CheckUnitSplit(t, fmt.Sprintf("trial %d (h=%v)", trial, h), kernel, rows)
+		for _, cut := range []int{0, bounds.H() / 3} {
+			canvas := bounds
+			canvas.MaxY -= cut
+			kernel := func(s probe.Sink) string {
+				c := warp.NewCanvasMode(canvas, mode)
+				if _, err := warp.WarpOntoCanvas(src, h, c, s); err != nil {
+					return err.Error()
+				}
+				return string(c.Resolve(s).Pix)
+			}
+			cases += faulttest.CheckUnitSplit(t, fmt.Sprintf("trial %d cut %d (h=%v)", trial, cut, h), kernel, rows)
+		}
 	}
 	if cases == 0 {
 		t.Fatal("no split case ran")

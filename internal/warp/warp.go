@@ -241,13 +241,18 @@ func (c *Canvas) Resolve(s probe.Sink) *imgproc.Gray {
 	if s = probe.OrNop(s); probe.IsNop(s) {
 		return resolveClean(c)
 	}
-	if m, ok := s.(*fault.Machine); ok {
-		return resolveCanvasMachine(c, m)
-	}
 	return resolveCanvas(c, s)
 }
 
-func resolveCanvas[S probe.Sink](c *Canvas, m S) *imgproc.Gray {
+// resolveCanvas is the instrumented render. A *fault.Machine sink
+// whose armed site the render cannot reach renders on the clean mirror
+// and advances by the render's footprint (see inert.go).
+func resolveCanvas(c *Canvas, m probe.Sink) *imgproc.Gray {
+	if fm, ok := m.(*fault.Machine); ok && fm.CanSkipTaps(resolveSpan(uint64(c.B.H()))) {
+		out := resolveClean(c)
+		advanceResolve(fm, uint64(c.B.H()), uint64(c.B.W())*uint64(c.B.H()))
+		return out
+	}
 	defer m.Enter(probe.RBlend)()
 	out := imgproc.NewGray(c.B.W(), c.B.H())
 	w := m.Cnt(c.B.W())
@@ -303,15 +308,12 @@ func resolveBand(c *Canvas, out *imgproc.Gray, y0, y1 int) {
 //
 // It returns the number of destination pixels written. s is any
 // probe.Sink; pass probe.Nop{} for an uninstrumented warp (nil is
-// normalized). The no-op instantiation additionally runs a tap-free
-// scanline kernel for stage 1, so clean serving runs pay no per-pixel
-// instrumentation overhead.
+// normalized). The no-op instantiation runs a tap-free scanline kernel
+// for stage 1, so clean serving runs pay no per-pixel instrumentation
+// overhead.
 func WarpOntoCanvas(src *imgproc.Gray, h geom.Homography, c *Canvas, s probe.Sink) (int, error) {
 	if s = probe.OrNop(s); probe.IsNop(s) {
 		return warpOntoCanvas(src, h, c, probe.Nop{})
-	}
-	if m, ok := s.(*fault.Machine); ok {
-		return warpOntoCanvasMachine(src, h, c, m)
 	}
 	return warpOntoCanvas(src, h, c, s)
 }
@@ -350,37 +352,69 @@ func warpOntoCanvas[S probe.Sink](src *imgproc.Gray, h geom.Homography, c *Canva
 	defer putFloats(cols)
 	var proj scanProjector
 	proj.init(inv, region.MinX, tw, cols)
+	_, clean := any(m).(probe.Nop)
+	// A *fault.Machine sink (itself, not a wrapper) runs the rows and
+	// the blend that cannot reach its armed site on the clean mirror.
+	fm, _ := any(m).(*fault.Machine)
 	written := 0
-	if _, clean := any(m).(probe.Nop); clean {
+	if clean {
 		// Devirtualized clean path: identical arithmetic with the taps
 		// compiled out and the bilinear sample inlined into the row
 		// loop. Bit-exactness vs the instrumented loop under a plan-free
 		// sink is pinned by the equivalence tests.
 		written = warpStage1Clean(src, &proj, region, vals, wts, c.Mode)
 	} else {
+		// Row by row, fm.InertUnits says how many of the next rows
+		// cannot reach the armed site (each bounded by rowsSpan(1, tw,
+		// tw)); those run on the clean mirror and are accounted with
+		// their exact footprint, the next row runs instrumented, and
+		// the loop asks again. A fully inert warp is one banded clean
+		// run; a partial run stays on the calling goroutine, since it
+		// only happens inside campaign trials, whose workers already
+		// occupy the CPUs. Rows outside [0, th), which only a corrupted
+		// bound reaches, always run instrumented.
+		unit := rowsSpan(1, uint64(tw), uint64(tw))
 		y0 := m.Cnt(0)
 		y1 := m.Cnt(th)
-		for ty := y0; ty < y1; ty++ {
+		for ty := y0; ty < y1; {
+			if fm != nil && ty >= 0 && ty < th {
+				if k := fm.InertUnits(unit, min(y1, th)-ty); k > 0 {
+					var w int
+					if k == th {
+						w = warpStage1Clean(src, &proj, region, vals, wts, c.Mode)
+					} else {
+						w = warpStage1Band(src, proj, region, ty, ty+k, vals, wts, c.Mode)
+					}
+					advanceRows(fm, uint64(k), uint64(k)*uint64(tw), uint64(w))
+					written += w
+					ty += k
+					continue
+				}
+			}
 			written += warpRow(src, &proj, region, ty, vals, wts, c.Mode, m)
+			ty++
 		}
 	}
 
 	// Stage 2: composite the warped frame onto the panorama canvas —
 	// the stitching copy of the original pipeline (blend region,
 	// bounds-checked like the library's ROI copy).
-	if _, clean := any(m).(probe.Nop); clean && !c.GainCompensation {
+	if !c.GainCompensation && (clean || fm != nil && fm.CanSkipTaps(stage2Span(uint64(th)))) {
 		forEachBand(th, func(_, lo, hi int) {
 			warpStage2Band(c, region, vals, wts, 1.0, lo, hi)
 		})
+		if fm != nil {
+			advanceStage2(fm, uint64(th), uint64(tw)*uint64(th))
+		}
 	} else {
 		warpStage2Instr(c, region, vals, wts, m)
 	}
 	return written, nil
 }
 
-// warpStage2Instr is the instrumented stage-2 composite loop shared by
-// the generic warp and the inert machine path (which uses it whenever
-// the blend taps cannot be proven inert, e.g. under gain compensation).
+// warpStage2Instr is the instrumented stage-2 composite loop, which a
+// *fault.Machine also runs whenever the blend taps cannot be proven
+// inert (always under gain compensation).
 func warpStage2Instr[S probe.Sink](c *Canvas, region Bounds, vals, wts []float64, m S) {
 	tw, th := region.W(), region.H()
 	restore := m.Enter(probe.RBlend)
@@ -422,9 +456,8 @@ func warpStage2Band(c *Canvas, region Bounds, vals, wts []float64, gain float64,
 }
 
 // warpRow is the instrumented stage-1 body for destination row ty, in
-// RWarpInvoker: the one copy the generic loop and the machine path's
-// non-inert rows share. It returns the pixels written. Its tap
-// footprint is rowsSpan(1, tw, written).
+// RWarpInvoker. It returns the pixels written. Its tap footprint is
+// rowsSpan(1, tw, written).
 func warpRow[S probe.Sink](src *imgproc.Gray, proj *scanProjector, region Bounds, ty int, vals, wts []float64, mode BlendMode, m S) int {
 	tw := region.W()
 	halfW := float64(src.W) / 2
@@ -649,9 +682,6 @@ func remapBilinear[S probe.Sink](src *imgproc.Gray, x, y float64, m S) (uint8, b
 func WarpPerspective(src *imgproc.Gray, h geom.Homography, dstW, dstH int, s probe.Sink) (*imgproc.Gray, error) {
 	if s = probe.OrNop(s); probe.IsNop(s) {
 		return warpPerspective(src, h, dstW, dstH, probe.Nop{})
-	}
-	if m, ok := s.(*fault.Machine); ok {
-		return warpPerspective(src, h, dstW, dstH, m)
 	}
 	return warpPerspective(src, h, dstW, dstH, s)
 }
