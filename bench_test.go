@@ -259,7 +259,7 @@ func BenchmarkComposite(b *testing.B) {
 	st := stitch.New(stitch.DefaultConfig())
 	feats := make([]stitch.FrameFeatures, len(frames))
 	for i, f := range frames {
-		feats[i] = st.DetectFrame(f, probe.Nop{})
+		feats[i] = st.DetectFrame(f, probe.Nop{}, nil)
 	}
 	a := st.BeginAlign(frames, probe.Nop{})
 	for a.Next < len(frames) {

@@ -11,15 +11,16 @@
 // Each catalogue entry names a file, an exact string that must occur in
 // it exactly once, its replacement, the packages to test and a -run
 // pattern. The driver copies the root's tracked and untracked
-// non-ignored files to a temporary directory, checks that the union of
-// the entries' patterns passes there unmutated, then for each entry
-// writes the mutated file, checks that the packages and their tests
-// still compile (a compile failure is a broken entry, never a kill),
-// runs `go test -p 1` on the entry's pattern and restores the file. An
-// entry marked equivalent carries the reason no test can tell it from
-// the original; it is expected to survive. The exit status is non-zero
-// when an unmarked mutant survives, a marked one is killed, an entry is
-// broken or the baseline fails.
+// non-ignored files (every file outside hidden directories, when the
+// root is not a git work tree) to a temporary directory, checks that
+// the union of the entries' patterns passes there unmutated, then for
+// each entry writes the mutated file, checks that the packages and
+// their tests still compile (a compile failure is a broken entry,
+// never a kill), runs `go test -p 1` on the entry's pattern and
+// restores the file. An entry marked equivalent carries the reason no
+// test can tell it from the original; it is expected to survive. The
+// exit status is non-zero when an unmarked mutant survives, a marked
+// one is killed, an entry is broken or the baseline fails.
 package main
 
 import (
@@ -50,7 +51,7 @@ type mutant struct {
 
 func main() {
 	catalogue := flag.String("catalogue", "cmd/mutants/catalogue.json", "mutant catalogue (JSON list of entries)")
-	root := flag.String("root", ".", "repository to copy (a git work tree)")
+	root := flag.String("root", ".", "repository to copy (a git work tree or a plain copy of one)")
 	only := flag.String("only", "", "run only the entries whose name matches this regexp")
 	flag.Parse()
 	if err := run(*catalogue, *root, *only); err != nil {
@@ -183,15 +184,15 @@ func goTest(dir, pattern string, pkgs []string) (string, error) {
 }
 
 // copyTree copies root's tracked and untracked non-ignored files, as
-// they are in the work tree, into dst.
+// they are in the work tree, into dst. Outside a git work tree (say, a
+// `git archive` copy) it copies every file below root instead, skipping
+// hidden directories such as .git and the benchmark's build cache.
 func copyTree(root, dst string) error {
-	cmd := exec.Command("git", "ls-files", "-z", "--cached", "--others", "--exclude-standard")
-	cmd.Dir = root
-	out, err := cmd.Output()
+	names, err := listFiles(root)
 	if err != nil {
-		return fmt.Errorf("git ls-files in %s: %w", root, err)
+		return err
 	}
-	for _, name := range strings.Split(strings.TrimRight(string(out), "\x00"), "\x00") {
+	for _, name := range names {
 		data, err := os.ReadFile(filepath.Join(root, name))
 		if os.IsNotExist(err) {
 			continue // deleted in the work tree
@@ -208,6 +209,31 @@ func copyTree(root, dst string) error {
 		}
 	}
 	return nil
+}
+
+// listFiles returns the root-relative paths copyTree copies.
+func listFiles(root string) ([]string, error) {
+	cmd := exec.Command("git", "ls-files", "-z", "--cached", "--others", "--exclude-standard")
+	cmd.Dir = root
+	if out, err := cmd.Output(); err == nil {
+		return strings.Split(strings.TrimRight(string(out), "\x00"), "\x00"), nil
+	}
+	var names []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.Type().IsRegular() {
+			rel, err := filepath.Rel(root, path)
+			names = append(names, rel)
+			return err
+		}
+		return nil
+	})
+	return names, err
 }
 
 func firstLine(s string) string {

@@ -13,6 +13,7 @@ package features
 import (
 	"sort"
 
+	"vsresil/internal/fault"
 	"vsresil/internal/imgproc"
 	"vsresil/internal/probe"
 )
@@ -69,13 +70,26 @@ func DefaultFASTConfig() FASTConfig {
 // DetectFAST finds FAST corners in g. s is any probe.Sink; pass
 // probe.Nop{} for an uninstrumented run (nil is normalized).
 func DetectFAST(g *imgproc.Gray, cfg FASTConfig, s probe.Sink) []KeyPoint {
-	if s = probe.OrNop(s); probe.IsNop(s) {
-		return detectFAST(g, cfg, probe.Nop{})
-	}
-	return detectFAST(g, cfg, s)
+	return detectFASTSink(g, cfg, nil, nil, s)
 }
 
-func detectFAST[S probe.Sink](g *imgproc.Gray, cfg FASTConfig, m S) []KeyPoint {
+// detectFASTSink runs detectFAST on the kernel instantiation for s.
+func detectFASTSink(g *imgproc.Gray, cfg FASTConfig, gd, rec *Golden, s probe.Sink) []KeyPoint {
+	if s = probe.OrNop(s); probe.IsNop(s) {
+		return detectFAST(g, cfg, gd, rec, probe.Nop{})
+	}
+	return detectFAST(g, cfg, gd, rec, s)
+}
+
+// detectFAST is the detector. gd, when non-nil, is replayed: a
+// *fault.Machine sink (itself, not a wrapper) whose tapped dimensions
+// are the real ones splits the scan per row, Machine.InertUnits saying
+// how many of the next rows cannot reach the armed site; those copy
+// gd's candidates and are accounted with their exact footprint
+// (advanceFASTRows), the next row runs instrumented, and the loop asks
+// again. rec, when non-nil, receives the scan's raw candidates (the
+// golden capture).
+func detectFAST[S probe.Sink](g *imgproc.Gray, cfg FASTConfig, gd, rec *Golden, m S) []KeyPoint {
 	defer m.Enter(probe.RFASTDetect)()
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 20
@@ -123,8 +137,20 @@ func detectFAST[S probe.Sink](g *imgproc.Gray, cfg FASTConfig, m S) []KeyPoint {
 
 	raw := getKeyPoints()
 	defer func() { putKeyPoints(raw) }()
-	for y := border; y < h-border; y++ {
-		m.Ops(probe.OpBranch, uint64(w-2*border))
+	fm, _ := any(m).(*fault.Machine)
+	cols := w - 2*border
+	unit := fastRowsSpan(uint64(cols), uint64(cols))
+	for y := border; y < h-border; {
+		if fm != nil && gd != nil && fast {
+			if k := fm.InertUnits(unit, h-border-y); k > 0 {
+				var cands uint64
+				raw, cands = gd.replayRows(raw, scores, y, k, border)
+				advanceFASTRows(fm, uint64(k)*uint64(cols), cands)
+				y += k
+				continue
+			}
+		}
+		m.Ops(probe.OpBranch, uint64(cols))
 		rowBase := y * g.W
 		for x := border; x < w-border; x++ {
 			xt := m.Idx(x)
@@ -182,6 +208,10 @@ func detectFAST[S probe.Sink](g *imgproc.Gray, cfg FASTConfig, m S) []KeyPoint {
 			}
 			raw = append(raw, KeyPoint{X: x, Y: y, Score: score})
 		}
+		y++
+	}
+	if rec != nil && fast {
+		rec.record(raw, border, h-2*border, cols)
 	}
 
 	kps := raw

@@ -233,20 +233,26 @@ func orientation[S probe.Sink](e *Extractor, g *imgproc.Gray, x, y int, m S) flo
 // probe.Sink; pass probe.Nop{} for an uninstrumented run (nil is
 // normalized).
 func (e *Extractor) Describe(g *imgproc.Gray, kps []KeyPoint, s probe.Sink) ([]KeyPoint, []Descriptor) {
+	return e.describeSink(g, kps, nil, s)
+}
+
+// describeSink runs describe on the kernel instantiation for s.
+func (e *Extractor) describeSink(g *imgproc.Gray, kps []KeyPoint, gd *Golden, s probe.Sink) ([]KeyPoint, []Descriptor) {
 	if s = probe.OrNop(s); probe.IsNop(s) {
-		return describe(e, g, kps, probe.Nop{})
+		return describe(e, g, kps, gd, probe.Nop{})
 	}
-	return describe(e, g, kps, s)
+	return describe(e, g, kps, gd, s)
 }
 
 // describe is the key-point loop. A *fault.Machine sink (itself, not a
 // wrapper) splits it per key point: Machine.InertUnits says how many of
 // the next key points cannot reach the armed site; those run
-// describeKeyPoint on the Nop sink and are accounted with their exact
-// footprint (advanceKeyPoints), the next one runs instrumented, and the
-// loop asks again. A corrupted key-point count keeps the whole loop
-// instrumented.
-func describe[S probe.Sink](e *Extractor, g *imgproc.Gray, kps []KeyPoint, m S) ([]KeyPoint, []Descriptor) {
+// describeKeyPoint on the Nop sink — or, when gd holds the key point,
+// take its golden angle and descriptor — and are accounted with their
+// exact footprint (advanceKeyPoints), the next one runs instrumented,
+// and the loop asks again. A corrupted key-point count keeps the whole
+// loop instrumented.
+func describe[S probe.Sink](e *Extractor, g *imgproc.Gray, kps []KeyPoint, gd *Golden, m S) ([]KeyPoint, []Descriptor) {
 	defer m.Enter(probe.RORBDescribe)()
 	outKps := make([]KeyPoint, 0, len(kps))
 	outDescs := make([]Descriptor, 0, len(kps))
@@ -257,7 +263,11 @@ func describe[S probe.Sink](e *Extractor, g *imgproc.Gray, kps []KeyPoint, m S) 
 			if k := fm.InertUnits(keyPointsSpan(1, 1), n-i); k > 0 {
 				in := uint64(0)
 				for _, p := range kps[i : i+k] {
-					if kp, d, ok := describeKeyPoint(e, g, p, probe.Nop{}); ok {
+					kp, d, ok := gd.described(p)
+					if !ok {
+						kp, d, ok = describeKeyPoint(e, g, p, probe.Nop{})
+					}
+					if ok {
 						outKps = append(outKps, kp)
 						outDescs = append(outDescs, d)
 						in++

@@ -154,3 +154,89 @@ func TestInertDescribeSplit(t *testing.T) {
 		}
 	}
 }
+
+// TestInertFASTRowSplit checks the per-row golden replay of detectFAST
+// under an armed machine: with a plan landing at the first and at the
+// last tap of every row (and at the tapped dimensions), or a hang
+// budget expiring there, the machine path — inert rows copying the
+// golden candidates, the rest instrumented — must leave the same key
+// points, panic kind, tap counters and op matrix as the instrumented
+// scan behind faulttest.GenericSink, which never replays.
+func TestInertFASTRowSplit(t *testing.T) {
+	t.Parallel()
+	rng := stats.NewRNG(0xFA57)
+	g := noiseImage(rng, 48, 40)
+	cfg := DefaultFASTConfig()
+	cfg.Border = 3
+	cfg.MaxFeatures = 60
+	cols := g.W - 2*cfg.Border
+	gd := new(Golden)
+	detectFASTSink(g, cfg, nil, gd, fault.New())
+	if len(gd.score) == 0 {
+		t.Fatal("the golden scan found no candidates")
+	}
+	kernel := func(s probe.Sink) string {
+		return fmt.Sprint(detectFASTSink(g, cfg, gd, nil, s))
+	}
+	// Units: the two tapped dimensions, then one per row of cols
+	// centres, each centre an Idx, Idx, Pix and, for a positive score,
+	// a Cnt.
+	rows := func(taps []faulttest.Tap) [][2]int {
+		units := [][2]int{{0, 2}}
+		for i, c := 2, 0; i < len(taps); c++ {
+			if c%cols == 0 {
+				units = append(units, [2]int{i, i})
+			}
+			if i += 3; i < len(taps) && taps[i].Kind == 'C' {
+				i++
+			}
+			units[len(units)-1][1] = i
+		}
+		return units
+	}
+	if n := faulttest.CheckUnitSplit(t, "fast rows", kernel, rows); n == 0 {
+		t.Fatal("no split case ran")
+	}
+}
+
+// TestGoldenDescribeSplit checks the per-key-point golden replay of
+// describe the same way: the key points are the golden description's
+// own, each followed by a neighbour one pixel to its right that the
+// golden run did not describe (unless it is itself a golden key
+// point), so inert units mix points that take the golden angle and
+// descriptor with points described on the clean path.
+func TestGoldenDescribeSplit(t *testing.T) {
+	t.Parallel()
+	rng := stats.NewRNG(0xDE5C)
+	g := noiseImage(rng, 64, 48)
+	cfg := DefaultFASTConfig()
+	cfg.Border = 3
+	cfg.MaxFeatures = 40
+	e := NewExtractor(ORBConfig{PatchRadius: 8, PatternSeed: 0x08b, AngleBins: 30})
+	golden, _, gd := e.Capture(g, cfg, fault.New())
+	if gd == nil || len(golden) == 0 {
+		t.Fatal("the golden capture described no key points")
+	}
+	var kps []KeyPoint
+	for _, kp := range golden {
+		kp.Angle = 0
+		kps = append(kps, kp, KeyPoint{X: kp.X + 1, Y: kp.Y, Score: kp.Score})
+	}
+	kernel := func(s probe.Sink) string {
+		outKps, descs := e.describeSink(g, kps, gd, s)
+		return fmt.Sprint(outKps, descs)
+	}
+	keyPoints := func(taps []faulttest.Tap) [][2]int {
+		units := [][2]int{{0, 1}}
+		for i, tp := range taps {
+			if tp.Kind == 'I' {
+				units[len(units)-1][1] = i
+				units = append(units, [2]int{i, len(taps)})
+			}
+		}
+		return units
+	}
+	if n := faulttest.CheckUnitSplit(t, "golden describe", kernel, keyPoints); n == 0 {
+		t.Fatal("no split case ran")
+	}
+}

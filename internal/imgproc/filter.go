@@ -61,38 +61,6 @@ func GaussianBlur(g *Gray, radius int, sigma float64) *Gray {
 	return out
 }
 
-// Integral is a summed-area table: I[y][x] holds the sum of all pixels
-// strictly above and to the left, so rectangle sums are four lookups.
-type Integral struct {
-	W, H int // dimensions of the source image
-	sums []uint64
-}
-
-// NewIntegral builds the summed-area table of g.
-func NewIntegral(g *Gray) *Integral {
-	w, h := g.W+1, g.H+1
-	sums := make([]uint64, w*h)
-	for y := 1; y < h; y++ {
-		var rowSum uint64
-		for x := 1; x < w; x++ {
-			rowSum += uint64(g.Pix[(y-1)*g.W+(x-1)])
-			sums[y*w+x] = sums[(y-1)*w+x] + rowSum
-		}
-	}
-	return &Integral{W: g.W, H: g.H, sums: sums}
-}
-
-// Sum returns the sum of pixels in the inclusive rectangle
-// [x0,x1]x[y0,y1]. Coordinates must be in range.
-func (ii *Integral) Sum(x0, y0, x1, y1 int) uint64 {
-	w := ii.W + 1
-	a := ii.sums[y0*w+x0]
-	b := ii.sums[y0*w+x1+1]
-	c := ii.sums[(y1+1)*w+x0]
-	d := ii.sums[(y1+1)*w+x1+1]
-	return d + a - b - c
-}
-
 // SampleBilinear samples g at the (possibly fractional) coordinate
 // (x, y) with bilinear interpolation. Samples outside the image return
 // (0, false). This is the access pattern of OpenCV's remapBilinear,

@@ -204,23 +204,6 @@ func TestGaussianBlurSmooths(t *testing.T) {
 	}
 }
 
-func TestIntegralSum(t *testing.T) {
-	g := NewGray(4, 4)
-	for i := range g.Pix {
-		g.Pix[i] = 1
-	}
-	ii := NewIntegral(g)
-	if got := ii.Sum(0, 0, 3, 3); got != 16 {
-		t.Errorf("full sum = %d, want 16", got)
-	}
-	if got := ii.Sum(1, 1, 2, 2); got != 4 {
-		t.Errorf("center sum = %d, want 4", got)
-	}
-	if got := ii.Sum(2, 3, 2, 3); got != 1 {
-		t.Errorf("single pixel sum = %d, want 1", got)
-	}
-}
-
 func TestSampleBilinear(t *testing.T) {
 	g := NewGray(2, 2)
 	g.Pix = []uint8{0, 100, 100, 200}

@@ -57,7 +57,7 @@ func TestAlignBoundaries(t *testing.T) {
 	st := New(DefaultConfig())
 	feats := make([]FrameFeatures, len(frames))
 	for i, f := range frames {
-		feats[i] = st.DetectFrame(f, probe.Nop{})
+		feats[i] = st.DetectFrame(f, probe.Nop{}, nil)
 	}
 	snaps, want, wantCounters := goldenAlign(t, st, feats, frames)
 	plain, err := st.Run(frames, probe.Nop{})
@@ -128,7 +128,7 @@ func TestAlignStateEqualLive(t *testing.T) {
 	st := New(DefaultConfig())
 	feats := make([]FrameFeatures, len(frames))
 	for i, f := range frames {
-		feats[i] = st.DetectFrame(f, probe.Nop{})
+		feats[i] = st.DetectFrame(f, probe.Nop{}, nil)
 	}
 	snaps, _, _ := goldenAlign(t, st, feats, frames)
 	var golden *AlignState

@@ -15,7 +15,7 @@ import (
 func alignAll(st *Stitcher, frames []*imgproc.Gray) AlignState {
 	feats := make([]FrameFeatures, len(frames))
 	for i, f := range frames {
-		feats[i] = st.DetectFrame(f, probe.Nop{})
+		feats[i] = st.DetectFrame(f, probe.Nop{}, nil)
 	}
 	a := st.BeginAlign(frames, probe.Nop{})
 	for a.Next < a.N {

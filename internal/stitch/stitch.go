@@ -298,12 +298,20 @@ func (a *AlignState) Release() {
 }
 
 // DetectFrame runs the per-frame feature stage (FAST detection + ORB
-// description) — the unit the pipeline checkpoints between frames.
-func (st *Stitcher) DetectFrame(g *imgproc.Gray, m probe.Sink) FrameFeatures {
-	m = probe.OrNop(m)
-	kps := features.DetectFAST(g, st.cfg.FAST, m)
-	kps, descs := st.extractor.Describe(g, kps, m)
+// description) — the unit the pipeline checkpoints between frames. gd
+// is the frame's golden record (CaptureFrame), which a *fault.Machine
+// replays for the rows and key points that cannot reach its armed
+// site, or nil. The caller guarantees gd was captured on these pixels.
+func (st *Stitcher) DetectFrame(g *imgproc.Gray, m probe.Sink, gd *features.Golden) FrameFeatures {
+	kps, descs := st.extractor.Detect(g, st.cfg.FAST, gd, m)
 	return FrameFeatures{KPs: kps, Descs: descs}
+}
+
+// CaptureFrame is DetectFrame without a record that also returns the
+// frame's golden record, for later trials on the frame to replay.
+func (st *Stitcher) CaptureFrame(g *imgproc.Gray, m probe.Sink) (FrameFeatures, *features.Golden) {
+	kps, descs, gd := st.extractor.Capture(g, st.cfg.FAST, m)
+	return FrameFeatures{KPs: kps, Descs: descs}, gd
 }
 
 // BeginAlign starts the registration pass: frame 0 anchors segment 0
@@ -627,7 +635,7 @@ func (st *Stitcher) Run(frames []*imgproc.Gray, m probe.Sink) (*Result, error) {
 	}
 	feats := make([]FrameFeatures, 0, len(frames))
 	for i := range frames {
-		feats = append(feats, st.DetectFrame(frames[i], m))
+		feats = append(feats, st.DetectFrame(frames[i], m, nil))
 	}
 	a := st.BeginAlign(frames, m)
 	for a.Next < a.N {

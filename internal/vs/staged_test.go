@@ -6,6 +6,7 @@ import (
 	"vsresil/internal/fault"
 	"vsresil/internal/features"
 	"vsresil/internal/imgproc"
+	"vsresil/internal/probe"
 	"vsresil/internal/stitch"
 )
 
@@ -117,5 +118,59 @@ func TestStateEqualLiveState(t *testing.T) {
 	}
 	if pairs == 0 {
 		t.Fatal("the golden run recorded no pair boundary")
+	}
+}
+
+// TestGoldenRecordsNeedGoldenFrames checks that feature replay keys on
+// frame identity. A trial resumed at the decode boundary carries the
+// golden feature records but decodes frames of its own; when its input
+// differs from the golden input (here a bright square in every frame,
+// whose corners the golden records lack), its features must be the
+// clean detection of its own frames, never the golden records — even
+// on a plan-free machine, for which every FAST row and key point is
+// inert.
+func TestGoldenRecordsNeedGoldenFrames(t *testing.T) {
+	frames := inputFrames(t, 8)
+	app := New(DefaultConfig(AlgVS), len(frames))
+	g, err := fault.CaptureGoldenStaged(app.Staged(frames))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := g.Checkpoints[0].State.(pipeState)
+	if g.Checkpoints[0].Name != "decode" || decode.golden == nil || len(decode.golden.recs) != len(frames) {
+		t.Fatalf("the decode checkpoint %q carries no golden records", g.Checkpoints[0].Name)
+	}
+	corrupt := make([]*imgproc.Gray, len(frames))
+	for i, f := range frames {
+		corrupt[i] = f.Clone()
+		for y := 30; y < 38; y++ {
+			for x := 40; x < 48; x++ {
+				corrupt[i].Set(x, y, 255)
+			}
+		}
+	}
+	var feats []stitch.FrameFeatures
+	guard := func(name string, st any) bool {
+		if name != "align" {
+			return false
+		}
+		feats = st.(*pipeState).feats
+		return true
+	}
+	if _, converged, err := app.runFrom(decode, corrupt, fault.New(), nil, guard); err != nil || !converged {
+		t.Fatalf("resume did not reach the align boundary: converged=%v err=%v", converged, err)
+	}
+	changed := 0
+	for i, f := range corrupt {
+		want := app.stitcher.DetectFrame(f, probe.Nop{}, nil)
+		if !feats[i].EqualBits(&want) {
+			t.Errorf("frame %d: features of a corrupted own-decoded frame are not its clean detection", i)
+		}
+		if golden := app.stitcher.DetectFrame(frames[i], probe.Nop{}, nil); !want.EqualBits(&golden) {
+			changed++
+		}
+	}
+	if changed == 0 {
+		t.Fatal("the corruption changed no frame's features")
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"vsresil/internal/fault"
+	"vsresil/internal/features"
 	"vsresil/internal/imgproc"
 	"vsresil/internal/match"
 	"vsresil/internal/probe"
@@ -216,6 +217,28 @@ type pipeState struct {
 	feats    []stitch.FrameFeatures
 	align    stitch.AlignState
 	comp     stitch.CompositeState
+	// golden is the golden run's feature records, shared read-only by
+	// every state snapshotted from it; StateEqual ignores it.
+	golden *goldenFeatures
+}
+
+// goldenFeatures is the golden run's feature stage, one record per
+// decoded frame, which the capture fills as a by-product of its own
+// detection. A later detection replays a record only on the very frame
+// it was captured on (pointer identity): a trial that decoded frames of
+// its own, possibly corrupted ones, never reads one.
+type goldenFeatures struct {
+	frames []*imgproc.Gray
+	recs   []*features.Golden
+}
+
+// record returns frame k's golden record when f is the golden run's
+// frame k, and nil otherwise.
+func (gf *goldenFeatures) record(k int, f *imgproc.Gray) *features.Golden {
+	if gf == nil || k >= len(gf.recs) || gf.frames[k] != f {
+		return nil
+	}
+	return gf.recs[k]
 }
 
 // snapshot returns a copy safe to retain across further pipeline
@@ -238,10 +261,11 @@ func (st pipeState) snapshot() pipeState {
 //
 // Every stage boundary the run reaches — the one st sits at first —
 // is reported before its first tap: to snap, when non-nil, with a
-// snapshot (the golden checkpoint capture), and to guard, when
-// non-nil, with a pointer to the live state; a true guard return
-// abandons the run with converged=true, recycling the pair and canvas
-// buffers the run owns. Neither hook changes a single tap of the
+// snapshot (the golden checkpoint capture, whose detections also
+// collect the golden feature records every snapshot shares), and to
+// guard, when non-nil, with a pointer to the live state; a true guard
+// return abandons the run with converged=true, recycling the pair and
+// canvas buffers the run owns. Neither hook changes a single tap of the
 // stages that do execute.
 //
 // Frames this run decoded itself are recycled into the frame pool once
@@ -250,6 +274,9 @@ func (st pipeState) snapshot() pipeState {
 // recycled.
 func (a *App) runFrom(st pipeState, input []*imgproc.Gray, m probe.Sink, snap func(name string, st pipeState), guard fault.BoundaryGuard) (*stitch.Result, bool, error) {
 	recycle := st.phase == phaseDecode && snap == nil
+	if snap != nil {
+		st.golden = new(goldenFeatures)
+	}
 	boundary := func(name string) bool {
 		if snap != nil {
 			snap(name, st.snapshot())
@@ -272,7 +299,10 @@ func (a *App) runFrom(st pipeState, input []*imgproc.Gray, m probe.Sink, snap fu
 		if err != nil {
 			return nil, false, err
 		}
-		st = pipeState{frames: frames}
+		st = pipeState{frames: frames, golden: st.golden}
+		if snap != nil {
+			st.golden.frames = frames
+		}
 	}
 	if st.phase == phaseFeatures {
 		if len(st.frames) == 0 {
@@ -285,7 +315,14 @@ func (a *App) runFrom(st pipeState, input []*imgproc.Gray, m probe.Sink, snap fu
 			if boundary(fmt.Sprintf("features[%d]", st.featDone)) {
 				return nil, true, nil
 			}
-			st.feats = append(st.feats, a.stitcher.DetectFrame(st.frames[st.featDone], m))
+			k := st.featDone
+			if snap != nil {
+				f, rec := a.stitcher.CaptureFrame(st.frames[k], m)
+				st.feats = append(st.feats, f)
+				st.golden.recs = append(st.golden.recs, rec)
+			} else {
+				st.feats = append(st.feats, a.stitcher.DetectFrame(st.frames[k], m, st.golden.record(k, st.frames[k])))
+			}
 			st.featDone++
 		}
 		if boundary("align") {
