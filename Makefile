@@ -57,13 +57,16 @@ check-run = list="$$($(GO) test -list . $(2))" || { echo "$$list"; exit 1; }; \
 # TestInertMatchSplit), the golden feature replay of FAST rows and ORB
 # key points (TestInertFASTRowSplit, TestGoldenDescribeSplit,
 # TestDetectFrameReplay) and its frame-identity key
-# (TestGoldenRecordsNeedGoldenFrames). Also the composite and registration boundary
+# (TestGoldenRecordsNeedGoldenFrames), the golden replay of RANSAC
+# sampling iterations (TestInertRANSACSplit,
+# TestSearchReplayMatchesEstimate) and its input-identity key
+# (TestGoldenSearchNeedsGoldenInputs). Also the composite and registration boundary
 # tests, the canvas snapshot and RANSAC split tests (internal/stitch,
 # internal/warp, internal/ransac), the live-state compare and the
 # converged-hang arithmetic (internal/vs, internal/fault), the
 # resume-boundary report and the checkpoint schema drift pin. Run it
 # after touching any layer of the workload path.
-IDENTITY_RUN = TestReferenceMatrix|TestCanSkipTaps|TestInertUnits|TestInertWarpRowSplit|TestInertDescribeSplit|TestInertMatchSplit|TestComposite|TestAlignBoundaries|TestAlignStateEqualLive|TestSearchSplitMatchesEstimate|TestStateEqualLiveState|TestConvergedTrialHangs|TestCanvasSnapshot|TestResumeReportsOwnBoundaryFirst|TestCheckpointSchemaDrift|TestIdentityCell|TestIdentityScenarioByteIdentical|TestVSAdapterByteIdentical|TestCellIdentityMatchesVSConstructor|TestVSConstructorKeyUnchanged|TestInertFASTRowSplit|TestGoldenDescribeSplit|TestDetectFrameReplay|TestGoldenRecordsNeedGoldenFrames
+IDENTITY_RUN = TestReferenceMatrix|TestCanSkipTaps|TestInertUnits|TestInertWarpRowSplit|TestInertDescribeSplit|TestInertMatchSplit|TestComposite|TestAlignBoundaries|TestAlignStateEqualLive|TestSearchSplitMatchesEstimate|TestStateEqualLiveState|TestConvergedTrialHangs|TestCanvasSnapshot|TestResumeReportsOwnBoundaryFirst|TestCheckpointSchemaDrift|TestIdentityCell|TestIdentityScenarioByteIdentical|TestVSAdapterByteIdentical|TestCellIdentityMatchesVSConstructor|TestVSConstructorKeyUnchanged|TestInertFASTRowSplit|TestGoldenDescribeSplit|TestDetectFrameReplay|TestGoldenRecordsNeedGoldenFrames|TestInertRANSACSplit|TestSearchReplayMatchesEstimate|TestGoldenSearchNeedsGoldenInputs
 IDENTITY_PKGS = . ./internal/virat/ ./internal/summarize/ ./internal/campaign/ ./internal/fault/ ./internal/stitch/ ./internal/warp/ ./internal/vs/ ./internal/ransac/ ./internal/features/ ./internal/match/ ./internal/fabric/
 identity:
 	@$(call check-run,$(IDENTITY_RUN),$(IDENTITY_PKGS))

@@ -263,7 +263,7 @@ func BenchmarkComposite(b *testing.B) {
 	}
 	a := st.BeginAlign(frames, probe.Nop{})
 	for a.Next < len(frames) {
-		st.AlignStep(feats, &a, nil, probe.Nop{})
+		st.AlignStep(feats, &a, nil, nil, probe.Nop{})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -67,12 +67,6 @@ func DefaultFASTConfig() FASTConfig {
 	}
 }
 
-// DetectFAST finds FAST corners in g. s is any probe.Sink; pass
-// probe.Nop{} for an uninstrumented run (nil is normalized).
-func DetectFAST(g *imgproc.Gray, cfg FASTConfig, s probe.Sink) []KeyPoint {
-	return detectFASTSink(g, cfg, nil, nil, s)
-}
-
 // detectFASTSink runs detectFAST on the kernel instantiation for s.
 func detectFASTSink(g *imgproc.Gray, cfg FASTConfig, gd, rec *Golden, s probe.Sink) []KeyPoint {
 	if s = probe.OrNop(s); probe.IsNop(s) {

@@ -11,6 +11,18 @@ import (
 	"vsresil/internal/probe"
 )
 
+// DetectFAST is Extractor.Detect's FAST half without golden replay.
+func DetectFAST(g *vssim.Gray, cfg FASTConfig, s probe.Sink) []KeyPoint {
+	return detectFASTSink(g, cfg, nil, nil, s)
+}
+
+// Describe is Extractor.Detect's ORB half without golden replay: it
+// describes the key points, dropping those too close to the border for
+// the patch.
+func (e *Extractor) Describe(g *vssim.Gray, kps []KeyPoint, s probe.Sink) ([]KeyPoint, []Descriptor) {
+	return e.describeSink(g, kps, nil, s)
+}
+
 // cornerGrid returns a dark image with a grid of isolated bright
 // squares. Square corners are L-junctions, which FAST-9 detects (an
 // ideal checkerboard X-corner is a saddle point with a maximum

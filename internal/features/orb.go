@@ -227,15 +227,6 @@ func orientation[S probe.Sink](e *Extractor, g *imgproc.Gray, x, y int, m S) flo
 	return a
 }
 
-// Describe computes ORB descriptors for the key points, filling in
-// their Angle fields. Key points too close to the border for the
-// patch are dropped; the returned slices are parallel. s is any
-// probe.Sink; pass probe.Nop{} for an uninstrumented run (nil is
-// normalized).
-func (e *Extractor) Describe(g *imgproc.Gray, kps []KeyPoint, s probe.Sink) ([]KeyPoint, []Descriptor) {
-	return e.describeSink(g, kps, nil, s)
-}
-
 // describeSink runs describe on the kernel instantiation for s.
 func (e *Extractor) describeSink(g *imgproc.Gray, kps []KeyPoint, gd *Golden, s probe.Sink) ([]KeyPoint, []Descriptor) {
 	if s = probe.OrNop(s); probe.IsNop(s) {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"vsresil/internal/fault"
 	"vsresil/internal/geom"
 	"vsresil/internal/probe"
 	"vsresil/internal/stats"
@@ -96,20 +97,6 @@ type Result struct {
 // frame, exactly like the paper's algorithm.
 var ErrNoConsensus = errors.New("ransac: no model reached the inlier threshold")
 
-// Estimate fits the configured model to the correspondences src[i] ->
-// dst[i]. s is any probe.Sink; pass probe.Nop{} for an uninstrumented
-// run (nil is normalized). It is Begin, one Step over every iteration
-// and Finish: a run split into several Steps is the same computation,
-// tap for tap.
-func Estimate(src, dst []geom.Pt, cfg Config, s probe.Sink) (*Result, error) {
-	sr, err := Begin(src, dst, cfg, s)
-	if err != nil {
-		return nil, err
-	}
-	sr.Step(src, dst, sr.iters, s)
-	return sr.Finish(src, dst, s)
-}
-
 // Search is the sampling loop's state between iterations: the
 // configuration with its defaults applied, the tapped correspondence
 // and iteration counts, the next iteration, the sampler's RNG state
@@ -117,6 +104,10 @@ func Estimate(src, dst []geom.Pt, cfg Config, s probe.Sink) (*Result, error) {
 // checkpoint keeps a copy, and a trial resumed from it continues the
 // search from a plain copy. It holds no correspondences; every call
 // takes the same src and dst that Begin got.
+//
+// A search may also carry the golden run's Record of itself: one it
+// fills (Capture) or one it replays (Replay). The record is not part of
+// the state EqualBits compares.
 type Search struct {
 	cfg       Config
 	k         int
@@ -125,6 +116,61 @@ type Search struct {
 	rng       stats.RNG
 	bestCount int
 	bestH     geom.Homography
+	rec       *Record
+	capture   bool
+}
+
+// Record is one search as the golden run computed it: the
+// configuration and tapped counts it ran on, and the consensus count of
+// every sampling iteration, failedFit for an iteration whose sample fit
+// failed (which issues no taps). A trial replaying it under a
+// *fault.Machine still draws every sample, so its sampler stays in step
+// with the golden run's, but takes the recorded count for every fitted
+// iteration that cannot reach the armed site and fits the sample only
+// when that count beats its own best. A Record is immutable once its
+// capture has finished and safe to share across trials.
+type Record struct {
+	cfg    Config
+	n, k   int
+	counts []uint16
+}
+
+// failedFit is a Record's count for an iteration whose sample fit
+// failed. No real count reaches it: Capture makes no record for
+// failedFit or more correspondences.
+const failedFit = 0xFFFF
+
+// Capture makes the search fill a new Record as it steps, from the
+// first iteration on, and returns it. It returns nil, leaving the search
+// unchanged, when the tapped correspondence count does not fit a
+// uint16 count. Snapshot states stop filling.
+func (sr *Search) Capture() *Record {
+	if sr.n >= failedFit || sr.it != 0 {
+		return nil
+	}
+	sr.rec = &Record{cfg: sr.cfg, n: sr.n, k: sr.k, counts: make([]uint16, 0, min(max(sr.iters, 0), failedFit))}
+	sr.capture = true
+	return sr.rec
+}
+
+// Replay attaches rec for a *fault.Machine sink to replay when rec was
+// captured on the search's configuration and tapped counts, and reports
+// whether it did. The caller guarantees that the correspondences rec's
+// search read are bit-identical to the first n of this search's.
+func (sr *Search) Replay(rec *Record) bool {
+	if rec == nil || !sameConfig(rec.cfg, sr.cfg) || rec.n != sr.n || rec.k != sr.k {
+		return false
+	}
+	sr.rec, sr.capture = rec, false
+	return true
+}
+
+// Snapshot returns a copy of the search to retain while the receiver
+// keeps advancing: a capturing search's copy replays the record
+// instead of filling it.
+func (sr Search) Snapshot() Search {
+	sr.capture = false
+	return sr
 }
 
 // Iteration returns the index of the next sampling iteration.
@@ -134,14 +180,19 @@ func (sr *Search) Iteration() int { return sr.it }
 // number of sampling iterations the search runs.
 func (sr *Search) Iterations() int { return sr.iters }
 
-// EqualBits reports bit-exact equality of two search states.
+// EqualBits reports bit-exact equality of two search states. A
+// carried Record is not compared.
 func (sr *Search) EqualBits(o *Search) bool {
-	return sr.cfg.Model == o.cfg.Model && sr.cfg.Iterations == o.cfg.Iterations &&
-		math.Float64bits(sr.cfg.InlierThreshold) == math.Float64bits(o.cfg.InlierThreshold) &&
-		sr.cfg.MinInliers == o.cfg.MinInliers && sr.cfg.Seed == o.cfg.Seed &&
-		sr.cfg.DisableRefit == o.cfg.DisableRefit && sr.k == o.k &&
+	return sameConfig(sr.cfg, o.cfg) && sr.k == o.k &&
 		sr.n == o.n && sr.iters == o.iters && sr.it == o.it && sr.rng == o.rng &&
 		sr.bestCount == o.bestCount && sr.bestH.EqualBits(o.bestH)
+}
+
+// sameConfig reports bit-exact equality of two configurations.
+func sameConfig(a, b Config) bool {
+	return a.Model == b.Model && a.Iterations == b.Iterations &&
+		math.Float64bits(a.InlierThreshold) == math.Float64bits(b.InlierThreshold) &&
+		a.MinInliers == b.MinInliers && a.Seed == b.Seed && a.DisableRefit == b.DisableRefit
 }
 
 // Begin starts a search: it applies the configuration's defaults and
@@ -186,19 +237,62 @@ func (sr *Search) Step(src, dst []geom.Pt, until int, s probe.Sink) {
 	}
 }
 
-// step is the one sampling loop.
+// step is the one sampling loop. A capturing search appends every
+// iteration's count to its record. A replaying search on a
+// *fault.Machine sink (itself, not a wrapper) takes the record for every
+// iteration it holds: a failed fit is skipped outright (it issues no
+// taps), Machine.InertUnits says how many of the next fitted iterations
+// cannot reach the armed site, and those take the recorded count —
+// fitting the sample only when the count beats the best so far — and
+// are accounted with their exact footprint (advanceIters). The next
+// fitted iteration, and every one past the record's end, runs
+// instrumented.
 func step[S probe.Sink](sr *Search, src, dst []geom.Pt, until int, m S) {
 	defer m.Enter(probe.RRANSAC)()
 	n, k := sr.n, sr.k
 	rng := &sr.rng
 	thresh2 := sr.cfg.InlierThreshold * sr.cfg.InlierThreshold
 	var sample [4]int
-	for ; sr.it < min(until, sr.iters); sr.it++ {
+	var golden []uint16
+	fm, _ := any(m).(*fault.Machine)
+	if fm != nil && sr.rec != nil && !sr.capture {
+		golden = sr.rec.counts
+	}
+	// inert is how many more fitted iterations InertUnits admitted, and
+	// taken how many of those took the record not yet accounted.
+	inert, taken := 0, uint64(0)
+	end := min(until, sr.iters)
+	for ; sr.it < end; sr.it++ {
 		if !drawSample(rng, n, k, &sample) {
 			continue
 		}
+		if sr.it < len(golden) {
+			c := int(golden[sr.it])
+			if c == failedFit {
+				continue
+			}
+			if inert == 0 {
+				advanceIters(fm, n, taken)
+				taken = 0
+				inert = fm.InertUnits(iterSpan(uint64(n)), end-sr.it)
+			}
+			if inert > 0 {
+				inert--
+				taken++
+				if c > sr.bestCount {
+					sr.bestCount = c
+					sr.bestH, _ = fitSample(src, dst, sample[:k], sr.cfg.Model)
+				}
+				continue
+			}
+		}
+		advanceIters(fm, n, taken)
+		taken = 0
 		h, ok := fitSample(src, dst, sample[:k], sr.cfg.Model)
 		if !ok {
+			if sr.capture {
+				sr.rec.counts = append(sr.rec.counts, failedFit)
+			}
 			continue
 		}
 		count := 0
@@ -210,11 +304,42 @@ func step[S probe.Sink](sr *Search, src, dst []geom.Pt, until int, m S) {
 				count++
 			}
 		}
+		if sr.capture {
+			sr.rec.counts = append(sr.rec.counts, uint16(count))
+		}
 		if count > sr.bestCount {
 			sr.bestCount = count
 			sr.bestH = h
 		}
 	}
+	advanceIters(fm, n, taken)
+}
+
+// iterSpan is the tap footprint of fitted sampling iterations issuing n
+// taps in all: one Idx per correspondence, in RRANSAC. One fitted
+// iteration over n correspondences is iterSpan(n); a failed fit issues
+// none.
+func iterSpan(n uint64) fault.TapCounters {
+	var tc fault.TapCounters
+	tc.RegionGPR[probe.RRANSAC] = n
+	tc.GPR = tc.RegionGPR[probe.RRANSAC]
+	tc.Steps = tc.GPR
+	return tc
+}
+
+// advanceIters accounts iters fitted iterations over n correspondences
+// that took a record's counts: iterSpan's taps plus the op counts of
+// the instrumented body (one OpInt per tap, eight OpFloat and one
+// OpBranch per correspondence).
+func advanceIters(m *fault.Machine, n int, iters uint64) {
+	if iters == 0 {
+		return
+	}
+	taps := uint64(n) * iters
+	m.AdvanceTaps(iterSpan(taps))
+	m.OpsIn(probe.RRANSAC, probe.OpInt, taps)
+	m.OpsIn(probe.RRANSAC, probe.OpFloat, 8*taps)
+	m.OpsIn(probe.RRANSAC, probe.OpBranch, taps)
 }
 
 // Finish ends the search: it collects the best model's consensus set,
@@ -296,7 +421,7 @@ func fitSample(src, dst []geom.Pt, idx []int, model Model) (geom.Homography, boo
 // fitIndices fits the model to the given correspondence indices.
 func fitIndices(src, dst []geom.Pt, idx []int, model Model) (geom.Homography, bool) {
 	// The sampling loop calls this with 3- or 4-point samples hundreds
-	// of times per Estimate; stack buffers cover those (and the small
+	// of times per search; stack buffers cover those (and the small
 	// refits) so only large refits allocate.
 	var sbuf, dbuf [8]geom.Pt
 	var s, d []geom.Pt

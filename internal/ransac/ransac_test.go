@@ -9,8 +9,21 @@ import (
 
 	"vsresil/internal/fault"
 	"vsresil/internal/geom"
+	"vsresil/internal/probe"
 	"vsresil/internal/stats"
 )
+
+// Estimate is one whole search: Begin, one Step over every iteration
+// and Finish. It is the reference the split and replayed searches are
+// checked against.
+func Estimate(src, dst []geom.Pt, cfg Config, s probe.Sink) (*Result, error) {
+	sr, err := Begin(src, dst, cfg, s)
+	if err != nil {
+		return nil, err
+	}
+	sr.Step(src, dst, sr.iters, s)
+	return sr.Finish(src, dst, s)
+}
 
 // makeCorrespondences generates n correspondences under transform h,
 // with outlierFrac of them replaced by random junk and optional

@@ -3,6 +3,7 @@ package stitch
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"vsresil/internal/imgproc"
 	"vsresil/internal/probe"
 	"vsresil/internal/ransac"
+	"vsresil/internal/stats"
 )
 
 // alignSnap is one registration boundary of a golden pass: its name,
@@ -32,7 +34,7 @@ func goldenAlign(t *testing.T, st *Stitcher, feats []FrameFeatures, frames []*im
 	a := st.BeginAlign(frames, m)
 	var snaps []alignSnap
 	for a.Next < a.N {
-		if st.AlignStep(feats, &a, func(name string) bool {
+		if st.AlignStep(feats, &a, nil, func(name string) bool {
 			snaps = append(snaps, alignSnap{name, m.Counters(), a.Snapshot()})
 			return false
 		}, m) {
@@ -97,7 +99,7 @@ func TestAlignBoundaries(t *testing.T) {
 			a := s.a
 			first := ""
 			for a.Next < a.N {
-				st.AlignStep(feats, &a, func(name string) bool {
+				st.AlignStep(feats, &a, nil, func(name string) bool {
 					if first == "" {
 						first = name
 					}
@@ -206,5 +208,75 @@ func TestAlignStateEqualLive(t *testing.T) {
 		if eq := golden.EqualLive(&a, feats, fs); eq == tc.live {
 			t.Errorf("%s: EqualLive = %v, want %v", tc.name, eq, !tc.live)
 		}
+	}
+}
+
+// TestGoldenSearchNeedsGoldenInputs checks that a search reads the
+// golden record of its pair and model only on the golden search's
+// inputs. Pair 1's correspondences, matched again, take the record; the
+// same correspondences with one bit of one point flipped, a search
+// whose tapped correspondence count a fault corrupted, and any search
+// against a golden captured on the Nop sink (which records nothing) do
+// not.
+func TestGoldenSearchNeedsGoldenInputs(t *testing.T) {
+	frames := testFrames(t, 8)
+	st := New(DefaultConfig())
+	feats := make([]FrameFeatures, len(frames))
+	for i, f := range frames {
+		feats[i] = st.DetectFrame(f, probe.Nop{}, nil)
+	}
+	capture := func(m probe.Sink) *GoldenSearches {
+		gs := NewGoldenSearches()
+		a := st.BeginAlign(frames, m)
+		for a.Next < a.N {
+			st.AlignStep(feats, &a, gs, nil, m)
+		}
+		gs.Close()
+		return gs
+	}
+	gs, nop := capture(fault.New()), capture(probe.Nop{})
+	if len(gs.pairs) < 2 || gs.pairs[1][ransac.ModelHomography].rec == nil {
+		t.Fatal("the golden capture recorded no homography search for pair 1")
+	}
+	if len(nop.pairs) != 0 {
+		t.Error("a capture on the Nop sink recorded searches")
+	}
+	// replays begins pair 1's homography search on fresh matches, edited
+	// by edit, and reports whether it takes the record of set.
+	replays := func(set *GoldenSearches, m probe.Sink, edit func(*pairScratch)) bool {
+		t.Helper()
+		a := AlignState{Next: 1, pair: st.matchPair(&feats[1], &feats[0], probe.Nop{})}
+		edit(a.pair)
+		if !st.beginSearch(&a, ransac.ModelHomography, nil, m) {
+			t.Fatal("pair 1's homography search did not begin")
+		}
+		return set.replay(1, ransac.ModelHomography, a.pair, &a.search)
+	}
+	keep := func(*pairScratch) {}
+	if !replays(gs, fault.New(), keep) {
+		t.Fatal("the golden search's own inputs do not take its record")
+	}
+	for name, edit := range map[string]func(*pairScratch){
+		"src": func(p *pairScratch) {
+			q := &p.src[len(p.src)-1]
+			q.X = math.Float64frombits(math.Float64bits(q.X) ^ 1)
+		},
+		"dst": func(p *pairScratch) {
+			q := &p.dst[0]
+			q.Y = math.Float64frombits(math.Float64bits(q.Y) ^ 1)
+		},
+	} {
+		if replays(gs, fault.New(), edit) {
+			t.Errorf("a search whose %s differs in one bit takes the golden record", name)
+		}
+	}
+	// Begin's first tap is the correspondence count: flip its low bit.
+	m := fault.NewWithPlan(fault.Plan{Class: fault.GPR, Reg: int(stats.Hash64(0) % fault.NumRegisters),
+		Site: 0, Window: 1, Region: fault.RAny}, 0)
+	if replays(gs, m, keep) || !m.Injected() {
+		t.Errorf("a search with a corrupted correspondence count takes the golden record (injected %v)", m.Injected())
+	}
+	if replays(nop, fault.New(), keep) {
+		t.Error("a search takes a record from a golden captured on the Nop sink")
 	}
 }

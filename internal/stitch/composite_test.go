@@ -19,7 +19,7 @@ func alignAll(st *Stitcher, frames []*imgproc.Gray) AlignState {
 	}
 	a := st.BeginAlign(frames, probe.Nop{})
 	for a.Next < a.N {
-		st.AlignStep(feats, &a, nil, probe.Nop{})
+		st.AlignStep(feats, &a, nil, nil, probe.Nop{})
 	}
 	return a
 }

@@ -99,10 +99,19 @@ func (a *AlignState) pairEqual(b *AlignState) bool {
 }
 
 func ptsEqualBits(a, b []geom.Pt) bool {
-	if len(a) != len(b) {
+	return len(a) == len(b) && ptsHavePrefix(a, b)
+}
+
+// ptsHavePrefix reports whether a starts with b, bit for bit. Shared
+// storage short-circuits the scan.
+func ptsHavePrefix(a, b []geom.Pt) bool {
+	if len(a) < len(b) {
 		return false
 	}
-	for i := range a {
+	if len(b) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for i := range b {
 		if math.Float64bits(a[i].X) != math.Float64bits(b[i].X) ||
 			math.Float64bits(a[i].Y) != math.Float64bits(b[i].Y) {
 			return false

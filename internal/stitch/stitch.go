@@ -268,7 +268,8 @@ type AlignState struct {
 	// pair is frame Next's registration in progress (nil between
 	// pairs) and search its transform search for model. The pair's
 	// correspondences are shared read-only by every snapshot taken
-	// inside it; a boundary adds only the search state.
+	// inside it; a boundary adds only the search state, which inside a
+	// golden search carries the search's golden record.
 	pair   *pairScratch
 	model  ransac.Model
 	search ransac.Search
@@ -285,6 +286,7 @@ func (a AlignState) Snapshot() AlignState {
 	if a.pair != nil {
 		a.pair.share()
 	}
+	a.search = a.search.Snapshot()
 	return a
 }
 
@@ -347,7 +349,13 @@ const RANSACEvery = 250
 // iteration); a true return abandons the pair with converged=true.
 // Boundaries issue no taps. A state snapshotted inside a pair resumes
 // at the boundary it was taken at, which it reports first.
-func (st *Stitcher) AlignStep(feats []FrameFeatures, a *AlignState, boundary func(name string) bool, m probe.Sink) (converged bool) {
+//
+// gs is the golden run's search records or nil. While gs is open (the
+// golden capture) every search fills its record; once it is closed, a
+// search whose inputs are the golden search's replays it (beginSearch),
+// which a *fault.Machine does for the iterations that cannot reach its
+// armed site.
+func (st *Stitcher) AlignStep(feats []FrameFeatures, a *AlignState, gs *GoldenSearches, boundary func(name string) bool, m probe.Sink) (converged bool) {
 	m = probe.OrNop(m)
 	i := a.Next
 	if a.pair == nil {
@@ -355,7 +363,7 @@ func (st *Stitcher) AlignStep(feats []FrameFeatures, a *AlignState, boundary fun
 			return true
 		}
 		a.pair = st.matchPair(&feats[i], &feats[a.refFrame], m)
-		if !st.beginSearch(a, ransac.ModelHomography, m) && !st.beginSearch(a, ransac.ModelAffine, m) {
+		if !st.beginSearch(a, ransac.ModelHomography, gs, m) && !st.beginSearch(a, ransac.ModelAffine, gs, m) {
 			st.endPair(a, geom.Homography{}, StatusDiscarded, 0)
 			return false
 		}
@@ -376,7 +384,7 @@ func (st *Stitcher) AlignStep(feats []FrameFeatures, a *AlignState, boundary fun
 			st.endPair(a, r.H, StatusHomography, len(r.Inliers))
 		case err == nil:
 			st.endPair(a, r.H, StatusAffine, len(r.Inliers))
-		case a.model == ransac.ModelHomography && st.beginSearch(a, ransac.ModelAffine, m):
+		case a.model == ransac.ModelHomography && st.beginSearch(a, ransac.ModelAffine, gs, m):
 			// Affine fallback: "we estimate a simpler affine
 			// transformation which requires fewer matching points"
 			// (§III-A).
@@ -390,8 +398,10 @@ func (st *Stitcher) AlignStep(feats []FrameFeatures, a *AlignState, boundary fun
 
 // beginSearch starts the pair's transform search for model when the
 // model's confidence gate admits the pair's match count, and reports
-// whether a search began.
-func (st *Stitcher) beginSearch(a *AlignState, model ransac.Model, m probe.Sink) bool {
+// whether a search began. An open gs records the search; a closed one
+// gives it the golden record of the same pair and model when its
+// inputs are the golden search's (GoldenSearches.replay).
+func (st *Stitcher) beginSearch(a *AlignState, model ransac.Model, gs *GoldenSearches, m probe.Sink) bool {
 	p := a.pair
 	cfg := ransac.DefaultConfig(model)
 	cfg.Seed, cfg.MinInliers = st.cfg.Seed, p.gateH
@@ -405,8 +415,67 @@ func (st *Stitcher) beginSearch(a *AlignState, model ransac.Model, m probe.Sink)
 	if err != nil {
 		return false
 	}
+	if gs != nil {
+		gs.capture(a.Next, model, p, &sr, m)
+		gs.replay(a.Next, model, p, &sr)
+	}
 	a.model, a.search = model, sr
 	return true
+}
+
+// GoldenSearches is the golden run's RANSAC searches: one
+// ransac.Record per frame pair and model, with the pair's
+// correspondences it was captured on. NewGoldenSearches returns an open
+// set, which AlignStep fills as a by-product of the golden capture's
+// own searches; once closed it is immutable and safe to share across
+// trials. A search replays a record only when its configuration and
+// tapped counts are the golden search's (ransac.Search.Replay) and its
+// correspondences start with the golden ones, bit for bit.
+type GoldenSearches struct {
+	open  bool
+	pairs [][2]goldenSearch
+}
+
+type goldenSearch struct {
+	src, dst []geom.Pt
+	rec      *ransac.Record
+}
+
+// NewGoldenSearches returns an empty, open record set.
+func NewGoldenSearches() *GoldenSearches { return &GoldenSearches{open: true} }
+
+// Close ends the capture: from now on AlignStep replays the set.
+func (gs *GoldenSearches) Close() { gs.open = false }
+
+// capture records pair i's search for model while the set is open, on
+// a tapping sink only. The pair is marked shared, so the record's
+// correspondences are never recycled.
+func (gs *GoldenSearches) capture(i int, model ransac.Model, p *pairScratch, sr *ransac.Search, m probe.Sink) {
+	if !gs.open || probe.IsNop(m) {
+		return
+	}
+	rec := sr.Capture()
+	if rec == nil {
+		return
+	}
+	for len(gs.pairs) <= i {
+		gs.pairs = append(gs.pairs, [2]goldenSearch{})
+	}
+	p.share()
+	gs.pairs[i][model] = goldenSearch{src: p.src, dst: p.dst, rec: rec}
+}
+
+// replay attaches pair i's golden record for model to sr when the set
+// is closed and p's correspondences start with the golden search's on
+// their bits (pointer identity short-circuits the scan, as a trial
+// resumed inside the golden pair shares its storage), and reports
+// whether it did.
+func (gs *GoldenSearches) replay(i int, model ransac.Model, p *pairScratch, sr *ransac.Search) bool {
+	if gs.open || i >= len(gs.pairs) {
+		return false
+	}
+	g := &gs.pairs[i][model]
+	return g.rec != nil && ptsHavePrefix(p.src, g.src) && ptsHavePrefix(p.dst, g.dst) && sr.Replay(g.rec)
 }
 
 // endPair records frame a.Next's registration outcome — transform h
@@ -639,7 +708,7 @@ func (st *Stitcher) Run(frames []*imgproc.Gray, m probe.Sink) (*Result, error) {
 	}
 	a := st.BeginAlign(frames, m)
 	for a.Next < a.N {
-		st.AlignStep(feats, &a, nil, m)
+		st.AlignStep(feats, &a, nil, nil, m)
 	}
 	return st.Composite(frames, &a, m)
 }

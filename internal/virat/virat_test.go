@@ -41,9 +41,10 @@ func TestGenerateWorldHasTexture(t *testing.T) {
 
 func TestWorldProvidesCorners(t *testing.T) {
 	w := GenerateWorld(WorldConfig{Size: 256, Seed: 2, Buildings: 60, Roads: 4, Blobs: 20})
-	kps := features.DetectFAST(w.Img, features.DefaultFASTConfig(), nil)
+	e := features.NewExtractor(features.ORBConfig{PatchRadius: 12, AngleBins: 30})
+	kps, _ := e.Detect(w.Img, features.DefaultFASTConfig(), nil, nil)
 	if len(kps) < 50 {
-		t.Errorf("world yields only %d FAST corners", len(kps))
+		t.Errorf("world yields only %d described FAST corners", len(kps))
 	}
 }
 

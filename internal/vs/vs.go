@@ -217,28 +217,41 @@ type pipeState struct {
 	feats    []stitch.FrameFeatures
 	align    stitch.AlignState
 	comp     stitch.CompositeState
-	// golden is the golden run's feature records, shared read-only by
-	// every state snapshotted from it; StateEqual ignores it.
-	golden *goldenFeatures
+	// golden is the golden run's records, shared read-only by every
+	// state snapshotted from it; StateEqual ignores it.
+	golden *goldenRecords
 }
 
-// goldenFeatures is the golden run's feature stage, one record per
-// decoded frame, which the capture fills as a by-product of its own
-// detection. A later detection replays a record only on the very frame
-// it was captured on (pointer identity): a trial that decoded frames of
-// its own, possibly corrupted ones, never reads one.
-type goldenFeatures struct {
-	frames []*imgproc.Gray
-	recs   []*features.Golden
+// goldenRecords is the golden run's record set, which the capture
+// fills as a by-product of its own stages: the feature stage, one
+// record per decoded frame, and the RANSAC searches, one record per
+// frame pair and model. A later detection replays a feature record
+// only on the very frame it was captured on (pointer identity): a trial
+// that decoded frames of its own, possibly corrupted ones, never reads
+// one. A search replays its record only on the golden search's inputs
+// (stitch.GoldenSearches), and only a capture on a tapping sink
+// records searches.
+type goldenRecords struct {
+	frames   []*imgproc.Gray
+	recs     []*features.Golden
+	searches *stitch.GoldenSearches
 }
 
 // record returns frame k's golden record when f is the golden run's
 // frame k, and nil otherwise.
-func (gf *goldenFeatures) record(k int, f *imgproc.Gray) *features.Golden {
+func (gf *goldenRecords) record(k int, f *imgproc.Gray) *features.Golden {
 	if gf == nil || k >= len(gf.recs) || gf.frames[k] != f {
 		return nil
 	}
 	return gf.recs[k]
+}
+
+// searchRecords returns the golden search records, or nil.
+func (gf *goldenRecords) searchRecords() *stitch.GoldenSearches {
+	if gf == nil {
+		return nil
+	}
+	return gf.searches
 }
 
 // snapshot returns a copy safe to retain across further pipeline
@@ -261,8 +274,9 @@ func (st pipeState) snapshot() pipeState {
 //
 // Every stage boundary the run reaches — the one st sits at first —
 // is reported before its first tap: to snap, when non-nil, with a
-// snapshot (the golden checkpoint capture, whose detections also
-// collect the golden feature records every snapshot shares), and to
+// snapshot (the golden checkpoint capture, whose detections and, on a
+// tapping sink, RANSAC searches also collect the golden records every
+// snapshot shares), and to
 // guard, when non-nil, with a pointer to the live state; a true guard
 // return abandons the run with converged=true, recycling the pair and
 // canvas buffers the run owns. Neither hook changes a single tap of the
@@ -275,7 +289,9 @@ func (st pipeState) snapshot() pipeState {
 func (a *App) runFrom(st pipeState, input []*imgproc.Gray, m probe.Sink, snap func(name string, st pipeState), guard fault.BoundaryGuard) (*stitch.Result, bool, error) {
 	recycle := st.phase == phaseDecode && snap == nil
 	if snap != nil {
-		st.golden = new(goldenFeatures)
+		st.golden = &goldenRecords{searches: stitch.NewGoldenSearches()}
+		// However the capture ends, its trials only ever replay.
+		defer st.golden.searches.Close()
 	}
 	boundary := func(name string) bool {
 		if snap != nil {
@@ -332,8 +348,9 @@ func (a *App) runFrom(st pipeState, input []*imgproc.Gray, m probe.Sink, snap fu
 		st.phase = phasePairs
 	}
 	if st.phase == phasePairs {
+		gs := st.golden.searchRecords()
 		for st.align.Next < st.align.N {
-			if a.stitcher.AlignStep(st.feats, &st.align, boundary, m) {
+			if a.stitcher.AlignStep(st.feats, &st.align, gs, boundary, m) {
 				return nil, true, nil
 			}
 		}

@@ -1,11 +1,11 @@
 // Compact canvas snapshots for the composite's golden checkpoints. An
 // overwrite canvas without gain compensation holds, at every touched
-// pixel, exactly float64(v) for the 8-bit sample v last written there
-// with weight 1, and at every untouched pixel 0 with weight 0. Its full
-// state is therefore the touched set plus one byte per touched pixel:
-// a snapshot stores a coverage bitset and the touched pixels' bytes in
-// index order, under 1.2 bytes per pixel against the 17 of the float
-// buffers.
+// pixel, exactly float64(v) for the 8-bit sample v last written there,
+// and at every untouched pixel 0; it keeps no weights (a touched
+// overwrite pixel has weight 1). Its full state is therefore the
+// touched set plus one byte per touched pixel: a snapshot stores a
+// coverage bitset and the touched pixels' bytes in index order, under
+// 1.2 bytes per pixel against the 9 of the value and touched buffers.
 package warp
 
 import (
@@ -35,8 +35,8 @@ func (c *Canvas) compact() bool {
 }
 
 // Snapshot encodes the canvas compactly. It panics when the canvas
-// blends, compensates gain or holds a touched value other than an 8-bit sample with
-// weight 1, which the overwrite blend never produces.
+// blends, compensates gain or holds a touched value other than an
+// 8-bit sample, which the overwrite blend never produces.
 func (c *Canvas) Snapshot() *CanvasSnapshot {
 	if !c.compact() {
 		panic("warp: snapshot of a blended or gain-compensated canvas")
@@ -55,7 +55,7 @@ func (c *Canvas) Snapshot() *CanvasSnapshot {
 			continue
 		}
 		v := c.values[i]
-		if c.weights[i] != 1 || v != float64(uint8(v)) {
+		if v != float64(uint8(v)) {
 			panic("warp: overwrite canvas holds a non-sample value")
 		}
 		s.pix = append(s.pix, uint8(v))
@@ -74,7 +74,6 @@ func (s *CanvasSnapshot) Restore() *Canvas {
 			i := 64*w + bits.TrailingZeros64(word)
 			word &= word - 1
 			c.values[i] = float64(s.pix[j])
-			c.weights[i] = 1
 			c.touched[i] = true
 			j++
 		}
@@ -83,25 +82,23 @@ func (s *CanvasSnapshot) Restore() *Canvas {
 }
 
 // Matches reports whether c is bit-equal to the snapshot's expansion:
-// same bounds and mode, and at every offset the same touched flag,
-// weight bits and value bits as Restore would produce. Floats are
-// compared on their IEEE-754 bits, so a -0 or a NaN payload where the
-// expansion holds +0 is a mismatch.
+// same bounds and mode, and at every offset the same touched flag and
+// value bits as Restore would produce. Values are compared on their
+// IEEE-754 bits, so a -0 or a NaN payload where the expansion holds +0
+// is a mismatch.
 func (s *CanvasSnapshot) Matches(c *Canvas) bool {
 	if s == nil || c == nil || c.B != s.B || !c.compact() {
 		return false
 	}
-	one := math.Float64bits(1)
 	j := 0
 	for i, t := range c.touched {
 		if s.covered[i/64]&(1<<(i%64)) == 0 {
-			if t || math.Float64bits(c.values[i]) != 0 || math.Float64bits(c.weights[i]) != 0 {
+			if t || math.Float64bits(c.values[i]) != 0 {
 				return false
 			}
 			continue
 		}
-		if !t || math.Float64bits(c.weights[i]) != one ||
-			math.Float64bits(c.values[i]) != math.Float64bits(float64(s.pix[j])) {
+		if !t || math.Float64bits(c.values[i]) != math.Float64bits(float64(s.pix[j])) {
 			return false
 		}
 		j++
@@ -119,15 +116,21 @@ func (s *CanvasSnapshot) Equal(o *CanvasSnapshot) bool {
 
 // EqualBits reports whether two canvases hold bit-identical state:
 // bounds, mode, gain flag, touched flags and the IEEE-754 bits of every
-// value and weight.
+// value and (on feather canvases) weight.
 func (c *Canvas) EqualBits(o *Canvas) bool {
 	if c.B != o.B || c.Mode != o.Mode || c.GainCompensation != o.GainCompensation ||
 		len(c.touched) != len(o.touched) || !slices.Equal(c.touched, o.touched) {
 		return false
 	}
-	for i := range c.values {
-		if math.Float64bits(c.values[i]) != math.Float64bits(o.values[i]) ||
-			math.Float64bits(c.weights[i]) != math.Float64bits(o.weights[i]) {
+	return floatsEqualBits(c.values, o.values) && floatsEqualBits(c.weights, o.weights)
+}
+
+func floatsEqualBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			return false
 		}
 	}

@@ -153,18 +153,15 @@ type Canvas struct {
 	// pipeline's rendering refinements against visible seams (§III-A's
 	// "corrective actions"). The gain is clamped to [1/MaxGain, MaxGain].
 	GainCompensation bool
-	weights          []float64
-	values           []float64
-	touched          []bool
+	// weights is nil on an overwrite canvas, whose weight is exactly 1
+	// wherever touched is set (see at).
+	weights []float64
+	values  []float64
+	touched []bool
 }
 
 // MaxGain bounds exposure-compensation gains.
 const MaxGain = 1.5
-
-// NewCanvas allocates an overwrite-mode canvas covering b.
-func NewCanvas(b Bounds) *Canvas {
-	return NewCanvasMode(b, BlendOverwrite)
-}
 
 // NewCanvasMode allocates a canvas covering b with the given blend
 // mode. The backing buffers may come from a package pool (see
@@ -175,13 +172,11 @@ func NewCanvasMode(b Bounds, mode BlendMode) *Canvas {
 	if n > MaxCanvasPixels {
 		panic("warp: canvas size exceeds safety bound")
 	}
-	return &Canvas{
-		B:       b,
-		Mode:    mode,
-		weights: getFloats(n, true),
-		values:  getFloats(n, true),
-		touched: getBools(n),
+	c := &Canvas{B: b, Mode: mode, values: getFloats(n, true), touched: getBools(n)}
+	if mode == BlendFeather {
+		c.weights = getFloats(n, true)
 	}
+	return c
 }
 
 // Recycle returns the canvas's backing buffers to the package pool so
@@ -228,9 +223,17 @@ func (c *Canvas) writeIdx(i int, v, w float64) {
 		c.weights[i] += w
 	default: // BlendOverwrite: later frames replace earlier content.
 		c.values[i] = v
-		c.weights[i] = 1
 	}
 	c.touched[i] = true
+}
+
+// at is the rendered value of touched offset i: the weighted mean on a
+// feather canvas, the value itself on an overwrite canvas (weight 1).
+func (c *Canvas) at(i int) float64 {
+	if c.weights == nil {
+		return c.values[i]
+	}
+	return c.values[i] / c.weights[i]
 }
 
 // Resolve renders the canvas to an 8-bit image; untouched pixels are
@@ -266,8 +269,7 @@ func resolveCanvas(c *Canvas, m probe.Sink) *imgproc.Gray {
 			if !c.touched[i] {
 				continue
 			}
-			v := c.values[i] / c.weights[i]
-			out.Pix[i] = imgproc.SaturateUint8(v)
+			out.Pix[i] = imgproc.SaturateUint8(c.at(i))
 		}
 	}
 	return out
@@ -292,8 +294,7 @@ func resolveBand(c *Canvas, out *imgproc.Gray, y0, y1 int) {
 			if !c.touched[i] {
 				continue
 			}
-			v := c.values[i] / c.weights[i]
-			out.Pix[i] = imgproc.SaturateUint8(v)
+			out.Pix[i] = imgproc.SaturateUint8(c.at(i))
 		}
 	}
 }
@@ -612,7 +613,7 @@ func frameGain[S probe.Sink](c *Canvas, region Bounds, vals, wts []float64, m S)
 			if !c.touched[ci] {
 				continue
 			}
-			canvasSum += c.values[ci] / c.weights[ci]
+			canvasSum += c.at(ci)
 			frameSum += vals[i]
 			n++
 		}

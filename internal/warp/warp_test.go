@@ -2,6 +2,7 @@ package warp
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,9 @@ import (
 	"vsresil/internal/geom"
 	"vsresil/internal/imgproc"
 )
+
+// NewCanvas allocates an overwrite-mode canvas covering b.
+func NewCanvas(b Bounds) *Canvas { return NewCanvasMode(b, BlendOverwrite) }
 
 func gradientImage(w, h int) *imgproc.Gray {
 	g := imgproc.NewGray(w, h)
@@ -237,6 +241,29 @@ func TestCanvasSizeGuard(t *testing.T) {
 		}
 	}()
 	NewCanvas(Bounds{0, 0, 1 << 14, 1 << 14})
+}
+
+// TestCanvasCorruptOffsetPanics checks that a corrupted raw offset
+// faults on the value buffer as a runtime error (a Crash in a
+// campaign) in both blend modes, although an overwrite canvas keeps no
+// weight buffer.
+func TestCanvasCorruptOffsetPanics(t *testing.T) {
+	for _, mode := range []BlendMode{BlendOverwrite, BlendFeather} {
+		c := NewCanvasMode(Bounds{0, 0, 4, 4}, mode)
+		if (c.weights == nil) != (mode == BlendOverwrite) {
+			t.Errorf("mode %v: weights allocated %v", mode, c.weights != nil)
+		}
+		for _, i := range []int{-1, len(c.values)} {
+			func() {
+				defer func() {
+					if _, ok := recover().(runtime.Error); !ok {
+						t.Errorf("mode %v: offset %d did not fault as a runtime error", mode, i)
+					}
+				}()
+				c.writeIdx(i, 9, 1)
+			}()
+		}
+	}
 }
 
 // coverage returns the fraction of canvas pixels that received at
